@@ -15,6 +15,11 @@ Three separate questions are answered here:
 3. How fast? The information recursion contracts the part metric to the
    fixed point; an empirical geometric rate is fitted from a recorded
    trajectory.
+
+The analysis reuses the engine's information half and mean half
+(gabp.bp): the fixed point iterates the information half alone, Q is
+built from the gains K that half returns at J*, and the beliefs of the
+two-phase run come from the mean half and compute_beliefs.
 """
 
 import logging
@@ -23,11 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gabp.bp import BpOptions, run_bp
+from gabp.bp import (BpOptions, Message, compute_beliefs, f2v_information, f2v_mean,
+                     make_init, run_bp, v2f_information)
 from gabp.errors import DomainError, IterationBudgetError
 from gabp.graph import build_factor_graph, classify_topology
 from gabp.model import centralized_solve, require_valid
-from gabp.numerics import is_psd, psd_compare, spectral_radius, symmetrize
+from gabp.numerics import psd_compare, spectral_radius, symmetrize
 
 log = logging.getLogger("gabp")
 
@@ -72,88 +78,54 @@ def compute_bounds(model, graph):
 
 @dataclass
 class FixedPoint:
-    """Fixed point of the information recursion on both edge kinds."""
+    """Fixed point of the information recursion on both edge kinds.
+
+    gain holds K_{n->i} = A_i^T M^-1 at J*, the map the mean half applies
+    to each factor's residual once the information side is frozen.
+    """
 
     f2v: dict
     v2f: dict
+    gain: dict
     iterations: int
     history: list = None
 
 
-def _v2f_information(model, graph, prior_prec, f2v):
-    v2f = {}
-    for (j, n) in graph.v2f_edges:
-        jmat = prior_prec[j].copy()
-        for k in graph.neighbors_of_var[j]:
-            if k != n:
-                jmat = jmat + f2v[(k, j)]
-        v2f[(j, n)] = jmat
-    return v2f
-
-
-def _f2v_information(model, graph, v2f):
-    f2v = {}
-    for (n, i) in graph.f2v_edges:
-        f = model.factor(n)
-        core = f.noise_cov.copy()
-        for j in graph.neighbors_of_factor[n]:
-            if j == i:
-                continue
-            a_j = f.coeff[j]
-            core = core + a_j @ np.linalg.solve(v2f[(j, n)], a_j.T)
-        a_i = f.coeff[i]
-        f2v[(n, i)] = symmetrize(a_i.T @ np.linalg.solve(core, a_i))
-    return f2v
-
-
 def information_fixed_point(model, graph=None, init="zero", tol=FIXED_POINT_TOL,
                             max_iters=10_000, record=False, custom=None):
-    """Iterate the information recursion alone until it stops moving.
+    """Iterate the information half of the engine alone until it stops moving.
 
     The mean vectors play no role here, so this is the cheapest way to
     obtain the fixed point J* that the full engine converges to. init
-    accepts the same strategies as the engine ("zero", "lower", "upper",
-    "custom" with a dict of psd matrices per edge). Raises
+    accepts the engine's strategies (see make_init); "custom" takes a
+    dict of psd matrices (or messages) per edge. Raises
     IterationBudgetError if tol is not reached within max_iters.
     """
     if graph is None:
         graph = build_factor_graph(model)
     prior_prec = {v.id: np.linalg.inv(v.prior_cov) for v in model.variables}
 
-    if init == "zero":
-        f2v = {(n, i): np.zeros((graph.var_dims[i],) * 2) for (n, i) in graph.f2v_edges}
-    elif init in ("lower", "upper"):
-        bounds = compute_bounds(model, graph)
-        source = bounds.lower if init == "lower" else bounds.upper
-        f2v = {e: source[e].copy() for e in graph.f2v_edges}
-    elif init == "custom":
-        if custom is None:
-            raise DomainError("custom init requested but no matrices supplied")
-        f2v = {}
-        for e in graph.f2v_edges:
-            if e not in custom:
-                raise DomainError(f"custom init is missing edge {e}")
-            j0 = symmetrize(np.asarray(custom[e], dtype=float))
-            if not is_psd(j0):
-                raise DomainError(f"custom init for edge {e} is not psd")
-            f2v[e] = j0
-    else:
-        raise DomainError(f"unknown init strategy {init!r}")
+    def v2f_of(f2v):
+        return {(j, n): v2f_information(prior_prec, graph, f2v, j, n)
+                for (j, n) in graph.v2f_edges}
 
+    f2v = {e: m.J for e, m in make_init(model, graph, init, custom=custom).items()}
     history = [dict(f2v)] if record else None
     for it in range(1, max_iters + 1):
-        v2f = _v2f_information(model, graph, prior_prec, f2v)
-        new_f2v = _f2v_information(model, graph, v2f)
-        delta = max(
-            float(np.linalg.norm(new_f2v[e] - f2v[e], ord="fro")) for e in graph.f2v_edges
-        )
+        v2f = v2f_of(f2v)
+        new_f2v = {(n, i): f2v_information(model, graph, v2f, n, i)[0]
+                   for (n, i) in graph.f2v_edges}
+        delta = max((float(np.linalg.norm(new_f2v[e] - f2v[e], ord="fro"))
+                     for e in graph.f2v_edges), default=0.0)
         f2v = new_f2v
         if record:
             history.append(dict(f2v))
         if delta < tol:
-            v2f = _v2f_information(model, graph, prior_prec, f2v)
+            v2f = v2f_of(f2v)
+            gain = {(n, i): f2v_information(model, graph, v2f, n, i)[1]
+                    for (n, i) in graph.f2v_edges}
             log.debug("information fixed point reached after %d iterations", it)
-            return FixedPoint(f2v=f2v, v2f=v2f, iterations=it, history=history)
+            return FixedPoint(f2v=f2v, v2f=v2f, gain=gain, iterations=it, history=history)
     raise IterationBudgetError(
         f"information recursion did not reach tol={tol:g} within {max_iters} iterations "
         f"(last delta {delta:.3e})"
@@ -179,23 +151,10 @@ class QSystem:
 
 
 def assemble_q(model, graph, fixed_point):
+    """Q blocks J_{j->n}^-1 K_{k->j} A_z and b from K_{k->j} y_k, K from the fixed point."""
     dim = graph.total_v2f_dim
     q = np.zeros((dim, dim))
     b = np.zeros(dim)
-
-    # M_{k,j} couples factor k with the variables it integrates out when
-    # talking to j; it is shared by every row that routes through (z, k).
-    m_cache = {}
-    for (j, k) in graph.v2f_edges:
-        f = model.factor(k)
-        m = f.noise_cov.copy()
-        for z in graph.neighbors_of_factor[k]:
-            if z == j:
-                continue
-            a_z = f.coeff[z]
-            m = m + a_z @ np.linalg.solve(fixed_point.v2f[(z, k)], a_z.T)
-        m_cache[(k, j)] = m
-
     for (j, n) in graph.v2f_edges:
         row, dj = graph.v2f_offsets[(j, n)]
         jjn = fixed_point.v2f[(j, n)]
@@ -204,15 +163,12 @@ def assemble_q(model, graph, fixed_point):
             if k == n:
                 continue
             f = model.factor(k)
-            a_j = f.coeff[j]
-            m = m_cache[(k, j)]
-            acc = acc + a_j.T @ np.linalg.solve(m, f.obs)
+            gain = fixed_point.gain[(k, j)]
+            acc = acc + gain @ f.obs
             for z in graph.neighbors_of_factor[k]:
-                if z == j:
-                    continue
-                col, dz = graph.v2f_offsets[(z, k)]
-                block = np.linalg.solve(jjn, a_j.T @ np.linalg.solve(m, f.coeff[z]))
-                q[row:row + dj, col:col + dz] = block
+                if z != j:
+                    col, dz = graph.v2f_offsets[(z, k)]
+                    q[row:row + dj, col:col + dz] = np.linalg.solve(jjn, gain @ f.coeff[z])
         b[row:row + dj] = np.linalg.solve(jjn, acc)
 
     return QSystem(q=q, b=b, offsets=dict(graph.v2f_offsets), edges=list(graph.v2f_edges),
@@ -253,39 +209,17 @@ def two_phase_mean_recursion(qsys, v0=None, tol=1e-10, max_iters=20_000, guard=1
 def beliefs_from_v2f_means(model, graph, fixed_point, qsys, v_stacked):
     """Belief means implied by a converged stacked mean vector.
 
-    Completes the two-phase run: derives the factor-to-variable means
-    from the stacked variable-to-factor means and combines them with the
-    fixed-point information matrices into per-variable means.
+    Completes the two-phase run: the engine's mean half turns the stacked
+    variable-to-factor means into factor-to-variable means at J*, and
+    compute_beliefs combines them into per-variable means.
     """
-    v2f_mean = {}
-    for edge in qsys.edges:
-        start, d = qsys.offsets[edge]
-        v2f_mean[edge] = v_stacked[start:start + d]
-
-    f2v_mean = {}
-    for (k, j) in graph.f2v_edges:
-        f = model.factor(k)
-        resid = f.obs.copy()
-        m = f.noise_cov.copy()
-        for z in graph.neighbors_of_factor[k]:
-            if z == j:
-                continue
-            a_z = f.coeff[z]
-            resid = resid - a_z @ v2f_mean[(z, k)]
-            m = m + a_z @ np.linalg.solve(fixed_point.v2f[(z, k)], a_z.T)
-        a_j = f.coeff[j]
-        f2v_mean[(k, j)] = np.linalg.solve(fixed_point.f2v[(k, j)],
-                                           a_j.T @ np.linalg.solve(m, resid))
-
-    means = {}
-    for var in model.variables:
-        prec = np.linalg.inv(var.prior_cov)
-        rhs = np.zeros(var.dim)
-        for n in graph.neighbors_of_var[var.id]:
-            prec = prec + fixed_point.f2v[(n, var.id)]
-            rhs = rhs + fixed_point.f2v[(n, var.id)] @ f2v_mean[(n, var.id)]
-        means[var.id] = np.linalg.solve((prec + prec.T) / 2.0, rhs)
-    return means
+    v2f = {e: v_stacked[s:s + d] for e, (s, d) in qsys.offsets.items()}
+    f2v = {(n, i): Message(J=fixed_point.f2v[(n, i)],
+                           v=f2v_mean(model, graph, v2f, fixed_point.f2v[(n, i)],
+                                      fixed_point.gain[(n, i)], n, i))
+           for (n, i) in graph.f2v_edges}
+    beliefs = compute_beliefs(model, graph, {"f2v": f2v})
+    return {vid: b.mean for vid, b in beliefs.items()}
 
 
 def decide_mean_convergence(rho, topology, band=BORDERLINE_BAND):

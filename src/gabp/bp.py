@@ -1,17 +1,30 @@
 """The message-passing engine.
 
 Messages are Gaussians in information form: a message carries an
-information matrix J and a mean vector v. One outer iteration updates
-every variable-to-factor edge and every factor-to-variable edge exactly
-once; how the updates interleave depends on the schedule:
+information matrix J and a mean vector v. Each update splits into two
+halves, and this module holds the only implementation of each; the
+analysis module reuses both.
 
-* "sync": double buffered, all variable-to-factor updates from the
-  previous iteration's state, then all factor-to-variable updates from
-  the fresh variable-to-factor messages. Deterministic bit for bit.
-* "seq": factor-centric Gauss-Seidel sweep in ascending factor id; each
-  factor refreshes its incoming variable-to-factor messages and then its
-  outgoing messages in place, so later factors see earlier updates.
-* "random": the same sweep in a freshly permuted factor order each
+* The information half never reads a mean:
+  J_{j->n} = W_j^-1 + sum_{k != n} J_{k->j}, and (J_{n->i}, K_{n->i}) with
+  K = A_i^T M^-1, M = R_n + sum_{j != i} A_j J_{j->n}^-1 A_j^T,
+  J_{n->i} = K A_i.
+* The mean half reuses K:
+  v_{j->n} = J_{j->n}^-1 sum_{k != n} J_{k->j} v_{k->j}, and
+  v_{n->i} = J_{n->i}^-1 K (y_n - sum_{j != i} A_j v_{j->n}).
+
+One outer iteration updates every variable-to-factor edge and every
+factor-to-variable edge exactly once. A schedule is a choice of factor
+blocks for one shared sweep: the sweep over a block first refreshes every
+variable-to-factor message into the block from the current
+factor-to-variable state, then every factor-to-variable message out of
+the block.
+
+* "sync": one block of all factors, so every update reads the previous
+  iteration's state. Deterministic bit for bit.
+* "seq": one block per factor in ascending factor id, a Gauss-Seidel
+  sweep in which later factors see earlier updates.
+* "random": one block per factor in a freshly permuted order each
   iteration, driven by the run's seed.
 """
 
@@ -34,9 +47,6 @@ DIVERGENCE_GUARD = 1e12
 class Message:
     J: np.ndarray
     v: np.ndarray
-
-    def copy(self):
-        return Message(J=self.J.copy(), v=self.v.copy())
 
 
 @dataclass
@@ -84,18 +94,15 @@ class BpResult:
     beliefs: dict
 
 
-def _prior_precisions(model):
-    return {v.id: np.linalg.inv(v.prior_cov) for v in model.variables}
-
-
 def make_init(model, graph, strategy="zero", custom=None):
     """Initial factor-to-variable messages for every edge.
 
     strategy is "zero", "lower", "upper" or "custom". The bound inits
     place the edge-wise lower/upper envelopes of the information
     recursion on every edge with zero mean vectors; "custom" takes a dict
-    mapping (factor, variable) to Message (or a (J, v) pair) whose
-    information matrices must be psd.
+    mapping (factor, variable) to a Message, a (J, v) pair or a bare
+    information matrix (zero mean), whose information matrices must be
+    psd.
     """
     out = {}
     if strategy == "zero":
@@ -117,50 +124,65 @@ def make_init(model, graph, strategy="zero", custom=None):
         for (n, i) in graph.f2v_edges:
             if (n, i) not in custom:
                 raise DomainError(f"custom init is missing edge ({n}, {i})")
-            entry = custom[(n, i)]
-            msg = entry if isinstance(entry, Message) else Message(J=np.asarray(entry[0], dtype=float),
-                                                                   v=np.asarray(entry[1], dtype=float))
             d = graph.var_dims[i]
+            entry = custom[(n, i)]
+            if isinstance(entry, Message):
+                entry = (entry.J, entry.v)
+            elif isinstance(entry, np.ndarray):
+                entry = (entry, np.zeros(d))
+            msg = Message(J=np.array(entry[0], dtype=float), v=np.array(entry[1], dtype=float))
             if msg.J.shape != (d, d) or msg.v.shape != (d,):
                 raise DomainError(f"custom init edge ({n}, {i}) has wrong shape")
             if not is_psd(msg.J):
                 raise DomainError(f"custom init edge ({n}, {i}) has a non-psd information matrix")
-            out[(n, i)] = msg.copy()
+            out[(n, i)] = msg
         return out
     raise DomainError(f"unknown init strategy {strategy!r}")
 
 
-def _v2f_update(model, graph, prior_prec, j, n, f2v):
-    """Message from variable j to factor n given incoming f2v messages."""
+def v2f_information(prior_prec, graph, f2v_j, j, n):
+    """Information half, variable j to factor n: J = W_j^-1 + sum_{k != n} J_{k->j}."""
     jmat = prior_prec[j].copy()
+    for k in graph.neighbors_of_var[j]:
+        if k != n:
+            jmat = jmat + f2v_j[(k, j)]
+    return jmat
+
+
+def f2v_information(model, graph, v2f_j, n, i):
+    """Information half, factor n to variable i: returns (J_{n->i}, K_{n->i}).
+
+    K = A_i^T M^-1 with M = R_n + sum_{j != i} A_j J_{j->n}^-1 A_j^T; it is
+    the map the mean half applies to the factor's residual.
+    """
+    f = model.factor(n)
+    core = f.noise_cov
+    for j in graph.neighbors_of_factor[n]:
+        if j != i:
+            a = f.coeff[j]
+            core = core + a @ np.linalg.solve(v2f_j[(j, n)], a.T)
+    gain = np.linalg.solve(core, f.coeff[i]).T
+    jmat = gain @ f.coeff[i]
+    return (jmat + jmat.T) / 2.0, gain
+
+
+def v2f_mean(graph, f2v_j, f2v_v, jmat, j, n):
+    """Mean half, variable j to factor n: v = J^-1 sum_{k != n} J_{k->j} v_{k->j}."""
     rhs = np.zeros(graph.var_dims[j])
     for k in graph.neighbors_of_var[j]:
-        if k == n:
-            continue
-        msg = f2v[(k, j)]
-        jmat = jmat + msg.J
-        rhs = rhs + msg.J @ msg.v
-    return Message(J=jmat, v=np.linalg.solve(jmat, rhs))
+        if k != n:
+            rhs = rhs + f2v_j[(k, j)] @ f2v_v[(k, j)]
+    return np.linalg.solve(jmat, rhs)
 
 
-def _f2v_update(model, graph, n, i, v2f):
-    """Message from factor n to variable i given incoming v2f messages."""
+def f2v_mean(model, graph, v2f_v, jmat, gain, n, i):
+    """Mean half, factor n to variable i: v = J^-1 K (y_n - sum_{j != i} A_j v_{j->n})."""
     f = model.factor(n)
-    core = f.noise_cov.copy()
-    resid = f.obs.copy()
+    resid = f.obs
     for j in graph.neighbors_of_factor[n]:
-        if j == i:
-            continue
-        a = f.coeff[j]
-        msg = v2f[(j, n)]
-        core = core + a @ np.linalg.solve(msg.J, a.T)
-        resid = resid - a @ msg.v
-    a_i = f.coeff[i]
-    half = np.linalg.solve(core, np.column_stack([a_i, resid.reshape(-1, 1)]))
-    jmat = a_i.T @ half[:, :-1]
-    jmat = (jmat + jmat.T) / 2.0
-    v = np.linalg.solve(jmat, a_i.T @ half[:, -1])
-    return Message(J=jmat, v=v)
+        if j != i:
+            resid = resid - f.coeff[j] @ v2f_v[(j, n)]
+    return np.linalg.solve(jmat, gain @ resid)
 
 
 def existence_check(model, graph, v2f, n, i):
@@ -173,6 +195,7 @@ def existence_check(model, graph, v2f, n, i):
 
     over those variables is positive definite. With psd initialization
     this always holds, but manually crafted message states can break it.
+    v2f maps each incoming edge to its Message or its information matrix.
     """
     f = model.factor(n)
     others = [j for j in graph.neighbors_of_factor[n] if j != i]
@@ -183,25 +206,42 @@ def existence_check(model, graph, v2f, n, i):
     pos = 0
     for j in others:
         d = graph.var_dims[j]
-        core[pos:pos + d, pos:pos + d] += v2f[(j, n)].J
+        incoming = v2f[(j, n)]
+        core[pos:pos + d, pos:pos + d] += getattr(incoming, "J", incoming)
         pos += d
     return is_pd(core)
 
 
-def _message_norm(messages):
-    worst = 0.0
-    for msg in messages.values():
-        m = np.max(np.abs(msg.v)) if msg.v.size else 0.0
-        if not np.isfinite(m):
-            return np.inf
-        worst = max(worst, m)
-    return worst
+def _sweep(model, graph, prior_prec, state, block, strict, it):
+    """Refresh the v2f messages into a block of factors, then the block's f2v messages."""
+    fj, fv, vj, vv = state
+    for n in block:
+        for j in graph.neighbors_of_factor[n]:
+            vj[(j, n)] = v2f_information(prior_prec, graph, fj, j, n)
+            vv[(j, n)] = v2f_mean(graph, fj, fv, vj[(j, n)], j, n)
+    for n in block:
+        for i in graph.neighbors_of_factor[n]:
+            if strict and not existence_check(model, graph, vj, n, i):
+                raise ExistenceViolation(f"update for edge ({n} -> {i}) undefined at iteration {it}")
+            fj[(n, i)], gain = f2v_information(model, graph, vj, n, i)
+            fv[(n, i)] = f2v_mean(model, graph, vv, fj[(n, i)], gain, n, i)
 
 
-def _delta(old, new):
-    dj = float(np.linalg.norm(new.J - old.J, ord="fro"))
-    dv = float(np.max(np.abs(new.v - old.v))) if new.v.size else 0.0
+def _largest_mean(means):
+    """Largest absolute mean entry, inf when any entry is not finite."""
+    peak = float(np.max(np.abs(np.concatenate([np.zeros(0), *means])), initial=0.0))
+    return peak if np.isfinite(peak) else math.inf
+
+
+def _delta(old_j, new_j, old_v, new_v):
+    dj = float(np.linalg.norm(new_j - old_j, ord="fro"))
+    dv = float(np.max(np.abs(new_v - old_v))) if new_v.size else 0.0
     return dj, dv
+
+
+def _messages(jmats, means):
+    """Message objects in canonical edge order; the arrays are shared, not copied."""
+    return {e: Message(J=jmats[e], v=means[e]) for e in sorted(jmats)}
 
 
 def compute_beliefs(model, graph, messages):
@@ -220,14 +260,11 @@ def compute_beliefs(model, graph, messages):
     return beliefs
 
 
-def _reference_metric(reference, f2v):
-    worst = 0.0
-    for edge, jstar in reference.items():
-        try:
-            worst = max(worst, part_metric(f2v[edge].J, jstar))
-        except ValueError:
-            return math.inf
-    return worst
+def _part_metric_or_inf(jmat, jstar):
+    try:
+        return part_metric(jmat, jstar)
+    except ValueError:
+        return math.inf
 
 
 def run_bp(model, graph=None, init="zero", options=None, custom_init=None, reference=None):
@@ -263,15 +300,19 @@ def run_bp(model, graph=None, init="zero", options=None, custom_init=None, refer
     if graph is None:
         graph = build_factor_graph(model)
     opts = options or BpOptions()
-    if isinstance(init, dict):
-        f2v = {e: m.copy() for e, m in init.items()}
-    else:
-        f2v = make_init(model, graph, init, custom=custom_init)
-    prior_prec = _prior_precisions(model)
-    v2f = {}
+    if opts.schedule not in ("sync", "seq", "random"):
+        raise DomainError(f"unknown schedule {opts.schedule!r}")
+    start = init if isinstance(init, dict) else make_init(model, graph, init, custom=custom_init)
+    # The engine state is plain dicts of information matrices and means;
+    # updates replace entries and never write into an array.
+    fj = {e: m.J.copy() for e, m in start.items()}
+    fv = {e: m.v.copy() for e, m in start.items()}
+    vj, vv = {}, {}
+    prior_prec = {v.id: np.linalg.inv(v.prior_cov) for v in model.variables}
     traj = BpTrajectory()
     if reference is not None:
-        traj.initial_part_metric = _reference_metric(reference, f2v)
+        traj.initial_part_metric = max(
+            (_part_metric_or_inf(fj[e], jstar) for e, jstar in reference.items()), default=0.0)
 
     rng = np.random.default_rng(opts.seed)
     status = "max_iters"
@@ -279,73 +320,39 @@ def run_bp(model, graph=None, init="zero", options=None, custom_init=None, refer
 
     for it in range(1, opts.max_iters + 1):
         iterations = it
-        old_f2v = f2v
-        old_v2f = v2f
-
-        if opts.schedule == "sync":
-            new_v2f = {
-                (j, n): _v2f_update(model, graph, prior_prec, j, n, old_f2v)
-                for (j, n) in graph.v2f_edges
-            }
-            new_f2v = {}
-            for (n, i) in graph.f2v_edges:
-                if opts.strict and not existence_check(model, graph, new_v2f, n, i):
-                    raise ExistenceViolation(
-                        f"update for edge ({n} -> {i}) undefined at iteration {it}"
-                    )
-                new_f2v[(n, i)] = _f2v_update(model, graph, n, i, new_v2f)
-            f2v, v2f = new_f2v, new_v2f
-        elif opts.schedule in ("seq", "random"):
-            order = list(graph.factor_ids)
-            if opts.schedule == "random":
-                rng.shuffle(order)
-            f2v = {e: m for e, m in old_f2v.items()}
-            v2f = {e: m for e, m in old_v2f.items()}
-            for n in order:
-                for j in graph.neighbors_of_factor[n]:
-                    v2f[(j, n)] = _v2f_update(model, graph, prior_prec, j, n, f2v)
-                for i in graph.neighbors_of_factor[n]:
-                    if opts.strict and not existence_check(model, graph, v2f, n, i):
-                        raise ExistenceViolation(
-                            f"update for edge ({n} -> {i}) undefined at iteration {it}"
-                        )
-                    f2v[(n, i)] = _f2v_update(model, graph, n, i, v2f)
-        else:
-            raise DomainError(f"unknown schedule {opts.schedule!r}")
+        old_fj, old_fv, old_vj, old_vv = dict(fj), dict(fv), dict(vj), dict(vv)
+        order = list(graph.factor_ids)
+        if opts.schedule == "random":
+            rng.shuffle(order)
+        for block in [order] if opts.schedule == "sync" else [[n] for n in order]:
+            _sweep(model, graph, prior_prec, (fj, fv, vj, vv), block, opts.strict, it)
 
         if opts.strict:
-            for (j, n), msg in v2f.items():
-                if not is_pd(msg.J):
-                    raise ExistenceViolation(
-                        f"variable-to-factor message ({j} -> {n}) not pd at iteration {it}"
-                    )
-            for (n, i), msg in f2v.items():
-                if not is_pd(msg.J):
-                    raise ExistenceViolation(
-                        f"factor-to-variable message ({n} -> {i}) not pd at iteration {it}"
-                    )
+            for kind, edges, jmats in (("variable-to-factor", graph.v2f_edges, vj),
+                                       ("factor-to-variable", graph.f2v_edges, fj)):
+                for (a, b) in edges:
+                    if not is_pd(jmats[(a, b)]):
+                        raise ExistenceViolation(
+                            f"{kind} message ({a} -> {b}) not pd at iteration {it}"
+                        )
 
         max_dj = 0.0
         max_dv = 0.0
         pm_worst = None
         for (j, n) in graph.v2f_edges:
-            if (j, n) in old_v2f:
-                dj, dv = _delta(old_v2f[(j, n)], v2f[(j, n)])
+            if (j, n) in old_vj:
+                dj, dv = _delta(old_vj[(j, n)], vj[(j, n)], old_vv[(j, n)], vv[(j, n)])
+                max_dj = max(max_dj, dj)
+                max_dv = max(max_dv, dv)
             else:
                 dj, dv = math.nan, math.nan
                 max_dj, max_dv = math.inf, math.inf
             traj.rows.append((it, "v2f", j, n, dj, dv, None))
-            if not math.isnan(dj):
-                max_dj = max(max_dj, dj)
-                max_dv = max(max_dv, dv)
         for (n, i) in graph.f2v_edges:
-            dj, dv = _delta(old_f2v[(n, i)], f2v[(n, i)])
+            dj, dv = _delta(old_fj[(n, i)], fj[(n, i)], old_fv[(n, i)], fv[(n, i)])
             pm = None
             if reference is not None and (n, i) in reference:
-                try:
-                    pm = part_metric(f2v[(n, i)].J, reference[(n, i)])
-                except ValueError:
-                    pm = math.inf
+                pm = _part_metric_or_inf(fj[(n, i)], reference[(n, i)])
                 pm_worst = pm if pm_worst is None else max(pm_worst, pm)
             traj.rows.append((it, "f2v", n, i, dj, dv, pm))
             max_dj = max(max_dj, dj)
@@ -355,23 +362,17 @@ def run_bp(model, graph=None, init="zero", options=None, custom_init=None, refer
             {"iter": it, "max_dj": max_dj, "max_dv": max_dv, "part_metric": pm_worst}
         )
         if opts.record_messages:
-            traj.snapshots.append(
-                {
-                    "f2v": {e: m.copy() for e, m in f2v.items()},
-                    "v2f": {e: m.copy() for e, m in v2f.items()},
-                }
-            )
+            traj.snapshots.append({"f2v": _messages(fj, fv), "v2f": _messages(vj, vv)})
         log.debug("bp iter %d: max_dj=%.3e max_dv=%.3e", it, max_dj, max_dv)
 
-        guard = max(_message_norm(f2v), _message_norm(v2f))
-        if guard > opts.divergence_guard:
+        if _largest_mean([*fv.values(), *vv.values()]) > opts.divergence_guard:
             status = "diverged"
             break
         if max_dj < opts.tol_j and max_dv < opts.tol_v:
             status = "converged"
             break
 
-    messages = {"f2v": f2v, "v2f": v2f}
+    messages = {"f2v": _messages(fj, fv), "v2f": _messages(vj, vv)}
     beliefs = None if status == "diverged" else compute_beliefs(model, graph, messages)
     return BpResult(status=status, iterations=iterations, messages=messages,
                     trajectory=traj, beliefs=beliefs)

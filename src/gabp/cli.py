@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from gabp.analysis import certify, compute_bounds, information_fixed_point
+from gabp.analysis import certify, information_fixed_point
 from gabp.bp import Belief, BpOptions, run_bp
 from gabp.errors import (DomainError, ExistenceViolation, InputFormatError,
                          IterationBudgetError)

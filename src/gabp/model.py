@@ -98,9 +98,9 @@ def validate_model(model):
     """Check every model assumption and return the list of violations.
 
     An empty list means the model is admissible: unique ids, consistent
-    shapes, symmetric positive definite priors and noise covariances, and
-    full column rank for every coefficient block. The report strings are
-    meant to be readable as-is in CLI output.
+    shapes, finite entries, symmetric positive definite priors and noise
+    covariances, and full column rank for every coefficient block. The
+    report strings are meant to be readable as-is in CLI output.
     """
     problems = []
     seen = set()
@@ -116,6 +116,9 @@ def validate_model(model):
             problems.append(
                 f"variable {v.id}: prior_cov shape {v.prior_cov.shape} != ({v.dim}, {v.dim})"
             )
+            continue
+        if not np.all(np.isfinite(v.prior_cov)):
+            problems.append(f"variable {v.id}: prior_cov is not finite")
             continue
         try:
             w = symmetrize(v.prior_cov)
@@ -158,6 +161,12 @@ def validate_model(model):
             problems.append(
                 f"factor {f.id}: noise_cov shape {f.noise_cov.shape} != ({m}, {m})"
             )
+            continue
+        arrays = [("obs", f.obs), ("noise_cov", f.noise_cov)]
+        arrays += [(f"coeff[{i}]", f.coeff[i]) for i in f.scope]
+        not_finite = [name for name, x in arrays if not np.all(np.isfinite(x))]
+        problems += [f"factor {f.id}: {name} is not finite" for name in not_finite]
+        if not_finite:
             continue
         try:
             r = symmetrize(f.noise_cov)

@@ -24,7 +24,8 @@ log = logging.getLogger("gabp")
 
 # Off-diagonal entries at or below this magnitude count as structural zeros.
 COUPLING_TOL = 1e-15
-# Diagonal surplus below this is dropped instead of emitting a column.
+# Diagonal surplus below this (in unscaled units) is dropped instead of
+# emitting a column.
 SURPLUS_TOL = 1e-14
 
 POWER_TOL = 1e-12
@@ -210,7 +211,9 @@ def factor_width_two(j_norm, omega=None):
             raise AssertionError(
                 f"scaled comparison matrix lost diagonal dominance in row {i}: {surplus:.3e}"
             )
-        if surplus > SURPLUS_TOL:
+        # The surplus carries the Perron scale u_i^2; the threshold is in
+        # unscaled units, so a badly scaled row keeps its column.
+        if surplus > SURPLUS_TOL * u[i] ** 2:
             col = np.zeros(n)
             col[i] = np.sqrt(surplus)
             columns.append(col)

@@ -8,23 +8,17 @@ fixed:
   is below 1e-12 (relative to the largest entry),
 * psd means lambda_min >= -1e-9 * max(1, lambda_max),
 * pd means lambda_min > 1e-9 * max(1, lambda_max),
-* full column rank means smallest singular value > 1e-10 * largest.
+* full column rank means smallest singular value > 1e-10 * largest,
+* the spectral radius is always taken from dense eigenvalues
+  (numpy eigvals), at O(D^2) memory for a D x D matrix.
 """
-
-import logging
 
 import numpy as np
 import scipy.linalg
 
-log = logging.getLogger("gabp")
-
 SYM_TOL = 1e-12
 PSD_TOL = 1e-9
 RANK_TOL = 1e-10
-
-# Dense eigensolvers are used up to this dimension; above it spectral_radius
-# falls back to power iteration.
-DENSE_EIG_LIMIT = 2000
 
 
 def symmetrize(x, tol=SYM_TOL):
@@ -111,37 +105,17 @@ def part_metric(x, y):
     return max(float(np.log(max(hi, 1.0 / lo))), 0.0)
 
 
-def _power_iteration_radius(q, tol=1e-12, max_steps=10_000, seed=0):
-    """Spectral radius estimate by power iteration (fallback for big inputs)."""
-    rng = np.random.default_rng(seed)
-    n = q.shape[0]
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(max_steps):
-        y = q @ x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0
-        lam_new = norm
-        x = y / norm
-        if abs(lam_new - lam) <= tol * max(1.0, lam_new):
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(lam)
-
-
 def spectral_radius(q):
-    """Largest eigenvalue magnitude of a square (not necessarily symmetric) matrix."""
+    """Largest eigenvalue magnitude of a square (not necessarily symmetric) matrix.
+
+    Always dense numpy eigvals, at every size: O(D^2) memory and O(D^3)
+    time for dimension D.
+    """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {q.shape}")
     if q.shape[0] == 0:
         return 0.0
-    if q.shape[0] > DENSE_EIG_LIMIT:
-        log.debug("spectral_radius: dimension %d above dense limit, using power iteration", q.shape[0])
-        return _power_iteration_radius(q)
     return float(np.max(np.abs(np.linalg.eigvals(q))))
 
 

@@ -108,3 +108,24 @@ def random_walk_summable(seed, n=6, target_radius=0.7):
     r *= target_radius / lam
     h = rng.standard_normal(n)
     return np.eye(n) - r, h
+
+
+def grid_field(side, coupling=0.22, seed=0):
+    """Unit-diagonal J of a side x side 4-neighbour grid, couplings uniform
+    in (-coupling, coupling), drawn cell by cell (lower neighbour, then
+    right neighbour).
+
+    At side 20 the width-two split of this field has a Perron vector
+    whose smallest entry is about 5.7e-10, so any tolerance applied in
+    Perron-scaled units silently drops the rows at that end.
+    """
+    rng = np.random.default_rng(seed)
+    n = side * side
+    j = np.eye(n)
+    for r in range(side):
+        for c in range(side):
+            i = r * side + c
+            for k, inside in ((i + side, r + 1 < side), (i + 1, c + 1 < side)):
+                if inside:
+                    j[i, k] = j[k, i] = rng.uniform(-coupling, coupling)
+    return j

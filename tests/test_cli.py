@@ -47,6 +47,33 @@ def test_validate_reports_problems(tmp_path, capsys):
     assert "not positive definite" in out
 
 
+def _poison_obs(model):
+    model.factors[0].obs[0] = np.nan
+
+
+def _poison_coeff(model):
+    f = model.factors[0]
+    f.coeff[f.scope[0]][0, 0] = np.inf
+
+
+def _poison_prior(model):
+    model.variables[0].prior_cov[0, 0] = np.nan
+
+
+@pytest.mark.parametrize("poison", [_poison_obs, _poison_coeff, _poison_prior])
+def test_non_finite_input_is_a_named_problem(poison, tmp_path, capsys):
+    model = quartet_model()
+    poison(model)
+    path = str(tmp_path / "bad.json")
+    save_model(model, path)
+    assert main(["validate", path]) == 1
+    problems = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("problem:")]
+    assert len(problems) == 1 and "not finite" in problems[0]
+    assert main(["run", path]) == 1
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["validate", "/nonexistent/model.json"]) == 2
     assert "input error" in capsys.readouterr().err

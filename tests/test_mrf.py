@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import QUARTET_ABS_SPECTRUM, QUARTET_J
-from corpus import random_walk_summable
+from corpus import grid_field, random_walk_summable
 from gabp.errors import DomainError
 from gabp.graph import build_factor_graph
 from gabp.model import centralized_solve, stack_global, validate_model
@@ -111,6 +111,18 @@ def test_conversion_joint_precision_is_exact():
         assert model.meta["omega"] == pytest.approx(info.omega)
         assert model.meta["columns"] == info.columns
         assert info.pair_columns + info.folded_columns == info.columns
+
+
+def test_badly_scaled_grid_conversion_keeps_every_surplus_row():
+    # the Perron vector spans ten orders of magnitude on this grid; every
+    # row still needs its surplus column for V V^T + omega I to equal J
+    j = grid_field(20)
+    model, info = mrf_to_linear_gaussian(j)
+    assert np.min(info.factorization.scaling) < 1e-8
+    assert info.folded_columns == j.shape[0]
+    a, r, w, _ = stack_global(model)
+    prec = np.linalg.inv(w) + a.T @ np.linalg.solve(r, a)
+    assert np.max(np.abs(prec - j)) < 1e-12
 
 
 def test_conversion_scope_structure():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,13 +113,22 @@ def test_spectral_radius_matches_charpoly_roots():
         assert spectral_radius(q) == pytest.approx(charpoly_radius(q), rel=1e-8, abs=1e-10)
 
 
-def test_spectral_radius_power_iteration_branch(monkeypatch):
-    import gabp.numerics as numerics
-    monkeypatch.setattr(numerics, "DENSE_EIG_LIMIT", 4)
-    rng = np.random.default_rng(3)
-    q = rng.standard_normal((12, 12))
-    dense = float(np.max(np.abs(np.linalg.eigvals(q))))
-    assert numerics.spectral_radius(q) == pytest.approx(dense, rel=1e-6)
+def test_spectral_radius_large_rotation_and_near_tie():
+    # Block-diagonal Q of dimension 2003, radius known by construction: a
+    # rotation block with eigenvalues 0.5 exp(+-i), a real eigenvalue
+    # -0.4999 just below it, and 1000 smaller rotations. The dominant
+    # complex pair has equal moduli, which power iteration cannot settle.
+    def rotation(modulus, angle):
+        c, s = np.cos(angle), np.sin(angle)
+        return modulus * np.array([[c, -s], [s, c]])
+
+    rng = np.random.default_rng(0)
+    blocks = [rotation(0.5, 1.0), np.array([[-0.4999]])]
+    blocks += [rotation(m, a) for m, a in zip(rng.uniform(0.0, 0.45, 1000),
+                                              rng.uniform(0.0, np.pi, 1000))]
+    q = scipy.linalg.block_diag(*blocks)
+    assert q.shape[0] > 2000
+    assert spectral_radius(q) == pytest.approx(0.5, rel=1e-10)
 
 
 def test_frobenius():
