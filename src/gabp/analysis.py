@@ -16,20 +16,21 @@ Three separate questions are answered here:
    fixed point; an empirical geometric rate is fitted from a recorded
    trajectory.
 
-The analysis reuses the engine's information half and mean half
-(gabp.bp): the fixed point iterates the information half alone, Q is
-built from the gains K that half returns at J*, and the beliefs of the
-two-phase run come from the mean half and compute_beliefs.
+The analysis runs on the engine's EdgeStack (gabp.bp, whose docstring
+gives the stack layout). The fixed point iterates its information half
+over the whole stack, and FixedPoint keeps the stacks at J*: J of both
+edge kinds and the gains K. assemble_q builds Q's blocks from them with
+one stacked solve per pair of gather slots, and beliefs_from_v2f_means
+runs the mean half's factor-to-variable step before compute_beliefs.
 """
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from gabp.bp import (BpOptions, Message, compute_beliefs, f2v_information, f2v_mean,
-                     make_init, run_bp, v2f_information)
+from gabp.bp import BpOptions, EdgeStack, compute_beliefs, make_init, run_bp
 from gabp.errors import DomainError, IterationBudgetError
 from gabp.graph import build_factor_graph, classify_topology
 from gabp.model import centralized_solve, require_valid
@@ -80,15 +81,21 @@ def compute_bounds(model, graph):
 class FixedPoint:
     """Fixed point of the information recursion on both edge kinds.
 
-    gain holds K_{n->i} = A_i^T M^-1 at J*, the map the mean half applies
-    to each factor's residual once the information side is frozen.
+    f2v and v2f map each edge to its information matrix at J*. The
+    kernel's stacks at J* come along: stack is the EdgeStack they are laid
+    out on, f2v_j and v2f_j hold J_{n->i} and J_{i->n} by stack row, and
+    gain holds K_{n->i} = A_i^T M^-1, the map the mean half applies to
+    each factor's residual once the information side is frozen.
     """
 
     f2v: dict
     v2f: dict
-    gain: dict
+    gain: np.ndarray
     iterations: int
     history: list = None
+    stack: EdgeStack = None
+    f2v_j: np.ndarray = None
+    v2f_j: np.ndarray = None
 
 
 def information_fixed_point(model, graph=None, init="zero", tol=FIXED_POINT_TOL,
@@ -96,36 +103,30 @@ def information_fixed_point(model, graph=None, init="zero", tol=FIXED_POINT_TOL,
     """Iterate the information half of the engine alone until it stops moving.
 
     The mean vectors play no role here, so this is the cheapest way to
-    obtain the fixed point J* that the full engine converges to. init
+    obtain the fixed point J* that the full engine converges to. Each
+    iteration is one synchronous J half over the whole edge stack. init
     accepts the engine's strategies (see make_init); "custom" takes a
     dict of psd matrices (or messages) per edge. Raises
     IterationBudgetError if tol is not reached within max_iters.
     """
     if graph is None:
         graph = build_factor_graph(model)
-    prior_prec = {v.id: np.linalg.inv(v.prior_cov) for v in model.variables}
-
-    def v2f_of(f2v):
-        return {(j, n): v2f_information(prior_prec, graph, f2v, j, n)
-                for (j, n) in graph.v2f_edges}
-
-    f2v = {e: m.J for e, m in make_init(model, graph, init, custom=custom).items()}
-    history = [dict(f2v)] if record else None
+    stack = EdgeStack(model, graph)
+    fj, _ = stack.stacked(make_init(model, graph, init, custom=custom))
+    history = [stack.views(fj[:-1].copy())] if record else None
     for it in range(1, max_iters + 1):
-        v2f = v2f_of(f2v)
-        new_f2v = {(n, i): f2v_information(model, graph, v2f, n, i)[0]
-                   for (n, i) in graph.f2v_edges}
-        delta = max((float(np.linalg.norm(new_f2v[e] - f2v[e], ord="fro"))
-                     for e in graph.f2v_edges), default=0.0)
-        f2v = new_f2v
+        _, new = stack.f2v_information(stack.v2f_information(fj, stack.all), stack.all)
+        delta = float(np.max(np.linalg.norm(new - fj[:-1], axis=(1, 2)), initial=0.0))
+        fj[:-1] = new
         if record:
-            history.append(dict(f2v))
+            history.append(stack.views(new))
         if delta < tol:
-            v2f = v2f_of(f2v)
-            gain = {(n, i): f2v_information(model, graph, v2f, n, i)[1]
-                    for (n, i) in graph.f2v_edges}
+            jv = stack.v2f_information(fj, stack.all)
+            gain, _ = stack.f2v_information(jv, stack.all)
             log.debug("information fixed point reached after %d iterations", it)
-            return FixedPoint(f2v=f2v, v2f=v2f, gain=gain, iterations=it, history=history)
+            return FixedPoint(f2v=stack.views(new), v2f=stack.views(jv, v2f=True),
+                              gain=gain, iterations=it, history=history, stack=stack,
+                              f2v_j=new, v2f_j=jv)
     raise IterationBudgetError(
         f"information recursion did not reach tol={tol:g} within {max_iters} iterations "
         f"(last delta {delta:.3e})"
@@ -150,27 +151,33 @@ class QSystem:
     rho: float
 
 
-def assemble_q(model, graph, fixed_point):
-    """Q blocks J_{j->n}^-1 K_{k->j} A_z and b from K_{k->j} y_k, K from the fixed point."""
-    dim = graph.total_v2f_dim
-    q = np.zeros((dim, dim))
-    b = np.zeros(dim)
-    for (j, n) in graph.v2f_edges:
-        row, dj = graph.v2f_offsets[(j, n)]
-        jjn = fixed_point.v2f[(j, n)]
-        acc = np.zeros(dj)
-        for k in graph.neighbors_of_var[j]:
-            if k == n:
-                continue
-            f = model.factor(k)
-            gain = fixed_point.gain[(k, j)]
-            acc = acc + gain @ f.obs
-            for z in graph.neighbors_of_factor[k]:
-                if z != j:
-                    col, dz = graph.v2f_offsets[(z, k)]
-                    q[row:row + dj, col:col + dz] = np.linalg.solve(jjn, gain @ f.coeff[z])
-        b[row:row + dj] = np.linalg.solve(jjn, acc)
+def _v2f_coords(stack):
+    """Stacked-vector index of each real coordinate of each row's twin v2f edge, and the mask."""
+    offsets = stack.graph.v2f_offsets
+    start = np.array([offsets[(j, n)][0] for n, j in stack.edges], dtype=int)
+    width = np.arange(stack.w.shape[-1])
+    return start[:, None] + width, width < stack.dims[:, None]
 
+
+def assemble_q(model, graph, fixed_point):
+    """Q blocks J_{j->n}^-1 K_{k->j} A_{k,z} and b from K_{k->j} y_k, read from the kernel's stacks.
+
+    Stack row e holds Q's block row for its twin v2f edge (j, n). One pass
+    of the loop fills, for all rows at once, the block of one other factor
+    k of j (a column of others_of_var) and one other variable z of k.
+    """
+    st, gain, jv = fixed_point.stack, fixed_point.gain, fixed_point.v2f_j
+    coords, real = _v2f_coords(st)
+    q = np.zeros((graph.total_v2f_dim, graph.total_v2f_dim))
+    for kj in st.others_of_var.T:
+        for kz in st.others_of_factor[kj].T:
+            keep = ((kj >= 0) & (kz >= 0))[:, None, None] & real[:, :, None] & real[kz][:, None, :]
+            block = np.linalg.solve(jv, gain[kj] @ st.a[kz])
+            q[np.broadcast_to(coords[:, :, None], keep.shape)[keep],
+              np.broadcast_to(coords[kz][:, None, :], keep.shape)[keep]] = block[keep]
+    ky = np.concatenate([(gain @ st.y[..., None])[..., 0], np.zeros((1, coords.shape[1]))])
+    b = np.zeros(graph.total_v2f_dim)
+    b[coords[real]] = np.linalg.solve(jv, ky[st.others_of_var].sum(axis=1)[..., None])[..., 0][real]
     return QSystem(q=q, b=b, offsets=dict(graph.v2f_offsets), edges=list(graph.v2f_edges),
                    rho=spectral_radius(q))
 
@@ -213,12 +220,12 @@ def beliefs_from_v2f_means(model, graph, fixed_point, qsys, v_stacked):
     variable-to-factor means into factor-to-variable means at J*, and
     compute_beliefs combines them into per-variable means.
     """
-    v2f = {e: v_stacked[s:s + d] for e, (s, d) in qsys.offsets.items()}
-    f2v = {(n, i): Message(J=fixed_point.f2v[(n, i)],
-                           v=f2v_mean(model, graph, v2f, fixed_point.f2v[(n, i)],
-                                      fixed_point.gain[(n, i)], n, i))
-           for (n, i) in graph.f2v_edges}
-    beliefs = compute_beliefs(model, graph, {"f2v": f2v})
+    st = fixed_point.stack
+    coords, real = _v2f_coords(st)
+    vv = np.zeros(coords.shape)
+    vv[real] = np.asarray(v_stacked, dtype=float)[coords[real]]
+    fv = st.f2v_mean(vv, st.all, fixed_point.gain, fixed_point.f2v_j)
+    beliefs = compute_beliefs(model, graph, {"f2v": st.views(fixed_point.f2v_j, fv)})
     return {vid: b.mean for vid, b in beliefs.items()}
 
 
@@ -253,9 +260,11 @@ def fit_contraction_rate(part_metrics, floor=PART_METRIC_FLOOR):
 
     part_metrics is the per-iteration sequence d_1, d_2, ... from a
     recorded trajectory. Entries at or below the numerical floor (or not
-    finite) end the usable range; the fit runs over the longest decaying
-    suffix of what remains and needs at least three points. Returns the
-    fitted c = exp(slope of log d against iteration).
+    finite) end the usable range, which is then cut at its first minimum
+    so that a flat tail at the reference's own noise floor does not count.
+    The fit runs over the longest decaying suffix of what remains and
+    needs at least three points. Returns c = exp(slope of log d against
+    iteration).
     """
     usable = []
     for idx, d in enumerate(part_metrics, start=1):
@@ -266,11 +275,11 @@ def fit_contraction_rate(part_metrics, floor=PART_METRIC_FLOOR):
         raise DomainError(
             f"need at least 3 finite part metrics above {floor:g} to fit a rate, got {len(usable)}"
         )
-    end = len(usable)
+    end = 1 + min(range(len(usable)), key=lambda k: usable[k][1])
     start = end - 1
     while start > 0 and usable[start - 1][1] > usable[start][1]:
         start -= 1
-    window = usable[start:]
+    window = usable[start:end]
     if len(window) < 3:
         raise DomainError("decaying suffix has fewer than 3 points")
     xs = np.array([p[0] for p in window], dtype=float)
@@ -300,22 +309,7 @@ class ConvergenceReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "topology": self.topology,
-            "components": self.components,
-            "diameter": self.diameter,
-            "rho_q": self.rho_q,
-            "verdict": self.verdict,
-            "bounds_hold": self.bounds_hold,
-            "fixed_point_iterations": self.fixed_point_iterations,
-            "mean_recursion_status": self.mean_recursion_status,
-            "mean_recursion_iterations": self.mean_recursion_iterations,
-            "bp_status": self.bp_status,
-            "bp_iterations": self.bp_iterations,
-            "max_mean_error": self.max_mean_error,
-            "fitted_rate": self.fitted_rate,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def certify(model, graph=None, cross_check=True, bp_options=None):
@@ -333,21 +327,17 @@ def certify(model, graph=None, cross_check=True, bp_options=None):
     topo = classify_topology(graph)
     bounds = compute_bounds(model, graph)
     fp = information_fixed_point(model, graph)
-    bounds_hold = all(
-        psd_compare(fp.f2v[e], bounds.lower[e]) and psd_compare(bounds.upper[e], fp.f2v[e])
-        for e in graph.f2v_edges
-    )
+    st = fp.stack
+    (lower, _), (upper, _) = st.stacked(bounds.lower), st.stacked(bounds.upper)
+    bounds_hold = bool(st.per_edge(psd_compare, fp.f2v_j, lower, dtype=bool).all()
+                       and st.per_edge(psd_compare, upper, fp.f2v_j, dtype=bool).all())
     qsys = assemble_q(model, graph, fp)
     verdict = decide_mean_convergence(qsys.rho, topo)
     mean_run = two_phase_mean_recursion(qsys)
 
     report = ConvergenceReport(
         topology=topo.overall,
-        components=[
-            {"nodes": c.nodes, "edges": c.edges, "independent_cycles": c.independent_cycles,
-             "kind": c.kind, "diameter": c.diameter}
-            for c in topo.components
-        ],
+        components=[asdict(c) for c in topo.components],
         diameter=topo.diameter,
         rho_q=qsys.rho,
         verdict=verdict,
@@ -359,7 +349,7 @@ def certify(model, graph=None, cross_check=True, bp_options=None):
 
     if cross_check:
         opts = bp_options or BpOptions()
-        result = run_bp(model, graph, init="lower", options=opts, reference=fp.f2v)
+        result = run_bp(model, graph, init=bounds.lower, options=opts, reference=fp.f2v)
         report.bp_status = result.status
         report.bp_iterations = result.iterations
         if result.status == "converged":

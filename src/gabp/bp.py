@@ -13,24 +13,42 @@ analysis module reuses both.
   v_{j->n} = J_{j->n}^-1 sum_{k != n} J_{k->j} v_{k->j}, and
   v_{n->i} = J_{n->i}^-1 K (y_n - sum_{j != i} A_j v_{j->n}).
 
-One outer iteration updates every variable-to-factor edge and every
-factor-to-variable edge exactly once. A schedule is a choice of factor
-blocks for one shared sweep: the sweep over a block first refreshes every
-variable-to-factor message into the block from the current
-factor-to-variable state, then every factor-to-variable message out of
-the block.
+Both halves run on an EdgeStack, built once per run_bp or
+information_fixed_point call. Row e of every stack belongs to the
+factor-to-variable edge graph.f2v_edges[e] = (n, i) and to its twin, the
+variable-to-factor edge (i, n). Blocks are padded to the largest variable
+dim D and observation dim P: A_{n,i} sits top-left in a zero (P, D)
+block, while R_n, W_i^-1 and every information matrix carry an identity
+in their pad, so each solve stays block diagonal and the pad never mixes
+into the real block. Checks that read eigenvalues (pd, part metric) see
+only each row's real d x d block. Two gather arrays replace the neighbor
+loops: others_of_var[e] lists the rows (k, i), k != n, and
+others_of_factor[e] the rows (n, j), j != i, both padded with -1, which
+reads a zero row kept at the end of every gathered store.
+
+One outer iteration updates every edge of both kinds exactly once. A
+schedule is a choice of factor blocks (sets of rows) for one shared
+sweep: the sweep over a block first refreshes every variable-to-factor
+message into the block from the current factor-to-variable state, then
+every factor-to-variable message out of the block.
 
 * "sync": one block of all factors, so every update reads the previous
   iteration's state. Deterministic bit for bit.
-* "seq": one block per factor in ascending factor id, a Gauss-Seidel
+* "seq": one factor at a time in ascending factor id, a Gauss-Seidel
   sweep in which later factors see earlier updates.
-* "random": one block per factor in a freshly permuted order each
+* "random": one factor at a time in a freshly permuted order each
   iteration, driven by the run's seed.
+
+Deltas, the divergence guard, the strict pd check and the part metric to
+a reference run once per iteration over the whole stack; only strict
+mode's existence check still runs existence_check edge by edge. Message
+dicts, trajectory rows and snapshots are built only for the result.
 """
 
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -94,6 +112,136 @@ class BpResult:
     beliefs: dict
 
 
+def _gather(lists):
+    """Rows of stack indices, padded with -1 to a common width."""
+    width = max((len(x) for x in lists), default=0)
+    return np.array([x + [-1] * (width - len(x)) for x in lists], dtype=int).reshape(len(lists), width)
+
+
+class EdgeStack:
+    """A model's edges as padded constant stacks, and the kernel's two halves.
+
+    The layout is in the module docstring. Stores that the halves gather
+    from have len(edges) + 1 rows, the last one zero. The halves keep two
+    work stacks, so an EdgeStack serves one run at a time.
+    """
+
+    def __init__(self, model, graph):
+        self.graph = graph
+        self.edges = list(graph.f2v_edges)
+        n_edges = len(self.edges)
+        self.all = slice(0, n_edges)
+        self.dims = np.array([graph.var_dims[i] for _, i in self.edges], dtype=int)
+        d_max = int(self.dims.max(initial=0))
+        p_max = max((model.factor(n).obs_dim for n, _ in self.edges), default=0)
+        prior_prec = {v.id: np.linalg.inv(v.prior_cov) for v in model.variables}
+        self.pad = np.where(np.arange(d_max) < self.dims[:, None, None], 0.0, np.eye(d_max))
+        self.a = np.zeros((n_edges + 1, p_max, d_max))
+        self.r = np.tile(np.eye(p_max), (n_edges, 1, 1))
+        self.w = self.pad.copy()
+        self.y = np.zeros((n_edges, p_max))
+        for e, (n, i) in enumerate(self.edges):
+            f = model.factor(n)
+            p, d = f.obs_dim, self.dims[e]
+            self.a[e, :p, :d] = f.coeff[i]
+            self.r[e, :p, :p] = f.noise_cov
+            self.w[e, :d, :d] = prior_prec[i]
+            self.y[e, :p] = f.obs
+        row = graph.f2v_index
+        self.others_of_var = _gather([[row[(k, i)] for k in graph.neighbors_of_var[i] if k != n]
+                                      for n, i in self.edges])
+        self.others_of_factor = _gather([[row[(n, j)] for j in graph.neighbors_of_factor[n]
+                                          if j != i] for n, i in self.edges])
+        self.v2f_rows = np.array([row[(n, j)] for j, n in graph.v2f_edges], dtype=int)
+        self.factor_rows = {n: [row[(n, i)] for i in graph.neighbors_of_factor[n]]
+                            for n in graph.factor_ids}
+        self.dim_groups = [(int(d), np.flatnonzero(self.dims == d)) for d in np.unique(self.dims)]
+        self._spread = np.zeros((n_edges + 1, p_max, p_max))
+        self._pull = np.zeros((n_edges + 1, p_max))
+
+    def blocks(self, order):
+        """Row blocks of a sweep that visits the factors one at a time in order.
+
+        Consecutive factors that share no variable read none of each
+        other's messages, so each run of them is one block and the sweep
+        over it equals the one-factor-at-a-time sweep.
+        """
+        out, seen = [], set()
+        for n in order:
+            scope = self.graph.neighbors_of_factor[n]
+            if not out or seen.intersection(scope):
+                out.append([])
+                seen = set()
+            out[-1] += self.factor_rows[n]
+            seen.update(scope)
+        return [np.array(rows, dtype=int) for rows in out]
+
+    def stacked(self, entries):
+        """(J, v) stacks with a trailing zero row from a dict over every edge.
+
+        A value is a Message, a (J, v) pair or a bare J (zero mean). Raises
+        DomainError for a missing edge or a block of the wrong shape.
+        """
+        jm = np.concatenate([self.pad, np.zeros((1,) + self.pad.shape[1:])])
+        vm = np.zeros(jm.shape[:2])
+        for e, edge in enumerate(self.edges):
+            d = self.dims[e]
+            if edge not in entries:
+                raise DomainError(f"init is missing edge {edge}")
+            entry = entries[edge]
+            if isinstance(entry, Message):
+                entry = (entry.J, entry.v)
+            elif isinstance(entry, np.ndarray):
+                entry = (entry, np.zeros(d))
+            jmat = np.asarray(entry[0], dtype=float)
+            vec = np.asarray(entry[1], dtype=float)
+            if jmat.shape != (d, d) or vec.shape != (d,):
+                raise DomainError(f"init edge {edge} has wrong shape")
+            jm[e, :d, :d] = jmat
+            vm[e, :d] = vec
+        return jm, vm
+
+    def views(self, jm, vm=None, v2f=False):
+        """Each row's real block by canonical f2v edge, or by twin v2f edge.
+
+        Values are views of jm, or Messages with views of jm and vm.
+        """
+        order = zip(self.graph.v2f_edges, self.v2f_rows.tolist()) if v2f else \
+            zip(self.edges, range(len(self.edges)))
+        return {edge: jm[e, :d, :d] if vm is None else Message(J=jm[e, :d, :d], v=vm[e, :d])
+                for edge, e in order for d in [self.dims[e]]}
+
+    def per_edge(self, fn, *stacks, dtype=float):
+        """fn over the real d x d block of every row, one call per group of equal dims."""
+        out = np.zeros(len(self.edges), dtype=dtype)
+        for d, rows in self.dim_groups:
+            out[rows] = fn(*(s[rows, :d, :d] for s in stacks))
+        return out
+
+    def v2f_information(self, fj, rows):
+        """J_{i->n} for the rows' twin edges; fj is the whole f2v store."""
+        return self.w[rows] + fj[self.others_of_var[rows]].sum(axis=1)
+
+    def f2v_information(self, jv, rows):
+        """(K_{n->i}, J_{n->i}) for the rows, from their twins' J_{i->n} in jv."""
+        a = self.a[rows]
+        self._spread[rows] = a @ np.linalg.solve(jv, a.swapaxes(1, 2))
+        core = self.r[rows] + self._spread[self.others_of_factor[rows]].sum(axis=1)
+        gain = np.linalg.solve(core, a).swapaxes(1, 2)
+        jmat = gain @ a
+        return gain, (jmat + jmat.swapaxes(1, 2)) / 2.0 + self.pad[rows]
+
+    def v2f_mean(self, fh, rows, jv):
+        """v_{i->n} for the rows' twins; fh is the whole store of J_{n->i} v_{n->i}."""
+        return np.linalg.solve(jv, fh[self.others_of_var[rows]].sum(axis=1)[..., None])[..., 0]
+
+    def f2v_mean(self, vv, rows, gain, jmat):
+        """v_{n->i} for the rows, from their twins' v_{i->n} in vv and the rows' K and J."""
+        self._pull[rows] = (self.a[rows] @ vv[..., None])[..., 0]
+        resid = self.y[rows] - self._pull[self.others_of_factor[rows]].sum(axis=1)
+        return np.linalg.solve(jmat, gain @ resid[..., None])[..., 0]
+
+
 def make_init(model, graph, strategy="zero", custom=None):
     """Initial factor-to-variable messages for every edge.
 
@@ -104,85 +252,26 @@ def make_init(model, graph, strategy="zero", custom=None):
     information matrix (zero mean), whose information matrices must be
     psd.
     """
-    out = {}
     if strategy == "zero":
-        for (n, i) in graph.f2v_edges:
-            d = graph.var_dims[i]
-            out[(n, i)] = Message(J=np.zeros((d, d)), v=np.zeros(d))
-        return out
+        return {(n, i): Message(J=np.zeros((d, d)), v=np.zeros(d))
+                for (n, i) in graph.f2v_edges for d in [graph.var_dims[i]]}
     if strategy in ("lower", "upper"):
         from gabp.analysis import compute_bounds
 
         bounds = compute_bounds(model, graph)
         source = bounds.lower if strategy == "lower" else bounds.upper
-        for (n, i) in graph.f2v_edges:
-            out[(n, i)] = Message(J=source[(n, i)].copy(), v=np.zeros(graph.var_dims[i]))
-        return out
+        return {e: Message(J=source[e].copy(), v=np.zeros(graph.var_dims[e[1]]))
+                for e in graph.f2v_edges}
     if strategy == "custom":
         if custom is None:
             raise DomainError("custom init requested but no messages supplied")
-        for (n, i) in graph.f2v_edges:
-            if (n, i) not in custom:
-                raise DomainError(f"custom init is missing edge ({n}, {i})")
-            d = graph.var_dims[i]
-            entry = custom[(n, i)]
-            if isinstance(entry, Message):
-                entry = (entry.J, entry.v)
-            elif isinstance(entry, np.ndarray):
-                entry = (entry, np.zeros(d))
-            msg = Message(J=np.array(entry[0], dtype=float), v=np.array(entry[1], dtype=float))
-            if msg.J.shape != (d, d) or msg.v.shape != (d,):
-                raise DomainError(f"custom init edge ({n}, {i}) has wrong shape")
-            if not is_psd(msg.J):
-                raise DomainError(f"custom init edge ({n}, {i}) has a non-psd information matrix")
-            out[(n, i)] = msg
-        return out
+        stack = EdgeStack(model, graph)
+        jm, vm = stack.stacked(custom)
+        bad = np.flatnonzero(~stack.per_edge(is_psd, jm, dtype=bool))
+        if bad.size:
+            raise DomainError(f"custom init edge {stack.edges[bad[0]]} has a non-psd information matrix")
+        return stack.views(jm, vm)
     raise DomainError(f"unknown init strategy {strategy!r}")
-
-
-def v2f_information(prior_prec, graph, f2v_j, j, n):
-    """Information half, variable j to factor n: J = W_j^-1 + sum_{k != n} J_{k->j}."""
-    jmat = prior_prec[j].copy()
-    for k in graph.neighbors_of_var[j]:
-        if k != n:
-            jmat = jmat + f2v_j[(k, j)]
-    return jmat
-
-
-def f2v_information(model, graph, v2f_j, n, i):
-    """Information half, factor n to variable i: returns (J_{n->i}, K_{n->i}).
-
-    K = A_i^T M^-1 with M = R_n + sum_{j != i} A_j J_{j->n}^-1 A_j^T; it is
-    the map the mean half applies to the factor's residual.
-    """
-    f = model.factor(n)
-    core = f.noise_cov
-    for j in graph.neighbors_of_factor[n]:
-        if j != i:
-            a = f.coeff[j]
-            core = core + a @ np.linalg.solve(v2f_j[(j, n)], a.T)
-    gain = np.linalg.solve(core, f.coeff[i]).T
-    jmat = gain @ f.coeff[i]
-    return (jmat + jmat.T) / 2.0, gain
-
-
-def v2f_mean(graph, f2v_j, f2v_v, jmat, j, n):
-    """Mean half, variable j to factor n: v = J^-1 sum_{k != n} J_{k->j} v_{k->j}."""
-    rhs = np.zeros(graph.var_dims[j])
-    for k in graph.neighbors_of_var[j]:
-        if k != n:
-            rhs = rhs + f2v_j[(k, j)] @ f2v_v[(k, j)]
-    return np.linalg.solve(jmat, rhs)
-
-
-def f2v_mean(model, graph, v2f_v, jmat, gain, n, i):
-    """Mean half, factor n to variable i: v = J^-1 K (y_n - sum_{j != i} A_j v_{j->n})."""
-    f = model.factor(n)
-    resid = f.obs
-    for j in graph.neighbors_of_factor[n]:
-        if j != i:
-            resid = resid - f.coeff[j] @ v2f_v[(j, n)]
-    return np.linalg.solve(jmat, gain @ resid)
 
 
 def existence_check(model, graph, v2f, n, i):
@@ -212,36 +301,27 @@ def existence_check(model, graph, v2f, n, i):
     return is_pd(core)
 
 
-def _sweep(model, graph, prior_prec, state, block, strict, it):
+def _sweep(model, stack, state, rows, strict, it):
     """Refresh the v2f messages into a block of factors, then the block's f2v messages."""
-    fj, fv, vj, vv = state
-    for n in block:
-        for j in graph.neighbors_of_factor[n]:
-            vj[(j, n)] = v2f_information(prior_prec, graph, fj, j, n)
-            vv[(j, n)] = v2f_mean(graph, fj, fv, vj[(j, n)], j, n)
-    for n in block:
-        for i in graph.neighbors_of_factor[n]:
-            if strict and not existence_check(model, graph, vj, n, i):
+    fj, fv, fh, vj, vv = state
+    jv = stack.v2f_information(fj, rows)
+    if strict:
+        edges = [stack.edges[e] for e in np.arange(len(stack.edges))[rows]]
+        incoming = {(j, n): jmat[:d, :d] for (n, j), d, jmat in zip(edges, stack.dims[rows], jv)}
+        for n, i in edges:
+            if not existence_check(model, stack.graph, incoming, n, i):
                 raise ExistenceViolation(f"update for edge ({n} -> {i}) undefined at iteration {it}")
-            fj[(n, i)], gain = f2v_information(model, graph, vj, n, i)
-            fv[(n, i)] = f2v_mean(model, graph, vv, fj[(n, i)], gain, n, i)
+    gain, jn = stack.f2v_information(jv, rows)
+    vv[rows] = stack.v2f_mean(fh, rows, jv)
+    fv[rows] = stack.f2v_mean(vv[rows], rows, gain, jn)
+    vj[rows], fj[rows] = jv, jn
+    fh[rows] = (jn @ fv[rows, :, None])[..., 0]
 
 
-def _largest_mean(means):
-    """Largest absolute mean entry, inf when any entry is not finite."""
-    peak = float(np.max(np.abs(np.concatenate([np.zeros(0), *means])), initial=0.0))
-    return peak if np.isfinite(peak) else math.inf
-
-
-def _delta(old_j, new_j, old_v, new_v):
-    dj = float(np.linalg.norm(new_j - old_j, ord="fro"))
-    dv = float(np.max(np.abs(new_v - old_v))) if new_v.size else 0.0
-    return dj, dv
-
-
-def _messages(jmats, means):
-    """Message objects in canonical edge order; the arrays are shared, not copied."""
-    return {e: Message(J=jmats[e], v=means[e]) for e in sorted(jmats)}
+def _deltas(new_j, old_j, new_v, old_v):
+    """Per-row Frobenius change of J and max-abs change of v."""
+    return (np.linalg.norm(new_j - old_j, axis=(1, 2)),
+            np.max(np.abs(new_v - old_v), axis=1, initial=0.0))
 
 
 def compute_beliefs(model, graph, messages):
@@ -260,13 +340,6 @@ def compute_beliefs(model, graph, messages):
     return beliefs
 
 
-def _part_metric_or_inf(jmat, jstar):
-    try:
-        return part_metric(jmat, jstar)
-    except ValueError:
-        return math.inf
-
-
 def run_bp(model, graph=None, init="zero", options=None, custom_init=None, reference=None):
     """Run message passing until tolerance, budget, or the divergence guard.
 
@@ -276,13 +349,15 @@ def run_bp(model, graph=None, init="zero", options=None, custom_init=None, refer
     graph : FactorGraph, optional
         Built from the model when omitted.
     init : str or dict
-        Init strategy name, or a ready dict of (factor, variable) -> Message.
+        Init strategy name, or a ready dict mapping every (factor,
+        variable) edge to a Message, a (J, v) pair or a bare J (zero
+        mean). A missing edge or a wrong shape raises DomainError.
     options : BpOptions
     custom_init : dict, optional
         Messages for init="custom".
     reference : dict, optional
-        (factor, variable) -> fixed-point information matrix; when given,
-        the trajectory records per-edge part metrics to it.
+        (factor, variable) -> fixed-point information matrix for every
+        edge; when given, the trajectory records per-edge part metrics to it.
 
     Returns
     -------
@@ -302,77 +377,70 @@ def run_bp(model, graph=None, init="zero", options=None, custom_init=None, refer
     opts = options or BpOptions()
     if opts.schedule not in ("sync", "seq", "random"):
         raise DomainError(f"unknown schedule {opts.schedule!r}")
-    start = init if isinstance(init, dict) else make_init(model, graph, init, custom=custom_init)
-    # The engine state is plain dicts of information matrices and means;
-    # updates replace entries and never write into an array.
-    fj = {e: m.J.copy() for e, m in start.items()}
-    fv = {e: m.v.copy() for e, m in start.items()}
-    vj, vv = {}, {}
-    prior_prec = {v.id: np.linalg.inv(v.prior_cov) for v in model.variables}
+    if not isinstance(init, dict):
+        init = make_init(model, graph, init, custom=custom_init)
+    stack = EdgeStack(model, graph)
+    fj, fv = stack.stacked(init)
+    fh = (fj @ fv[..., None])[..., 0]
+    vj, vv = np.zeros_like(fj[:-1]), np.zeros_like(fv[:-1])
+    f2v_ends, v2f_ends = (list(zip(*edges)) for edges in (graph.f2v_edges, graph.v2f_edges))
     traj = BpTrajectory()
     if reference is not None:
-        traj.initial_part_metric = max(
-            (_part_metric_or_inf(fj[e], jstar) for e, jstar in reference.items()), default=0.0)
+        ref, _ = stack.stacked(reference)
+        traj.initial_part_metric = float(np.max(stack.per_edge(part_metric, fj, ref), initial=0.0))
 
     rng = np.random.default_rng(opts.seed)
+    blocks = [stack.all] if opts.schedule == "sync" else stack.blocks(graph.factor_ids)
     status = "max_iters"
     iterations = 0
 
     for it in range(1, opts.max_iters + 1):
         iterations = it
-        old_fj, old_fv, old_vj, old_vv = dict(fj), dict(fv), dict(vj), dict(vv)
-        order = list(graph.factor_ids)
+        old = [x.copy() for x in (fj[:-1], fv[:-1], vj, vv)]
         if opts.schedule == "random":
+            order = list(graph.factor_ids)
             rng.shuffle(order)
-        for block in [order] if opts.schedule == "sync" else [[n] for n in order]:
-            _sweep(model, graph, prior_prec, (fj, fv, vj, vv), block, opts.strict, it)
+            blocks = stack.blocks(order)
+        for rows in blocks:
+            _sweep(model, stack, (fj, fv, fh, vj, vv), rows, opts.strict, it)
 
         if opts.strict:
-            for kind, edges, jmats in (("variable-to-factor", graph.v2f_edges, vj),
-                                       ("factor-to-variable", graph.f2v_edges, fj)):
-                for (a, b) in edges:
-                    if not is_pd(jmats[(a, b)]):
-                        raise ExistenceViolation(
-                            f"{kind} message ({a} -> {b}) not pd at iteration {it}"
-                        )
+            for kind, edges, jm, perm in (("variable-to-factor", graph.v2f_edges, vj, stack.v2f_rows),
+                                          ("factor-to-variable", graph.f2v_edges, fj, stack.all)):
+                bad = np.flatnonzero(~stack.per_edge(is_pd, jm, dtype=bool)[perm])
+                if bad.size:
+                    a, b = edges[bad[0]]
+                    raise ExistenceViolation(f"{kind} message ({a} -> {b}) not pd at iteration {it}")
 
-        max_dj = 0.0
-        max_dv = 0.0
-        pm_worst = None
-        for (j, n) in graph.v2f_edges:
-            if (j, n) in old_vj:
-                dj, dv = _delta(old_vj[(j, n)], vj[(j, n)], old_vv[(j, n)], vv[(j, n)])
-                max_dj = max(max_dj, dj)
-                max_dv = max(max_dv, dv)
-            else:
-                dj, dv = math.nan, math.nan
-                max_dj, max_dv = math.inf, math.inf
-            traj.rows.append((it, "v2f", j, n, dj, dv, None))
-        for (n, i) in graph.f2v_edges:
-            dj, dv = _delta(old_fj[(n, i)], fj[(n, i)], old_fv[(n, i)], fv[(n, i)])
-            pm = None
-            if reference is not None and (n, i) in reference:
-                pm = _part_metric_or_inf(fj[(n, i)], reference[(n, i)])
-                pm_worst = pm if pm_worst is None else max(pm_worst, pm)
-            traj.rows.append((it, "f2v", n, i, dj, dv, pm))
-            max_dj = max(max_dj, dj)
-            max_dv = max(max_dv, dv)
-
-        traj.per_iteration.append(
-            {"iter": it, "max_dj": max_dj, "max_dv": max_dv, "part_metric": pm_worst}
-        )
+        f_dj, f_dv = _deltas(fj[:-1], old[0], fv[:-1], old[1])
+        v_dj, v_dv = (x[stack.v2f_rows] for x in _deltas(vj, old[2], vv, old[3]))
+        if it == 1:
+            v_dj = v_dv = np.full(len(v_dj), math.nan)
+            max_dj = max_dv = math.inf
+        else:
+            max_dj = float(max(np.max(v_dj, initial=0.0), np.max(f_dj, initial=0.0)))
+            max_dv = float(max(np.max(v_dv, initial=0.0), np.max(f_dv, initial=0.0)))
+        pm = stack.per_edge(part_metric, fj, ref) if reference is not None else None
+        traj.rows.extend(zip(repeat(it), repeat("v2f"), *v2f_ends, v_dj.tolist(), v_dv.tolist(),
+                             repeat(None)))
+        traj.rows.extend(zip(repeat(it), repeat("f2v"), *f2v_ends, f_dj.tolist(), f_dv.tolist(),
+                             repeat(None) if pm is None else pm.tolist()))
+        traj.per_iteration.append({"iter": it, "max_dj": max_dj, "max_dv": max_dv,
+                                   "part_metric": None if pm is None else float(np.max(pm, initial=0.0))})
         if opts.record_messages:
-            traj.snapshots.append({"f2v": _messages(fj, fv), "v2f": _messages(vj, vv)})
+            traj.snapshots.append({"f2v": stack.views(fj.copy(), fv.copy()),
+                                   "v2f": stack.views(vj.copy(), vv.copy(), v2f=True)})
         log.debug("bp iter %d: max_dj=%.3e max_dv=%.3e", it, max_dj, max_dv)
 
-        if _largest_mean([*fv.values(), *vv.values()]) > opts.divergence_guard:
+        peak = np.maximum(np.max(np.abs(fv)), np.max(np.abs(vv), initial=0.0))
+        if not np.isfinite(peak) or peak > opts.divergence_guard:
             status = "diverged"
             break
         if max_dj < opts.tol_j and max_dv < opts.tol_v:
             status = "converged"
             break
 
-    messages = {"f2v": _messages(fj, fv), "v2f": _messages(vj, vv)}
+    messages = {"f2v": stack.views(fj, fv), "v2f": stack.views(vj, vv, v2f=True)}
     beliefs = None if status == "diverged" else compute_beliefs(model, graph, messages)
     return BpResult(status=status, iterations=iterations, messages=messages,
                     trajectory=traj, beliefs=beliefs)

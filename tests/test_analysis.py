@@ -233,6 +233,25 @@ def test_fit_contraction_rate_uses_decaying_suffix():
     assert fit.window[0] >= 3
 
 
+def test_fit_contraction_rate_cuts_a_flat_noise_tail():
+    # clean decay to 7e-12, then flat at a noise floor above it but above
+    # PART_METRIC_FLOOR, as the part metric to a tol-limited J* behaves
+    seq = [0.7 * 0.1 ** ell for ell in range(12)] + [3.2e-11] * 9
+    fit = fit_contraction_rate(seq)
+    assert fit.c == pytest.approx(0.1, rel=1e-9)
+    assert fit.window == (1, 12)
+
+
+def test_certify_computes_the_bounds_once(quartet, monkeypatch):
+    import gabp.analysis as analysis
+
+    calls = []
+    real = analysis.compute_bounds
+    monkeypatch.setattr(analysis, "compute_bounds", lambda *args: calls.append(1) or real(*args))
+    certify(quartet)
+    assert len(calls) == 1
+
+
 def test_certify_full_report(quartet):
     rep = certify(quartet)
     assert rep.topology == "single_loop_plus_forest"

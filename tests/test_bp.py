@@ -137,6 +137,19 @@ def test_run_accepts_message_dict_init(quartet):
     assert max_mean_error(res.beliefs, sol) < 1e-8
 
 
+def test_run_rejects_incomplete_or_misshapen_dict_init(quartet):
+    g = build_factor_graph(quartet)
+    init = make_init(quartet, g, "zero")
+    missing = dict(init)
+    missing.pop(g.f2v_edges[0])
+    with pytest.raises(DomainError, match="missing edge"):
+        run_bp(quartet, g, init=missing)
+    misshapen = dict(init)
+    misshapen[g.f2v_edges[0]] = Message(J=np.zeros((2, 2)), v=np.zeros(2))
+    with pytest.raises(DomainError, match="wrong shape"):
+        run_bp(quartet, g, init=misshapen)
+
+
 def test_budget_exhaustion_reports_max_iters(quartet):
     res = run_bp(quartet, options=BpOptions(max_iters=2))
     assert res.status == "max_iters"

@@ -76,6 +76,26 @@ def test_part_metric_rejects_indefinite():
         part_metric(np.diag([1.0, -1.0]), np.eye(2))
 
 
+def test_stacked_checks_match_per_matrix_calls():
+    rng = np.random.default_rng(11)
+    xs = np.stack([rand_spd(rng, 3) for _ in range(20)])
+    ys = np.stack([rand_spd(rng, 3) for _ in range(20)])
+    xs[4] = np.diag([1.0, -1.0, 2.0])
+    xs[7] = np.diag([1.0, 0.0, 2.0])
+    ys[9] = np.diag([1.0, -1e-6, 2.0])
+    pd, psd, dist = is_pd(xs), is_psd(xs), part_metric(xs, ys)
+    assert pd.shape == psd.shape == dist.shape == (20,)
+    for k in range(20):
+        assert pd[k] == is_pd(xs[k]) and psd[k] == is_psd(xs[k])
+        if pd[k] and is_pd(ys[k]):
+            assert dist[k] == pytest.approx(part_metric(xs[k], ys[k]), rel=1e-12, abs=1e-12)
+        else:
+            assert dist[k] == np.inf
+            with pytest.raises(ValueError):
+                part_metric(xs[k], ys[k])
+    assert np.isinf(dist[[4, 7, 9]]).all() and not pd[7] and psd[7]
+
+
 def test_part_metric_symmetry_and_scaling():
     rng = np.random.default_rng(1)
     x, y = rand_spd(rng, 3), rand_spd(rng, 3)
