@@ -22,6 +22,7 @@ over the whole stack, and FixedPoint keeps the stacks at J*: J of both
 edge kinds and the gains K. assemble_q builds Q's blocks from them with
 one stacked solve per pair of gather slots, and beliefs_from_v2f_means
 runs the mean half's factor-to-variable step before compute_beliefs.
+compute_bounds is a dict view of the stack's two envelopes.
 """
 
 import logging
@@ -30,11 +31,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from gabp.bp import BpOptions, EdgeStack, compute_beliefs, make_init, run_bp
+from gabp.bp import BpOptions, EdgeStack, compute_beliefs, run_bp
 from gabp.errors import DomainError, IterationBudgetError
 from gabp.graph import build_factor_graph, classify_topology
 from gabp.model import centralized_solve, require_valid
-from gabp.numerics import psd_compare, spectral_radius, symmetrize
+from gabp.numerics import psd_compare, spectral_radius
 
 log = logging.getLogger("gabp")
 
@@ -61,20 +62,9 @@ class EdgeBounds:
 
 
 def compute_bounds(model, graph):
-    lower = {}
-    upper = {}
-    for (n, i) in graph.f2v_edges:
-        f = model.factor(n)
-        a_i = f.coeff[i]
-        upper[(n, i)] = symmetrize(a_i.T @ np.linalg.solve(f.noise_cov, a_i))
-        spread = f.noise_cov.copy()
-        for j in graph.neighbors_of_factor[n]:
-            if j == i:
-                continue
-            a_j = f.coeff[j]
-            spread = spread + a_j @ model.variable(j).prior_cov @ a_j.T
-        lower[(n, i)] = symmetrize(a_i.T @ np.linalg.solve(spread, a_i))
-    return EdgeBounds(lower=lower, upper=upper)
+    """EdgeBounds as dicts of views of the stacks EdgeStack.lower_bound and upper_bound."""
+    stack = EdgeStack(model, graph)
+    return EdgeBounds(lower=stack.views(stack.lower_bound()), upper=stack.views(stack.upper_bound()))
 
 
 @dataclass
@@ -105,14 +95,14 @@ def information_fixed_point(model, graph=None, init="zero", tol=FIXED_POINT_TOL,
     The mean vectors play no role here, so this is the cheapest way to
     obtain the fixed point J* that the full engine converges to. Each
     iteration is one synchronous J half over the whole edge stack. init
-    accepts the engine's strategies (see make_init); "custom" takes a
-    dict of psd matrices (or messages) per edge. Raises
+    accepts the engine's strategies and ready dicts (see EdgeStack.init);
+    "custom" takes a dict of psd matrices (or messages) per edge. Raises
     IterationBudgetError if tol is not reached within max_iters.
     """
     if graph is None:
         graph = build_factor_graph(model)
     stack = EdgeStack(model, graph)
-    fj, _ = stack.stacked(make_init(model, graph, init, custom=custom))
+    fj, _ = stack.init(init, custom)
     history = [stack.views(fj[:-1].copy())] if record else None
     for it in range(1, max_iters + 1):
         _, new = stack.f2v_information(stack.v2f_information(fj, stack.all), stack.all)

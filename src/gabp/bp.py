@@ -26,6 +26,12 @@ loops: others_of_var[e] lists the rows (k, i), k != n, and
 others_of_factor[e] the rows (n, j), j != i, both padded with -1, which
 reads a zero row kept at the end of every gathered store.
 
+The stack also holds the edge-wise envelopes of the information
+recursion (lower_bound is one information half from zero messages,
+upper_bound is A_i^T R_n^-1 A_i) and the one init path, EdgeStack.init,
+which packs zero, lower, upper, custom and ready-dict inits for run_bp,
+information_fixed_point and make_init.
+
 One outer iteration updates every edge of both kinds exactly once. A
 schedule is a choice of factor blocks (sets of rows) for one shared
 sweep: the sweep over a block first refreshes every variable-to-factor
@@ -180,10 +186,10 @@ class EdgeStack:
         """(J, v) stacks with a trailing zero row from a dict over every edge.
 
         A value is a Message, a (J, v) pair or a bare J (zero mean). Raises
-        DomainError for a missing edge or a block of the wrong shape.
+        DomainError for a missing edge, a block of the wrong shape or a
+        value that is not finite.
         """
-        jm = np.concatenate([self.pad, np.zeros((1,) + self.pad.shape[1:])])
-        vm = np.zeros(jm.shape[:2])
+        jm, vm = self.init("zero")
         for e, edge in enumerate(self.edges):
             d = self.dims[e]
             if edge not in entries:
@@ -199,7 +205,51 @@ class EdgeStack:
                 raise DomainError(f"init edge {edge} has wrong shape")
             jm[e, :d, :d] = jmat
             vm[e, :d] = vec
+        bad = np.flatnonzero(~(np.isfinite(jm).all(axis=(1, 2)) & np.isfinite(vm).all(axis=1)))
+        if bad.size:
+            raise DomainError(f"init edge {self.edges[bad[0]]} is not finite")
         return jm, vm
+
+    def lower_bound(self):
+        """L_{n->i} = A_i^T (R_n + sum_{j != i} A_j W_j A_j^T)^-1 A_i for every row.
+
+        This is one information half from zero messages, so it equals the
+        first iterate of the recursion from a zero start.
+        """
+        return self.f2v_information(self.w, self.all)[1]
+
+    def upper_bound(self):
+        """U_{n->i} = A_i^T R_n^-1 A_i for every row, with the identity pad."""
+        upper = self.a[:-1].swapaxes(1, 2) @ np.linalg.solve(self.r, self.a[:-1])
+        return (upper + upper.swapaxes(1, 2)) / 2.0 + self.pad
+
+    def init(self, strategy="zero", custom=None):
+        """(J, v) stacks with a trailing zero row for an init strategy or a ready dict.
+
+        strategy is "zero", "lower", "upper" or "custom" (the bound inits
+        carry zero means), or a ready dict for stacked. "custom" packs the
+        dict custom with stacked and requires every J to be psd.
+        """
+        if isinstance(strategy, dict):
+            return self.stacked(strategy)
+        if strategy == "custom":
+            if custom is None:
+                raise DomainError("custom init requested but no messages supplied")
+            jm, vm = self.stacked(custom)
+            bad = np.flatnonzero(~self.per_edge(is_psd, jm, dtype=bool))
+            if bad.size:
+                raise DomainError(f"custom init edge {self.edges[bad[0]]} has a non-psd information matrix")
+            return jm, vm
+        if strategy == "zero":
+            jm = self.pad
+        elif strategy == "lower":
+            jm = self.lower_bound()
+        elif strategy == "upper":
+            jm = self.upper_bound()
+        else:
+            raise DomainError(f"unknown init strategy {strategy!r}")
+        jm = np.concatenate([jm, np.zeros((1,) + jm.shape[1:])])
+        return jm, np.zeros(jm.shape[:2])
 
     def views(self, jm, vm=None, v2f=False):
         """Each row's real block by canonical f2v edge, or by twin v2f edge.
@@ -243,35 +293,17 @@ class EdgeStack:
 
 
 def make_init(model, graph, strategy="zero", custom=None):
-    """Initial factor-to-variable messages for every edge.
+    """Initial factor-to-variable messages for every edge: a dict view of EdgeStack.init.
 
     strategy is "zero", "lower", "upper" or "custom". The bound inits
     place the edge-wise lower/upper envelopes of the information
     recursion on every edge with zero mean vectors; "custom" takes a dict
     mapping (factor, variable) to a Message, a (J, v) pair or a bare
     information matrix (zero mean), whose information matrices must be
-    psd.
+    finite and psd.
     """
-    if strategy == "zero":
-        return {(n, i): Message(J=np.zeros((d, d)), v=np.zeros(d))
-                for (n, i) in graph.f2v_edges for d in [graph.var_dims[i]]}
-    if strategy in ("lower", "upper"):
-        from gabp.analysis import compute_bounds
-
-        bounds = compute_bounds(model, graph)
-        source = bounds.lower if strategy == "lower" else bounds.upper
-        return {e: Message(J=source[e].copy(), v=np.zeros(graph.var_dims[e[1]]))
-                for e in graph.f2v_edges}
-    if strategy == "custom":
-        if custom is None:
-            raise DomainError("custom init requested but no messages supplied")
-        stack = EdgeStack(model, graph)
-        jm, vm = stack.stacked(custom)
-        bad = np.flatnonzero(~stack.per_edge(is_psd, jm, dtype=bool))
-        if bad.size:
-            raise DomainError(f"custom init edge {stack.edges[bad[0]]} has a non-psd information matrix")
-        return stack.views(jm, vm)
-    raise DomainError(f"unknown init strategy {strategy!r}")
+    stack = EdgeStack(model, graph)
+    return stack.views(*stack.init(strategy, custom))
 
 
 def existence_check(model, graph, v2f, n, i):
@@ -351,7 +383,8 @@ def run_bp(model, graph=None, init="zero", options=None, custom_init=None, refer
     init : str or dict
         Init strategy name, or a ready dict mapping every (factor,
         variable) edge to a Message, a (J, v) pair or a bare J (zero
-        mean). A missing edge or a wrong shape raises DomainError.
+        mean). A missing edge, a wrong shape or a value that is not
+        finite raises DomainError.
     options : BpOptions
     custom_init : dict, optional
         Messages for init="custom".
@@ -377,10 +410,8 @@ def run_bp(model, graph=None, init="zero", options=None, custom_init=None, refer
     opts = options or BpOptions()
     if opts.schedule not in ("sync", "seq", "random"):
         raise DomainError(f"unknown schedule {opts.schedule!r}")
-    if not isinstance(init, dict):
-        init = make_init(model, graph, init, custom=custom_init)
     stack = EdgeStack(model, graph)
-    fj, fv = stack.stacked(init)
+    fj, fv = stack.init(init, custom_init)
     fh = (fj @ fv[..., None])[..., 0]
     vj, vv = np.zeros_like(fj[:-1]), np.zeros_like(fv[:-1])
     f2v_ends, v2f_ends = (list(zip(*edges)) for edges in (graph.f2v_edges, graph.v2f_edges))

@@ -131,9 +131,7 @@ def cmd_run(args):
 
 def cmd_analyze(args):
     model = load_model(args.model)
-    require_valid(model)
-    graph = build_factor_graph(model)
-    report = certify(model, graph, cross_check=args.certify)
+    report = certify(model, cross_check=args.certify)
     print(f"topology: {report.topology} ({len(report.components)} component(s), "
           f"diameter {report.diameter})")
     print(f"fixed point: {report.fixed_point_iterations} iteration(s), "
@@ -158,7 +156,7 @@ def cmd_analyze(args):
         print(f"wrote {args.out}")
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(to_dot(graph))
+            fh.write(to_dot(build_factor_graph(model)))
         print(f"wrote {args.dot}")
     if report.verdict == "diverges_rho_ge_1":
         return 4

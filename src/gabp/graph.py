@@ -26,7 +26,6 @@ class FactorGraph:
 
     def __post_init__(self):
         self.f2v_index = {e: k for k, e in enumerate(self.f2v_edges)}
-        self.v2f_index = {e: k for k, e in enumerate(self.v2f_edges)}
         offsets = {}
         pos = 0
         for (j, n) in self.v2f_edges:

@@ -9,6 +9,11 @@ splits as V V^T with at most two nonzeros per column of V; each pair
 column becomes a scalar observation factor y = 0 with unit noise, and the
 prior N(h_n / omega, 1 / omega) is encoded exactly by splitting its
 precision between the model prior and a scalar mean-carrying row.
+
+The split follows Boman, Chen, Parekh & Toledo (LAA 2005): scale
+J - omega*I by the positive solution u of comparison(J - omega*I) u = 1,
+which makes it strictly diagonally dominant, then give each coupling its
+own column and each row's leftover diagonal a column of its own.
 """
 
 import logging
@@ -18,7 +23,7 @@ import numpy as np
 
 from gabp.errors import DomainError
 from gabp.model import FactorSpec, LinearGaussianModel, VariableSpec
-from gabp.numerics import is_pd, min_eig, symmetrize
+from gabp.numerics import is_pd, symmetrize
 
 log = logging.getLogger("gabp")
 
@@ -27,9 +32,6 @@ COUPLING_TOL = 1e-15
 # Diagonal surplus below this (in unscaled units) is dropped instead of
 # emitting a column.
 SURPLUS_TOL = 1e-14
-
-POWER_TOL = 1e-12
-POWER_MAX_STEPS = 10_000
 
 
 def normalize_mrf(j, h=None):
@@ -89,55 +91,6 @@ def is_h_matrix(x):
     return is_pd(comparison_matrix(x))
 
 
-def _components(adjacency):
-    n = adjacency.shape[0]
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack = [s]
-        seen[s] = True
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in np.nonzero(adjacency[u])[0]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
-        comps.append(sorted(comp))
-    return comps
-
-
-def _perron_vector(n_abs):
-    """Positive Perron vector of a nonnegative symmetric matrix.
-
-    Power iteration on n_abs + shift*I per connected component; the shift
-    makes the dominant eigenvalue simple-signed so the iteration cannot
-    oscillate between +/- the Perron root.
-    """
-    n = n_abs.shape[0]
-    u = np.ones(n)
-    structure = n_abs > 0
-    for comp in _components(structure):
-        idx = np.array(comp)
-        sub = n_abs[np.ix_(idx, idx)]
-        if len(comp) == 1 or np.max(sub) == 0:
-            continue
-        shift = 1.0 + float(np.max(sub.sum(axis=1)))
-        x = np.full(len(comp), 1.0 / np.sqrt(len(comp)))
-        for _ in range(POWER_MAX_STEPS):
-            y = sub @ x + shift * x
-            y /= np.linalg.norm(y)
-            if np.max(np.abs(y - x)) < POWER_TOL:
-                x = y
-                break
-            x = y
-        u[idx] = np.abs(x)
-    return u
-
-
 @dataclass
 class FactorWidth2:
     """Width-two factorization J - omega*I = V V^T (up to dropped surplus).
@@ -145,6 +98,8 @@ class FactorWidth2:
     Columns of v come in two flavors: pair columns with exactly two
     nonzeros, one per off-diagonal coupling, and surplus columns with a
     single nonzero absorbing what strict diagonal dominance left over.
+    scaling is the vector u that made the comparison matrix diagonally
+    dominant.
     """
 
     v: np.ndarray
@@ -166,9 +121,12 @@ def factor_width_two(j_norm, omega=None):
     """Split a walk-summable normalized J as omega*I + V V^T.
 
     Raises DomainError when the field is not walk-summable or omega sits
-    outside (0, min(1, lambda_min(I - |R|))). The construction scales the
-    comparison matrix into strict diagonal dominance with a Perron
-    vector, splits every coupling into a psd 2x2 block, and unscales.
+    outside (0, min(1, lambda_min(I - |R|))). On that range the comparison
+    matrix C of m = J - omega*I is a nonsingular M-matrix, so the scaling
+    u = C^-1 1 from one solve has u >= 1 / (1 - omega) > 0, and C u = 1
+    says that row i of diag(u) m diag(u) exceeds its off-diagonal absolute
+    sum by exactly u_i. Every coupling splits into a psd 2x2 block, each
+    row's surplus into a single column, and the columns are unscaled.
     """
     j_norm = _require_normalized(j_norm)
     ws = check_walk_summability(j_norm)
@@ -184,47 +142,33 @@ def factor_width_two(j_norm, omega=None):
 
     n = j_norm.shape[0]
     m = j_norm - omega * np.eye(n)
-    n_abs = np.abs(m)
-    np.fill_diagonal(n_abs, 0.0)
-    n_abs[n_abs <= COUPLING_TOL] = 0.0
-
-    u = _perron_vector(n_abs)
+    m[np.abs(m) <= COUPLING_TOL] = 0.0
+    u = np.linalg.solve(comparison_matrix(m), np.ones(n))
     m_scaled = m * np.outer(u, u)
 
-    columns = []
-    pair_count = 0
-    for i in range(n):
-        for k in range(i + 1, n):
-            if n_abs[i, k] == 0.0:
-                continue
-            val = m_scaled[i, k]
-            mag = np.sqrt(abs(val))
-            col = np.zeros(n)
-            col[i] = mag
-            col[k] = np.sign(val) * mag
-            columns.append(col)
-            pair_count += 1
-    single_count = 0
-    for i in range(n):
-        surplus = m_scaled[i, i] - np.sum(np.abs(m_scaled[i])) + abs(m_scaled[i, i])
-        if surplus < 0:
-            raise AssertionError(
-                f"scaled comparison matrix lost diagonal dominance in row {i}: {surplus:.3e}"
-            )
-        # The surplus carries the Perron scale u_i^2; the threshold is in
-        # unscaled units, so a badly scaled row keeps its column.
-        if surplus > SURPLUS_TOL * u[i] ** 2:
-            col = np.zeros(n)
-            col[i] = np.sqrt(surplus)
-            columns.append(col)
-            single_count += 1
+    rows, cols = np.nonzero(np.triu(m_scaled, 1))
+    vals = m_scaled[rows, cols]
+    at = np.arange(len(vals))
+    pairs = np.zeros((n, len(vals)))
+    pairs[rows, at] = np.sqrt(np.abs(vals))
+    pairs[cols, at] = np.sign(vals) * pairs[rows, at]
+    surplus = 2.0 * np.diag(m_scaled) - np.sum(np.abs(m_scaled), axis=1)
+    if np.any(surplus < 0):
+        i = int(np.argmin(surplus))
+        raise AssertionError(
+            f"scaled comparison matrix lost diagonal dominance in row {i}: {surplus[i]:.3e}"
+        )
+    # The surplus carries the scale u_i^2 (it is u_i up to rounding, 1/u_i
+    # unscaled); the threshold is in unscaled units.
+    kept = np.flatnonzero(surplus > SURPLUS_TOL * u ** 2)
+    singles = np.zeros((n, len(kept)))
+    singles[kept, np.arange(len(kept))] = np.sqrt(surplus[kept])
 
-    v_scaled = np.column_stack(columns) if columns else np.zeros((n, 0))
-    v = v_scaled / u[:, None]
+    v = np.hstack([pairs, singles]) / u[:, None]
     log.debug("factor width 2: %d pair + %d surplus columns, omega=%g",
-              pair_count, single_count, omega)
+              len(vals), len(kept), omega)
     return FactorWidth2(v=v, omega=float(omega), scaling=u,
-                        pair_columns=pair_count, single_columns=single_count)
+                        pair_columns=len(vals), single_columns=len(kept))
 
 
 @dataclass

@@ -115,9 +115,10 @@ def grid_field(side, coupling=0.22, seed=0):
     in (-coupling, coupling), drawn cell by cell (lower neighbour, then
     right neighbour).
 
-    At side 20 the width-two split of this field has a Perron vector
-    whose smallest entry is about 5.7e-10, so any tolerance applied in
-    Perron-scaled units silently drops the rows at that end.
+    At side 20 the Perron vector of |R| has entries down to about 5.7e-10,
+    so a width-two split scaled by it, with a tolerance applied in scaled
+    units, silently drops the rows at that end. The split's scaling
+    u = comparison(J - omega I)^-1 1 stays at or above 1 / (1 - omega).
     """
     rng = np.random.default_rng(seed)
     n = side * side

@@ -35,6 +35,17 @@ def test_lower_bound_equals_first_zero_init_iterate(quartet):
         np.testing.assert_allclose(bounds.lower[e], first[e], atol=1e-12)
 
 
+def test_lower_bound_is_the_first_zero_init_iterate_bit_for_bit():
+    # the bound and the recursion share one information half, so the
+    # first step from zero messages reproduces L exactly, padding included
+    model = random_model(seed=5, n_agents=30, dims=(1, 3), topology="multi_loop")
+    g = build_factor_graph(model)
+    lower = compute_bounds(model, g).lower
+    first = information_fixed_point(model, g, init="zero", record=True).history[1]
+    for e in g.f2v_edges:
+        np.testing.assert_array_equal(lower[e], first[e])
+
+
 def test_golden_ratio_fixed_point(two_agent_unit_chain):
     fp = information_fixed_point(two_agent_unit_chain)
     for j in fp.f2v.values():

@@ -72,6 +72,8 @@ def test_non_finite_input_is_a_named_problem(poison, tmp_path, capsys):
     assert len(problems) == 1 and "not finite" in problems[0]
     assert main(["run", path]) == 1
     assert "not finite" in capsys.readouterr().err
+    assert main(["analyze", path, "--certify"]) == 1
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_missing_file_is_input_error(capsys):
@@ -120,7 +122,7 @@ def test_run_divergence_exit_code(divergent_file, capsys):
     assert "divergence guard" in capsys.readouterr().err
 
 
-def test_run_custom_init(quartet_file, tmp_path):
+def test_run_custom_init(quartet_file, tmp_path, capsys):
     from gabp.graph import build_factor_graph
     g = build_factor_graph(quartet_model())
     recs = [{"factor": n, "variable": i,
@@ -131,6 +133,11 @@ def test_run_custom_init(quartet_file, tmp_path):
     assert main(["run", quartet_file, "--init", f"custom:{p}"]) == 0
     assert main(["run", quartet_file, "--init", "custom:"]) == 2
     assert main(["run", quartet_file, "--init", "upside-down"]) == 2
+    for key, value in (("J", {"rows": 1, "cols": 1, "data": [float("inf")]}), ("v", [float("nan")])):
+        poisoned = [dict(recs[0], **{key: value})] + recs[1:]
+        p.write_text(json.dumps({"f2v": poisoned}))
+        assert main(["run", quartet_file, "--init", f"custom:{p}"]) == 1
+        assert "is not finite" in capsys.readouterr().err
 
 
 def test_run_strict_flag(quartet_file):
@@ -159,6 +166,16 @@ def test_analyze_verdict_and_report(quartet_file, tmp_path, capsys):
     assert data["verdict"] == "guaranteed_by_topology"
     assert data["bounds_hold"] is True
     assert data["max_mean_error"] < 1e-8
+
+
+def test_analyze_certify_validates_the_model_once(quartet_file, monkeypatch):
+    import gabp.model
+
+    calls = []
+    real = gabp.model.validate_model
+    monkeypatch.setattr(gabp.model, "validate_model", lambda m: calls.append(1) or real(m))
+    assert main(["analyze", quartet_file, "--certify"]) == 0
+    assert len(calls) == 1
 
 
 def test_analyze_divergent_exit_code(divergent_file, capsys):

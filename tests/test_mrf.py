@@ -73,7 +73,10 @@ def test_factor_width_two_reconstructs():
         for c in range(fw.v.shape[1]):
             assert np.count_nonzero(fw.v[:, c]) <= 2
         assert np.all(fw.scaling > 0)
-        assert is_h_matrix(j - fw.omega * np.eye(j.shape[0]))
+        m = j - fw.omega * np.eye(j.shape[0])
+        assert is_h_matrix(m)
+        # the defining property of the scaling: comparison(J - omega I) u = 1
+        np.testing.assert_allclose(comparison_matrix(m) @ fw.scaling, 1.0, rtol=1e-10)
 
 
 def test_factor_width_two_rejects_non_walk_summable():
@@ -114,11 +117,12 @@ def test_conversion_joint_precision_is_exact():
 
 
 def test_badly_scaled_grid_conversion_keeps_every_surplus_row():
-    # the Perron vector spans ten orders of magnitude on this grid; every
-    # row still needs its surplus column for V V^T + omega I to equal J
+    # the Perron vector of this grid spans ten orders of magnitude, while
+    # the solve-based scaling stays at or above 1 / (1 - omega); every row
+    # needs its surplus column for V V^T + omega I to equal J
     j = grid_field(20)
     model, info = mrf_to_linear_gaussian(j)
-    assert np.min(info.factorization.scaling) < 1e-8
+    assert np.min(info.factorization.scaling) >= (1.0 - 1e-12) / (1.0 - info.omega)
     assert info.folded_columns == j.shape[0]
     a, r, w, _ = stack_global(model)
     prec = np.linalg.inv(w) + a.T @ np.linalg.solve(r, a)
