@@ -6,10 +6,17 @@ the factor then on the variable, variable-to-factor edges as
 (variable, factor) ascending first on the variable then on the factor.
 Every stacked vector or matrix in the analysis module follows these
 orders, so they are fixed here once.
+
+Topology classes come from each connected component's cycle count, and
+the exact diameter from one breadth-first search out of every node at
+once, over uint64 bitsets of the nodes each node reaches.
 """
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from gabp.errors import DomainError
 
@@ -99,20 +106,38 @@ class TopologyReport:
 _RANK = {"forest": 0, "single_loop_plus_forest": 1, "multi_loop": 2}
 
 
-def _bfs_ecc(adj, start, members):
-    dist = {start: 0}
-    queue = deque([start])
-    far = 0
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                far = max(far, dist[w])
-                queue.append(w)
-    if len(dist) != len(members):
-        raise AssertionError("BFS did not cover the component")
-    return far
+def _eccentricities(graph):
+    """Eccentricity of every node, from one BFS out of all sources at once.
+
+    Nodes are numbered variables first (graph.var_ids order), then
+    factors (graph.factor_ids order). Row k of reach is a bitset of the
+    nodes within s edges of node k after step s: each step ORs in the
+    rows of k's neighbours, so the last step at which row k grows is the
+    eccentricity of k. Returns the node numbering and the eccentricities.
+    """
+    index = {("v", i): k for k, i in enumerate(graph.var_ids)}
+    index.update({("f", n): len(index) + k for k, n in enumerate(graph.factor_ids)})
+    pairs = np.array([(index[("f", n)], index[("v", i)]) for (n, i) in graph.f2v_edges],
+                     dtype=np.intp).reshape(-1, 2)
+    head = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    tail = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    order = np.argsort(head, kind="stable")
+    head, tail = head[order], tail[order]
+    starts = np.flatnonzero(np.diff(head, prepend=-1))
+    heads = head[starts]
+
+    nodes = np.arange(len(index))
+    reach = np.zeros((len(index), -(-len(index) // 64)), dtype=np.uint64)
+    reach[nodes, nodes // 64] = np.left_shift(np.uint64(1), (nodes % 64).astype(np.uint64))
+    ecc = np.zeros(len(index), dtype=np.intp)
+    for step in itertools.count(1):
+        old = reach[heads]
+        new = old | np.bitwise_or.reduceat(reach[tail], starts, axis=0)
+        grew = np.any(new != old, axis=1)
+        if not grew.any():
+            return index, ecc
+        reach[heads] = new
+        ecc[heads[grew]] = step
 
 
 def classify_topology(graph):
@@ -121,8 +146,14 @@ def classify_topology(graph):
     A component with E edges and N nodes has E - N + 1 independent
     cycles: 0 means forest, 1 means a single loop with trees hanging off,
     anything more is multi_loop.
+
+    A component's diameter is the largest eccentricity among its nodes,
+    exact on every topology. The bit-parallel BFS behind it costs
+    O(diameter * E * N / 64) word operations and N^2 / 8 bytes for N
+    nodes and E edges.
     """
     adj = _adjacency(graph)
+    index, ecc = _eccentricities(graph)
     unvisited = set(adj)
     components = []
     while unvisited:
@@ -146,7 +177,7 @@ def classify_topology(graph):
             kind = "single_loop_plus_forest"
         else:
             kind = "multi_loop"
-        diameter = max(_bfs_ecc(adj, u, members) for u in members)
+        diameter = int(max(ecc[index[u]] for u in members))
         components.append(
             ComponentInfo(nodes=n_nodes, edges=n_edges, independent_cycles=cycles,
                           kind=kind, diameter=diameter)

@@ -36,6 +36,8 @@ def matrix_from_json(obj, what="matrix"):
         data = obj["data"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"{what}: expected rows/cols/data, got {sorted(obj)}") from exc
+    if rows < 0 or cols < 0:
+        raise InputFormatError(f"{what}: rows and cols must be non-negative, got {rows}x{cols}")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise InputFormatError(
             f"{what}: data length {len(data) if isinstance(data, list) else '?'} "

@@ -248,20 +248,28 @@ class CentralizedSolution:
 def centralized_solve(model):
     """Joint MMSE estimate x_hat = (W^-1 + A^T R^-1 A)^-1 A^T R^-1 y.
 
-    This is the exact answer message passing is expected to reproduce; it
-    is computed by one dense solve on the stacked model.
+    This is the exact answer message passing is expected to reproduce.
+    The precision W^-1 + sum_n A_n^T R_n^-1 A_n and the information
+    sum_n A_n^T R_n^-1 y_n are assembled factor by factor, each from one
+    small solve against that factor's own noise covariance; the joint
+    covariance is then one dense inverse of the precision.
     """
-    a, r, w, y = stack_global(model)
-    n = model.total_dim
-    w_inv = np.zeros_like(w)
     voff = variable_offsets(model)
+    n = model.total_dim
+    precision = np.zeros((n, n))
+    information = np.zeros(n)
+    span = {i: np.arange(s, s + d) for i, (s, d) in voff.items()}
     for v in model.variables:
         s, d = voff[v.id]
-        w_inv[s:s + d, s:s + d] = np.linalg.inv(v.prior_cov)
-    rinv_a = np.linalg.solve(r, a) if a.shape[0] else a
-    precision = w_inv + a.T @ rinv_a
+        precision[s:s + d, s:s + d] = np.linalg.inv(v.prior_cov)
+    for f in model.factors:
+        cols = np.concatenate([span[i] for i in f.scope])
+        a = np.hstack([f.coeff[i] for i in f.scope])
+        rinv_a = np.linalg.solve(f.noise_cov, a)
+        precision[np.ix_(cols, cols)] += a.T @ rinv_a
+        information[cols] += rinv_a.T @ f.obs
     cov = np.linalg.inv(precision)
-    mean = cov @ (rinv_a.T @ y) if a.shape[0] else np.zeros(n)
+    mean = cov @ information
     means = {}
     covs = {}
     for v in model.variables:

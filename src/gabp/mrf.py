@@ -23,7 +23,7 @@ import numpy as np
 
 from gabp.errors import DomainError
 from gabp.model import FactorSpec, LinearGaussianModel, VariableSpec
-from gabp.numerics import is_pd, symmetrize
+from gabp.numerics import PSD_TOL, is_pd, symmetrize
 
 log = logging.getLogger("gabp")
 
@@ -34,13 +34,20 @@ COUPLING_TOL = 1e-15
 SURPLUS_TOL = 1e-14
 
 
+def _require_finite(x, what):
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"{what} is not finite")
+    return x
+
+
 def normalize_mrf(j, h=None):
     """Rescale to unit diagonal: J' = D J D, h' = D h, D = diag(J)^(-1/2).
 
     Returns (J', h', d) where d is the vector of diagonal scale factors.
     J'^-1 h' = D^-1 J^-1 h, so original means are d * normalized means.
     """
-    j = symmetrize(j)
+    j = symmetrize(_require_finite(j, "J"))
     diag = np.diag(j)
     if np.any(diag <= 0):
         raise DomainError("normalization needs a strictly positive diagonal")
@@ -52,7 +59,7 @@ def normalize_mrf(j, h=None):
 
 
 def _require_normalized(j):
-    j = symmetrize(j)
+    j = symmetrize(_require_finite(j, "J"))
     if np.max(np.abs(np.diag(j) - 1.0)) > 1e-9:
         raise DomainError("expected a normalized (unit diagonal) matrix")
     return j
@@ -71,7 +78,9 @@ def check_walk_summability(j_norm):
     r = np.eye(j_norm.shape[0]) - j_norm
     test = np.eye(j_norm.shape[0]) - np.abs(r)
     w = np.linalg.eigvalsh(test)
-    return WalkSummability(walk_summable=is_pd(test), min_eig=float(w[0]), eigenvalues=w)
+    # the verdict is_pd(test) would give, from the same eigenvalues
+    walk_summable = bool(w[0] > PSD_TOL * max(1.0, w[-1]))
+    return WalkSummability(walk_summable=walk_summable, min_eig=float(w[0]), eigenvalues=w)
 
 
 def comparison_matrix(x):
@@ -195,7 +204,7 @@ def mrf_to_linear_gaussian(j_norm, h=None, omega=None):
     """
     j_norm = _require_normalized(j_norm)
     n = j_norm.shape[0]
-    h = np.zeros(n) if h is None else np.asarray(h, dtype=float)
+    h = np.zeros(n) if h is None else _require_finite(h, "h")
     if h.shape != (n,):
         raise DomainError(f"potential vector has shape {h.shape}, expected ({n},)")
     fw = factor_width_two(j_norm, omega=omega)

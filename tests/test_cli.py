@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import QUARTET_J, quartet_model
-from corpus import SHOWCASE_DIVERGENT, frustrated_model
+from corpus import SHOWCASE_DIVERGENT, frustrated_model, grid_field
 from gabp.cli import main
 from gabp.errors import ExistenceViolation
-from gabp.io import matrix_to_json, save_model
+from gabp.io import matrix_to_json, save_model, save_mrf
 from gabp.model import validate_model
 
 
@@ -231,6 +231,48 @@ def test_convert_mrf_rejects_non_walk_summable(tmp_path, capsys):
     err = capsys.readouterr()
     assert "walk-summable: no" in err.out
     assert "domain error" in err.err
+
+
+def test_convert_mrf_eigendecomposes_once_per_walk_summability_check(tmp_path, monkeypatch):
+    # one check in the command, one inside factor_width_two
+    src = str(tmp_path / "grid.json")
+    save_mrf(grid_field(6), np.linspace(-1.0, 1.0, 36), src)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert main(["convert-mrf", src, "--out", str(tmp_path / "model.json")]) == 0
+    assert len(calls) == 2
+
+
+def _poison_coupling(j, h):
+    j[0, 1] = j[1, 0] = np.nan
+
+
+def _poison_diagonal(j, h):
+    j[2, 2] = np.inf
+
+
+def _poison_potential(j, h):
+    h[3] = np.nan
+
+
+@pytest.mark.parametrize("poison,what", [
+    (_poison_coupling, "J"), (_poison_diagonal, "J"), (_poison_potential, "h"),
+])
+def test_convert_mrf_rejects_non_finite_input(poison, what, tmp_path, capsys):
+    j, h = grid_field(3), np.ones(9)
+    poison(j, h)
+    src = tmp_path / "field.json"
+    src.write_text(json.dumps({"J": matrix_to_json(j), "h": list(h)}))
+    dst = tmp_path / "model.json"
+    assert main(["convert-mrf", str(src), "--out", str(dst)]) == 1
+    assert f"domain error: {what} is not finite" in capsys.readouterr().err
+    assert not dst.exists()
 
 
 def test_gen_deterministic(tmp_path):

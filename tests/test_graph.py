@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -117,3 +119,100 @@ def test_isolated_variable_counts_as_forest():
     t = classify_topology(build_factor_graph(m))
     assert t.overall == "forest"
     assert t.diameter == 1
+
+
+def oracle_components(model):
+    """(nodes, edges, diameter) per component, by a plain BFS from every node."""
+    adj = {("v", v.id): [] for v in model.variables}
+    adj.update({("f", f.id): [] for f in model.factors})
+    for f in model.factors:
+        for i in f.scope:
+            adj[("f", f.id)].append(("v", i))
+            adj[("v", i)].append(("f", f.id))
+    ecc = {}
+    comp_of = {}
+    for s in adj:
+        dist = {s: 0}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        ecc[s] = max(dist.values())
+        comp_of[s] = frozenset(dist)
+    return sorted(
+        (len(members), sum(len(adj[u]) for u in members) // 2, max(ecc[u] for u in members))
+        for members in set(comp_of.values())
+    )
+
+
+def disjoint_union(*models):
+    """One model holding copies of the given ones, with ids shifted apart."""
+    variables, factors, shift = [], [], 0
+    for m in models:
+        variables += [VariableSpec(v.id + shift, v.dim, v.prior_cov) for v in m.variables]
+        factors += [FactorSpec(f.id + shift, [i + shift for i in f.scope],
+                               {i + shift: a for i, a in f.coeff.items()}, f.noise_cov, f.obs)
+                    for f in m.factors]
+        shift += 1000
+    return LinearGaussianModel(variables=variables, factors=factors)
+
+
+def _checked_against_oracle(model):
+    t = classify_topology(build_factor_graph(model))
+    got = sorted((c.nodes, c.edges, c.diameter) for c in t.components)
+    want = oracle_components(model)
+    assert got == want
+    assert t.diameter == max((d for _, _, d in want), default=0)
+    return t
+
+
+# (seed, n_agents, topology, variables + factors): node counts at and
+# around the 64-bit word boundaries of the bitset search
+WORD_BOUNDARY_MODELS = [
+    (0, 32, "multi_loop", 63), (2, 30, "multi_loop", 64), (2, 29, "multi_loop", 65),
+    (1, 64, "multi_loop", 128), (1, 65, "multi_loop", 129),
+    (0, 33, "forest", 63), (0, 65, "forest", 128),
+    (0, 33, "single_loop", 64), (0, 65, "single_loop", 129),
+]
+
+
+@pytest.mark.parametrize("seed,n_agents,topology,n_nodes", WORD_BOUNDARY_MODELS)
+def test_diameter_matches_per_node_bfs_at_word_boundaries(seed, n_agents, topology, n_nodes):
+    m = random_model(seed=seed, n_agents=n_agents, topology=topology)
+    assert len(m.variables) + len(m.factors) == n_nodes
+    t = _checked_against_oracle(m)
+    assert t.n_components == 1
+
+
+@pytest.mark.parametrize("n_agents", [32, 33, 64, 65])
+def test_long_chain_diameter_crosses_word_boundaries(n_agents):
+    # the two ends of the path are variable 1 (bit 0) and variable n_agents
+    # (bit n_agents - 1), so the end bits sit at the 64-bit word edges
+    t = _checked_against_oracle(chain_model(n_agents))
+    assert t.diameter == 2 * (n_agents - 1)
+
+
+def test_diameter_matches_per_node_bfs_on_disconnected_model():
+    rng = np.random.default_rng(5)
+    lonely = LinearGaussianModel(variables=[VariableSpec(1, 2, rand_spd(rng, 2))], factors=[])
+    m = disjoint_union(random_model(seed=0, n_agents=33, topology="forest"),
+                       random_model(seed=2, n_agents=29, topology="multi_loop"),
+                       lonely)
+    t = _checked_against_oracle(m)
+    assert t.n_components == 3
+    assert t.overall == "multi_loop"
+    # the variable no factor touches is a one-node component
+    assert (1, 0, 0) in [(c.nodes, c.edges, c.diameter) for c in t.components]
+
+
+def test_model_without_factors_has_zero_diameter():
+    rng = np.random.default_rng(6)
+    m = LinearGaussianModel(variables=[VariableSpec(i, 1, rand_spd(rng, 1)) for i in (1, 2, 3)],
+                            factors=[])
+    t = _checked_against_oracle(m)
+    assert t.overall == "forest"
+    assert t.n_components == 3
+    assert t.diameter == 0

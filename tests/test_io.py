@@ -39,6 +39,15 @@ def test_matrix_from_json_rejects_malformed(obj):
         matrix_from_json(obj)
 
 
+@pytest.mark.parametrize("obj", [
+    {"rows": -2, "cols": -2, "data": [1.0, 2.0, 3.0, 4.0]},
+    {"rows": -1, "cols": 0, "data": []},
+])
+def test_matrix_from_json_names_negative_sizes(obj):
+    with pytest.raises(InputFormatError, match="rows and cols must be non-negative"):
+        matrix_from_json(obj)
+
+
 def test_model_file_round_trip(tmp_path):
     m = random_model(seed=9, n_agents=5, topology="multi_loop")
     m.meta["note"] = "round-trip"

@@ -102,6 +102,32 @@ def test_variable_offsets_ascending():
     assert offs[2] == (2, 1)
 
 
+@pytest.mark.parametrize("seed,topology", [
+    (0, "forest"), (1, "forest"), (2, "single_loop"), (3, "multi_loop"), (4, "multi_loop"),
+])
+def test_centralized_solve_matches_dense_stacked_solve(seed, topology):
+    # the dense route on the stacked model: (W^-1 + A^T R^-1 A)^-1 A^T R^-1 y
+    m = random_model(seed=seed, n_agents=12, dims=(1, 3), topology=topology)
+    a, r, w, y = stack_global(m)
+    rinv_a = np.linalg.solve(r, a)
+    cov = np.linalg.inv(np.linalg.inv(w) + a.T @ rinv_a)
+    mean = cov @ (rinv_a.T @ y)
+
+    sol = centralized_solve(m)
+    np.testing.assert_allclose(sol.mean, mean, rtol=1e-10, atol=1e-10 * np.max(np.abs(mean)))
+    np.testing.assert_allclose(sol.cov, cov, rtol=1e-10, atol=1e-10 * np.max(np.abs(cov)))
+
+
+def test_centralized_solve_without_factors_returns_the_priors():
+    rng = np.random.default_rng(8)
+    m = LinearGaussianModel(variables=[VariableSpec(1, 2, rand_spd(rng, 2)),
+                                       VariableSpec(2, 3, rand_spd(rng, 3))], factors=[])
+    sol = centralized_solve(m)
+    np.testing.assert_array_equal(sol.mean, np.zeros(5))
+    for v in m.variables:
+        np.testing.assert_allclose(sol.covs[v.id], v.prior_cov, rtol=1e-12)
+
+
 def test_centralized_solve_matches_block_assembly():
     # independent route: accumulate the joint precision factor by factor
     m = small_model()
