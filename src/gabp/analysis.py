@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from gabp.bp import BpOptions, EdgeStack, compute_beliefs, run_bp
+from gabp.bp import DIVERGENCE_GUARD, EdgeStack, compute_beliefs, run_bp
 from gabp.errors import DomainError, IterationBudgetError
 from gabp.graph import build_factor_graph, classify_topology
 from gabp.model import centralized_solve, require_valid
@@ -41,6 +41,7 @@ log = logging.getLogger("gabp")
 
 BORDERLINE_BAND = 1e-3
 FIXED_POINT_TOL = 1e-12
+MEAN_RECURSION_TOL = 1e-10
 PART_METRIC_FLOOR = 1e-13
 
 
@@ -89,20 +90,20 @@ class FixedPoint:
 
 
 def information_fixed_point(model, graph=None, init="zero", tol=FIXED_POINT_TOL,
-                            max_iters=10_000, record=False, custom=None):
+                            max_iters=10_000, record=False):
     """Iterate the information half of the engine alone until it stops moving.
 
     The mean vectors play no role here, so this is the cheapest way to
     obtain the fixed point J* that the full engine converges to. Each
     iteration is one synchronous J half over the whole edge stack. init
-    accepts the engine's strategies and ready dicts (see EdgeStack.init);
-    "custom" takes a dict of psd matrices (or messages) per edge. Raises
-    IterationBudgetError if tol is not reached within max_iters.
+    accepts the engine's strategies and dicts of psd matrices (or
+    messages) per edge (see EdgeStack.init). Raises IterationBudgetError
+    if tol is not reached within max_iters.
     """
     if graph is None:
         graph = build_factor_graph(model)
     stack = EdgeStack(model, graph)
-    fj, _ = stack.init(init, custom)
+    fj, _ = stack.init(init)
     history = [stack.views(fj[:-1].copy())] if record else None
     for it in range(1, max_iters + 1):
         _, new = stack.f2v_information(stack.v2f_information(fj, stack.all), stack.all)
@@ -179,13 +180,13 @@ class MeanRecursionResult:
     v: np.ndarray
 
 
-def two_phase_mean_recursion(qsys, v0=None, tol=1e-10, max_iters=20_000, guard=1e12):
-    """Iterate the stacked mean recursion with the information side frozen.
+def two_phase_mean_recursion(qsys, max_iters=20_000):
+    """Iterate the stacked mean recursion from zero with the information side frozen.
 
-    Returns status "converged", "diverged" (guard exceeded or values not
-    finite) or "max_iters".
+    Returns status "converged" (step below MEAN_RECURSION_TOL), "diverged"
+    (DIVERGENCE_GUARD exceeded or values not finite) or "max_iters".
     """
-    v = np.zeros_like(qsys.b) if v0 is None else np.asarray(v0, dtype=float).copy()
+    v = np.zeros_like(qsys.b)
     status = "max_iters"
     iterations = 0
     for it in range(1, max_iters + 1):
@@ -194,10 +195,10 @@ def two_phase_mean_recursion(qsys, v0=None, tol=1e-10, max_iters=20_000, guard=1
         dv = np.max(np.abs(v_new - v)) if v.size else 0.0
         v = v_new
         peak = np.max(np.abs(v)) if v.size else 0.0
-        if not np.isfinite(peak) or peak > guard:
+        if not np.isfinite(peak) or peak > DIVERGENCE_GUARD:
             status = "diverged"
             break
-        if dv < tol:
+        if dv < MEAN_RECURSION_TOL:
             status = "converged"
             break
     return MeanRecursionResult(status=status, iterations=iterations, v=v)
@@ -219,18 +220,18 @@ def beliefs_from_v2f_means(model, graph, fixed_point, qsys, v_stacked):
     return {vid: b.mean for vid, b in beliefs.items()}
 
 
-def decide_mean_convergence(rho, topology, band=BORDERLINE_BAND):
+def decide_mean_convergence(rho, topology):
     """Map a spectral radius and a topology report onto a verdict string.
 
     Forests and single loops are convergent regardless of rho, so they
     short-circuit to "guaranteed_by_topology". Otherwise the decision is
-    by rho against 1, with an inconclusive band of width ``band`` around
-    it.
+    by rho against 1, with an inconclusive band of width BORDERLINE_BAND
+    around it.
     """
     kind = getattr(topology, "overall", topology)
     if kind in ("forest", "single_loop_plus_forest"):
         return "guaranteed_by_topology"
-    if abs(rho - 1.0) < band:
+    if abs(rho - 1.0) < BORDERLINE_BAND:
         return "borderline"
     if rho < 1.0:
         return "converges_rho_lt_1"
@@ -245,11 +246,11 @@ class RateFit:
     n_points: int
 
 
-def fit_contraction_rate(part_metrics, floor=PART_METRIC_FLOOR):
+def fit_contraction_rate(part_metrics):
     """Geometric rate from a sequence of part-metric distances to J*.
 
     part_metrics is the per-iteration sequence d_1, d_2, ... from a
-    recorded trajectory. Entries at or below the numerical floor (or not
+    recorded trajectory. Entries at or below PART_METRIC_FLOOR (or not
     finite) end the usable range, which is then cut at its first minimum
     so that a flat tail at the reference's own noise floor does not count.
     The fit runs over the longest decaying suffix of what remains and
@@ -258,12 +259,12 @@ def fit_contraction_rate(part_metrics, floor=PART_METRIC_FLOOR):
     """
     usable = []
     for idx, d in enumerate(part_metrics, start=1):
-        if d is None or not math.isfinite(d) or d <= floor:
+        if d is None or not math.isfinite(d) or d <= PART_METRIC_FLOOR:
             break
         usable.append((idx, d))
     if len(usable) < 3:
         raise DomainError(
-            f"need at least 3 finite part metrics above {floor:g} to fit a rate, got {len(usable)}"
+            f"need at least 3 finite part metrics above {PART_METRIC_FLOOR:g} to fit a rate, got {len(usable)}"
         )
     end = 1 + min(range(len(usable)), key=lambda k: usable[k][1])
     start = end - 1
@@ -302,7 +303,7 @@ class ConvergenceReport:
         return asdict(self)
 
 
-def certify(model, graph=None, cross_check=True, bp_options=None):
+def certify(model, cross_check=True):
     """Full convergence certificate for one model.
 
     Computes the topology class, the information fixed point with its
@@ -312,8 +313,7 @@ def certify(model, graph=None, cross_check=True, bp_options=None):
     trajectory supports one.
     """
     require_valid(model)
-    if graph is None:
-        graph = build_factor_graph(model)
+    graph = build_factor_graph(model)
     topo = classify_topology(graph)
     bounds = compute_bounds(model, graph)
     fp = information_fixed_point(model, graph)
@@ -338,8 +338,7 @@ def certify(model, graph=None, cross_check=True, bp_options=None):
     )
 
     if cross_check:
-        opts = bp_options or BpOptions()
-        result = run_bp(model, graph, init=bounds.lower, options=opts, reference=fp.f2v)
+        result = run_bp(model, graph, init=bounds.lower, reference=fp.f2v)
         report.bp_status = result.status
         report.bp_iterations = result.iterations
         if result.status == "converged":

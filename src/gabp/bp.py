@@ -29,8 +29,9 @@ reads a zero row kept at the end of every gathered store.
 The stack also holds the edge-wise envelopes of the information
 recursion (lower_bound is one information half from zero messages,
 upper_bound is A_i^T R_n^-1 A_i) and the one init path, EdgeStack.init,
-which packs zero, lower, upper, custom and ready-dict inits for run_bp,
-information_fixed_point and make_init.
+for run_bp, information_fixed_point and make_init: "zero", "lower",
+"upper", or a dict that must cover every edge with finite, psd
+information matrices, the precondition of the paper's convergence results.
 
 One outer iteration updates every edge of both kinds exactly once. A
 schedule is a choice of factor blocks (sets of rows) for one shared
@@ -81,7 +82,6 @@ class BpOptions:
     schedule: str = "sync"
     seed: int = 0
     strict: bool = False
-    divergence_guard: float = DIVERGENCE_GUARD
     record_messages: bool = False
 
 
@@ -185,9 +185,9 @@ class EdgeStack:
     def stacked(self, entries):
         """(J, v) stacks with a trailing zero row from a dict over every edge.
 
-        A value is a Message, a (J, v) pair or a bare J (zero mean). Raises
-        DomainError for a missing edge, a block of the wrong shape or a
-        value that is not finite.
+        A value is a Message or a bare J (zero mean). Raises DomainError
+        for a missing edge, any other value, a block of the wrong shape or
+        a value that is not finite.
         """
         jm, vm = self.init("zero")
         for e, edge in enumerate(self.edges):
@@ -195,12 +195,11 @@ class EdgeStack:
             if edge not in entries:
                 raise DomainError(f"init is missing edge {edge}")
             entry = entries[edge]
-            if isinstance(entry, Message):
-                entry = (entry.J, entry.v)
-            elif isinstance(entry, np.ndarray):
-                entry = (entry, np.zeros(d))
-            jmat = np.asarray(entry[0], dtype=float)
-            vec = np.asarray(entry[1], dtype=float)
+            if isinstance(entry, np.ndarray):
+                entry = Message(J=entry, v=np.zeros(d))
+            if not isinstance(entry, Message):
+                raise DomainError(f"init edge {edge} is neither a Message nor a matrix")
+            jmat, vec = np.asarray(entry.J, dtype=float), np.asarray(entry.v, dtype=float)
             if jmat.shape != (d, d) or vec.shape != (d,):
                 raise DomainError(f"init edge {edge} has wrong shape")
             jm[e, :d, :d] = jmat
@@ -223,31 +222,26 @@ class EdgeStack:
         upper = self.a[:-1].swapaxes(1, 2) @ np.linalg.solve(self.r, self.a[:-1])
         return (upper + upper.swapaxes(1, 2)) / 2.0 + self.pad
 
-    def init(self, strategy="zero", custom=None):
-        """(J, v) stacks with a trailing zero row for an init strategy or a ready dict.
+    def init(self, init="zero"):
+        """(J, v) stacks with a trailing zero row for an init strategy or a dict.
 
-        strategy is "zero", "lower", "upper" or "custom" (the bound inits
-        carry zero means), or a ready dict for stacked. "custom" packs the
-        dict custom with stacked and requires every J to be psd.
+        init is "zero", "lower" or "upper" (zero means), or a dict that
+        stacked packs and whose information matrices must all be psd.
         """
-        if isinstance(strategy, dict):
-            return self.stacked(strategy)
-        if strategy == "custom":
-            if custom is None:
-                raise DomainError("custom init requested but no messages supplied")
-            jm, vm = self.stacked(custom)
+        if isinstance(init, dict):
+            jm, vm = self.stacked(init)
             bad = np.flatnonzero(~self.per_edge(is_psd, jm, dtype=bool))
             if bad.size:
                 raise DomainError(f"custom init edge {self.edges[bad[0]]} has a non-psd information matrix")
             return jm, vm
-        if strategy == "zero":
+        if init == "zero":
             jm = self.pad
-        elif strategy == "lower":
+        elif init == "lower":
             jm = self.lower_bound()
-        elif strategy == "upper":
+        elif init == "upper":
             jm = self.upper_bound()
         else:
-            raise DomainError(f"unknown init strategy {strategy!r}")
+            raise DomainError(f"unknown init strategy {init!r}")
         jm = np.concatenate([jm, np.zeros((1,) + jm.shape[1:])])
         return jm, np.zeros(jm.shape[:2])
 
@@ -292,18 +286,17 @@ class EdgeStack:
         return np.linalg.solve(jmat, gain @ resid[..., None])[..., 0]
 
 
-def make_init(model, graph, strategy="zero", custom=None):
+def make_init(model, graph, strategy="zero"):
     """Initial factor-to-variable messages for every edge: a dict view of EdgeStack.init.
 
-    strategy is "zero", "lower", "upper" or "custom". The bound inits
+    strategy is "zero", "lower" or "upper", or a dict mapping (factor,
+    variable) to a Message or a bare information matrix (zero mean),
+    whose information matrices must be finite and psd. The bound inits
     place the edge-wise lower/upper envelopes of the information
-    recursion on every edge with zero mean vectors; "custom" takes a dict
-    mapping (factor, variable) to a Message, a (J, v) pair or a bare
-    information matrix (zero mean), whose information matrices must be
-    finite and psd.
+    recursion on every edge with zero mean vectors.
     """
     stack = EdgeStack(model, graph)
-    return stack.views(*stack.init(strategy, custom))
+    return stack.views(*stack.init(strategy))
 
 
 def existence_check(model, graph, v2f, n, i):
@@ -330,7 +323,7 @@ def existence_check(model, graph, v2f, n, i):
         incoming = v2f[(j, n)]
         core[pos:pos + d, pos:pos + d] += getattr(incoming, "J", incoming)
         pos += d
-    return is_pd(core)
+    return is_pd((core + core.T) / 2.0)
 
 
 def _sweep(model, stack, state, rows, strict, it):
@@ -372,7 +365,7 @@ def compute_beliefs(model, graph, messages):
     return beliefs
 
 
-def run_bp(model, graph=None, init="zero", options=None, custom_init=None, reference=None):
+def run_bp(model, graph=None, init="zero", options=None, reference=None):
     """Run message passing until tolerance, budget, or the divergence guard.
 
     Parameters
@@ -381,13 +374,11 @@ def run_bp(model, graph=None, init="zero", options=None, custom_init=None, refer
     graph : FactorGraph, optional
         Built from the model when omitted.
     init : str or dict
-        Init strategy name, or a ready dict mapping every (factor,
-        variable) edge to a Message, a (J, v) pair or a bare J (zero
-        mean). A missing edge, a wrong shape or a value that is not
-        finite raises DomainError.
+        Init strategy name, or a dict mapping every (factor, variable)
+        edge to a Message or a bare J (zero mean). A missing edge, any
+        other value, a wrong shape, a value that is not finite or a J
+        that is not psd raises DomainError.
     options : BpOptions
-    custom_init : dict, optional
-        Messages for init="custom".
     reference : dict, optional
         (factor, variable) -> fixed-point information matrix for every
         edge; when given, the trajectory records per-edge part metrics to it.
@@ -402,8 +393,8 @@ def run_bp(model, graph=None, init="zero", options=None, custom_init=None, refer
     Convergence is declared when both the largest Frobenius change of any
     information matrix and the largest max-abs change of any mean vector
     fall below their tolerances over one full iteration. The divergence
-    guard trips when any mean-vector entry exceeds the guard in absolute
-    value (or stops being finite).
+    guard trips when any mean-vector entry exceeds DIVERGENCE_GUARD in
+    absolute value (or stops being finite).
     """
     if graph is None:
         graph = build_factor_graph(model)
@@ -411,7 +402,7 @@ def run_bp(model, graph=None, init="zero", options=None, custom_init=None, refer
     if opts.schedule not in ("sync", "seq", "random"):
         raise DomainError(f"unknown schedule {opts.schedule!r}")
     stack = EdgeStack(model, graph)
-    fj, fv = stack.init(init, custom_init)
+    fj, fv = stack.init(init)
     fh = (fj @ fv[..., None])[..., 0]
     vj, vv = np.zeros_like(fj[:-1]), np.zeros_like(fv[:-1])
     f2v_ends, v2f_ends = (list(zip(*edges)) for edges in (graph.f2v_edges, graph.v2f_edges))
@@ -464,7 +455,7 @@ def run_bp(model, graph=None, init="zero", options=None, custom_init=None, refer
         log.debug("bp iter %d: max_dj=%.3e max_dv=%.3e", it, max_dj, max_dv)
 
         peak = np.maximum(np.max(np.abs(fv)), np.max(np.abs(vv), initial=0.0))
-        if not np.isfinite(peak) or peak > opts.divergence_guard:
+        if not np.isfinite(peak) or peak > DIVERGENCE_GUARD:
             status = "diverged"
             break
         if max_dj < opts.tol_j and max_dv < opts.tol_v:

@@ -50,13 +50,14 @@ def _print_beliefs(beliefs):
 
 
 def _parse_init(value):
+    """The --init strategy name, or the messages loaded from custom:<path>."""
     if value.startswith("custom:"):
         path = value[len("custom:"):]
         if not path:
             raise InputFormatError("--init custom: needs a file path after the colon")
-        return "custom", path
+        return load_custom_init(path)
     if value in ("zero", "lower", "upper"):
-        return value, None
+        return value
     raise InputFormatError(
         f"--init must be zero, lower, upper or custom:<path>, got {value!r}")
 
@@ -96,8 +97,7 @@ def cmd_run(args):
     model = load_model(args.model)
     require_valid(model)
     graph = build_factor_graph(model)
-    init, custom_path = _parse_init(args.init)
-    custom = load_custom_init(custom_path) if custom_path else None
+    init = _parse_init(args.init)
     opts = BpOptions(tol_j=args.tol_j, tol_v=args.tol_v, max_iters=args.max_iters,
                      schedule=args.schedule, seed=args.seed, strict=args.strict)
 
@@ -109,8 +109,7 @@ def cmd_run(args):
             log.warning("fixed point not found within budget; "
                         "trajectory part-metric column left empty")
 
-    result = run_bp(model, graph, init=init, options=opts,
-                    custom_init=custom, reference=reference)
+    result = run_bp(model, graph, init=init, options=opts, reference=reference)
     print(f"status: {result.status} after {result.iterations} iteration(s)")
     if result.beliefs is not None:
         _print_beliefs(result.beliefs)

@@ -187,9 +187,9 @@ def classify_topology(graph):
     return TopologyReport(overall=overall, components=components, diameter=diameter)
 
 
-def to_dot(graph, name="factor_graph"):
+def to_dot(graph):
     """GraphViz source: variables as circles, factors as squares."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph factor_graph {"]
     for i in graph.var_ids:
         lines.append(f'  x{i} [shape=circle, label="x{i}"];')
     for n in graph.factor_ids:

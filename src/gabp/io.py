@@ -163,6 +163,8 @@ def load_mrf(path):
     j = matrix_from_json(obj["J"], "J")
     if j.shape[0] != j.shape[1]:
         raise InputFormatError(f"J must be square, got {j.shape[0]}x{j.shape[1]}")
+    if not j.size:
+        raise InputFormatError("J has no rows: a field needs at least one variable")
     h = obj.get("h")
     if h is None:
         h = np.zeros(j.shape[0])

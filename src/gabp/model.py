@@ -391,31 +391,17 @@ def random_model(seed, n_agents, dims=(1, 3), topology="multi_loop",
     var_ids = list(range(1, n_agents + 1))
     var_dims = {i: int(rng.integers(lo, hi + 1)) for i in var_ids}
 
-    # Grow a spanning forest of factor scopes with a union-find, so the
-    # bipartite factor graph stays acyclic; loops are closed afterwards by
-    # extra factors inside the single component.
-    parent = {i: i for i in var_ids}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    # Grow a spanning forest of factor scopes, so the bipartite factor
+    # graph stays acyclic; loops are closed afterwards by extra factors
+    # inside the single component. trees maps each tree's root to its
+    # members in ascending id; a merged tree keeps the first picked root.
     scopes = []
-    roots = set(var_ids)
-    while len(roots) > 1:
-        arity = int(min(rng.integers(2, 4), len(roots)))
-        picked_roots = rng.choice(sorted(roots), size=arity, replace=False)
-        members = []
-        for root in picked_roots:
-            pool = [i for i in var_ids if find(i) == root]
-            members.append(int(rng.choice(pool)))
-        scopes.append(tuple(sorted(members)))
-        base = find(members[0])
-        for i in members[1:]:
-            parent[find(i)] = base
-        roots = {find(i) for i in var_ids}
+    trees = {i: [i] for i in var_ids}
+    while len(trees) > 1:
+        arity = int(min(rng.integers(2, 4), len(trees)))
+        picked = [int(r) for r in rng.choice(sorted(trees), size=arity, replace=False)]
+        scopes.append(tuple(sorted(int(rng.choice(trees[r])) for r in picked)))
+        trees[picked[0]] = sorted(i for r in picked for i in trees.pop(r))
 
     for i in var_ids:
         if rng.random() < 0.3 or not scopes:

@@ -2,7 +2,7 @@
 
 All tolerances live here so that every module agrees on what "positive
 definite" or "full column rank" means. The conventions are deliberate and
-fixed:
+fixed; no function takes a per-call tolerance override:
 
 * matrices are symmetrized via (X + X.T) / 2 after checking the asymmetry
   is below 1e-12 (relative to the largest entry),
@@ -22,7 +22,7 @@ PSD_TOL = 1e-9
 RANK_TOL = 1e-10
 
 
-def symmetrize(x, tol=SYM_TOL):
+def symmetrize(x):
     """Return (x + x.T) / 2 for a matrix or an (E, d, d) stack of them.
 
     Refuses any matrix that is not nearly symmetric.
@@ -34,45 +34,37 @@ def symmetrize(x, tol=SYM_TOL):
     if x.size:
         scale = np.maximum(1.0, np.max(np.abs(x), axis=(-2, -1)))
         asym = np.max(np.abs(x - xt), axis=(-2, -1))
-        if np.any(asym > tol * scale):
+        if np.any(asym > SYM_TOL * scale):
             raise ValueError(f"matrix is not symmetric: max asymmetry {np.max(asym):.3e}")
     return (x + xt) / 2.0
 
 
-def min_eig(x):
-    """Smallest eigenvalue of a symmetric matrix."""
-    x = symmetrize(x)
-    if x.shape[0] == 0:
-        return np.inf
-    return float(np.linalg.eigvalsh(x)[0])
-
-
-def _definite(x, tol, strict):
+def _definite(x, strict):
     """pd (strict) or psd verdict: a bool for a matrix, a bool array for a stack."""
     x = symmetrize(x)
     # an empty matrix passes both checks, as if its spectrum were {1}
     w = np.linalg.eigvalsh(x) if x.shape[-1] else np.ones(x.shape[:-2] + (1,))
-    bar = tol * np.maximum(1.0, w[..., -1])
+    bar = PSD_TOL * np.maximum(1.0, w[..., -1])
     ok = w[..., 0] > bar if strict else w[..., 0] >= -bar
     return bool(ok) if x.ndim == 2 else ok
 
 
-def is_psd(x, tol=PSD_TOL):
+def is_psd(x):
     """Positive semidefinite up to the shared relative tolerance, per matrix of a stack."""
-    return _definite(x, tol, strict=False)
+    return _definite(x, strict=False)
 
 
-def is_pd(x, tol=PSD_TOL):
+def is_pd(x):
     """Positive definite up to the shared relative tolerance, per matrix of a stack."""
-    return _definite(x, tol, strict=True)
+    return _definite(x, strict=True)
 
 
-def psd_compare(x, y, tol=PSD_TOL):
+def psd_compare(x, y):
     """True when x >= y in the Loewner order (x - y psd)."""
-    return is_psd(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), tol=tol)
+    return is_psd(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
 
 
-def has_full_column_rank(a, tol=RANK_TOL):
+def has_full_column_rank(a):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
@@ -81,7 +73,7 @@ def has_full_column_rank(a, tol=RANK_TOL):
     if a.shape[0] < a.shape[1]:
         return False
     sv = np.linalg.svd(a, compute_uv=False)
-    return bool(sv[-1] > tol * sv[0])
+    return bool(sv[-1] > RANK_TOL * sv[0])
 
 
 def part_metric(x, y):
@@ -138,7 +130,3 @@ def spectral_radius(q):
     if q.shape[0] == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(q))))
-
-
-def frobenius(x):
-    return float(np.linalg.norm(x, ord="fro"))

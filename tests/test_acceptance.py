@@ -92,7 +92,7 @@ def test_criterion_05_fixed_point_uniqueness():
         ref = gabp.information_fixed_point(model, graph, init="zero")
         upper = gabp.information_fixed_point(model, graph, init="upper")
         custom = {e: rand_spd(rng, graph.var_dims[e[1]]) for e in graph.f2v_edges}
-        alt = gabp.information_fixed_point(model, graph, init="custom", custom=custom)
+        alt = gabp.information_fixed_point(model, graph, init=custom)
         for edge in graph.f2v_edges:
             np.testing.assert_allclose(upper.f2v[edge], ref.f2v[edge], atol=1e-8,
                                        err_msg=f"loopy-{k} upper {edge}")

@@ -63,7 +63,7 @@ def test_fixed_point_is_init_invariant(quartet):
     for fp in (
         information_fixed_point(quartet, g, init="upper"),
         information_fixed_point(quartet, g, init="lower"),
-        information_fixed_point(quartet, g, init="custom", custom=custom),
+        information_fixed_point(quartet, g, init=custom),
     ):
         for e in g.f2v_edges:
             np.testing.assert_allclose(fp.f2v[e], ref.f2v[e], atol=1e-10)

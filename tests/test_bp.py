@@ -114,18 +114,18 @@ def test_make_init_strategies(quartet):
 def test_make_init_custom_validation(quartet):
     g = build_factor_graph(quartet)
     good = {e: Message(J=np.array([[0.1]]), v=np.zeros(1)) for e in g.f2v_edges}
-    out = make_init(quartet, g, "custom", custom=good)
+    out = make_init(quartet, g, good)
     assert set(out) == set(g.f2v_edges)
 
     missing = dict(good)
     missing.pop(g.f2v_edges[0])
     with pytest.raises(DomainError):
-        make_init(quartet, g, "custom", custom=missing)
+        make_init(quartet, g, missing)
 
     bad = dict(good)
     bad[g.f2v_edges[0]] = Message(J=np.array([[-1.0]]), v=np.zeros(1))
     with pytest.raises(DomainError):
-        make_init(quartet, g, "custom", custom=bad)
+        make_init(quartet, g, bad)
 
 
 def test_run_accepts_message_dict_init(quartet):
@@ -148,6 +148,29 @@ def test_run_rejects_incomplete_or_misshapen_dict_init(quartet):
     misshapen[g.f2v_edges[0]] = Message(J=np.zeros((2, 2)), v=np.zeros(2))
     with pytest.raises(DomainError, match="wrong shape"):
         run_bp(quartet, g, init=misshapen)
+
+
+def test_every_entry_point_rejects_a_non_psd_dict_init(quartet):
+    from gabp.analysis import information_fixed_point
+    g = build_factor_graph(quartet)
+    init = {e: np.array([[0.1]]) for e in g.f2v_edges}
+    init[g.f2v_edges[1]] = np.array([[-1.0]])
+    messages = set()
+    for call in (lambda: run_bp(quartet, g, init=init),
+                 lambda: information_fixed_point(quartet, g, init=init),
+                 lambda: make_init(quartet, g, init)):
+        with pytest.raises(DomainError, match="non-psd") as exc:
+            call()
+        messages.add(str(exc.value))
+    assert messages == {f"custom init edge {g.f2v_edges[1]} has a non-psd information matrix"}
+
+
+def test_dict_init_rejects_a_pair_value(quartet):
+    g = build_factor_graph(quartet)
+    init = {e: np.array([[0.1]]) for e in g.f2v_edges}
+    init[g.f2v_edges[0]] = (np.array([[0.1]]), np.zeros(1))
+    with pytest.raises(DomainError, match="neither a Message nor a matrix"):
+        run_bp(quartet, g, init=init)
 
 
 def test_budget_exhaustion_reports_max_iters(quartet):
@@ -178,6 +201,20 @@ def test_strict_mode_passes_on_healthy_models(quartet):
             assert is_psd(msg.J)
         for msg in snap["v2f"].values():
             assert is_psd(msg.J)
+
+
+def test_strict_mode_on_an_ill_conditioned_noise_model():
+    # Noise covariances with condition number 1e7 leave A^T R^-1 A
+    # asymmetric by more than symmetrize accepts; the existence check must
+    # still decide, so strict mode ends like the plain run.
+    m = random_model(seed=6, n_agents=6, topology="multi_loop", dims=(2, 3))
+    rng = np.random.default_rng(6)
+    for f in m.factors:
+        q, _ = np.linalg.qr(rng.standard_normal((f.obs_dim, f.obs_dim)))
+        r = (q * np.logspace(0, -7, f.obs_dim)) @ q.T
+        f.noise_cov = (r + r.T) / 2.0
+    assert run_bp(m, options=BpOptions(max_iters=3)).status == "max_iters"
+    assert run_bp(m, options=BpOptions(strict=True, max_iters=3)).status == "max_iters"
 
 
 def test_existence_check_flags_indefinite_incoming(quartet):

@@ -224,6 +224,15 @@ def test_convert_mrf_normalizes_raw_input(tmp_path, capsys):
     assert "scale" in model.meta
 
 
+def test_convert_mrf_rejects_an_empty_field(tmp_path, capsys):
+    src = tmp_path / "empty.json"
+    src.write_text(json.dumps({"J": {"rows": 0, "cols": 0, "data": []}}))
+    dst = tmp_path / "model.json"
+    assert main(["convert-mrf", str(src), "--out", str(dst)]) == 2
+    assert "input error: J has no rows" in capsys.readouterr().err
+    assert not dst.exists()
+
+
 def test_convert_mrf_rejects_non_walk_summable(tmp_path, capsys):
     src = tmp_path / "bad.json"
     src.write_text(json.dumps({"J": matrix_to_json(QUARTET_J)}))

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -241,6 +244,33 @@ def test_random_model_topologies(topology):
         m = random_model(seed=seed, n_agents=7, dims=(1, 3), topology=topology)
         assert classify_topology(build_factor_graph(m)).overall == want
         assert all(1 <= v.dim <= 3 for v in m.variables)
+
+
+# sha1 of each generated model file. The generator's stream must not
+# change: every seeded test, corpus and benchmark input is drawn from it.
+RANDOM_MODEL_DIGESTS = [
+    ((0, 1, "forest", (1, 3)), "3c6fa32e8d2d161f7b212e23716643334c9e4992"),
+    ((3, 2, "single_loop", (1, 3)), "d0866b78fd426c2eed4fa752821549f39ddd40c5"),
+    ((5, 3, "multi_loop", (1, 3)), "023d2cca8cca2bcd5072b48c7cef6065e971daea"),
+    ((7, 2, "forest", 2), "126a65524335b9a84326e26374d2d24add048226"),
+    ((11, 5, "multi_loop", (1, 2)), "3c7f394ce9789ccf3956b809cc048c1958ccc1bc"),
+    ((1, 17, "single_loop", (1, 3)), "c95ded482826450a036db4c8b5df0cb2ee08820b"),
+    ((2, 64, "forest", (1, 3)), "9f5342fda8c7dbe70c402c85a52bedccc8475210"),
+    ((4, 200, "multi_loop", (1, 3)), "55582550192edcdf1e18961aebe2fb090da52e1e"),
+    ((42, 9, "multi_loop", (1, 3)), "2a70e7f7069815e058ab55bb9e6e1033857c3b73"),
+    ((9, 33, "forest", 1), "5f53f7c62c0c15023d8e21d278b6c865ce72dc6a"),
+    ((13, 3, "forest", (2, 3)), "ed7feeeb0d0d7a3d3486a940c40f007e8724c9af"),
+    ((1, 480, "multi_loop", (1, 3)), "fbf9bd312e29ccb7eb2bddf128efb9fddf88f780"),
+]
+
+
+@pytest.mark.parametrize("case, digest", RANDOM_MODEL_DIGESTS)
+def test_random_model_stream_is_pinned(case, digest):
+    from gabp.io import model_to_json
+    seed, n_agents, topology, dims = case
+    m = random_model(seed=seed, n_agents=n_agents, topology=topology, dims=dims)
+    text = json.dumps(model_to_json(m), sort_keys=True)
+    assert hashlib.sha1(text.encode()).hexdigest() == digest
 
 
 def test_random_model_rejects_bad_arguments():

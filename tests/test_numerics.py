@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import charpoly_radius, part_metric_bisection, rand_spd
-from gabp.numerics import (frobenius, has_full_column_rank, is_pd, is_psd,
-                           min_eig, part_metric, psd_compare, spectral_radius,
-                           symmetrize)
+from gabp.numerics import (has_full_column_rank, is_pd, is_psd, part_metric,
+                           psd_compare, spectral_radius, symmetrize)
 
 
 def test_symmetrize_passthrough():
@@ -38,12 +37,6 @@ def test_definiteness_checks():
     # a tiny negative eigenvalue relative to the largest stays psd
     assert is_psd(np.diag([1.0, -1e-10]))
     assert not is_psd(np.diag([1.0, -1e-6]))
-
-
-def test_min_eig_matches_numpy():
-    rng = np.random.default_rng(0)
-    a = rand_spd(rng, 4)
-    assert min_eig(a) == pytest.approx(np.linalg.eigvalsh(a)[0])
 
 
 def test_psd_compare_is_loewner_order():
@@ -149,8 +142,3 @@ def test_spectral_radius_large_rotation_and_near_tie():
     q = scipy.linalg.block_diag(*blocks)
     assert q.shape[0] > 2000
     assert spectral_radius(q) == pytest.approx(0.5, rel=1e-10)
-
-
-def test_frobenius():
-    a = np.array([[3.0, 0.0], [4.0, 0.0]])
-    assert frobenius(a) == pytest.approx(5.0)
