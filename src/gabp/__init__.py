@@ -18,7 +18,7 @@ from gabp.model import (
     random_model,
 )
 from gabp.graph import FactorGraph, build_factor_graph, classify_topology
-from gabp.bp import BpOptions, run_bp, compute_beliefs, make_init, existence_check
+from gabp.bp import BpOptions, run_bp, compute_beliefs, make_init
 from gabp.analysis import (
     compute_bounds,
     information_fixed_point,
@@ -56,7 +56,6 @@ __all__ = [
     "run_bp",
     "compute_beliefs",
     "make_init",
-    "existence_check",
     "compute_bounds",
     "information_fixed_point",
     "assemble_q",

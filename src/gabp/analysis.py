@@ -8,10 +8,10 @@ Three separate questions are answered here:
    fixed point between explicit edge-wise lower and upper envelopes, and
    converges to it from any psd initialization.
 2. Do the mean vectors follow? With the information matrices frozen at
-   the fixed point, the variable-to-factor means obey a stacked affine
-   iteration v <- -Q v + b; it converges for every starting point exactly
-   when the spectral radius of Q is below one, and on trees Q is
-   nilpotent.
+   the fixed point, the engine's mean half is a stacked affine iteration
+   v <- -Q v + b on the variable-to-factor means; it converges for every
+   starting point exactly when the spectral radius of Q is below one, and
+   on trees Q is nilpotent.
 3. How fast? The information recursion contracts the part metric to the
    fixed point; an empirical geometric rate is fitted from a recorded
    trajectory.
@@ -20,9 +20,10 @@ The analysis runs on the engine's EdgeStack (gabp.bp, whose docstring
 gives the stack layout). The fixed point iterates its information half
 over the whole stack, and FixedPoint keeps the stacks at J*: J of both
 edge kinds and the gains K. assemble_q builds Q's blocks from them with
-one stacked solve per pair of gather slots, and beliefs_from_v2f_means
-runs the mean half's factor-to-variable step before compute_beliefs.
-compute_bounds is a dict view of the stack's two envelopes.
+one stacked solve per pair of gather slots, for rho(Q) only. The mean
+recursion is the engine's mean half at J*, and beliefs_from_v2f_means
+runs its f2v step before compute_beliefs. compute_bounds is a dict view
+of the stack's two envelopes.
 """
 
 import logging
@@ -105,6 +106,7 @@ def information_fixed_point(model, graph=None, init="zero", tol=FIXED_POINT_TOL,
     stack = EdgeStack(model, graph)
     fj, _ = stack.init(init)
     history = [stack.views(fj[:-1].copy())] if record else None
+    delta = math.inf
     for it in range(1, max_iters + 1):
         _, new = stack.f2v_information(stack.v2f_information(fj, stack.all), stack.all)
         delta = float(np.max(np.linalg.norm(new - fj[:-1], axis=(1, 2)), initial=0.0))
@@ -180,31 +182,40 @@ class MeanRecursionResult:
     v: np.ndarray
 
 
-def two_phase_mean_recursion(qsys, max_iters=20_000):
-    """Iterate the stacked mean recursion from zero with the information side frozen.
+def two_phase_mean_recursion(fixed_point, max_iters=20_000):
+    """Iterate the engine's mean half from zero v2f means, its J frozen at J*.
 
-    Returns status "converged" (step below MEAN_RECURSION_TOL), "diverged"
-    (DIVERGENCE_GUARD exceeded or values not finite) or "max_iters".
+    An iteration is the f2v step K (y - sum A v), then the v2f step, over
+    the whole stack: exactly v <- b - Q v, as Q's block is
+    J_{j->n}^-1 K_{k->j} A_{k,z}. Returns status "converged" (step below
+    MEAN_RECURSION_TOL), "diverged" (DIVERGENCE_GUARD exceeded or values
+    not finite) or "max_iters", and v in Q's coordinates.
     """
-    v = np.zeros_like(qsys.b)
+    st = fixed_point.stack
+    vv = np.zeros(st.w.shape[:2])
+    fh = np.zeros((len(vv) + 1, vv.shape[1]))
     status = "max_iters"
     iterations = 0
     for it in range(1, max_iters + 1):
         iterations = it
-        v_new = qsys.b - qsys.q @ v
-        dv = np.max(np.abs(v_new - v)) if v.size else 0.0
-        v = v_new
-        peak = np.max(np.abs(v)) if v.size else 0.0
+        fh[:-1] = st.f2v_potential(vv, st.all, fixed_point.gain)
+        new = st.v2f_mean(fh, st.all, fixed_point.v2f_j)
+        dv = np.max(np.abs(new - vv), initial=0.0)
+        vv = new
+        peak = np.max(np.abs(vv), initial=0.0)
         if not np.isfinite(peak) or peak > DIVERGENCE_GUARD:
             status = "diverged"
             break
         if dv < MEAN_RECURSION_TOL:
             status = "converged"
             break
+    coords, real = _v2f_coords(st)
+    v = np.zeros(st.graph.total_v2f_dim)
+    v[coords[real]] = vv[real]
     return MeanRecursionResult(status=status, iterations=iterations, v=v)
 
 
-def beliefs_from_v2f_means(model, graph, fixed_point, qsys, v_stacked):
+def beliefs_from_v2f_means(model, graph, fixed_point, v_stacked):
     """Belief means implied by a converged stacked mean vector.
 
     Completes the two-phase run: the engine's mean half turns the stacked
@@ -323,7 +334,7 @@ def certify(model, cross_check=True):
                        and st.per_edge(psd_compare, upper, fp.f2v_j, dtype=bool).all())
     qsys = assemble_q(model, graph, fp)
     verdict = decide_mean_convergence(qsys.rho, topo)
-    mean_run = two_phase_mean_recursion(qsys)
+    mean_run = two_phase_mean_recursion(fp)
 
     report = ConvergenceReport(
         topology=topo.overall,

@@ -11,7 +11,8 @@ analysis module reuses both.
   J_{n->i} = K A_i.
 * The mean half reuses K:
   v_{j->n} = J_{j->n}^-1 sum_{k != n} J_{k->j} v_{k->j}, and
-  v_{n->i} = J_{n->i}^-1 K (y_n - sum_{j != i} A_j v_{j->n}).
+  v_{n->i} = J_{n->i}^-1 K (y_n - sum_{j != i} A_j v_{j->n}), whose
+  information form K (y_n - ...) = J_{n->i} v_{n->i} is f2v_potential.
 
 Both halves run on an EdgeStack, built once per run_bp or
 information_fixed_point call. Row e of every stack belongs to the
@@ -46,10 +47,11 @@ every factor-to-variable message out of the block.
 * "random": one factor at a time in a freshly permuted order each
   iteration, driven by the run's seed.
 
-Deltas, the divergence guard, the strict pd check and the part metric to
-a reference run once per iteration over the whole stack; only strict
-mode's existence check still runs existence_check edge by edge. Message
-dicts, trajectory rows and snapshots are built only for the result.
+Strict mode requires pd incoming v2f information matrices before a
+block's f2v half (A^T R^-1 A is psd, so each update's existence core
+A^T R^-1 A + blockdiag(J) is then pd) and pd f2v ones after each
+iteration. Checks, deltas and part metrics run over stacks of rows;
+message dicts, trajectory rows and snapshots are built for the result.
 """
 
 import logging
@@ -161,7 +163,7 @@ class EdgeStack:
         self.v2f_rows = np.array([row[(n, j)] for j, n in graph.v2f_edges], dtype=int)
         self.factor_rows = {n: [row[(n, i)] for i in graph.neighbors_of_factor[n]]
                             for n in graph.factor_ids}
-        self.dim_groups = [(int(d), np.flatnonzero(self.dims == d)) for d in np.unique(self.dims)]
+        self.dim_values = np.unique(self.dims).tolist()
         self._spread = np.zeros((n_edges + 1, p_max, p_max))
         self._pull = np.zeros((n_edges + 1, p_max))
 
@@ -255,11 +257,13 @@ class EdgeStack:
         return {edge: jm[e, :d, :d] if vm is None else Message(J=jm[e, :d, :d], v=vm[e, :d])
                 for edge, e in order for d in [self.dims[e]]}
 
-    def per_edge(self, fn, *stacks, dtype=float):
-        """fn over the real d x d block of every row, one call per group of equal dims."""
-        out = np.zeros(len(self.edges), dtype=dtype)
-        for d, rows in self.dim_groups:
-            out[rows] = fn(*(s[rows, :d, :d] for s in stacks))
+    def per_edge(self, fn, *stacks, rows=slice(None), dtype=float):
+        """fn over the real d x d block of each row the stacks hold (all, or rows), one call per dim."""
+        dims = self.dims[rows]
+        out = np.zeros(len(dims), dtype=dtype)
+        for d in self.dim_values:
+            sel = np.flatnonzero(dims == d)
+            out[sel] = fn(*(s[sel, :d, :d] for s in stacks))
         return out
 
     def v2f_information(self, fj, rows):
@@ -279,11 +283,15 @@ class EdgeStack:
         """v_{i->n} for the rows' twins; fh is the whole store of J_{n->i} v_{n->i}."""
         return np.linalg.solve(jv, fh[self.others_of_var[rows]].sum(axis=1)[..., None])[..., 0]
 
-    def f2v_mean(self, vv, rows, gain, jmat):
-        """v_{n->i} for the rows, from their twins' v_{i->n} in vv and the rows' K and J."""
+    def f2v_potential(self, vv, rows, gain):
+        """K_{n->i} (y_n - sum_{j != i} A_j v_{j->n}) for the rows, from their twins' v_{i->n} in vv."""
         self._pull[rows] = (self.a[rows] @ vv[..., None])[..., 0]
         resid = self.y[rows] - self._pull[self.others_of_factor[rows]].sum(axis=1)
-        return np.linalg.solve(jmat, gain @ resid[..., None])[..., 0]
+        return (gain @ resid[..., None])[..., 0]
+
+    def f2v_mean(self, vv, rows, gain, jmat):
+        """v_{n->i} for the rows, from their twins' v_{i->n} in vv and the rows' K and J."""
+        return np.linalg.solve(jmat, self.f2v_potential(vv, rows, gain)[..., None])[..., 0]
 
 
 def make_init(model, graph, strategy="zero"):
@@ -299,43 +307,15 @@ def make_init(model, graph, strategy="zero"):
     return stack.views(*stack.init(strategy))
 
 
-def existence_check(model, graph, v2f, n, i):
-    """True when the factor-to-variable update for edge (n, i) is well defined.
-
-    The update integrates out the other scope variables; the integral
-    exists exactly when the stacked quadratic form
-
-        A^T R^-1 A + blockdiag(J of incoming messages)
-
-    over those variables is positive definite. With psd initialization
-    this always holds, but manually crafted message states can break it.
-    v2f maps each incoming edge to its Message or its information matrix.
-    """
-    f = model.factor(n)
-    others = [j for j in graph.neighbors_of_factor[n] if j != i]
-    if not others:
-        return True
-    a_blk = np.hstack([f.coeff[j] for j in others])
-    core = a_blk.T @ np.linalg.solve(f.noise_cov, a_blk)
-    pos = 0
-    for j in others:
-        d = graph.var_dims[j]
-        incoming = v2f[(j, n)]
-        core[pos:pos + d, pos:pos + d] += getattr(incoming, "J", incoming)
-        pos += d
-    return is_pd((core + core.T) / 2.0)
-
-
-def _sweep(model, stack, state, rows, strict, it):
+def _sweep(stack, state, rows, strict, it):
     """Refresh the v2f messages into a block of factors, then the block's f2v messages."""
     fj, fv, fh, vj, vv = state
     jv = stack.v2f_information(fj, rows)
     if strict:
-        edges = [stack.edges[e] for e in np.arange(len(stack.edges))[rows]]
-        incoming = {(j, n): jmat[:d, :d] for (n, j), d, jmat in zip(edges, stack.dims[rows], jv)}
-        for n, i in edges:
-            if not existence_check(model, stack.graph, incoming, n, i):
-                raise ExistenceViolation(f"update for edge ({n} -> {i}) undefined at iteration {it}")
+        bad = np.arange(len(stack.edges))[rows][~stack.per_edge(is_pd, jv, rows=rows, dtype=bool)]
+        if bad.size:
+            j, n = stack.graph.v2f_edges[np.isin(stack.v2f_rows, bad).argmax()]
+            raise ExistenceViolation(f"variable-to-factor message ({j} -> {n}) not pd at iteration {it}")
     gain, jn = stack.f2v_information(jv, rows)
     vv[rows] = stack.v2f_mean(fh, rows, jv)
     fv[rows] = stack.f2v_mean(vv[rows], rows, gain, jn)
@@ -401,6 +381,8 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
     opts = options or BpOptions()
     if opts.schedule not in ("sync", "seq", "random"):
         raise DomainError(f"unknown schedule {opts.schedule!r}")
+    if opts.seed < 0:
+        raise DomainError(f"seed must be non-negative, got {opts.seed}")
     stack = EdgeStack(model, graph)
     fj, fv = stack.init(init)
     fh = (fj @ fv[..., None])[..., 0]
@@ -424,15 +406,13 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
             rng.shuffle(order)
             blocks = stack.blocks(order)
         for rows in blocks:
-            _sweep(model, stack, (fj, fv, fh, vj, vv), rows, opts.strict, it)
+            _sweep(stack, (fj, fv, fh, vj, vv), rows, opts.strict, it)
 
         if opts.strict:
-            for kind, edges, jm, perm in (("variable-to-factor", graph.v2f_edges, vj, stack.v2f_rows),
-                                          ("factor-to-variable", graph.f2v_edges, fj, stack.all)):
-                bad = np.flatnonzero(~stack.per_edge(is_pd, jm, dtype=bool)[perm])
-                if bad.size:
-                    a, b = edges[bad[0]]
-                    raise ExistenceViolation(f"{kind} message ({a} -> {b}) not pd at iteration {it}")
+            bad = np.flatnonzero(~stack.per_edge(is_pd, fj, dtype=bool))
+            if bad.size:
+                n, i = graph.f2v_edges[bad[0]]
+                raise ExistenceViolation(f"factor-to-variable message ({n} -> {i}) not pd at iteration {it}")
 
         f_dj, f_dv = _deltas(fj[:-1], old[0], fv[:-1], old[1])
         v_dj, v_dv = (x[stack.v2f_rows] for x in _deltas(vj, old[2], vv, old[3]))
@@ -454,7 +434,7 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
                                    "v2f": stack.views(vj.copy(), vv.copy(), v2f=True)})
         log.debug("bp iter %d: max_dj=%.3e max_dv=%.3e", it, max_dj, max_dv)
 
-        peak = np.maximum(np.max(np.abs(fv)), np.max(np.abs(vv), initial=0.0))
+        peak = np.maximum(np.max(np.abs(fv), initial=0.0), np.max(np.abs(vv), initial=0.0))
         if not np.isfinite(peak) or peak > DIVERGENCE_GUARD:
             status = "diverged"
             break

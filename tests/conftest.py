@@ -146,3 +146,19 @@ def quartet_model(obs=(1.0, 1.0, 1.0)):
 @pytest.fixture
 def quartet():
     return quartet_model()
+
+
+def vague_prior_model():
+    """Two scalar agents; x1 has prior variance 1e12, x2 variance 1.
+
+    Factor 1 observes x1, factor 2 observes x1 + x2, with unit noise and
+    unit observations. From zero messages the first variable-to-factor
+    information matrix of x1 is its prior precision 1e-12, which the pd
+    tolerance does not accept.
+    """
+    one = np.eye(1)
+    return LinearGaussianModel(
+        variables=[VariableSpec(1, 1, np.array([[1e12]])), VariableSpec(2, 1, one)],
+        factors=[FactorSpec(1, (1,), {1: one}, one, np.ones(1)),
+                 FactorSpec(2, (1, 2), {1: one, 2: one}, one, np.ones(1))],
+    )

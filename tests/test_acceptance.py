@@ -147,11 +147,11 @@ def test_criterion_08_rho_iff_mean_convergence():
         if abs(qsys.rho - 1.0) < 1e-3:
             continue
         kept += 1
-        phase = two_phase_mean_recursion(qsys, max_iters=100_000)
+        phase = two_phase_mean_recursion(fp, max_iters=100_000)
         if qsys.rho < 1.0:
             n_conv += 1
             assert phase.status == "converged", (label, qsys.rho, phase.status)
-            means = beliefs_from_v2f_means(model, graph, fp, qsys, phase.v)
+            means = beliefs_from_v2f_means(model, graph, fp, phase.v)
             oracle = centralized_solve(model)
             for vid in oracle.means:
                 np.testing.assert_allclose(means[vid], oracle.means[vid],

@@ -3,10 +3,10 @@ import pytest
 
 from conftest import GOLDEN_EDGE_PRECISION, charpoly_radius, quartet_model, rand_spd
 from corpus import SHOWCASE_DIVERGENT, frustrated_model
-from gabp.analysis import (assemble_q, beliefs_from_v2f_means, certify,
-                           compute_bounds, decide_mean_convergence,
-                           fit_contraction_rate, information_fixed_point,
-                           two_phase_mean_recursion)
+from gabp.analysis import (MEAN_RECURSION_TOL, assemble_q,
+                           beliefs_from_v2f_means, certify, compute_bounds,
+                           decide_mean_convergence, fit_contraction_rate,
+                           information_fixed_point, two_phase_mean_recursion)
 from gabp.bp import BpOptions, Message, run_bp
 from gabp.errors import DomainError, IterationBudgetError
 from gabp.graph import build_factor_graph
@@ -100,8 +100,9 @@ def test_lower_init_saves_exactly_one_iteration(quartet):
 
 
 def test_fixed_point_budget_error(quartet):
-    with pytest.raises(IterationBudgetError):
-        information_fixed_point(quartet, max_iters=2)
+    for max_iters in (2, 0):
+        with pytest.raises(IterationBudgetError):
+            information_fixed_point(quartet, max_iters=max_iters)
 
 
 def test_q_block_sparsity_pattern(quartet):
@@ -181,18 +182,28 @@ def test_spectral_radius_route_agreement(quartet):
 
 
 def test_two_phase_converges_to_linear_solve(quartet):
-    g = build_factor_graph(quartet)
-    fp = information_fixed_point(quartet, g)
-    qs = assemble_q(quartet, g, fp)
-    mr = two_phase_mean_recursion(qs)
-    assert mr.status == "converged"
-    direct = np.linalg.solve(np.eye(qs.q.shape[0]) + qs.q, qs.b)
-    np.testing.assert_allclose(mr.v, direct, atol=1e-8)
+    multi_loop = random_model(seed=1, n_agents=8, dims=(1, 3), topology="multi_loop")
+    for model in (quartet, multi_loop):
+        g = build_factor_graph(model)
+        fp = information_fixed_point(model, g)
+        qs = assemble_q(model, g, fp)
+        mr = two_phase_mean_recursion(fp)
+        assert mr.status == "converged"
+        direct = np.linalg.solve(np.eye(qs.q.shape[0]) + qs.q, qs.b)
+        np.testing.assert_allclose(mr.v, direct, atol=1e-8)
 
-    beliefs = beliefs_from_v2f_means(quartet, g, fp, qs, mr.v)
-    sol = centralized_solve(quartet)
-    for v in sol.means:
-        np.testing.assert_allclose(beliefs[v], sol.means[v], atol=1e-8)
+        # the engine's mean half takes exactly the steps of the dense loop
+        x = np.zeros_like(qs.b)
+        for dense_iterations in range(1, 20_001):
+            x, prev = qs.b - qs.q @ x, x
+            if np.max(np.abs(x - prev)) < MEAN_RECURSION_TOL:
+                break
+        assert mr.iterations == dense_iterations
+
+        beliefs = beliefs_from_v2f_means(model, g, fp, mr.v)
+        sol = centralized_solve(model)
+        for v in sol.means:
+            np.testing.assert_allclose(beliefs[v], sol.means[v], atol=1e-8)
 
 
 def test_two_phase_diverges_above_radius_one():
@@ -202,7 +213,7 @@ def test_two_phase_diverges_above_radius_one():
     fp = information_fixed_point(m, g)
     qs = assemble_q(m, g, fp)
     assert qs.rho > 1.02
-    mr = two_phase_mean_recursion(qs)
+    mr = two_phase_mean_recursion(fp)
     assert mr.status == "diverged"
 
 

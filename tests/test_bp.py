@@ -1,12 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import quartet_model, rand_spd
+from conftest import quartet_model, rand_spd, vague_prior_model
 from corpus import SHOWCASE_DIVERGENT, frustrated_model
-from gabp.bp import (Belief, BpOptions, Message, compute_beliefs,
-                     existence_check, make_init, run_bp)
+from gabp.bp import (Belief, BpOptions, Message, compute_beliefs, make_init,
+                     run_bp)
 from gabp.errors import DomainError, ExistenceViolation
 from gabp.graph import build_factor_graph
 from gabp.model import (FactorSpec, LinearGaussianModel, VariableSpec,
@@ -205,8 +206,9 @@ def test_strict_mode_passes_on_healthy_models(quartet):
 
 def test_strict_mode_on_an_ill_conditioned_noise_model():
     # Noise covariances with condition number 1e7 leave A^T R^-1 A
-    # asymmetric by more than symmetrize accepts; the existence check must
-    # still decide, so strict mode ends like the plain run.
+    # asymmetric by more than symmetrize accepts; strict mode decides on
+    # the kernel's symmetric information matrices, so it ends like the
+    # plain run.
     m = random_model(seed=6, n_agents=6, topology="multi_loop", dims=(2, 3))
     rng = np.random.default_rng(6)
     for f in m.factors:
@@ -217,23 +219,19 @@ def test_strict_mode_on_an_ill_conditioned_noise_model():
     assert run_bp(m, options=BpOptions(strict=True, max_iters=3)).status == "max_iters"
 
 
-def test_existence_check_flags_indefinite_incoming(quartet):
-    g = build_factor_graph(quartet)
-    # honest first-iteration state: v2f carries the prior precisions
-    v2f = {(j, n): Message(J=np.linalg.inv(quartet.variable(j).prior_cov),
-                           v=np.zeros(quartet.variable(j).dim))
-           for (j, n) in g.v2f_edges}
-    assert existence_check(quartet, g, v2f, 1, 1)
-    # sabotage: a large negative precision on an incoming edge
-    v2f[(3, 1)] = Message(J=np.array([[-50.0]]), v=np.zeros(1))
-    assert not existence_check(quartet, g, v2f, 1, 1)
-    # edges whose factor has no other neighbors are trivially fine
-    single = LinearGaussianModel(
-        variables=[VariableSpec(1, 1, np.eye(1))],
-        factors=[FactorSpec(1, (1,), {1: np.eye(1)}, np.eye(1), np.zeros(1))],
-    )
-    gs = build_factor_graph(single)
-    assert existence_check(single, gs, {}, 1, 1)
+def test_strict_mode_stops_on_a_non_pd_incoming_message():
+    m = vague_prior_model()
+    plain = run_bp(m)
+    assert (plain.status, plain.iterations) == ("converged", 3)
+    with pytest.raises(ExistenceViolation, match=re.escape(
+            "variable-to-factor message (1 -> 1) not pd at iteration 1")):
+        run_bp(m, options=BpOptions(strict=True))
+
+
+def test_run_rejects_a_negative_seed(quartet):
+    for schedule in ("sync", "random"):
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            run_bp(quartet, options=BpOptions(schedule=schedule, seed=-1))
 
 
 def test_trajectory_schema(quartet):

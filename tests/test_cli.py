@@ -4,12 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from conftest import QUARTET_J, quartet_model
+from conftest import QUARTET_J, quartet_model, vague_prior_model
 from corpus import SHOWCASE_DIVERGENT, frustrated_model, grid_field
 from gabp.cli import main
 from gabp.errors import ExistenceViolation
 from gabp.io import matrix_to_json, save_model, save_mrf
-from gabp.model import validate_model
+from gabp.model import LinearGaussianModel, VariableSpec, validate_model
 
 
 @pytest.fixture
@@ -142,6 +142,36 @@ def test_run_custom_init(quartet_file, tmp_path, capsys):
 
 def test_run_strict_flag(quartet_file):
     assert main(["run", quartet_file, "--strict"]) == 0
+
+
+def test_run_strict_exits_5_on_a_non_pd_incoming_message(tmp_path, capsys):
+    path = str(tmp_path / "vague.json")
+    save_model(vague_prior_model(), path)
+    assert main(["run", path]) == 0
+    assert main(["run", path, "--strict"]) == 5
+    assert "variable-to-factor message (1 -> 1) not pd at iteration 1" in capsys.readouterr().err
+
+
+def test_run_rejects_a_negative_seed(quartet_file, capsys):
+    for schedule in ("sync", "random"):
+        assert main(["run", quartet_file, "--schedule", schedule, "--seed", "-1"]) == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
+
+
+def test_model_without_factors_runs_and_certifies(tmp_path):
+    path, solved, ran, report = (str(tmp_path / f) for f in
+                                 ("model.json", "solved.csv", "ran.csv", "report.json"))
+    save_model(LinearGaussianModel(
+        variables=[VariableSpec(1, 2, np.array([[2.0, 0.5], [0.5, 1.0]])),
+                   VariableSpec(2, 1, np.array([[3.0]]))],
+        factors=[]), path)
+    assert main(["solve", path, "--out", solved]) == 0
+    assert main(["run", path, "--out", ran]) == 0
+    assert main(["analyze", "--certify", path, "--out", report]) == 0
+    np.testing.assert_array_equal(np.loadtxt(ran, delimiter=",", skiprows=1),
+                                  np.loadtxt(solved, delimiter=",", skiprows=1))
+    with open(report) as fh:
+        assert json.load(fh)["max_mean_error"] == 0.0
 
 
 def test_existence_violation_maps_to_exit_5(quartet_file, monkeypatch, capsys):
