@@ -14,6 +14,7 @@ from gabp.model import (
     validate_model,
     stack_global,
     centralized_solve,
+    joint_system,
     eliminate_noiseless_factor,
     random_model,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "validate_model",
     "stack_global",
     "centralized_solve",
+    "joint_system",
     "eliminate_noiseless_factor",
     "random_model",
     "FactorGraph",

@@ -10,8 +10,10 @@ Three separate questions are answered here:
 2. Do the mean vectors follow? With the information matrices frozen at
    the fixed point, the engine's mean half is a stacked affine iteration
    v <- -Q v + b on the variable-to-factor means; it converges for every
-   starting point exactly when the spectral radius of Q is below one, and
-   on trees Q is nilpotent.
+   starting point exactly when the spectral radius of Q is below one. On
+   trees Q is nilpotent: the messages outside the loops only add zero
+   eigenvalues, spectral_radius peels them from Q's zero pattern, and
+   rho on a forest is exactly 0.
 3. How fast? The information recursion contracts the part metric to the
    fixed point; an empirical geometric rate is fitted from a recorded
    trajectory.
@@ -35,7 +37,7 @@ import numpy as np
 from gabp.bp import DIVERGENCE_GUARD, EdgeStack, compute_beliefs, run_bp
 from gabp.errors import DomainError, IterationBudgetError
 from gabp.graph import build_factor_graph, classify_topology
-from gabp.model import centralized_solve, require_valid
+from gabp.model import joint_system, require_valid
 from gabp.numerics import psd_compare, spectral_radius
 
 log = logging.getLogger("gabp")
@@ -128,17 +130,18 @@ def information_fixed_point(model, graph=None, init="zero", tol=FIXED_POINT_TOL,
 
 @dataclass
 class QSystem:
-    """Stacked affine system v <- -Q v + b for the frozen-J* mean recursion.
+    """Q of the stacked affine system v <- -Q v + b of the frozen-J* mean recursion.
 
-    Rows and columns run over variable-to-factor edges in canonical
-    order; offsets maps an edge to its (start, dim) slice. The block in
-    row (j, n), column (z, k) is nonzero exactly when factor k is another
-    neighbor of j and z another neighbor of factor k (the two-hop
-    dependency of the message equations).
+    b is not kept: the recursion itself (two_phase_mean_recursion) runs
+    on the engine's mean half. Rows and columns run over
+    variable-to-factor edges in canonical order; offsets maps an edge to
+    its (start, dim) slice. The block in row (j, n), column (z, k) is
+    nonzero exactly when factor k is another neighbor of j and z another
+    neighbor of factor k (the two-hop dependency of the message
+    equations).
     """
 
     q: np.ndarray
-    b: np.ndarray
     offsets: dict
     edges: list
     rho: float
@@ -153,7 +156,7 @@ def _v2f_coords(stack):
 
 
 def assemble_q(model, graph, fixed_point):
-    """Q blocks J_{j->n}^-1 K_{k->j} A_{k,z} and b from K_{k->j} y_k, read from the kernel's stacks.
+    """Q blocks J_{j->n}^-1 K_{k->j} A_{k,z}, read from the kernel's stacks, and rho(Q).
 
     Stack row e holds Q's block row for its twin v2f edge (j, n). One pass
     of the loop fills, for all rows at once, the block of one other factor
@@ -168,10 +171,7 @@ def assemble_q(model, graph, fixed_point):
             block = np.linalg.solve(jv, gain[kj] @ st.a[kz])
             q[np.broadcast_to(coords[:, :, None], keep.shape)[keep],
               np.broadcast_to(coords[kz][:, None, :], keep.shape)[keep]] = block[keep]
-    ky = np.concatenate([(gain @ st.y[..., None])[..., 0], np.zeros((1, coords.shape[1]))])
-    b = np.zeros(graph.total_v2f_dim)
-    b[coords[real]] = np.linalg.solve(jv, ky[st.others_of_var].sum(axis=1)[..., None])[..., 0][real]
-    return QSystem(q=q, b=b, offsets=dict(graph.v2f_offsets), edges=list(graph.v2f_edges),
+    return QSystem(q=q, offsets=dict(graph.v2f_offsets), edges=list(graph.v2f_edges),
                    rho=spectral_radius(q))
 
 
@@ -320,8 +320,8 @@ def certify(model, cross_check=True):
     Computes the topology class, the information fixed point with its
     bounds, the mean-recursion spectral radius and verdict, and (unless
     cross_check is False) an actual engine run compared against the
-    centralized solution, plus a fitted contraction rate when the
-    trajectory supports one.
+    centralized means, one linear solve of the joint system, plus a fitted
+    contraction rate when the trajectory supports one.
     """
     require_valid(model)
     graph = build_factor_graph(model)
@@ -353,11 +353,11 @@ def certify(model, cross_check=True):
         report.bp_status = result.status
         report.bp_iterations = result.iterations
         if result.status == "converged":
-            exact = centralized_solve(model)
+            precision, information, offsets = joint_system(model)
+            exact = np.linalg.solve(precision, information)
             report.max_mean_error = max(
-                float(np.max(np.abs(result.beliefs[v.id].mean - exact.means[v.id])))
-                if v.dim else 0.0
-                for v in model.variables
+                float(np.max(np.abs(result.beliefs[v.id].mean - exact[s:s + d]))) if d else 0.0
+                for v in model.variables for s, d in [offsets[v.id]]
             )
         metrics = [rec["part_metric"] for rec in result.trajectory.per_iteration]
         try:

@@ -63,7 +63,7 @@ import numpy as np
 
 from gabp.errors import DomainError, ExistenceViolation
 from gabp.graph import build_factor_graph
-from gabp.numerics import is_pd, is_psd, part_metric
+from gabp.numerics import is_pd, is_psd, part_metric_to
 
 log = logging.getLogger("gabp")
 
@@ -390,8 +390,14 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
     f2v_ends, v2f_ends = (list(zip(*edges)) for edges in (graph.f2v_edges, graph.v2f_edges))
     traj = BpTrajectory()
     if reference is not None:
+        # the reference is constant: factor it once per dim group
         ref, _ = stack.stacked(reference)
-        traj.initial_part_metric = float(np.max(stack.per_edge(part_metric, fj, ref), initial=0.0))
+        to_ref = {d: part_metric_to(ref[:-1][stack.dims == d, :d, :d]) for d in stack.dim_values}
+
+        def ref_metric(x):
+            return stack.per_edge(lambda xd: to_ref[xd.shape[-1]](xd), x)
+
+        traj.initial_part_metric = float(np.max(ref_metric(fj), initial=0.0))
 
     rng = np.random.default_rng(opts.seed)
     blocks = [stack.all] if opts.schedule == "sync" else stack.blocks(graph.factor_ids)
@@ -422,7 +428,7 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
         else:
             max_dj = float(max(np.max(v_dj, initial=0.0), np.max(f_dj, initial=0.0)))
             max_dv = float(max(np.max(v_dv, initial=0.0), np.max(f_dv, initial=0.0)))
-        pm = stack.per_edge(part_metric, fj, ref) if reference is not None else None
+        pm = ref_metric(fj) if reference is not None else None
         traj.rows.extend(zip(repeat(it), repeat("v2f"), *v2f_ends, v_dj.tolist(), v_dv.tolist(),
                              repeat(None)))
         traj.rows.extend(zip(repeat(it), repeat("f2v"), *f2v_ends, f_dj.tolist(), f_dv.tolist(),

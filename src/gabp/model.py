@@ -245,14 +245,12 @@ class CentralizedSolution:
     covs: dict
 
 
-def centralized_solve(model):
-    """Joint MMSE estimate x_hat = (W^-1 + A^T R^-1 A)^-1 A^T R^-1 y.
+def joint_system(model):
+    """Joint precision W^-1 + sum_n A_n^T R_n^-1 A_n, information sum_n A_n^T R_n^-1 y_n, offsets.
 
-    This is the exact answer message passing is expected to reproduce.
-    The precision W^-1 + sum_n A_n^T R_n^-1 A_n and the information
-    sum_n A_n^T R_n^-1 y_n are assembled factor by factor, each from one
-    small solve against that factor's own noise covariance; the joint
-    covariance is then one dense inverse of the precision.
+    Both are assembled factor by factor, each from one small solve
+    against that factor's own noise covariance; offsets is
+    variable_offsets(model), the layout of their rows and columns.
     """
     voff = variable_offsets(model)
     n = model.total_dim
@@ -268,6 +266,17 @@ def centralized_solve(model):
         rinv_a = np.linalg.solve(f.noise_cov, a)
         precision[np.ix_(cols, cols)] += a.T @ rinv_a
         information[cols] += rinv_a.T @ f.obs
+    return precision, information, voff
+
+
+def centralized_solve(model):
+    """Joint MMSE estimate x_hat = (W^-1 + A^T R^-1 A)^-1 A^T R^-1 y.
+
+    This is the exact answer message passing is expected to reproduce.
+    The joint system comes from joint_system; the joint covariance is
+    then one dense inverse of the precision.
+    """
+    precision, information, voff = joint_system(model)
     cov = np.linalg.inv(precision)
     mean = cov @ information
     means = {}

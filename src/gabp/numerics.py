@@ -11,8 +11,9 @@ fixed; no function takes a per-call tolerance override:
 * symmetrize, is_psd, is_pd and part_metric take one matrix or an
   (E, d, d) stack; on a stack they decide each matrix on its own,
 * full column rank means smallest singular value > 1e-10 * largest,
-* the spectral radius is always taken from dense eigenvalues
-  (numpy eigvals), at O(D^2) memory for a D x D matrix.
+* the spectral radius is exact: coordinates that the sparsity pattern
+  splits off as 1 x 1 diagonal blocks are peeled in O(nnz), and dense
+  numpy eigvals runs only on the core that remains.
 """
 
 import numpy as np
@@ -76,6 +77,18 @@ def has_full_column_rank(a):
     return bool(sv[-1] > RANK_TOL * sv[0])
 
 
+def _part_distance(chol, x, y):
+    """Part metric between pd stacks x = chol chol^T and y, pair by pair."""
+    half = np.linalg.solve(chol, y - x)
+    mu = np.linalg.eigvalsh(np.linalg.solve(chol, np.swapaxes(half, -1, -2)))
+    lo, hi = mu[..., 0], mu[..., -1]
+    # lo <= -1 is possible only for near-singular inputs that slipped
+    # through the pd check; it is a domain error, not a distance.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        d = np.maximum(np.maximum(np.log1p(hi), -np.log1p(lo)), 0.0)
+    return np.where(lo > -1.0, d, np.inf)
+
+
 def part_metric(x, y):
     """Distance between two positive definite matrices, or per pair of two stacks.
 
@@ -100,15 +113,7 @@ def part_metric(x, y):
     ok = np.asarray(is_pd(x) & is_pd(y))
     dist = np.full(x.shape[:-2], np.inf)
     if np.any(ok):
-        chol = np.linalg.cholesky(x[ok])
-        half = np.linalg.solve(chol, y[ok] - x[ok])
-        mu = np.linalg.eigvalsh(np.linalg.solve(chol, np.swapaxes(half, -1, -2)))
-        lo, hi = mu[..., 0], mu[..., -1]
-        # lo <= -1 is possible only for near-singular inputs that slipped
-        # through the pd check; it is a domain error, not a distance.
-        with np.errstate(invalid="ignore", divide="ignore"):
-            d = np.maximum(np.maximum(np.log1p(hi), -np.log1p(lo)), 0.0)
-        dist[ok] = np.where(lo > -1.0, d, np.inf)
+        dist[ok] = _part_distance(np.linalg.cholesky(x[ok]), x[ok], y[ok])
     if x.ndim > 2:
         return dist
     if not ok:
@@ -118,15 +123,60 @@ def part_metric(x, y):
     return float(dist)
 
 
+def part_metric_to(ref):
+    """part_metric(x, ref) for (E, d, d) stacks x, as a function of x, with ref factored once.
+
+    ref is symmetrized, pd-checked and Cholesky-factored here; each call
+    then checks only x. The distance is symmetric in its arguments, so
+    the reduction by ref's factor gives part_metric's value. A pair that
+    fails the pd check gets inf.
+    """
+    ref = symmetrize(ref)
+    ref_ok = np.asarray(is_pd(ref))
+    chol = np.linalg.cholesky(np.where(ref_ok[:, None, None], ref, np.eye(ref.shape[-1])))
+
+    def metric(x):
+        x = symmetrize(x)
+        ok = ref_ok & is_pd(x)
+        dist = np.full(len(x), np.inf)
+        if np.any(ok):
+            dist[ok] = _part_distance(chol[ok], ref[ok], x[ok])
+        return dist
+
+    return metric
+
+
 def spectral_radius(q):
     """Largest eigenvalue magnitude of a square (not necessarily symmetric) matrix.
 
-    Always dense numpy eigvals, at every size: O(D^2) memory and O(D^3)
-    time for dimension D.
+    A coordinate whose row or whose column has no off-diagonal nonzero
+    among the coordinates still left is a 1 x 1 diagonal block of a
+    block-triangular permutation of q, with eigenvalue q_ii. Such
+    coordinates are peeled, pass by pass, from the exact zero pattern (no
+    tolerance); each pass costs O(nnz). Dense numpy eigvals then runs on
+    the core that remains, so the result is exact, and 0.0 for a
+    permuted strictly triangular q (a nilpotent pattern, as Q on a
+    forest). Like eigvals, raises LinAlgError on a NaN or inf anywhere.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {q.shape}")
-    if q.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(q))))
+    n = q.shape[0]
+    rows, cols = np.nonzero(q)
+    if not np.isfinite(q[rows, cols]).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    left = np.ones(n, dtype=bool)
+    while True:
+        peel = left & ((np.bincount(rows, minlength=n) == 0) | (np.bincount(cols, minlength=n) == 0))
+        if not peel.any():
+            break
+        left &= ~peel
+        keep = left[rows] & left[cols]
+        rows, cols = rows[keep], cols[keep]
+    rho = float(np.max(np.abs(np.diag(q)[~left]), initial=0.0))
+    core = np.flatnonzero(left)
+    if core.size:
+        rho = max(rho, float(np.max(np.abs(np.linalg.eigvals(q[np.ix_(core, core)])))))
+    return rho

@@ -2,16 +2,39 @@ import numpy as np
 import pytest
 
 from conftest import GOLDEN_EDGE_PRECISION, charpoly_radius, quartet_model, rand_spd
-from corpus import SHOWCASE_DIVERGENT, frustrated_model
+from corpus import (SHOWCASE_DIVERGENT, forest_corpus, frustrated_model,
+                    loopy_corpus, mixed_corpus)
 from gabp.analysis import (MEAN_RECURSION_TOL, assemble_q,
                            beliefs_from_v2f_means, certify, compute_bounds,
                            decide_mean_convergence, fit_contraction_rate,
                            information_fixed_point, two_phase_mean_recursion)
 from gabp.bp import BpOptions, Message, run_bp
 from gabp.errors import DomainError, IterationBudgetError
-from gabp.graph import build_factor_graph
+from gabp.graph import build_factor_graph, classify_topology
 from gabp.model import centralized_solve, random_model
 from gabp.numerics import part_metric, psd_compare
+
+
+def affine_offset(model, g, fp, offsets):
+    """b of the mean recursion v <- -Q v + b, edge by edge from the message equations.
+
+    b is the v2f means one mean step makes from zero v2f means: each
+    factor k sends K_{k->j} y_k, K = A_j^T M^-1 with M = R_k + sum over
+    the other variables z of A_z J_{z->k}^-1 A_z^T, and the v2f mean is
+    J_{j->n}^-1 times the sum of what the factors k != n send.
+    """
+    b = np.zeros(g.total_v2f_dim)
+    for (j, n), (start, dim) in offsets.items():
+        sent = np.zeros(dim)
+        for k in g.neighbors_of_var[j]:
+            if k == n:
+                continue
+            f = model.factor(k)
+            core = f.noise_cov + sum(f.coeff[z] @ np.linalg.solve(fp.v2f[(z, k)], f.coeff[z].T)
+                                     for z in f.scope if z != j)
+            sent += f.coeff[j].T @ np.linalg.solve(core, f.obs)
+        b[start:start + dim] = np.linalg.solve(fp.v2f[(j, n)], sent)
+    return b
 
 
 def test_upper_bound_is_sensor_information(quartet):
@@ -158,7 +181,7 @@ def test_engine_one_step_equals_affine_map(quartet):
     for e, (start, dim) in qs.offsets.items():
         got[start:start + dim] = res.messages["v2f"][e].v
 
-    expected = -qs.q @ x + qs.b
+    expected = -qs.q @ x + affine_offset(quartet, g, fp, qs.offsets)
     np.testing.assert_allclose(got, expected, atol=1e-9)
 
 
@@ -187,15 +210,16 @@ def test_two_phase_converges_to_linear_solve(quartet):
         g = build_factor_graph(model)
         fp = information_fixed_point(model, g)
         qs = assemble_q(model, g, fp)
+        b = affine_offset(model, g, fp, qs.offsets)
         mr = two_phase_mean_recursion(fp)
         assert mr.status == "converged"
-        direct = np.linalg.solve(np.eye(qs.q.shape[0]) + qs.q, qs.b)
+        direct = np.linalg.solve(np.eye(qs.q.shape[0]) + qs.q, b)
         np.testing.assert_allclose(mr.v, direct, atol=1e-8)
 
         # the engine's mean half takes exactly the steps of the dense loop
-        x = np.zeros_like(qs.b)
+        x = np.zeros_like(b)
         for dense_iterations in range(1, 20_001):
-            x, prev = qs.b - qs.q @ x, x
+            x, prev = b - qs.q @ x, x
             if np.max(np.abs(x - prev)) < MEAN_RECURSION_TOL:
                 break
         assert mr.iterations == dense_iterations
@@ -303,3 +327,53 @@ def test_certify_on_divergent_model():
     assert rep.verdict == "diverges_rho_ge_1"
     assert rep.mean_recursion_status == "diverged"
     assert rep.bp_status == "diverged"
+
+
+def dense_radius(q):
+    return float(np.max(np.abs(np.linalg.eigvals(q)))) if q.size else 0.0
+
+
+def test_rho_and_verdict_match_dense_eigvals_of_the_whole_q_on_every_corpus_model():
+    models = list(mixed_corpus()) + [(f"forest-{k}", m) for k, m in enumerate(forest_corpus())]
+    models += [(f"loopy-{k}", m) for k, m in enumerate(loopy_corpus())]
+    for label, model in models:
+        g = build_factor_graph(model)
+        qs = assemble_q(model, g, information_fixed_point(model, g))
+        dense = dense_radius(qs.q)
+        assert qs.rho == pytest.approx(dense, abs=1e-10), label
+        topo = classify_topology(g)
+        assert decide_mean_convergence(qs.rho, topo) == decide_mean_convergence(dense, topo), label
+        if label.startswith("forest"):
+            assert qs.rho == 0.0, label
+
+
+def test_certify_mean_error_matches_the_centralized_means(quartet, monkeypatch):
+    import gabp.analysis as analysis
+
+    runs, real = [], analysis.run_bp
+    monkeypatch.setattr(analysis, "run_bp", lambda *a, **k: runs.append(real(*a, **k)) or runs[-1])
+    models = [quartet, random_model(seed=1, n_agents=30, dims=(1, 3), topology="multi_loop"),
+              random_model(seed=2, n_agents=12, dims=(1, 3), topology="forest")]
+    for model in models:
+        rep = certify(model)
+        assert rep.bp_status == "converged"
+        exact = centralized_solve(model).means
+        expected = max(float(np.max(np.abs(runs[-1].beliefs[v].mean - exact[v]))) for v in exact)
+        assert rep.max_mean_error == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+
+def test_certify_runs_eigvals_once_on_the_core_and_never_on_a_forest(monkeypatch):
+    shapes, real = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or real(a))
+    # a multi-loop model whose loops carry hanging trees
+    model = random_model(seed=1, n_agents=40, dims=(1, 3), topology="multi_loop")
+    g = build_factor_graph(model)
+    rep = certify(model)
+    assert rep.topology == "multi_loop" and rep.rho_q > 0.0
+    assert len(shapes) == 1
+    assert shapes[0][0] < g.total_v2f_dim
+
+    shapes.clear()
+    rep = certify(random_model(seed=3, n_agents=20, dims=(1, 3), topology="forest"))
+    assert rep.topology == "forest" and rep.rho_q == 0.0
+    assert shapes == []

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from conftest import quartet_model, rand_spd, vague_prior_model
-from corpus import SHOWCASE_DIVERGENT, frustrated_model
+from corpus import (SHOWCASE_DIVERGENT, forest_corpus, frustrated_model,
+                    loopy_corpus, mixed_corpus)
 from gabp.bp import (Belief, BpOptions, Message, compute_beliefs, make_init,
                      run_bp)
 from gabp.errors import DomainError, ExistenceViolation
 from gabp.graph import build_factor_graph
 from gabp.model import (FactorSpec, LinearGaussianModel, VariableSpec,
                         centralized_solve, random_model)
+from gabp.numerics import part_metric
 
 
 def tree_model():
@@ -260,6 +262,41 @@ def test_trajectory_schema(quartet):
     # part metric against the fixed point shrinks over the run
     pms = [rec["part_metric"] for rec in res.trajectory.per_iteration]
     assert pms[-1] < pms[0]
+
+
+def test_trajectory_part_metrics_match_part_metric_on_every_corpus_model():
+    # run_bp factors the reference once; numerics.part_metric re-checks both sides
+    from gabp.analysis import information_fixed_point
+    models = [m for _, m in mixed_corpus()] + list(forest_corpus()) + list(loopy_corpus())
+    for k, model in enumerate(models):
+        g = build_factor_graph(model)
+        ref = information_fixed_point(model, g).f2v
+        res = run_bp(model, g, init="lower", reference=ref,
+                     options=BpOptions(max_iters=8, record_messages=True))
+        lower = make_init(model, g, "lower")
+        assert res.trajectory.initial_part_metric == pytest.approx(
+            max(part_metric(lower[e].J, ref[e]) for e in g.f2v_edges), rel=1e-9), k
+        got = {(it, n, i): pm for it, kind, n, i, _, _, pm in res.trajectory.rows if kind == "f2v"}
+        for it, snap in enumerate(res.trajectory.snapshots, start=1):
+            for d in {j.shape[0] for j in ref.values()}:
+                edges = [e for e in g.f2v_edges if ref[e].shape[0] == d]
+                want = part_metric(np.stack([snap["f2v"][e].J for e in edges]),
+                                   np.stack([ref[e] for e in edges]))
+                np.testing.assert_allclose([got[(it,) + e] for e in edges], want,
+                                           rtol=1e-9, atol=0.0, err_msg=f"model {k} iter {it}")
+
+
+def test_trajectory_part_metric_is_inf_for_a_reference_that_is_not_pd(quartet):
+    g = build_factor_graph(quartet)
+    from gabp.analysis import information_fixed_point
+    ref = dict(information_fixed_point(quartet, g).f2v)
+    bad = g.f2v_edges[0]
+    ref[bad] = np.zeros_like(ref[bad])
+    res = run_bp(quartet, g, init="lower", reference=ref, options=BpOptions(max_iters=3))
+    assert res.trajectory.initial_part_metric == math.inf
+    for it, kind, n, i, _, _, pm in res.trajectory.rows:
+        if kind == "f2v":
+            assert (pm == math.inf) == ((n, i) == bad)
 
 
 def test_compute_beliefs_from_final_messages(quartet):

@@ -142,3 +142,65 @@ def test_spectral_radius_large_rotation_and_near_tie():
     q = scipy.linalg.block_diag(*blocks)
     assert q.shape[0] > 2000
     assert spectral_radius(q) == pytest.approx(0.5, rel=1e-10)
+
+
+def dense_radius(q):
+    return float(np.max(np.abs(np.linalg.eigvals(q)))) if q.size else 0.0
+
+
+def hidden_permutation(q, seed):
+    perm = np.random.default_rng(seed).permutation(q.shape[0])
+    return q[np.ix_(perm, perm)]
+
+
+def test_spectral_radius_peels_a_block_triangular_matrix_to_its_complex_core(monkeypatch):
+    # Upper block triangular: a 3-dim head of chained 1 x 1 blocks, a
+    # 2-dim core rotation 0.9 exp(+-0.7i) with full coupling to the rest,
+    # and a 4-dim tail; only the rotation is left for eigvals.
+    rng = np.random.default_rng(1)
+    n = 9
+    q = np.triu(rng.uniform(-1.0, 1.0, (n, n)))
+    np.fill_diagonal(q, rng.uniform(-0.5, 0.5, n))
+    c, s = np.cos(0.7), np.sin(0.7)
+    q[3:5, 3:5] = 0.9 * np.array([[c, -s], [s, c]])
+    q = hidden_permutation(q, 2)
+    expected = dense_radius(q)
+    shapes, real = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or real(a))
+    assert spectral_radius(q) == pytest.approx(expected, abs=1e-10)
+    assert spectral_radius(q) == pytest.approx(0.9, abs=1e-10)
+    assert shapes == [(2, 2)] * 2
+
+
+def test_spectral_radius_finds_the_dominant_eigenvalue_in_a_peeled_entry():
+    rng = np.random.default_rng(3)
+    n = 12
+    q = np.triu(rng.uniform(-0.3, 0.3, (n, n)), 1)
+    q[5:8, 5:8] = rng.uniform(-0.2, 0.2, (3, 3))
+    q[10, 10] = -1.7
+    q = hidden_permutation(q, 4)
+    assert spectral_radius(q) == pytest.approx(dense_radius(q), abs=1e-10)
+    assert spectral_radius(q) == 1.7
+
+
+def test_spectral_radius_of_a_permuted_strictly_triangular_matrix_is_exactly_zero():
+    q = hidden_permutation(np.triu(np.random.default_rng(5).standard_normal((40, 40)), 1), 6)
+    assert dense_radius(q) < 1e-10
+    assert spectral_radius(q) == 0.0
+
+
+def test_spectral_radius_of_a_zero_matrix():
+    assert spectral_radius(np.zeros((7, 7))) == 0.0 == dense_radius(np.zeros((7, 7)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
+def test_spectral_radius_raises_on_a_non_finite_peeled_entry(bad, where):
+    q = np.triu(np.random.default_rng(7).standard_normal((6, 6)), 1)
+    q[np.ix_([2, 3], [2, 3])] = [[0.1, 0.5], [-0.5, 0.1]]
+    row, col = (0, 0) if where == "diagonal" else (0, 5)
+    q[row, col] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigvals(q)
+    with pytest.raises(np.linalg.LinAlgError):
+        spectral_radius(q)
