@@ -24,8 +24,9 @@ over the whole stack, and FixedPoint keeps the stacks at J*: J of both
 edge kinds and the gains K. assemble_q builds Q's blocks from them with
 one stacked solve per pair of gather slots, for rho(Q) only. The mean
 recursion is the engine's mean half at J*, and beliefs_from_v2f_means
-runs its f2v step before compute_beliefs. compute_bounds is a dict view
-of the stack's two envelopes.
+runs its f2v step before compute_beliefs. certify reads the edge bounds
+off fp.stack and gives run_bp the FixedPoint as its reference;
+compute_bounds is a dict view of the stack's two envelopes.
 """
 
 import logging
@@ -86,10 +87,10 @@ class FixedPoint:
     v2f: dict
     gain: np.ndarray
     iterations: int
+    stack: EdgeStack
+    f2v_j: np.ndarray
+    v2f_j: np.ndarray
     history: list = None
-    stack: EdgeStack = None
-    f2v_j: np.ndarray = None
-    v2f_j: np.ndarray = None
 
 
 def information_fixed_point(model, graph=None, init="zero", tol=FIXED_POINT_TOL,
@@ -143,7 +144,6 @@ class QSystem:
 
     q: np.ndarray
     offsets: dict
-    edges: list
     rho: float
 
 
@@ -171,8 +171,7 @@ def assemble_q(model, graph, fixed_point):
             block = np.linalg.solve(jv, gain[kj] @ st.a[kz])
             q[np.broadcast_to(coords[:, :, None], keep.shape)[keep],
               np.broadcast_to(coords[kz][:, None, :], keep.shape)[keep]] = block[keep]
-    return QSystem(q=q, offsets=dict(graph.v2f_offsets), edges=list(graph.v2f_edges),
-                   rho=spectral_radius(q))
+    return QSystem(q=q, offsets=dict(graph.v2f_offsets), rho=spectral_radius(q))
 
 
 @dataclass
@@ -231,15 +230,14 @@ def beliefs_from_v2f_means(model, graph, fixed_point, v_stacked):
     return {vid: b.mean for vid, b in beliefs.items()}
 
 
-def decide_mean_convergence(rho, topology):
-    """Map a spectral radius and a topology report onto a verdict string.
+def decide_mean_convergence(rho, kind):
+    """Map a spectral radius and a topology kind (TopologyReport.overall) onto a verdict string.
 
     Forests and single loops are convergent regardless of rho, so they
     short-circuit to "guaranteed_by_topology". Otherwise the decision is
     by rho against 1, with an inconclusive band of width BORDERLINE_BAND
     around it.
     """
-    kind = getattr(topology, "overall", topology)
     if kind in ("forest", "single_loop_plus_forest"):
         return "guaranteed_by_topology"
     if abs(rho - 1.0) < BORDERLINE_BAND:
@@ -326,14 +324,12 @@ def certify(model, cross_check=True):
     require_valid(model)
     graph = build_factor_graph(model)
     topo = classify_topology(graph)
-    bounds = compute_bounds(model, graph)
     fp = information_fixed_point(model, graph)
     st = fp.stack
-    (lower, _), (upper, _) = st.stacked(bounds.lower), st.stacked(bounds.upper)
-    bounds_hold = bool(st.per_edge(psd_compare, fp.f2v_j, lower, dtype=bool).all()
-                       and st.per_edge(psd_compare, upper, fp.f2v_j, dtype=bool).all())
+    bounds_hold = bool(st.per_edge(psd_compare, fp.f2v_j, st.lower_bound(), dtype=bool).all()
+                       and st.per_edge(psd_compare, st.upper_bound(), fp.f2v_j, dtype=bool).all())
     qsys = assemble_q(model, graph, fp)
-    verdict = decide_mean_convergence(qsys.rho, topo)
+    verdict = decide_mean_convergence(qsys.rho, topo.overall)
     mean_run = two_phase_mean_recursion(fp)
 
     report = ConvergenceReport(
@@ -349,7 +345,7 @@ def certify(model, cross_check=True):
     )
 
     if cross_check:
-        result = run_bp(model, graph, init=bounds.lower, reference=fp.f2v)
+        result = run_bp(model, graph, init="lower", reference=fp)
         report.bp_status = result.status
         report.bp_iterations = result.iterations
         if result.status == "converged":

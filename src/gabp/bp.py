@@ -33,6 +33,7 @@ upper_bound is A_i^T R_n^-1 A_i) and the one init path, EdgeStack.init,
 for run_bp, information_fixed_point and make_init: "zero", "lower",
 "upper", or a dict that must cover every edge with finite, psd
 information matrices, the precondition of the paper's convergence results.
+Edge dicts enter only there, and leave only through EdgeStack.views.
 
 One outer iteration updates every edge of both kinds exactly once. A
 schedule is a choice of factor blocks (sets of rows) for one shared
@@ -184,33 +185,6 @@ class EdgeStack:
             seen.update(scope)
         return [np.array(rows, dtype=int) for rows in out]
 
-    def stacked(self, entries):
-        """(J, v) stacks with a trailing zero row from a dict over every edge.
-
-        A value is a Message or a bare J (zero mean). Raises DomainError
-        for a missing edge, any other value, a block of the wrong shape or
-        a value that is not finite.
-        """
-        jm, vm = self.init("zero")
-        for e, edge in enumerate(self.edges):
-            d = self.dims[e]
-            if edge not in entries:
-                raise DomainError(f"init is missing edge {edge}")
-            entry = entries[edge]
-            if isinstance(entry, np.ndarray):
-                entry = Message(J=entry, v=np.zeros(d))
-            if not isinstance(entry, Message):
-                raise DomainError(f"init edge {edge} is neither a Message nor a matrix")
-            jmat, vec = np.asarray(entry.J, dtype=float), np.asarray(entry.v, dtype=float)
-            if jmat.shape != (d, d) or vec.shape != (d,):
-                raise DomainError(f"init edge {edge} has wrong shape")
-            jm[e, :d, :d] = jmat
-            vm[e, :d] = vec
-        bad = np.flatnonzero(~(np.isfinite(jm).all(axis=(1, 2)) & np.isfinite(vm).all(axis=1)))
-        if bad.size:
-            raise DomainError(f"init edge {self.edges[bad[0]]} is not finite")
-        return jm, vm
-
     def lower_bound(self):
         """L_{n->i} = A_i^T (R_n + sum_{j != i} A_j W_j A_j^T)^-1 A_i for every row.
 
@@ -227,11 +201,28 @@ class EdgeStack:
     def init(self, init="zero"):
         """(J, v) stacks with a trailing zero row for an init strategy or a dict.
 
-        init is "zero", "lower" or "upper" (zero means), or a dict that
-        stacked packs and whose information matrices must all be psd.
+        init is "zero", "lower" or "upper" (zero means), or a dict over
+        every edge of Messages or bare Js (zero mean); run_bp lists its checks.
         """
         if isinstance(init, dict):
-            jm, vm = self.stacked(init)
+            jm, vm = self.init("zero")
+            for e, edge in enumerate(self.edges):
+                d = self.dims[e]
+                if edge not in init:
+                    raise DomainError(f"init is missing edge {edge}")
+                entry = init[edge]
+                if isinstance(entry, np.ndarray):
+                    entry = Message(J=entry, v=np.zeros(d))
+                if not isinstance(entry, Message):
+                    raise DomainError(f"init edge {edge} is neither a Message nor a matrix")
+                jmat, vec = np.asarray(entry.J, dtype=float), np.asarray(entry.v, dtype=float)
+                if jmat.shape != (d, d) or vec.shape != (d,):
+                    raise DomainError(f"init edge {edge} has wrong shape")
+                jm[e, :d, :d] = jmat
+                vm[e, :d] = vec
+            bad = np.flatnonzero(~(np.isfinite(jm).all(axis=(1, 2)) & np.isfinite(vm).all(axis=1)))
+            if bad.size:
+                raise DomainError(f"init edge {self.edges[bad[0]]} is not finite")
             bad = np.flatnonzero(~self.per_edge(is_psd, jm, dtype=bool))
             if bad.size:
                 raise DomainError(f"custom init edge {self.edges[bad[0]]} has a non-psd information matrix")
@@ -359,9 +350,11 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
         other value, a wrong shape, a value that is not finite or a J
         that is not psd raises DomainError.
     options : BpOptions
-    reference : dict, optional
-        (factor, variable) -> fixed-point information matrix for every
-        edge; when given, the trajectory records per-edge part metrics to it.
+        tol_j and tol_v must be finite and positive, max_iters and seed
+        non-negative, or DomainError is raised.
+    reference : FixedPoint, optional
+        information_fixed_point of this model's graph (other edges or dims
+        raise DomainError); the trajectory records part metrics to its f2v_j.
 
     Returns
     -------
@@ -383,6 +376,10 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
         raise DomainError(f"unknown schedule {opts.schedule!r}")
     if opts.seed < 0:
         raise DomainError(f"seed must be non-negative, got {opts.seed}")
+    if not all(math.isfinite(t) and t > 0 for t in (opts.tol_j, opts.tol_v)):
+        raise DomainError(f"tol_j and tol_v must be finite and positive, got {opts.tol_j}, {opts.tol_v}")
+    if opts.max_iters < 0:
+        raise DomainError(f"max_iters must be non-negative, got {opts.max_iters}")
     stack = EdgeStack(model, graph)
     fj, fv = stack.init(init)
     fh = (fj @ fv[..., None])[..., 0]
@@ -390,9 +387,11 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
     f2v_ends, v2f_ends = (list(zip(*edges)) for edges in (graph.f2v_edges, graph.v2f_edges))
     traj = BpTrajectory()
     if reference is not None:
+        if reference.stack.edges != stack.edges or not np.array_equal(reference.stack.dims, stack.dims):
+            raise DomainError("reference fixed point belongs to another graph")
         # the reference is constant: factor it once per dim group
-        ref, _ = stack.stacked(reference)
-        to_ref = {d: part_metric_to(ref[:-1][stack.dims == d, :d, :d]) for d in stack.dim_values}
+        ref = reference.f2v_j
+        to_ref = {d: part_metric_to(ref[stack.dims == d, :d, :d]) for d in stack.dim_values}
 
         def ref_metric(x):
             return stack.per_edge(lambda xd: to_ref[xd.shape[-1]](xd), x)

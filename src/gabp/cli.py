@@ -104,7 +104,7 @@ def cmd_run(args):
     reference = None
     if args.trajectory:
         try:
-            reference = information_fixed_point(model, graph).f2v
+            reference = information_fixed_point(model, graph)
         except IterationBudgetError:
             log.warning("fixed point not found within budget; "
                         "trajectory part-metric column left empty")

@@ -388,6 +388,8 @@ def random_model(seed, n_agents, dims=(1, 3), topology="multi_loop",
         lo, hi = dims, dims
     else:
         lo, hi = dims
+    if lo < 1 or lo > hi:
+        raise DomainError(f"dims need 1 <= low <= high, got {dims}")
     if topology == "single_loop":
         topology = "single_loop_plus_forest"
     if n_agents < 1:

@@ -181,7 +181,7 @@ def test_criterion_09_geometric_contraction():
     for label, model in full_corpus():
         graph = build_factor_graph(model)
         fp = gabp.information_fixed_point(model, graph)
-        res = gabp.run_bp(model, graph, init="lower", reference=fp.f2v)
+        res = gabp.run_bp(model, graph, init="lower", reference=fp)
         assert res.status == "converged", label
         d0 = res.trajectory.initial_part_metric
         seq = [rec["part_metric"] for rec in res.trajectory.per_iteration]

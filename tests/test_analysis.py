@@ -288,14 +288,19 @@ def test_fit_contraction_rate_cuts_a_flat_noise_tail():
     assert fit.window == (1, 12)
 
 
-def test_certify_computes_the_bounds_once(quartet, monkeypatch):
-    import gabp.analysis as analysis
+def test_certify_builds_one_stack_and_one_more_for_the_cross_check(quartet, monkeypatch):
+    from gabp.bp import EdgeStack
 
     calls = []
-    real = analysis.compute_bounds
-    monkeypatch.setattr(analysis, "compute_bounds", lambda *args: calls.append(1) or real(*args))
+    for name in ("__init__", "lower_bound"):
+        monkeypatch.setattr(EdgeStack, name, lambda self, *args, name=name, real=getattr(EdgeStack, name):
+                            calls.append(name) or real(self, *args))
     certify(quartet)
-    assert len(calls) == 1
+    # the cross-check's run_bp builds the second stack, and its "lower" init bounds it once
+    assert calls == ["__init__", "lower_bound", "__init__", "lower_bound"]
+    calls.clear()
+    certify(quartet, cross_check=False)
+    assert calls == ["__init__", "lower_bound"]
 
 
 def test_certify_full_report(quartet):
@@ -341,7 +346,7 @@ def test_rho_and_verdict_match_dense_eigvals_of_the_whole_q_on_every_corpus_mode
         qs = assemble_q(model, g, information_fixed_point(model, g))
         dense = dense_radius(qs.q)
         assert qs.rho == pytest.approx(dense, abs=1e-10), label
-        topo = classify_topology(g)
+        topo = classify_topology(g).overall
         assert decide_mean_convergence(qs.rho, topo) == decide_mean_convergence(dense, topo), label
         if label.startswith("forest"):
             assert qs.rho == 0.0, label

@@ -236,11 +236,28 @@ def test_run_rejects_a_negative_seed(quartet):
             run_bp(quartet, options=BpOptions(schedule=schedule, seed=-1))
 
 
+def test_run_rejects_invalid_tolerances_and_budgets(quartet):
+    for opts in (BpOptions(tol_j=math.nan), BpOptions(tol_j=0.0), BpOptions(tol_j=math.inf),
+                 BpOptions(tol_v=-1.0), BpOptions(tol_v=math.nan), BpOptions(max_iters=-3)):
+        with pytest.raises(DomainError, match="must be"):
+            run_bp(quartet, options=opts)
+    assert run_bp(quartet, options=BpOptions(max_iters=0)).iterations == 0
+
+
+def test_run_rejects_the_fixed_point_of_another_graph(quartet):
+    from gabp.analysis import information_fixed_point
+    with pytest.raises(DomainError, match="another graph"):
+        run_bp(quartet, init="lower", reference=information_fixed_point(random_model(seed=3, n_agents=5)))
+    # same edges, other variable dims
+    one, two = (random_model(seed=3, n_agents=5, dims=d) for d in (1, 2))
+    with pytest.raises(DomainError, match="another graph"):
+        run_bp(one, init="lower", reference=information_fixed_point(two))
+
+
 def test_trajectory_schema(quartet):
     g = build_factor_graph(quartet)
     from gabp.analysis import information_fixed_point
-    ref = information_fixed_point(quartet, g).f2v
-    res = run_bp(quartet, g, init="lower", reference=ref)
+    res = run_bp(quartet, g, init="lower", reference=information_fixed_point(quartet, g))
     assert res.trajectory.initial_part_metric is not None
     assert res.trajectory.initial_part_metric > 0.0
 
@@ -270,8 +287,9 @@ def test_trajectory_part_metrics_match_part_metric_on_every_corpus_model():
     models = [m for _, m in mixed_corpus()] + list(forest_corpus()) + list(loopy_corpus())
     for k, model in enumerate(models):
         g = build_factor_graph(model)
-        ref = information_fixed_point(model, g).f2v
-        res = run_bp(model, g, init="lower", reference=ref,
+        fp = information_fixed_point(model, g)
+        ref = fp.f2v
+        res = run_bp(model, g, init="lower", reference=fp,
                      options=BpOptions(max_iters=8, record_messages=True))
         lower = make_init(model, g, "lower")
         assert res.trajectory.initial_part_metric == pytest.approx(
@@ -289,10 +307,10 @@ def test_trajectory_part_metrics_match_part_metric_on_every_corpus_model():
 def test_trajectory_part_metric_is_inf_for_a_reference_that_is_not_pd(quartet):
     g = build_factor_graph(quartet)
     from gabp.analysis import information_fixed_point
-    ref = dict(information_fixed_point(quartet, g).f2v)
+    fp = information_fixed_point(quartet, g)
     bad = g.f2v_edges[0]
-    ref[bad] = np.zeros_like(ref[bad])
-    res = run_bp(quartet, g, init="lower", reference=ref, options=BpOptions(max_iters=3))
+    fp.f2v[bad][...] = 0.0  # a view of fp.f2v_j
+    res = run_bp(quartet, g, init="lower", reference=fp, options=BpOptions(max_iters=3))
     assert res.trajectory.initial_part_metric == math.inf
     for it, kind, n, i, _, _, pm in res.trajectory.rows:
         if kind == "f2v":

@@ -158,6 +158,13 @@ def test_run_rejects_a_negative_seed(quartet_file, capsys):
         assert "seed must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--tol-j", "nan"), ("--tol-j", "0"), ("--tol-v", "-1"),
+                                         ("--max-iters", "-3")])
+def test_run_rejects_invalid_tolerances_and_budgets(quartet_file, flag, value, capsys):
+    assert main(["run", quartet_file, flag, value]) == 1
+    assert "must be" in capsys.readouterr().err
+
+
 def test_model_without_factors_runs_and_certifies(tmp_path):
     path, solved, ran, report = (str(tmp_path / f) for f in
                                  ("model.json", "solved.csv", "ran.csv", "report.json"))
@@ -324,6 +331,11 @@ def test_gen_deterministic(tmp_path):
     assert open(a).read() == open(b).read()
     from gabp.io import load_model
     assert validate_model(load_model(a)) == []
+
+
+def test_gen_rejects_a_max_dim_below_one(tmp_path, capsys):
+    assert main(["gen", "--max-dim", "0", "--out", str(tmp_path / "m.json")]) == 1
+    assert "dims" in capsys.readouterr().err
 
 
 def test_gen_writes_dot(tmp_path):

@@ -278,3 +278,6 @@ def test_random_model_rejects_bad_arguments():
         random_model(seed=0, n_agents=0)
     with pytest.raises(DomainError):
         random_model(seed=0, n_agents=5, topology="pretzel")
+    for dims in (0, (0, 3), (1, 0), (3, 2)):
+        with pytest.raises(DomainError, match="dims"):
+            random_model(seed=0, n_agents=5, dims=dims)
