@@ -64,7 +64,8 @@ import numpy as np
 
 from gabp.errors import DomainError, ExistenceViolation
 from gabp.graph import build_factor_graph
-from gabp.numerics import is_pd, is_psd, part_metric_to
+from gabp.model import prior_precisions
+from gabp.numerics import is_pd, is_psd, part_metric_to, shape_groups
 
 log = logging.getLogger("gabp")
 
@@ -143,7 +144,7 @@ class EdgeStack:
         self.dims = np.array([graph.var_dims[i] for _, i in self.edges], dtype=int)
         d_max = int(self.dims.max(initial=0))
         p_max = max((model.factor(n).obs_dim for n, _ in self.edges), default=0)
-        prior_prec = {v.id: np.linalg.inv(v.prior_cov) for v in model.variables}
+        prior_prec = prior_precisions(model)
         self.pad = np.where(np.arange(d_max) < self.dims[:, None, None], 0.0, np.eye(d_max))
         self.a = np.zeros((n_edges + 1, p_max, d_max))
         self.r = np.tile(np.eye(p_max), (n_edges, 1, 1))
@@ -321,19 +322,30 @@ def _deltas(new_j, old_j, new_v, old_v):
 
 
 def compute_beliefs(model, graph, messages):
-    """Marginal beliefs from the current factor-to-variable messages."""
+    """Marginal beliefs from the current factor-to-variable messages.
+
+    Each variable's precision and information are summed from its
+    messages; the covariances come from one stacked inverse per dim.
+    """
     f2v = messages["f2v"]
-    beliefs = {}
+    prior_prec = prior_precisions(model)
+    precs, rhss = [], []
     for v in model.variables:
-        prec = np.linalg.inv(v.prior_cov)
+        prec = prior_prec[v.id]
         rhs = np.zeros(v.dim)
         for n in graph.neighbors_of_var[v.id]:
             msg = f2v[(n, v.id)]
             prec = prec + msg.J
             rhs = rhs + msg.J @ msg.v
-        cov = np.linalg.inv((prec + prec.T) / 2.0)
-        beliefs[v.id] = Belief(mean=cov @ rhs, cov=cov)
-    return beliefs
+        precs.append((prec + prec.T) / 2.0)
+        rhss.append(rhs)
+    beliefs = [None] * len(precs)
+    for idx in shape_groups(precs):
+        covs = np.linalg.inv(np.stack([precs[k] for k in idx]))
+        means = (covs @ np.stack([rhss[k] for k in idx])[..., None])[..., 0]
+        for k, cov, mean in zip(idx, covs, means):
+            beliefs[k] = Belief(mean=mean, cov=cov)
+    return {v.id: b for v, b in zip(model.variables, beliefs)}
 
 
 def run_bp(model, graph=None, init="zero", options=None, reference=None):

@@ -140,9 +140,11 @@ def cmd_analyze(args):
     print(f"mean recursion: {report.mean_recursion_status} "
           f"after {report.mean_recursion_iterations} iteration(s)")
     if args.certify:
+        # a cross-check that did not converge has no mean error
+        error = "" if report.max_mean_error is None else \
+            f", max mean error {fmt(report.max_mean_error)}"
         print(f"gabp cross-check: {report.bp_status} "
-              f"after {report.bp_iterations} iteration(s), "
-              f"max mean error {fmt(report.max_mean_error)}")
+              f"after {report.bp_iterations} iteration(s){error}")
         if report.fitted_rate is not None:
             print(f"fitted contraction rate: {fmt(report.fitted_rate)}")
     for note in report.notes:

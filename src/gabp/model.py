@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from gabp.errors import DomainError
-from gabp.numerics import has_full_column_rank, is_pd, symmetrize
+from gabp.numerics import has_full_column_rank, is_pd, is_symmetric, shape_groups
 
 log = logging.getLogger("gabp")
 
@@ -94,6 +94,18 @@ class LinearGaussianModel:
         return sum(f.obs_dim for f in self.factors)
 
 
+def _failing(entries, test):
+    """The (report, label, array) entries whose array fails test, in order; test runs once per shape."""
+    ok = np.ones(len(entries), dtype=bool)
+    for idx in shape_groups([x for _, _, x in entries]):
+        ok[idx] = test(np.stack([entries[k][2] for k in idx]))
+    return [e for e, good in zip(entries, ok) if not good]
+
+
+def _all_finite(stack):
+    return np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
+
+
 def validate_model(model):
     """Check every model assumption and return the list of violations.
 
@@ -101,35 +113,36 @@ def validate_model(model):
     shapes, finite entries, symmetric positive definite priors and noise
     covariances, and full column rank for every coefficient block. The
     report strings are meant to be readable as-is in CLI output.
+
+    A Python pass checks ids, scopes and shapes; each numerical check then
+    runs once per group of equal-shape matrices. A variable or factor
+    that fails the structure pass gets no numerical check; a non-finite
+    array stops its variable or factor, and an asymmetric covariance its
+    pd check (and, for a noise covariance, its factor's rank checks).
     """
-    problems = []
+    reports = []                  # the problems of each variable and factor, in model order
+    priors, factors = [], []      # (report, prior label, prior_cov) and (report, factor) that pass
     seen = set()
     for v in model.variables:
+        problems = []
+        reports.append(problems)
         if v.id in seen:
             problems.append(f"duplicate variable id {v.id}")
             continue
         seen.add(v.id)
         if v.dim < 1:
             problems.append(f"variable {v.id}: dim must be >= 1, got {v.dim}")
-            continue
-        if v.prior_cov.shape != (v.dim, v.dim):
+        elif v.prior_cov.shape != (v.dim, v.dim):
             problems.append(
                 f"variable {v.id}: prior_cov shape {v.prior_cov.shape} != ({v.dim}, {v.dim})"
             )
-            continue
-        if not np.all(np.isfinite(v.prior_cov)):
-            problems.append(f"variable {v.id}: prior_cov is not finite")
-            continue
-        try:
-            w = symmetrize(v.prior_cov)
-        except ValueError:
-            problems.append(f"variable {v.id}: prior_cov is not symmetric")
-            continue
-        if not is_pd(w):
-            problems.append(f"variable {v.id}: prior_cov is not positive definite")
+        else:
+            priors.append((problems, f"variable {v.id}: prior_cov", v.prior_cov))
 
     seen_f = set()
     for f in model.factors:
+        problems = []
+        reports.append(problems)
         if f.id in seen_f:
             problems.append(f"duplicate factor id {f.id}")
             continue
@@ -147,38 +160,38 @@ def validate_model(model):
             )
             continue
         m = f.obs_dim
-        ok_shapes = True
         for i in f.scope:
             ni = model.variable(i).dim
             if f.coeff[i].shape != (m, ni):
                 problems.append(
                     f"factor {f.id}: coeff[{i}] shape {f.coeff[i].shape} != ({m}, {ni})"
                 )
-                ok_shapes = False
-        if not ok_shapes:
+        if problems:
             continue
         if f.noise_cov.shape != (m, m):
             problems.append(
                 f"factor {f.id}: noise_cov shape {f.noise_cov.shape} != ({m}, {m})"
             )
             continue
-        arrays = [("obs", f.obs), ("noise_cov", f.noise_cov)]
-        arrays += [(f"coeff[{i}]", f.coeff[i]) for i in f.scope]
-        not_finite = [name for name, x in arrays if not np.all(np.isfinite(x))]
-        problems += [f"factor {f.id}: {name} is not finite" for name in not_finite]
-        if not_finite:
-            continue
-        try:
-            r = symmetrize(f.noise_cov)
-        except ValueError:
-            problems.append(f"factor {f.id}: noise_cov is not symmetric")
-            continue
-        if not is_pd(r):
-            problems.append(f"factor {f.id}: noise_cov is not positive definite")
-        for i in f.scope:
-            if not has_full_column_rank(f.coeff[i]):
-                problems.append(f"factor {f.id}: coeff[{i}] does not have full column rank")
-    return problems
+        factors.append((problems, f))
+
+    # A report that is still empty after a check means its owner goes on to the next.
+    arrays = priors + [(r, f"factor {f.id}: {name}", x) for r, f in factors
+                       for name, x in [("obs", f.obs), ("noise_cov", f.noise_cov)]
+                       + [(f"coeff[{i}]", f.coeff[i]) for i in f.scope]]
+    for r, label, _ in _failing(arrays, _all_finite):
+        r.append(f"{label} is not finite")
+    covs = [e for e in priors if not e[0]]
+    covs += [(r, f"factor {f.id}: noise_cov", f.noise_cov) for r, f in factors if not r]
+    for r, label, _ in _failing(covs, is_symmetric):
+        r.append(f"{label} is not symmetric")
+    coeffs = [(r, f"factor {f.id}: coeff[{i}]", f.coeff[i]) for r, f in factors if not r
+              for i in f.scope]
+    for r, label, _ in _failing([c for c in covs if not c[0]], is_pd):
+        r.append(f"{label} is not positive definite")
+    for r, label, _ in _failing(coeffs, has_full_column_rank):
+        r.append(f"{label} does not have full column rank")
+    return [p for r in reports for p in r]
 
 
 def require_valid(model):
@@ -245,6 +258,16 @@ class CentralizedSolution:
     covs: dict
 
 
+def prior_precisions(model):
+    """W_i^-1 for every variable id, from one stacked inverse per prior shape."""
+    covs = [v.prior_cov for v in model.variables]
+    precisions = {}
+    for idx in shape_groups(covs):
+        inverses = np.linalg.inv(np.stack([covs[k] for k in idx]))
+        precisions.update((model.variables[k].id, w) for k, w in zip(idx, inverses))
+    return precisions
+
+
 def joint_system(model):
     """Joint precision W^-1 + sum_n A_n^T R_n^-1 A_n, information sum_n A_n^T R_n^-1 y_n, offsets.
 
@@ -257,9 +280,9 @@ def joint_system(model):
     precision = np.zeros((n, n))
     information = np.zeros(n)
     span = {i: np.arange(s, s + d) for i, (s, d) in voff.items()}
-    for v in model.variables:
-        s, d = voff[v.id]
-        precision[s:s + d, s:s + d] = np.linalg.inv(v.prior_cov)
+    for i, w in prior_precisions(model).items():
+        s, d = voff[i]
+        precision[s:s + d, s:s + d] = w
     for f in model.factors:
         cols = np.concatenate([span[i] for i in f.scope])
         a = np.hstack([f.coeff[i] for i in f.scope])

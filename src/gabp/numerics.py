@@ -8,9 +8,10 @@ fixed; no function takes a per-call tolerance override:
   is below 1e-12 (relative to the largest entry),
 * psd means lambda_min >= -1e-9 * max(1, lambda_max),
 * pd means lambda_min > 1e-9 * max(1, lambda_max),
-* symmetrize, is_psd, is_pd and part_metric take one matrix or an
-  (E, d, d) stack; on a stack they decide each matrix on its own,
 * full column rank means smallest singular value > 1e-10 * largest,
+* is_symmetric, symmetrize, is_psd, is_pd and part_metric take one
+  matrix or an (E, d, d) stack, and has_full_column_rank one matrix or an
+  (E, m, d) stack; on a stack they decide each matrix on its own,
 * the spectral radius is exact: coordinates that the sparsity pattern
   splits off as 1 x 1 diagonal blocks are peeled in O(nnz), and dense
   numpy eigvals runs only on the core that remains.
@@ -23,20 +24,40 @@ PSD_TOL = 1e-9
 RANK_TOL = 1e-10
 
 
-def symmetrize(x):
-    """Return (x + x.T) / 2 for a matrix or an (E, d, d) stack of them.
+def shape_groups(arrays):
+    """Indices of the equal-shape arrays, one list per shape, in first-seen order."""
+    groups = {}
+    for k, x in enumerate(arrays):
+        groups.setdefault(x.shape, []).append(k)
+    return list(groups.values())
 
-    Refuses any matrix that is not nearly symmetric.
+
+def is_symmetric(x):
+    """Asymmetry at most SYM_TOL * max(1, largest |entry|): a bool for a matrix, a bool array for a stack.
+
+    NaN entries do not make a matrix asymmetric here; finiteness is a
+    separate check.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {x.shape}")
-    xt = np.swapaxes(x, -1, -2)
+    ok = np.ones(x.shape[:-2], dtype=bool)
     if x.size:
         scale = np.maximum(1.0, np.max(np.abs(x), axis=(-2, -1)))
-        asym = np.max(np.abs(x - xt), axis=(-2, -1))
-        if np.any(asym > SYM_TOL * scale):
-            raise ValueError(f"matrix is not symmetric: max asymmetry {np.max(asym):.3e}")
+        ok = ~(np.max(np.abs(x - np.swapaxes(x, -1, -2)), axis=(-2, -1)) > SYM_TOL * scale)
+    return bool(ok) if x.ndim == 2 else ok
+
+
+def symmetrize(x):
+    """Return (x + x.T) / 2 for a matrix or an (E, d, d) stack of them.
+
+    Refuses any matrix that is not nearly symmetric (is_symmetric).
+    """
+    x = np.asarray(x, dtype=float)
+    ok = is_symmetric(x)
+    xt = np.swapaxes(x, -1, -2)
+    if not np.all(ok):
+        raise ValueError(f"matrix is not symmetric: max asymmetry {np.max(np.abs(x - xt)):.3e}")
     return (x + xt) / 2.0
 
 
@@ -66,15 +87,20 @@ def psd_compare(x, y):
 
 
 def has_full_column_rank(a):
+    """Full column rank: a bool for an (m, d) matrix, a bool array for an (E, m, d) stack.
+
+    A matrix with no columns has it, and one with fewer rows than columns
+    does not.
+    """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {a.shape}")
-    if a.shape[1] == 0:
-        return True
-    if a.shape[0] < a.shape[1]:
-        return False
-    sv = np.linalg.svd(a, compute_uv=False)
-    return bool(sv[-1] > RANK_TOL * sv[0])
+    if a.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of them, got shape {a.shape}")
+    m, d = a.shape[-2:]
+    ok = np.full(a.shape[:-2], d == 0 or m >= d)
+    if d and m >= d and a.size:
+        sv = np.linalg.svd(a, compute_uv=False)
+        ok = sv[..., -1] > RANK_TOL * sv[..., 0]
+    return bool(ok) if a.ndim == 2 else ok
 
 
 def _part_distance(chol, x, y):

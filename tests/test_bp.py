@@ -333,3 +333,32 @@ def test_belief_container_shapes(quartet):
         assert b.mean.shape == (1,)
         assert b.cov.shape == (1, 1)
         assert b.cov[0, 0] > 0.0
+
+
+def _beliefs_per_variable(model, graph, f2v):
+    """The belief assembly one variable at a time: (mean, cov) by variable id."""
+    out = {}
+    for v in model.variables:
+        prec = np.linalg.inv(v.prior_cov)
+        rhs = np.zeros(v.dim)
+        for n in graph.neighbors_of_var[v.id]:
+            msg = f2v[(n, v.id)]
+            prec = prec + msg.J
+            rhs = rhs + msg.J @ msg.v
+        cov = np.linalg.inv((prec + prec.T) / 2.0)
+        out[v.id] = (cov @ rhs, cov)
+    return out
+
+
+def test_grouped_beliefs_equal_the_per_variable_assembly_bit_for_bit():
+    rng = np.random.default_rng(4)
+    models = list(forest_corpus()) + list(loopy_corpus()) + [m for _, m in mixed_corpus()]
+    for model in models + [random_model(seed=1, n_agents=480)]:
+        g = build_factor_graph(model)
+        f2v = {e: Message(J=m.J, v=rng.standard_normal(len(m.v)))
+               for e, m in make_init(model, g, "lower").items()}
+        got = compute_beliefs(model, g, {"f2v": f2v})
+        want = _beliefs_per_variable(model, g, f2v)
+        assert list(got) == [v.id for v in model.variables]
+        for vid, (mean, cov) in want.items():
+            assert np.array_equal(got[vid].mean, mean) and np.array_equal(got[vid].cov, cov)

@@ -1,11 +1,12 @@
 import csv
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import QUARTET_J, quartet_model, vague_prior_model
-from corpus import SHOWCASE_DIVERGENT, frustrated_model, grid_field
+from corpus import SHOWCASE_DIVERGENT, frustrated_model, grid_field, mixed_corpus
 from gabp.cli import main
 from gabp.errors import ExistenceViolation
 from gabp.io import matrix_to_json, save_model, save_mrf
@@ -218,6 +219,29 @@ def test_analyze_certify_validates_the_model_once(quartet_file, monkeypatch):
 def test_analyze_divergent_exit_code(divergent_file, capsys):
     assert main(["analyze", divergent_file]) == 4
     assert "diverges_rho_ge_1" in capsys.readouterr().out
+
+
+def test_analyze_certify_on_a_divergent_model_reports_and_exits_4(divergent_file, tmp_path, capsys):
+    report = str(tmp_path / "report.json")
+    assert main(["analyze", divergent_file, "--certify", "--out", report]) == 4
+    out = capsys.readouterr().out
+    assert "cross-check: diverged after" in out and "max mean error" not in out
+    with open(report) as fh:
+        data = json.load(fh)
+    assert data["bp_status"] == "diverged" and data["max_mean_error"] is None
+
+
+def test_every_command_returns_a_documented_exit_code(divergent_file, quartet_file, tmp_path):
+    paths = [divergent_file, quartet_file]
+    for label, model in mixed_corpus():
+        paths.append(str(tmp_path / f"{label}.json"))
+        save_model(model, paths[-1])
+    budget = ["--max-iters", "200"]
+    commands = [["validate"], ["solve"], ["run"] + budget, ["run", "--schedule", "seq"] + budget,
+                ["analyze"], ["analyze", "--certify"]]
+    codes = Counter(main(cmd + [path]) for path in paths for cmd in commands)
+    assert set(codes) <= set(range(6)) and all(type(c) is int for c in codes)
+    assert codes[0] and codes[3] and codes[4]
 
 
 def test_analyze_writes_dot(quartet_file, tmp_path):

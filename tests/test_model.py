@@ -1,16 +1,20 @@
+import copy
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import (QUARTET_A, QUARTET_J, QUARTET_PRIOR, constrained_posterior,
                       quartet_model, rand_spd)
+from corpus import mixed_corpus
 from gabp.errors import DomainError
 from gabp.model import (FactorSpec, LinearGaussianModel, VariableSpec,
                         centralized_solve, eliminate_noiseless_factor,
                         random_model, require_valid, stack_global,
                         validate_model, variable_offsets)
+from gabp.numerics import PSD_TOL, RANK_TOL, SYM_TOL
 
 
 def small_model():
@@ -79,6 +83,205 @@ def test_validate_rejects_asymmetric_covariances():
         factors=[FactorSpec(1, (1,), {1: np.eye(2)}, np.eye(2), np.zeros(2))],
     )
     assert any("symmetric" in p for p in validate_model(m))
+
+
+def reference_validate(model):
+    """validate_model one matrix at a time, with plain numpy and the shared tolerances."""
+
+    def symmetric(x):
+        return not x.size or not np.max(np.abs(x - x.T)) > SYM_TOL * max(1.0, np.max(np.abs(x)))
+
+    def pd(x):
+        w = np.linalg.eigvalsh((x + x.T) / 2.0) if x.size else np.ones(1)
+        return w[0] > PSD_TOL * max(1.0, w[-1])
+
+    def full_rank(a):
+        if a.shape[1] == 0 or a.shape[0] < a.shape[1]:
+            return a.shape[1] == 0
+        sv = np.linalg.svd(a, compute_uv=False)
+        return sv[-1] > RANK_TOL * sv[0]
+
+    problems, seen, dims = [], set(), {v.id: v.dim for v in model.variables}
+    for v in model.variables:
+        name = f"variable {v.id}: prior_cov"
+        if v.id in seen:
+            problems.append(f"duplicate variable id {v.id}")
+            continue
+        seen.add(v.id)
+        if v.dim < 1:
+            problems.append(f"variable {v.id}: dim must be >= 1, got {v.dim}")
+        elif v.prior_cov.shape != (v.dim, v.dim):
+            problems.append(f"{name} shape {v.prior_cov.shape} != ({v.dim}, {v.dim})")
+        elif not np.isfinite(v.prior_cov).all():
+            problems.append(f"{name} is not finite")
+        elif not symmetric(v.prior_cov):
+            problems.append(f"{name} is not symmetric")
+        elif not pd(v.prior_cov):
+            problems.append(f"{name} is not positive definite")
+    seen = set()
+    for f in model.factors:
+        if f.id in seen:
+            problems.append(f"duplicate factor id {f.id}")
+            continue
+        seen.add(f.id)
+        m = len(f.obs)
+        if not f.scope:
+            problems.append(f"factor {f.id}: empty scope")
+        elif any(i not in dims for i in f.scope):
+            problems.append(f"factor {f.id}: scope references unknown variables "
+                            f"{[i for i in f.scope if i not in dims]}")
+        elif set(f.coeff) != set(f.scope):
+            problems.append(f"factor {f.id}: coefficient keys {sorted(f.coeff)} "
+                            f"do not match scope {list(f.scope)}")
+        elif any(f.coeff[i].shape != (m, dims[i]) for i in f.scope):
+            problems += [f"factor {f.id}: coeff[{i}] shape {f.coeff[i].shape} != ({m}, {dims[i]})"
+                         for i in f.scope if f.coeff[i].shape != (m, dims[i])]
+        elif f.noise_cov.shape != (m, m):
+            problems.append(f"factor {f.id}: noise_cov shape {f.noise_cov.shape} != ({m}, {m})")
+        else:
+            arrays = [("obs", f.obs), ("noise_cov", f.noise_cov)]
+            arrays += [(f"coeff[{i}]", f.coeff[i]) for i in f.scope]
+            bad = [f"factor {f.id}: {name} is not finite" for name, x in arrays
+                   if not np.isfinite(x).all()]
+            if bad:
+                problems += bad
+            elif not symmetric(f.noise_cov):
+                problems.append(f"factor {f.id}: noise_cov is not symmetric")
+            else:
+                if not pd(f.noise_cov):
+                    problems.append(f"factor {f.id}: noise_cov is not positive definite")
+                problems += [f"factor {f.id}: coeff[{i}] does not have full column rank"
+                             for i in f.scope if not full_rank(f.coeff[i])]
+    return problems
+
+
+def _pick(items, rng):
+    return items[int(rng.integers(len(items)))]
+
+
+def _dup_variable(vs, fs, rng):
+    vs.append(copy.deepcopy(_pick(vs, rng)))
+
+
+def _dup_factor(vs, fs, rng):
+    fs.append(copy.deepcopy(_pick(fs, rng)))
+
+
+def _unknown_scope(vs, fs, rng):
+    k = int(rng.integers(len(fs)))
+    f = fs[k]
+    fs[k] = FactorSpec(f.id, f.scope + (999,), {**f.coeff, 999: np.ones((f.obs_dim, 1))},
+                       f.noise_cov, f.obs)
+
+
+def _drop_coeff(vs, fs, rng):
+    f = _pick(fs, rng)
+    f.coeff.pop(_pick(sorted(f.coeff), rng), None)
+
+
+def _zero_dim(vs, fs, rng):
+    _pick(vs, rng).dim = 0
+
+
+def _prior_shape(vs, fs, rng):
+    v = _pick(vs, rng)
+    v.prior_cov = np.eye(v.dim + 1)
+
+
+def _coeff_shape(vs, fs, rng):
+    f = _pick(fs, rng)
+    f.coeff[_pick(f.scope, rng)] = np.ones((f.obs_dim + 1, 1))
+
+
+def _noise_shape(vs, fs, rng):
+    f = _pick(fs, rng)
+    f.noise_cov = np.eye(f.obs_dim + 1)
+
+
+def _non_finite(vs, fs, rng):
+    x = _pick([v.prior_cov for v in vs]
+              + [x for f in fs for x in (f.obs, f.noise_cov, *f.coeff.values())], rng)
+    x.flat[int(rng.integers(x.size))] = _pick([np.nan, np.inf, -np.inf], rng)
+
+
+def _asymmetric(vs, fs, rng):
+    # within the tolerance, just past it, or far past it
+    covs = [x for x in [v.prior_cov for v in vs] + [f.noise_cov for f in fs]
+            if x.ndim == 2 and x.shape[0] == x.shape[1] > 1]
+    if covs:
+        x = _pick(covs, rng)
+        x[0, -1] += _pick([1e-13, 3e-12, 1e-3, 0.5], rng) * max(1.0, np.max(np.abs(x)))
+
+
+def _negate_cov(vs, fs, rng):
+    x = _pick([v.prior_cov for v in vs] + [f.noise_cov for f in fs], rng)
+    x *= -1.0
+
+
+def _zero_noise(vs, fs, rng):
+    _pick(fs, rng).noise_cov[...] = 0.0
+
+
+def _zero_coeff(vs, fs, rng):
+    f = _pick(fs, rng)
+    f.coeff[_pick(sorted(f.coeff), rng)][...] = 0.0
+
+
+def _over_wide(vs, fs, rng):
+    # one observation row, so a block of a variable with dim 2 is wider than tall
+    f = _pick(fs, rng)
+    f.obs, f.noise_cov = f.obs[:1], f.noise_cov[:1, :1]
+    f.coeff = {i: a[:1] for i, a in f.coeff.items()}
+
+
+def _one_factor(vs, fs, rng):
+    # several faults in one factor, where the order of the checks shows
+    f = [_pick(fs, rng)]
+    for _ in range(int(rng.integers(2, 4))):
+        _pick((_non_finite, _asymmetric, _negate_cov, _zero_noise, _zero_coeff, _over_wide), rng)(
+            [], f, rng)
+
+
+CORRUPTIONS = (_dup_variable, _dup_factor, _unknown_scope, _drop_coeff, _zero_dim,
+               _prior_shape, _coeff_shape, _noise_shape, _non_finite, _non_finite,
+               _asymmetric, _asymmetric, _negate_cov, _zero_noise, _zero_coeff, _over_wide,
+               _one_factor, _one_factor)
+
+
+def test_validate_model_matches_the_per_matrix_transcription_on_corrupted_models():
+    rng = np.random.default_rng(10)
+    problems = []
+    for _ in range(6):
+        for label, model in mixed_corpus():
+            vs, fs = copy.deepcopy(model.variables), copy.deepcopy(model.factors)
+            for _ in range(int(rng.integers(1, 4))):
+                _pick(CORRUPTIONS, rng)(vs, fs, rng)
+            bad = LinearGaussianModel(variables=vs, factors=fs)
+            want = reference_validate(bad)
+            assert validate_model(bad) == want, label
+            problems += want
+    assert len(problems) >= 600
+    for kind in ("duplicate variable", "duplicate factor", "unknown variables", "do not match",
+                 "dim must be", "prior_cov shape", "] shape", "noise_cov shape", "obs is not finite",
+                 "prior_cov is not finite", "noise_cov is not finite", "] is not finite",
+                 "prior_cov is not symmetric", "noise_cov is not symmetric",
+                 "prior_cov is not positive", "noise_cov is not positive", "full column rank"):
+        assert any(kind in p for p in problems), kind
+
+
+def test_validate_model_runs_one_eigvalsh_per_covariance_shape_and_one_svd_per_block_shape(
+        monkeypatch):
+    model = random_model(seed=3, n_agents=60, dims=(1, 3))
+    calls = Counter()
+    for name in ("eigvalsh", "svd"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _real=real, _name=name, **k: calls.update([_name]) or _real(*a, **k))
+    assert validate_model(model) == []
+    covs = {v.prior_cov.shape for v in model.variables} | {f.noise_cov.shape for f in model.factors}
+    blocks = {a.shape for f in model.factors for a in f.coeff.values()}
+    assert len(covs) < 8 and len(blocks) < 20 < len(model.factors)
+    assert calls == {"eigvalsh": len(covs), "svd": len(blocks)}
 
 
 def test_factor_scope_sorted_and_obs_dim():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import charpoly_radius, part_metric_bisection, rand_spd
-from gabp.numerics import (has_full_column_rank, is_pd, is_psd, part_metric,
+from gabp.numerics import (has_full_column_rank, is_pd, is_psd, is_symmetric, part_metric,
                            psd_compare, spectral_radius, symmetrize)
 
 
@@ -87,6 +87,31 @@ def test_stacked_checks_match_per_matrix_calls():
             with pytest.raises(ValueError):
                 part_metric(xs[k], ys[k])
     assert np.isinf(dist[[4, 7, 9]]).all() and not pd[7] and psd[7]
+
+
+def test_stacked_symmetry_and_rank_match_per_matrix_calls():
+    rng = np.random.default_rng(12)
+    sym = np.stack([rand_spd(rng, 3, scale=10.0 ** k) for k in range(-2, 4)] * 4)
+    # within the tolerance, just past it, and clearly asymmetric
+    sym[[1, 7, 13, 19], 0, 2] += np.array([0.4e-12, 2e-12, 1e-6, 0.5]) * np.maximum(
+        1.0, np.abs(sym[[1, 7, 13, 19]]).max(axis=(1, 2)))
+    ok = is_symmetric(sym)
+    assert ok.shape == (24,) and list(np.flatnonzero(~ok)) == [7, 13, 19]
+    assert [is_symmetric(x) for x in sym] == ok.tolist()
+    assert is_symmetric(np.zeros((0, 3, 3))).shape == (0,)
+    assert is_symmetric(np.zeros((2, 0, 0))).tolist() == [True, True]
+
+    for m, d in [(4, 2), (3, 3), (2, 3), (3, 0), (0, 0)]:
+        a = rng.standard_normal((12, m, d))
+        if m >= d > 1:
+            a[2, :, 1] = 3.0 * a[2, :, 0]       # rank deficient
+            a[5] = 0.0
+            a[8, :, -1] *= 1e-11                # a singular value below the relative floor
+        ranks = has_full_column_rank(a)
+        assert ranks.shape == (12,)
+        assert ranks.tolist() == [has_full_column_rank(x) for x in a]
+        assert ranks.all() == (d == 0 or (m >= d and d <= 1))
+        assert has_full_column_rank(np.zeros((0, m, d))).shape == (0,)
 
 
 def test_part_metric_symmetry_and_scaling():
