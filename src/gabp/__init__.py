@@ -12,7 +12,6 @@ from gabp.model import (
     FactorSpec,
     LinearGaussianModel,
     validate_model,
-    stack_global,
     centralized_solve,
     joint_system,
     eliminate_noiseless_factor,
@@ -46,7 +45,6 @@ __all__ = [
     "FactorSpec",
     "LinearGaussianModel",
     "validate_model",
-    "stack_global",
     "centralized_solve",
     "joint_system",
     "eliminate_noiseless_factor",

@@ -12,8 +12,8 @@ Three separate questions are answered here:
    v <- -Q v + b on the variable-to-factor means; it converges for every
    starting point exactly when the spectral radius of Q is below one. On
    trees Q is nilpotent: the messages outside the loops only add zero
-   eigenvalues, spectral_radius peels them from Q's zero pattern, and
-   rho on a forest is exactly 0.
+   eigenvalues, EdgeStack.loop_core peels them from the graph, and rho
+   on a forest is exactly 0.
 3. How fast? The information recursion contracts the part metric to the
    fixed point; an empirical geometric rate is fitted from a recorded
    trajectory.
@@ -21,12 +21,13 @@ Three separate questions are answered here:
 The analysis runs on the engine's EdgeStack (gabp.bp, whose docstring
 gives the stack layout). The fixed point iterates its information half
 over the whole stack, and FixedPoint keeps the stacks at J*: J of both
-edge kinds and the gains K. assemble_q builds Q's blocks from them with
-one stacked solve per pair of gather slots, for rho(Q) only. The mean
-recursion is the engine's mean half at J*, and beliefs_from_v2f_means
-runs its f2v step before compute_beliefs. certify reads the edge bounds
-off fp.stack and gives run_bp the FixedPoint as its reference;
-compute_bounds is a dict view of the stack's two envelopes.
+edge kinds and the gains K. assemble_q builds the blocks of Q's loop
+core from them, with one stacked solve per pair of gather slots, for
+rho(Q) only; the whole Q is never formed. The mean recursion is the
+engine's mean half at J*, and beliefs_from_v2f_means runs its f2v step
+before compute_beliefs. certify reads the edge bounds off fp.stack and
+gives run_bp the FixedPoint as its reference; compute_bounds is a dict
+view of the stack's two envelopes.
 """
 
 import logging
@@ -131,15 +132,16 @@ def information_fixed_point(model, graph=None, init="zero", tol=FIXED_POINT_TOL,
 
 @dataclass
 class QSystem:
-    """Q of the stacked affine system v <- -Q v + b of the frozen-J* mean recursion.
+    """Q of the frozen-J* mean recursion v <- -Q v + b, on its loop core only.
 
     b is not kept: the recursion itself (two_phase_mean_recursion) runs
-    on the engine's mean half. Rows and columns run over
-    variable-to-factor edges in canonical order; offsets maps an edge to
-    its (start, dim) slice. The block in row (j, n), column (z, k) is
-    nonzero exactly when factor k is another neighbor of j and z another
-    neighbor of factor k (the two-hop dependency of the message
-    equations).
+    on the engine's mean half. The block in row (j, n), column (z, k) of
+    the whole Q is nonzero only when factor k is another neighbor of j
+    and z another neighbor of factor k (the two-hop dependency of the
+    message equations). q keeps the v2f edges of EdgeStack.loop_core, in
+    canonical order; the edges it peels add only zero eigenvalues, so
+    rho is rho of the whole Q, and 0.0 with an empty q on a forest.
+    offsets maps each core edge to its (start, dim) slice of q.
     """
 
     q: np.ndarray
@@ -147,31 +149,43 @@ class QSystem:
     rho: float
 
 
-def _v2f_coords(stack):
-    """Stacked-vector index of each real coordinate of each row's twin v2f edge, and the mask."""
-    offsets = stack.graph.v2f_offsets
-    start = np.array([offsets[(j, n)][0] for n, j in stack.edges], dtype=int)
+def _v2f_coords(stack, keep):
+    """Coordinates of the twin v2f edges of the rows keep marks, packed in canonical v2f order.
+
+    Returns each row's coordinate per padded slot and the mask of the
+    real slots of the kept rows. With every row kept the layout is
+    graph.v2f_offsets.
+    """
+    rows = stack.v2f_rows[keep[stack.v2f_rows]]
+    start = np.zeros(len(stack.edges), dtype=int)
+    start[rows] = np.cumsum(stack.dims[rows]) - stack.dims[rows]
     width = np.arange(stack.w.shape[-1])
-    return start[:, None] + width, width < stack.dims[:, None]
+    return start[:, None] + width, (width < stack.dims[:, None]) & keep[:, None]
 
 
 def assemble_q(model, graph, fixed_point):
-    """Q blocks J_{j->n}^-1 K_{k->j} A_{k,z}, read from the kernel's stacks, and rho(Q).
+    """Q's loop-core blocks J_{j->n}^-1 K_{k->j} A_{k,z}, read from the kernel's stacks, and rho(Q).
 
     Stack row e holds Q's block row for its twin v2f edge (j, n). One pass
-    of the loop fills, for all rows at once, the block of one other factor
-    k of j (a column of others_of_var) and one other variable z of k.
+    of the loop fills, for all core rows at once, the block of one other
+    factor k of j (a column of others_of_var) and one other variable z of
+    k; blocks whose (z, k) is off the core are dropped.
     """
-    st, gain, jv = fixed_point.stack, fixed_point.gain, fixed_point.v2f_j
-    coords, real = _v2f_coords(st)
-    q = np.zeros((graph.total_v2f_dim, graph.total_v2f_dim))
-    for kj in st.others_of_var.T:
+    st, gain = fixed_point.stack, fixed_point.gain
+    core = st.loop_core()
+    coords, real = _v2f_coords(st, core)
+    offsets = {st.edges[e][::-1]: (int(coords[e, 0]), int(st.dims[e]))
+               for e in st.v2f_rows.tolist() if core[e]}
+    rows = np.flatnonzero(core)
+    jv, row_coords, row_real = fixed_point.v2f_j[rows], coords[rows], real[rows]
+    q = np.zeros((int(real.sum()),) * 2)
+    for kj in st.others_of_var[rows].T:
         for kz in st.others_of_factor[kj].T:
-            keep = ((kj >= 0) & (kz >= 0))[:, None, None] & real[:, :, None] & real[kz][:, None, :]
+            keep = ((kj >= 0) & (kz >= 0))[:, None, None] & row_real[:, :, None] & real[kz][:, None, :]
             block = np.linalg.solve(jv, gain[kj] @ st.a[kz])
-            q[np.broadcast_to(coords[:, :, None], keep.shape)[keep],
+            q[np.broadcast_to(row_coords[:, :, None], keep.shape)[keep],
               np.broadcast_to(coords[kz][:, None, :], keep.shape)[keep]] = block[keep]
-    return QSystem(q=q, offsets=dict(graph.v2f_offsets), rho=spectral_radius(q))
+    return QSystem(q=q, offsets=offsets, rho=spectral_radius(q))
 
 
 @dataclass
@@ -208,7 +222,7 @@ def two_phase_mean_recursion(fixed_point, max_iters=20_000):
         if dv < MEAN_RECURSION_TOL:
             status = "converged"
             break
-    coords, real = _v2f_coords(st)
+    coords, real = _v2f_coords(st, np.ones(len(st.edges), dtype=bool))
     v = np.zeros(st.graph.total_v2f_dim)
     v[coords[real]] = vv[real]
     return MeanRecursionResult(status=status, iterations=iterations, v=v)
@@ -222,7 +236,7 @@ def beliefs_from_v2f_means(model, graph, fixed_point, v_stacked):
     compute_beliefs combines them into per-variable means.
     """
     st = fixed_point.stack
-    coords, real = _v2f_coords(st)
+    coords, real = _v2f_coords(st, np.ones(len(st.edges), dtype=bool))
     vv = np.zeros(coords.shape)
     vv[real] = np.asarray(v_stacked, dtype=float)[coords[real]]
     fv = st.f2v_mean(vv, st.all, fixed_point.gain, fixed_point.f2v_j)

@@ -34,6 +34,8 @@ for run_bp, information_fixed_point and make_init: "zero", "lower",
 "upper", or a dict that must cover every edge with finite, psd
 information matrices, the precondition of the paper's convergence results.
 Edge dicts enter only there, and leave only through EdgeStack.views.
+loop_core reads Q's block pattern off the two gather arrays and keeps
+the rows on which the analysis builds Q for rho(Q).
 
 One outer iteration updates every edge of both kinds exactly once. A
 schedule is a choice of factor blocks (sets of rows) for one shared
@@ -185,6 +187,29 @@ class EdgeStack:
             out[-1] += self.factor_rows[n]
             seen.update(scope)
         return [np.array(rows, dtype=int) for rows in out]
+
+    def loop_core(self):
+        """Bool mask of the rows whose twin v2f edges carry Q's spectrum; none on a forest.
+
+        Q's block row for the twin of row e reads the twins of the rows
+        others_of_factor[others_of_var[e]], and its diagonal blocks are
+        zero. A row that reads no kept row, or that no kept row reads,
+        is a zero diagonal block of a block-triangular permutation of Q,
+        so it adds only zero eigenvalues. Such rows are peeled, pass by
+        pass, from this pattern alone: exact, with no tolerance.
+        """
+        reads = self.others_of_factor[self.others_of_var]
+        dep = (self.others_of_var >= 0)[..., None] & (reads >= 0)
+        src, dst = np.nonzero(dep)[0], reads[dep]
+        keep = np.ones(len(self.edges), dtype=bool)
+        while True:
+            peel = keep & ((np.bincount(src, minlength=len(keep)) == 0)
+                           | (np.bincount(dst, minlength=len(keep)) == 0))
+            if not peel.any():
+                return keep
+            keep &= ~peel
+            live = keep[src] & keep[dst]
+            src, dst = src[live], dst[live]
 
     def lower_bound(self):
         """L_{n->i} = A_i^T (R_n + sum_{j != i} A_j W_j A_j^T)^-1 A_i for every row.

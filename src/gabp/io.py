@@ -53,9 +53,12 @@ def _vector_from_json(obj, what):
     if not isinstance(obj, list):
         raise InputFormatError(f"{what}: expected a list of numbers")
     try:
-        return np.array(obj, dtype=float)
+        vec = np.array(obj, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"{what}: entries must be numeric") from exc
+    if vec.ndim != 1:
+        raise InputFormatError(f"{what}: expected a flat list of numbers, got shape {vec.shape}")
+    return vec
 
 
 def model_to_json(model):

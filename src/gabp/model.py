@@ -159,6 +159,9 @@ def validate_model(model):
                 f"factor {f.id}: coefficient keys {sorted(f.coeff)} do not match scope {list(f.scope)}"
             )
             continue
+        if f.obs.ndim != 1:
+            problems.append(f"factor {f.id}: obs must be a vector, got shape {f.obs.shape}")
+            continue
         m = f.obs_dim
         for i in f.scope:
             ni = model.variable(i).dim
@@ -209,43 +212,6 @@ def variable_offsets(model):
         offsets[v.id] = (pos, v.dim)
         pos += v.dim
     return offsets
-
-
-def factor_offsets(model):
-    """Map factor id -> (start, obs_dim) in the globally stacked observation."""
-    offsets = {}
-    pos = 0
-    for f in model.factors:
-        offsets[f.id] = (pos, f.obs_dim)
-        pos += f.obs_dim
-    return offsets
-
-
-def stack_global(model):
-    """Stack the model into global (A, R, W, y) in ascending-id order.
-
-    Rows follow ascending factor id, columns ascending variable id. R and
-    W come back block diagonal; absent coefficient blocks are zero.
-    """
-    voff = variable_offsets(model)
-    foff = factor_offsets(model)
-    n = model.total_dim
-    m = model.total_obs_dim
-    a = np.zeros((m, n))
-    r = np.zeros((m, m))
-    w = np.zeros((n, n))
-    y = np.zeros(m)
-    for v in model.variables:
-        s, d = voff[v.id]
-        w[s:s + d, s:s + d] = v.prior_cov
-    for f in model.factors:
-        rs, rm = foff[f.id]
-        r[rs:rs + rm, rs:rs + rm] = f.noise_cov
-        y[rs:rs + rm] = f.obs
-        for i in f.scope:
-            cs, cd = voff[i]
-            a[rs:rs + rm, cs:cs + cd] = f.coeff[i]
-    return a, r, w, y
 
 
 @dataclass

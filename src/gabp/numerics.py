@@ -12,9 +12,8 @@ fixed; no function takes a per-call tolerance override:
 * is_symmetric, symmetrize, is_psd, is_pd and part_metric take one
   matrix or an (E, d, d) stack, and has_full_column_rank one matrix or an
   (E, m, d) stack; on a stack they decide each matrix on its own,
-* the spectral radius is exact: coordinates that the sparsity pattern
-  splits off as 1 x 1 diagonal blocks are peeled in O(nnz), and dense
-  numpy eigvals runs only on the core that remains.
+* the spectral radius is plain dense numpy eigvals; the analysis hands
+  it only Q's loop core (EdgeStack.loop_core).
 """
 
 import numpy as np
@@ -175,34 +174,10 @@ def part_metric_to(ref):
 def spectral_radius(q):
     """Largest eigenvalue magnitude of a square (not necessarily symmetric) matrix.
 
-    A coordinate whose row or whose column has no off-diagonal nonzero
-    among the coordinates still left is a 1 x 1 diagonal block of a
-    block-triangular permutation of q, with eigenvalue q_ii. Such
-    coordinates are peeled, pass by pass, from the exact zero pattern (no
-    tolerance); each pass costs O(nnz). Dense numpy eigvals then runs on
-    the core that remains, so the result is exact, and 0.0 for a
-    permuted strictly triangular q (a nilpotent pattern, as Q on a
-    forest). Like eigvals, raises LinAlgError on a NaN or inf anywhere.
+    Dense numpy eigvals, so it raises LinAlgError on a NaN or inf
+    anywhere; an empty matrix (Q's loop core on a forest) has radius 0.0.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {q.shape}")
-    n = q.shape[0]
-    rows, cols = np.nonzero(q)
-    if not np.isfinite(q[rows, cols]).all():
-        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    off = rows != cols
-    rows, cols = rows[off], cols[off]
-    left = np.ones(n, dtype=bool)
-    while True:
-        peel = left & ((np.bincount(rows, minlength=n) == 0) | (np.bincount(cols, minlength=n) == 0))
-        if not peel.any():
-            break
-        left &= ~peel
-        keep = left[rows] & left[cols]
-        rows, cols = rows[keep], cols[keep]
-    rho = float(np.max(np.abs(np.diag(q)[~left]), initial=0.0))
-    core = np.flatnonzero(left)
-    if core.size:
-        rho = max(rho, float(np.max(np.abs(np.linalg.eigvals(q[np.ix_(core, core)])))))
-    return rho
+    return float(np.max(np.abs(np.linalg.eigvals(q)))) if q.size else 0.0

@@ -2,14 +2,16 @@
 
 The oracles deliberately avoid the code paths they are used to check:
 the part metric is re-derived by bisection on definiteness tests, the
-spectral radius from characteristic polynomial roots, and constrained
-posteriors from a null-space parameterization.
+spectral radius from characteristic polynomial roots, constrained
+posteriors from a null-space parameterization, the whole Q edge by edge
+from the message equations, and its loop core from Q's exact zero
+pattern.
 """
 
 import numpy as np
 import pytest
 
-from gabp.model import FactorSpec, LinearGaussianModel, VariableSpec
+from gabp.model import FactorSpec, LinearGaussianModel, VariableSpec, variable_offsets
 
 
 def rand_spd(rng, n, scale=1.0):
@@ -57,6 +59,88 @@ def charpoly_radius(a):
     return float(np.max(np.abs(np.roots(coeffs)))) if n else 0.0
 
 
+def factor_offsets(model):
+    """Map factor id -> (start, obs_dim) in the globally stacked observation."""
+    offsets = {}
+    pos = 0
+    for f in model.factors:
+        offsets[f.id] = (pos, f.obs_dim)
+        pos += f.obs_dim
+    return offsets
+
+
+def stack_global(model):
+    """Stack the model into global (A, R, W, y) in ascending-id order.
+
+    Rows follow ascending factor id, columns ascending variable id. R and
+    W come back block diagonal; absent coefficient blocks are zero.
+    """
+    voff = variable_offsets(model)
+    foff = factor_offsets(model)
+    a = np.zeros((model.total_obs_dim, model.total_dim))
+    r = np.zeros((model.total_obs_dim, model.total_obs_dim))
+    w = np.zeros((model.total_dim, model.total_dim))
+    y = np.zeros(model.total_obs_dim)
+    for v in model.variables:
+        s, d = voff[v.id]
+        w[s:s + d, s:s + d] = v.prior_cov
+    for f in model.factors:
+        rs, rm = foff[f.id]
+        r[rs:rs + rm, rs:rs + rm] = f.noise_cov
+        y[rs:rs + rm] = f.obs
+        for i in f.scope:
+            cs, cd = voff[i]
+            a[rs:rs + rm, cs:cs + cd] = f.coeff[i]
+    return a, r, w, y
+
+
+def dense_q(model, graph, fp):
+    """The whole Q of the frozen-J* mean recursion v <- b - Q v, edge by edge.
+
+    Rows and columns follow graph.v2f_offsets. The block in row (j, n),
+    column (z, k), for each factor k != n of j and each variable z != j
+    of k, is J_{j->n}^-1 A_{k,j}^T M_{k,j}^-1 A_{k,z} with
+    M_{k,j} = R_k + sum over the variables z' != j of k of
+    A_{k,z'} J_{z'->k}^-1 A_{k,z'}^T, read from fp.v2f and the model.
+    """
+    offsets = graph.v2f_offsets
+    q = np.zeros((graph.total_v2f_dim, graph.total_v2f_dim))
+    for (j, n), (rs, rd) in offsets.items():
+        for k in graph.neighbors_of_var[j]:
+            if k == n:
+                continue
+            f = model.factor(k)
+            others = [z for z in f.scope if z != j]
+            core = f.noise_cov + sum(f.coeff[z] @ np.linalg.solve(fp.v2f[(z, k)], f.coeff[z].T)
+                                     for z in others)
+            gain = f.coeff[j].T @ np.linalg.inv(core)
+            for z in others:
+                cs, cd = offsets[(z, k)]
+                q[rs:rs + rd, cs:cs + cd] = np.linalg.solve(fp.v2f[(j, n)], gain @ f.coeff[z])
+    return q
+
+
+def entry_core(q):
+    """Coordinates of q left after peeling, pass by pass, every coordinate
+    whose row or column has no off-diagonal nonzero among those left.
+
+    Each peeled coordinate is a 1 x 1 diagonal block of a block-triangular
+    permutation of q; the exact zero pattern decides, with no tolerance.
+    """
+    rows, cols = np.nonzero(q)
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    left = np.ones(q.shape[0], dtype=bool)
+    while True:
+        peel = left & ((np.bincount(rows, minlength=len(left)) == 0)
+                       | (np.bincount(cols, minlength=len(left)) == 0))
+        if not peel.any():
+            return np.flatnonzero(left)
+        left &= ~peel
+        keep = left[rows] & left[cols]
+        rows, cols = rows[keep], cols[keep]
+
+
 def constrained_posterior(model, constraint_coeff, constraint_obs):
     """Posterior mean of a model subject to an exact linear constraint,
     via null-space parameterization. constraint_coeff maps variable id
@@ -65,8 +149,6 @@ def constrained_posterior(model, constraint_coeff, constraint_obs):
     Returns a dict of posterior means per variable id.
     """
     from scipy.linalg import null_space
-
-    from gabp.model import stack_global, variable_offsets
 
     a, r, w, y = stack_global(model)
     offsets = variable_offsets(model)

@@ -13,7 +13,7 @@ import pytest
 
 import gabp
 from conftest import (QUARTET_A, QUARTET_ABS_SPECTRUM, QUARTET_J,
-                      QUARTET_PRIOR, quartet_model, rand_spd)
+                      QUARTET_PRIOR, dense_q, quartet_model, rand_spd)
 from corpus import (DIVERGENT_RECIPES, SHOWCASE_DIVERGENT, forest_corpus,
                     frustrated_model, loopy_corpus, mixed_corpus,
                     random_walk_summable)
@@ -79,10 +79,12 @@ def test_criterion_04_forest_exactness():
         for vid, mean in oracle.means.items():
             np.testing.assert_allclose(res.beliefs[vid].mean, mean, atol=1e-8,
                                        err_msg=label)
-        qsys = assemble_q(model, graph, gabp.information_fixed_point(model, graph))
+        fp = gabp.information_fixed_point(model, graph)
+        qsys = assemble_q(model, graph, fp)
         assert qsys.rho < 1e-10, label
-        # nilpotency is structural, so the power vanishes exactly
-        assert not np.any(np.linalg.matrix_power(qsys.q, qsys.q.shape[0])), label
+        # nilpotency is structural, so the power of the whole Q vanishes exactly
+        q = dense_q(model, graph, fp)
+        assert not np.any(np.linalg.matrix_power(q, q.shape[0])), label
 
 
 def test_criterion_05_fixed_point_uniqueness():

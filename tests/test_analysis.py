@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import GOLDEN_EDGE_PRECISION, charpoly_radius, quartet_model, rand_spd
+from conftest import (GOLDEN_EDGE_PRECISION, charpoly_radius, dense_q, entry_core,
+                      quartet_model, rand_spd)
 from corpus import (SHOWCASE_DIVERGENT, forest_corpus, frustrated_model,
                     loopy_corpus, mixed_corpus)
 from gabp.analysis import (MEAN_RECURSION_TOL, assemble_q,
@@ -132,14 +133,15 @@ def test_q_block_sparsity_pattern(quartet):
     g = build_factor_graph(quartet)
     fp = information_fixed_point(quartet, g)
     qs = assemble_q(quartet, g, fp)
-    assert qs.q.shape == (g.total_v2f_dim, g.total_v2f_dim)
+    q, offsets = dense_q(quartet, g, fp), g.v2f_offsets
+    assert q.shape == (g.total_v2f_dim, g.total_v2f_dim)
     neighbors_of_var = {j: set(g.neighbors_of_var[j]) for j in g.var_ids}
     scope = {n: set(g.neighbors_of_factor[n]) for n in g.factor_ids}
     for (j, n) in g.v2f_edges:
-        rs, rd = qs.offsets[(j, n)]
+        rs, rd = offsets[(j, n)]
         for (z, k) in g.v2f_edges:
-            cs, cd = qs.offsets[(z, k)]
-            block = qs.q[rs:rs + rd, cs:cs + cd]
+            cs, cd = offsets[(z, k)]
+            block = q[rs:rs + rd, cs:cs + cd]
             on_pattern = (k in neighbors_of_var[j] and k != n
                           and z in scope[k] and z != j)
             if not on_pattern:
@@ -153,7 +155,7 @@ def test_engine_one_step_equals_affine_map(quartet):
     # point with arbitrary means must realize v' = -Q v + b exactly
     g = build_factor_graph(quartet)
     fp = information_fixed_point(quartet, g, tol=1e-14)
-    qs = assemble_q(quartet, g, fp)
+    q, offsets = dense_q(quartet, g, fp), g.v2f_offsets
 
     rng = np.random.default_rng(7)
     x = rng.standard_normal(g.total_v2f_dim)
@@ -169,7 +171,7 @@ def test_engine_one_step_equals_affine_map(quartet):
                 continue
             az = f.coeff[z]
             core = core + az @ np.linalg.solve(fp.v2f[(z, n)], az.T)
-            start, dim = qs.offsets[(z, n)]
+            start, dim = offsets[(z, n)]
             resid = resid - az @ x[start:start + dim]
         ai = f.coeff[i]
         jmat = ai.T @ np.linalg.solve(core, ai)
@@ -178,10 +180,10 @@ def test_engine_one_step_equals_affine_map(quartet):
     init = {e: Message(J=fp.f2v[e].copy(), v=f2v_means[e]) for e in g.f2v_edges}
     res = run_bp(quartet, g, init=init, options=BpOptions(max_iters=1))
     got = np.zeros(g.total_v2f_dim)
-    for e, (start, dim) in qs.offsets.items():
+    for e, (start, dim) in offsets.items():
         got[start:start + dim] = res.messages["v2f"][e].v
 
-    expected = -qs.q @ x + affine_offset(quartet, g, fp, qs.offsets)
+    expected = -q @ x + affine_offset(quartet, g, fp, offsets)
     np.testing.assert_allclose(got, expected, atol=1e-9)
 
 
@@ -191,8 +193,10 @@ def test_forest_q_is_nilpotent():
     fp = information_fixed_point(m, g)
     qs = assemble_q(m, g, fp)
     assert qs.rho < 1e-10
-    power = np.linalg.matrix_power(qs.q, len(g.v2f_edges))
+    power = np.linalg.matrix_power(dense_q(m, g, fp), len(g.v2f_edges))
     assert np.max(np.abs(power)) < 1e-12
+    # every edge of a forest is peeled: the core is empty and rho exactly 0
+    assert qs.q.shape == (0, 0) and qs.offsets == {} and qs.rho == 0.0
 
 
 def test_spectral_radius_route_agreement(quartet):
@@ -209,17 +213,17 @@ def test_two_phase_converges_to_linear_solve(quartet):
     for model in (quartet, multi_loop):
         g = build_factor_graph(model)
         fp = information_fixed_point(model, g)
-        qs = assemble_q(model, g, fp)
-        b = affine_offset(model, g, fp, qs.offsets)
+        q = dense_q(model, g, fp)
+        b = affine_offset(model, g, fp, g.v2f_offsets)
         mr = two_phase_mean_recursion(fp)
         assert mr.status == "converged"
-        direct = np.linalg.solve(np.eye(qs.q.shape[0]) + qs.q, b)
+        direct = np.linalg.solve(np.eye(q.shape[0]) + q, b)
         np.testing.assert_allclose(mr.v, direct, atol=1e-8)
 
         # the engine's mean half takes exactly the steps of the dense loop
         x = np.zeros_like(b)
         for dense_iterations in range(1, 20_001):
-            x, prev = b - qs.q @ x, x
+            x, prev = b - q @ x, x
             if np.max(np.abs(x - prev)) < MEAN_RECURSION_TOL:
                 break
         assert mr.iterations == dense_iterations
@@ -343,8 +347,9 @@ def test_rho_and_verdict_match_dense_eigvals_of_the_whole_q_on_every_corpus_mode
     models += [(f"loopy-{k}", m) for k, m in enumerate(loopy_corpus())]
     for label, model in models:
         g = build_factor_graph(model)
-        qs = assemble_q(model, g, information_fixed_point(model, g))
-        dense = dense_radius(qs.q)
+        fp = information_fixed_point(model, g)
+        qs = assemble_q(model, g, fp)
+        dense = dense_radius(dense_q(model, g, fp))
         assert qs.rho == pytest.approx(dense, abs=1e-10), label
         topo = classify_topology(g).overall
         assert decide_mean_convergence(qs.rho, topo) == decide_mean_convergence(dense, topo), label
@@ -368,17 +373,73 @@ def test_certify_mean_error_matches_the_centralized_means(quartet, monkeypatch):
 
 
 def test_certify_runs_eigvals_once_on_the_core_and_never_on_a_forest(monkeypatch):
-    shapes, real = [], np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or real(a))
     # a multi-loop model whose loops carry hanging trees
     model = random_model(seed=1, n_agents=40, dims=(1, 3), topology="multi_loop")
     g = build_factor_graph(model)
+    core_dim = len(entry_core(dense_q(model, g, information_fixed_point(model, g))))
+    shapes, real = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or real(a))
     rep = certify(model)
     assert rep.topology == "multi_loop" and rep.rho_q > 0.0
-    assert len(shapes) == 1
-    assert shapes[0][0] < g.total_v2f_dim
+    assert shapes == [(core_dim, core_dim)]
+    assert 0 < core_dim < g.total_v2f_dim
 
     shapes.clear()
     rep = certify(random_model(seed=3, n_agents=20, dims=(1, 3), topology="forest"))
     assert rep.topology == "forest" and rep.rho_q == 0.0
     assert shapes == []
+
+
+CLI_MIXED_TOPOLOGIES = ("forest", "single_loop", "multi_loop")
+
+
+def cli_mixed_models():
+    """The 18 models of the benchmark's cli-mixed workload (its observations aside)."""
+    return [(f"cli-mixed-{k}", random_model(seed=k + 1, n_agents=8 + round(16 * k / 17),
+                                            dims=(1, 1 + (k // 3) % 3),
+                                            topology=CLI_MIXED_TOPOLOGIES[k % 3]))
+            for k in range(18)]
+
+
+def core_coordinates(g, core):
+    """Coordinates, in the graph.v2f_offsets layout, of the v2f edges whose stack rows core keeps."""
+    return [c for (j, n), (s, d) in g.v2f_offsets.items() if core[g.f2v_index[(n, j)]]
+            for c in range(s, s + d)]
+
+
+def test_loop_core_is_the_entry_level_peel_and_q_is_the_whole_q_on_it():
+    # the entry-level peel of the whole Q's exact zeros is the reference for the structural one
+    models = list(mixed_corpus()) + [(f"forest-{k}", m) for k, m in enumerate(forest_corpus())]
+    models += [(f"loopy-{k}", m) for k, m in enumerate(loopy_corpus())] + cli_mixed_models()
+    models += [(f"bench-{n}", random_model(seed=1, n_agents=n, topology="multi_loop"))
+               for n in (480, 520)]
+    for label, model in models:
+        g = build_factor_graph(model)
+        fp = information_fixed_point(model, g)
+        core = fp.stack.loop_core()
+        assert core.dtype == bool and core.shape == (len(g.f2v_edges),), label
+        q = dense_q(model, g, fp)
+        coords = core_coordinates(g, core)
+        np.testing.assert_array_equal(coords, entry_core(q), err_msg=label)
+
+        qs = assemble_q(model, g, fp)
+        np.testing.assert_allclose(qs.q, q[np.ix_(coords, coords)], rtol=0.0, atol=1e-12,
+                                   err_msg=label)
+        core_edges = [(j, n) for j, n in g.v2f_edges if core[g.f2v_index[(n, j)]]]
+        assert list(qs.offsets) == core_edges, label
+        assert [d for _, d in qs.offsets.values()] == [g.var_dims[j] for j, _ in core_edges]
+        assert [c for s, d in qs.offsets.values() for c in range(s, s + d)] == list(range(len(coords)))
+
+
+def test_certify_allocates_no_array_as_large_as_the_whole_q():
+    import tracemalloc
+
+    model = random_model(seed=1, n_agents=480, topology="multi_loop")
+    dim = build_factor_graph(model).total_v2f_dim
+    tracemalloc.start()
+    try:
+        certify(model, cross_check=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dim * dim * 8, (peak, dim)

@@ -9,7 +9,7 @@ from conftest import QUARTET_J, quartet_model, vague_prior_model
 from corpus import SHOWCASE_DIVERGENT, frustrated_model, grid_field, mixed_corpus
 from gabp.cli import main
 from gabp.errors import ExistenceViolation
-from gabp.io import matrix_to_json, save_model, save_mrf
+from gabp.io import matrix_to_json, model_to_json, save_model, save_mrf
 from gabp.model import LinearGaussianModel, VariableSpec, validate_model
 
 
@@ -75,6 +75,21 @@ def test_non_finite_input_is_a_named_problem(poison, tmp_path, capsys):
     assert "not finite" in capsys.readouterr().err
     assert main(["analyze", path, "--certify"]) == 1
     assert "not finite" in capsys.readouterr().err
+
+
+@pytest.fixture
+def nested_obs_file(tmp_path):
+    obj = model_to_json(quartet_model())
+    obj["factors"][0]["obs"] = [[1.0, 2.0]]
+    path = tmp_path / "nested_obs.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("cmd", [["validate"], ["solve"], ["run"], ["analyze", "--certify"]])
+def test_a_nested_obs_list_is_an_input_error(cmd, nested_obs_file, capsys):
+    assert main(cmd + [nested_obs_file]) == 2
+    assert "input error: factor 1 obs: expected a flat list" in capsys.readouterr().err
 
 
 def test_missing_file_is_input_error(capsys):
@@ -231,8 +246,9 @@ def test_analyze_certify_on_a_divergent_model_reports_and_exits_4(divergent_file
     assert data["bp_status"] == "diverged" and data["max_mean_error"] is None
 
 
-def test_every_command_returns_a_documented_exit_code(divergent_file, quartet_file, tmp_path):
-    paths = [divergent_file, quartet_file]
+def test_every_command_returns_a_documented_exit_code(divergent_file, quartet_file, nested_obs_file,
+                                                      tmp_path):
+    paths = [divergent_file, quartet_file, nested_obs_file]
     for label, model in mixed_corpus():
         paths.append(str(tmp_path / f"{label}.json"))
         save_model(model, paths[-1])

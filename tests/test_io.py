@@ -87,6 +87,13 @@ def test_model_from_json_rejects_malformed(obj):
         model_from_json(obj)
 
 
+def test_model_from_json_rejects_a_nested_obs_list(quartet):
+    obj = model_to_json(quartet)
+    obj["factors"][0]["obs"] = [[1.0, 2.0]]
+    with pytest.raises(InputFormatError, match="factor 1 obs: expected a flat list"):
+        model_from_json(obj)
+
+
 def test_load_model_missing_file(tmp_path):
     with pytest.raises(InputFormatError):
         load_model(tmp_path / "absent.json")

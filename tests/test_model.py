@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import (QUARTET_A, QUARTET_J, QUARTET_PRIOR, constrained_posterior,
-                      quartet_model, rand_spd)
+                      quartet_model, rand_spd, stack_global)
 from corpus import mixed_corpus
 from gabp.errors import DomainError
 from gabp.model import (FactorSpec, LinearGaussianModel, VariableSpec,
                         centralized_solve, eliminate_noiseless_factor,
-                        random_model, require_valid, stack_global,
-                        validate_model, variable_offsets)
+                        random_model, require_valid, validate_model,
+                        variable_offsets)
 from gabp.numerics import PSD_TOL, RANK_TOL, SYM_TOL
 
 
@@ -75,6 +75,18 @@ def test_validate_reports_semantic_problems():
     assert "noise_cov is not positive definite" in text
     assert "full column rank" in text
     assert len(problems) == 3
+
+
+def test_validate_reports_an_obs_that_is_not_a_vector():
+    one = np.eye(1)
+    bad = LinearGaussianModel(
+        variables=[VariableSpec(1, 1, one), VariableSpec(2, 1, one)],
+        factors=[FactorSpec(1, (1,), {1: one}, one, np.array([[1.0, 2.0]])),
+                 FactorSpec(2, (1, 2), {1: one, 2: one}, one, np.ones(1))],
+    )
+    assert validate_model(bad) == ["factor 1: obs must be a vector, got shape (1, 2)"]
+    with pytest.raises(DomainError):
+        require_valid(bad)
 
 
 def test_validate_rejects_asymmetric_covariances():

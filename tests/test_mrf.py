@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import QUARTET_ABS_SPECTRUM, QUARTET_J
+from conftest import QUARTET_ABS_SPECTRUM, QUARTET_J, stack_global
 from corpus import grid_field, random_walk_summable
 from gabp.errors import DomainError
 from gabp.graph import build_factor_graph
-from gabp.model import centralized_solve, stack_global, validate_model
+from gabp.model import centralized_solve, validate_model
 from gabp.mrf import (check_walk_summability, comparison_matrix, default_omega,
                       factor_width_two, is_h_matrix, mrf_marginals,
                       mrf_to_linear_gaussian, normalize_mrf)

@@ -178,25 +178,6 @@ def hidden_permutation(q, seed):
     return q[np.ix_(perm, perm)]
 
 
-def test_spectral_radius_peels_a_block_triangular_matrix_to_its_complex_core(monkeypatch):
-    # Upper block triangular: a 3-dim head of chained 1 x 1 blocks, a
-    # 2-dim core rotation 0.9 exp(+-0.7i) with full coupling to the rest,
-    # and a 4-dim tail; only the rotation is left for eigvals.
-    rng = np.random.default_rng(1)
-    n = 9
-    q = np.triu(rng.uniform(-1.0, 1.0, (n, n)))
-    np.fill_diagonal(q, rng.uniform(-0.5, 0.5, n))
-    c, s = np.cos(0.7), np.sin(0.7)
-    q[3:5, 3:5] = 0.9 * np.array([[c, -s], [s, c]])
-    q = hidden_permutation(q, 2)
-    expected = dense_radius(q)
-    shapes, real = [], np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or real(a))
-    assert spectral_radius(q) == pytest.approx(expected, abs=1e-10)
-    assert spectral_radius(q) == pytest.approx(0.9, abs=1e-10)
-    assert shapes == [(2, 2)] * 2
-
-
 def test_spectral_radius_finds_the_dominant_eigenvalue_in_a_peeled_entry():
     rng = np.random.default_rng(3)
     n = 12
