@@ -46,7 +46,9 @@ log = logging.getLogger("gabp")
 
 BORDERLINE_BAND = 1e-3
 FIXED_POINT_TOL = 1e-12
+FIXED_POINT_MAX_ITERS = 10_000
 MEAN_RECURSION_TOL = 1e-10
+MEAN_RECURSION_MAX_ITERS = 20_000
 PART_METRIC_FLOOR = 1e-13
 
 
@@ -91,11 +93,9 @@ class FixedPoint:
     stack: EdgeStack
     f2v_j: np.ndarray
     v2f_j: np.ndarray
-    history: list = None
 
 
-def information_fixed_point(model, graph=None, init="zero", tol=FIXED_POINT_TOL,
-                            max_iters=10_000, record=False):
+def information_fixed_point(model, graph=None, init="zero"):
     """Iterate the information half of the engine alone until it stops moving.
 
     The mean vectors play no role here, so this is the cheapest way to
@@ -103,30 +103,26 @@ def information_fixed_point(model, graph=None, init="zero", tol=FIXED_POINT_TOL,
     iteration is one synchronous J half over the whole edge stack. init
     accepts the engine's strategies and dicts of psd matrices (or
     messages) per edge (see EdgeStack.init). Raises IterationBudgetError
-    if tol is not reached within max_iters.
+    if FIXED_POINT_TOL is not reached within FIXED_POINT_MAX_ITERS.
     """
     if graph is None:
         graph = build_factor_graph(model)
     stack = EdgeStack(model, graph)
     fj, _ = stack.init(init)
-    history = [stack.views(fj[:-1].copy())] if record else None
     delta = math.inf
-    for it in range(1, max_iters + 1):
+    for it in range(1, FIXED_POINT_MAX_ITERS + 1):
         _, new = stack.f2v_information(stack.v2f_information(fj, stack.all), stack.all)
         delta = float(np.max(np.linalg.norm(new - fj[:-1], axis=(1, 2)), initial=0.0))
         fj[:-1] = new
-        if record:
-            history.append(stack.views(new))
-        if delta < tol:
+        if delta < FIXED_POINT_TOL:
             jv = stack.v2f_information(fj, stack.all)
             gain, _ = stack.f2v_information(jv, stack.all)
             log.debug("information fixed point reached after %d iterations", it)
             return FixedPoint(f2v=stack.views(new), v2f=stack.views(jv, v2f=True),
-                              gain=gain, iterations=it, history=history, stack=stack,
-                              f2v_j=new, v2f_j=jv)
+                              gain=gain, iterations=it, stack=stack, f2v_j=new, v2f_j=jv)
     raise IterationBudgetError(
-        f"information recursion did not reach tol={tol:g} within {max_iters} iterations "
-        f"(last delta {delta:.3e})"
+        f"information recursion did not reach tol={FIXED_POINT_TOL:g} within "
+        f"{FIXED_POINT_MAX_ITERS} iterations (last delta {delta:.3e})"
     )
 
 
@@ -195,21 +191,22 @@ class MeanRecursionResult:
     v: np.ndarray
 
 
-def two_phase_mean_recursion(fixed_point, max_iters=20_000):
+def two_phase_mean_recursion(fixed_point):
     """Iterate the engine's mean half from zero v2f means, its J frozen at J*.
 
     An iteration is the f2v step K (y - sum A v), then the v2f step, over
     the whole stack: exactly v <- b - Q v, as Q's block is
     J_{j->n}^-1 K_{k->j} A_{k,z}. Returns status "converged" (step below
     MEAN_RECURSION_TOL), "diverged" (DIVERGENCE_GUARD exceeded or values
-    not finite) or "max_iters", and v in Q's coordinates.
+    not finite) or "max_iters" after MEAN_RECURSION_MAX_ITERS, and v in
+    Q's coordinates.
     """
     st = fixed_point.stack
     vv = np.zeros(st.w.shape[:2])
     fh = np.zeros((len(vv) + 1, vv.shape[1]))
     status = "max_iters"
     iterations = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, MEAN_RECURSION_MAX_ITERS + 1):
         iterations = it
         fh[:-1] = st.f2v_potential(vv, st.all, fixed_point.gain)
         new = st.v2f_mean(fh, st.all, fixed_point.v2f_j)

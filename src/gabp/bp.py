@@ -54,7 +54,7 @@ Strict mode requires pd incoming v2f information matrices before a
 block's f2v half (A^T R^-1 A is psd, so each update's existence core
 A^T R^-1 A + blockdiag(J) is then pd) and pd f2v ones after each
 iteration. Checks, deltas and part metrics run over stacks of rows;
-message dicts, trajectory rows and snapshots are built for the result.
+message dicts, and trajectory rows if recorded, are built for the result.
 """
 
 import logging
@@ -95,7 +95,8 @@ class BpOptions:
 class BpTrajectory:
     """Per-edge and per-iteration convergence measurements.
 
-    rows holds one record per edge per iteration:
+    rows holds one record per edge per iteration when the run's
+    BpOptions.record_messages is set, and is empty otherwise:
     (iteration, kind, source id, target id, Frobenius change of J,
     max-abs change of v, part metric to the reference or nan).
     per_iteration aggregates the maxima; part_metric there is the largest
@@ -105,7 +106,6 @@ class BpTrajectory:
 
     rows: list = field(default_factory=list)
     per_iteration: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)
     initial_part_metric: float = None
 
 
@@ -465,15 +465,13 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
             max_dj = float(max(np.max(v_dj, initial=0.0), np.max(f_dj, initial=0.0)))
             max_dv = float(max(np.max(v_dv, initial=0.0), np.max(f_dv, initial=0.0)))
         pm = ref_metric(fj) if reference is not None else None
-        traj.rows.extend(zip(repeat(it), repeat("v2f"), *v2f_ends, v_dj.tolist(), v_dv.tolist(),
-                             repeat(None)))
-        traj.rows.extend(zip(repeat(it), repeat("f2v"), *f2v_ends, f_dj.tolist(), f_dv.tolist(),
-                             repeat(None) if pm is None else pm.tolist()))
+        if opts.record_messages:
+            traj.rows.extend(zip(repeat(it), repeat("v2f"), *v2f_ends, v_dj.tolist(), v_dv.tolist(),
+                                 repeat(None)))
+            traj.rows.extend(zip(repeat(it), repeat("f2v"), *f2v_ends, f_dj.tolist(), f_dv.tolist(),
+                                 repeat(None) if pm is None else pm.tolist()))
         traj.per_iteration.append({"iter": it, "max_dj": max_dj, "max_dv": max_dv,
                                    "part_metric": None if pm is None else float(np.max(pm, initial=0.0))})
-        if opts.record_messages:
-            traj.snapshots.append({"f2v": stack.views(fj.copy(), fv.copy()),
-                                   "v2f": stack.views(vj.copy(), vv.copy(), v2f=True)})
         log.debug("bp iter %d: max_dj=%.3e max_dv=%.3e", it, max_dj, max_dv)
 
         peak = np.maximum(np.max(np.abs(fv), initial=0.0), np.max(np.abs(vv), initial=0.0))

@@ -99,7 +99,8 @@ def cmd_run(args):
     graph = build_factor_graph(model)
     init = _parse_init(args.init)
     opts = BpOptions(tol_j=args.tol_j, tol_v=args.tol_v, max_iters=args.max_iters,
-                     schedule=args.schedule, seed=args.seed, strict=args.strict)
+                     schedule=args.schedule, seed=args.seed, strict=args.strict,
+                     record_messages=bool(args.trajectory))
 
     reference = None
     if args.trajectory:

@@ -125,36 +125,31 @@ def part_metric(x, y):
     The eigenvalues of x^-1 y are 1 + mu with mu the eigenvalues of
     L^-1 (y - x) L^-T, x = L L^T (Cholesky reduction), so no explicit
     inverse is formed and distances near zero keep their relative
-    accuracy.
+    accuracy. It is part_metric_to(x)(y), a pair of matrices a stack of one.
 
     For two matrices, raises ValueError if either fails the pd check. For
     two (E, d, d) stacks, returns an array of E distances, inf where a
     pair fails it.
     """
-    x = symmetrize(x)
-    y = symmetrize(y)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    ok = np.asarray(is_pd(x) & is_pd(y))
-    dist = np.full(x.shape[:-2], np.inf)
-    if np.any(ok):
-        dist[ok] = _part_distance(np.linalg.cholesky(x[ok]), x[ok], y[ok])
-    if x.ndim > 2:
-        return dist
-    if not ok:
-        raise ValueError("part metric requires positive definite arguments")
+    if x.ndim != 2:
+        return part_metric_to(x)(y)
+    dist = float(part_metric_to(x[None])(y[None])[0])
     if not np.isfinite(dist):
+        if not (is_pd(x) and is_pd(y)):
+            raise ValueError("part metric requires positive definite arguments")
         raise ValueError("generalized eigenvalues not positive; inputs too ill-conditioned")
-    return float(dist)
+    return dist
 
 
 def part_metric_to(ref):
     """part_metric(x, ref) for (E, d, d) stacks x, as a function of x, with ref factored once.
 
     ref is symmetrized, pd-checked and Cholesky-factored here; each call
-    then checks only x. The distance is symmetric in its arguments, so
-    the reduction by ref's factor gives part_metric's value. A pair that
-    fails the pd check gets inf.
+    then checks only x. The distance is symmetric in its arguments. A
+    pair that fails the pd check gets inf.
     """
     ref = symmetrize(ref)
     ref_ok = np.asarray(is_pd(ref))

@@ -11,6 +11,7 @@ pattern.
 import numpy as np
 import pytest
 
+from gabp.bp import EdgeStack
 from gabp.model import FactorSpec, LinearGaussianModel, VariableSpec, variable_offsets
 
 
@@ -92,6 +93,24 @@ def stack_global(model):
             cs, cd = voff[i]
             a[rs:rs + rm, cs:cs + cd] = f.coeff[i]
     return a, r, w, y
+
+
+def information_iterates(model, graph, init, n):
+    """J iterates 0..n of the information recursion from init, each a dict by f2v edge.
+
+    A step is one synchronous information half over the whole stack,
+    EdgeStack.v2f_information then f2v_information: the loop that
+    information_fixed_point runs, and the f2v J of a sync run_bp. It
+    replays the engine rather than checking it, so it is no oracle.
+    """
+    stack = EdgeStack(model, graph)
+    fj, _ = stack.init(init)
+    out = [stack.views(fj[:-1].copy())]
+    for _ in range(n):
+        _, new = stack.f2v_information(stack.v2f_information(fj, stack.all), stack.all)
+        fj[:-1] = new
+        out.append(stack.views(new))
+    return out
 
 
 def dense_q(model, graph, fp):

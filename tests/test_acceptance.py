@@ -13,7 +13,8 @@ import pytest
 
 import gabp
 from conftest import (QUARTET_A, QUARTET_ABS_SPECTRUM, QUARTET_J,
-                      QUARTET_PRIOR, dense_q, quartet_model, rand_spd)
+                      QUARTET_PRIOR, dense_q, information_iterates, quartet_model,
+                      rand_spd)
 from corpus import (DIVERGENT_RECIPES, SHOWCASE_DIVERGENT, forest_corpus,
                     frustrated_model, loopy_corpus, mixed_corpus,
                     random_walk_summable)
@@ -104,21 +105,23 @@ def test_criterion_05_fixed_point_uniqueness():
 
 @pytest.fixture(scope="module")
 def recorded_runs():
-    """Zero- and upper-init recursion histories plus lower-init counts."""
+    """Zero- and upper-init recursion histories, up to each fixed point, plus iteration counts."""
     runs = []
     for label, model in full_corpus():
         graph = build_factor_graph(model)
         bounds = compute_bounds(model, graph)
-        zero = gabp.information_fixed_point(model, graph, init="zero", record=True)
-        upper = gabp.information_fixed_point(model, graph, init="upper", record=True)
+        zero = gabp.information_fixed_point(model, graph, init="zero")
+        upper = gabp.information_fixed_point(model, graph, init="upper")
         lower = gabp.information_fixed_point(model, graph, init="lower")
-        runs.append((label, graph, bounds, zero, upper, lower))
+        histories = [information_iterates(model, graph, init, fp.iterations)
+                     for init, fp in (("zero", zero), ("upper", upper))]
+        runs.append((label, graph, bounds, *histories, zero, lower))
     return runs
 
 
 def test_criterion_06_bound_sandwich(recorded_runs):
-    for label, graph, bounds, zero, upper, _ in recorded_runs:
-        for history in (zero.history, upper.history):
+    for label, graph, bounds, *histories, _, _ in recorded_runs:
+        for history in histories:
             for ell in range(1, len(history)):
                 for edge in graph.f2v_edges:
                     assert psd_compare(history[ell][edge], bounds.lower[edge]), \
@@ -128,19 +131,20 @@ def test_criterion_06_bound_sandwich(recorded_runs):
 
 
 def test_criterion_07_initialization_monotonicity(recorded_runs):
-    for label, graph, _, zero, upper, lower in recorded_runs:
-        for ell in range(1, len(zero.history)):
+    for label, graph, _, zero_history, upper_history, zero, lower in recorded_runs:
+        for ell in range(1, len(zero_history)):
             for edge in graph.f2v_edges:
-                assert psd_compare(zero.history[ell][edge], zero.history[ell - 1][edge]), \
+                assert psd_compare(zero_history[ell][edge], zero_history[ell - 1][edge]), \
                     (label, "zero", ell, edge)
-        for ell in range(1, len(upper.history)):
+        for ell in range(1, len(upper_history)):
             for edge in graph.f2v_edges:
-                assert psd_compare(upper.history[ell - 1][edge], upper.history[ell][edge]), \
+                assert psd_compare(upper_history[ell - 1][edge], upper_history[ell][edge]), \
                     (label, "upper", ell, edge)
         assert lower.iterations <= zero.iterations, label
 
 
-def test_criterion_08_rho_iff_mean_convergence():
+def test_criterion_08_rho_iff_mean_convergence(monkeypatch):
+    monkeypatch.setattr("gabp.analysis.MEAN_RECURSION_MAX_ITERS", 100_000)
     kept = n_conv = n_div = 0
     for label, model in mixed_corpus():
         graph = build_factor_graph(model)
@@ -149,7 +153,7 @@ def test_criterion_08_rho_iff_mean_convergence():
         if abs(qsys.rho - 1.0) < 1e-3:
             continue
         kept += 1
-        phase = two_phase_mean_recursion(fp, max_iters=100_000)
+        phase = two_phase_mean_recursion(fp)
         if qsys.rho < 1.0:
             n_conv += 1
             assert phase.status == "converged", (label, qsys.rho, phase.status)
@@ -170,11 +174,10 @@ def test_criterion_08_rho_iff_mean_convergence():
     graph = build_factor_graph(model)
     fp = gabp.information_fixed_point(model, graph)
     assert assemble_q(model, graph, fp).rho >= 1.02
-    res = gabp.run_bp(model, graph, options=BpOptions(record_messages=True))
+    res = gabp.run_bp(model, graph)
     assert res.status == "diverged"
-    final = res.trajectory.snapshots[-1]
     peak = max(float(np.max(np.abs(m.v)))
-               for side in ("f2v", "v2f") for m in final[side].values())
+               for side in ("f2v", "v2f") for m in res.messages[side].values())
     assert peak > 1e12
 
 

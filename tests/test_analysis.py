@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (GOLDEN_EDGE_PRECISION, charpoly_radius, dense_q, entry_core,
-                      quartet_model, rand_spd)
+                      information_iterates, quartet_model, rand_spd)
 from corpus import (SHOWCASE_DIVERGENT, forest_corpus, frustrated_model,
                     loopy_corpus, mixed_corpus)
 from gabp.analysis import (MEAN_RECURSION_TOL, assemble_q,
@@ -53,8 +53,7 @@ def test_lower_bound_equals_first_zero_init_iterate(quartet):
     # reaches the same matrices after exactly one step from zero
     g = build_factor_graph(quartet)
     bounds = compute_bounds(quartet, g)
-    fp = information_fixed_point(quartet, g, init="zero", record=True)
-    first = fp.history[1]
+    first = information_iterates(quartet, g, "zero", 1)[1]
     for e in g.f2v_edges:
         np.testing.assert_allclose(bounds.lower[e], first[e], atol=1e-12)
 
@@ -65,9 +64,19 @@ def test_lower_bound_is_the_first_zero_init_iterate_bit_for_bit():
     model = random_model(seed=5, n_agents=30, dims=(1, 3), topology="multi_loop")
     g = build_factor_graph(model)
     lower = compute_bounds(model, g).lower
-    first = information_fixed_point(model, g, init="zero", record=True).history[1]
+    first = information_iterates(model, g, "zero", 1)[1]
     for e in g.f2v_edges:
         np.testing.assert_array_equal(lower[e], first[e])
+
+
+def test_information_iterates_are_the_engine_f2v_j_bit_for_bit(quartet):
+    g = build_factor_graph(quartet)
+    iterates = information_iterates(quartet, g, "zero", information_fixed_point(quartet, g).iterations)
+    for k in range(len(iterates)):
+        res = run_bp(quartet, g, options=BpOptions(max_iters=k))
+        assert res.iterations == k
+        for e in g.f2v_edges:
+            np.testing.assert_array_equal(res.messages["f2v"][e].J, iterates[k][e])
 
 
 def test_golden_ratio_fixed_point(two_agent_unit_chain):
@@ -96,8 +105,8 @@ def test_fixed_point_is_init_invariant(quartet):
 def test_zero_init_iterates_are_monotone_and_sandwiched(quartet):
     g = build_factor_graph(quartet)
     bounds = compute_bounds(quartet, g)
-    fp = information_fixed_point(quartet, g, init="zero", record=True)
-    hist = fp.history
+    hist = information_iterates(quartet, g, "zero",
+                                information_fixed_point(quartet, g, init="zero").iterations)
     for ell in range(1, len(hist)):
         for e in g.f2v_edges:
             assert psd_compare(hist[ell][e], bounds.lower[e])
@@ -108,8 +117,8 @@ def test_zero_init_iterates_are_monotone_and_sandwiched(quartet):
 
 def test_upper_init_iterates_are_nonincreasing(quartet):
     g = build_factor_graph(quartet)
-    fp = information_fixed_point(quartet, g, init="upper", record=True)
-    hist = fp.history
+    hist = information_iterates(quartet, g, "upper",
+                                information_fixed_point(quartet, g, init="upper").iterations)
     for ell in range(1, len(hist)):
         for e in g.f2v_edges:
             assert psd_compare(hist[ell - 1][e], hist[ell][e])
@@ -123,10 +132,11 @@ def test_lower_init_saves_exactly_one_iteration(quartet):
     assert from_zero.iterations - from_lower.iterations <= 1
 
 
-def test_fixed_point_budget_error(quartet):
+def test_fixed_point_budget_error(quartet, monkeypatch):
     for max_iters in (2, 0):
+        monkeypatch.setattr("gabp.analysis.FIXED_POINT_MAX_ITERS", max_iters)
         with pytest.raises(IterationBudgetError):
-            information_fixed_point(quartet, max_iters=max_iters)
+            information_fixed_point(quartet)
 
 
 def test_q_block_sparsity_pattern(quartet):
@@ -150,11 +160,12 @@ def test_q_block_sparsity_pattern(quartet):
     assert qs.rho > 0.1
 
 
-def test_engine_one_step_equals_affine_map(quartet):
+def test_engine_one_step_equals_affine_map(quartet, monkeypatch):
     # dual route: one synchronous engine iteration started at the fixed
     # point with arbitrary means must realize v' = -Q v + b exactly
     g = build_factor_graph(quartet)
-    fp = information_fixed_point(quartet, g, tol=1e-14)
+    monkeypatch.setattr("gabp.analysis.FIXED_POINT_TOL", 1e-14)
+    fp = information_fixed_point(quartet, g)
     q, offsets = dense_q(quartet, g, fp), g.v2f_offsets
 
     rng = np.random.default_rng(7)

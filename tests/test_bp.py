@@ -1,10 +1,11 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import quartet_model, rand_spd, vague_prior_model
+from conftest import information_iterates, quartet_model, rand_spd, vague_prior_model
 from corpus import (SHOWCASE_DIVERGENT, forest_corpus, frustrated_model,
                     loopy_corpus, mixed_corpus)
 from gabp.bp import (Belief, BpOptions, Message, compute_beliefs, make_init,
@@ -62,9 +63,11 @@ def test_quartet_converges_from_every_init(quartet):
 
 
 def test_sync_runs_are_bitwise_deterministic(quartet):
-    a = run_bp(quartet)
-    b = run_bp(quartet)
+    g = build_factor_graph(quartet)
+    a, b = (run_bp(quartet, g, options=BpOptions(record_messages=True)) for _ in range(2))
     assert a.iterations == b.iterations
+    for res in (a, b):
+        assert len(res.trajectory.rows) == res.iterations * (len(g.f2v_edges) + len(g.v2f_edges))
     for ra, rb in zip(a.trajectory.rows, b.trajectory.rows):
         assert ra[:4] == rb[:4]
         for xa, xb in zip(ra[4:], rb[4:]):
@@ -195,14 +198,32 @@ def test_divergent_instance_passes_the_guard():
     assert last["max_dj"] < 1e-10
 
 
+def test_a_default_run_retains_no_per_edge_rows():
+    # frustrated-low-8 of the mixed corpus uses its whole budget; with one
+    # row per edge per iteration, 1,000 iterations retained 8.3 MB
+    model = frustrated_model(8, n=5, gain=2.0, n_extra=5)
+    tracemalloc.start()
+    try:
+        res = run_bp(model, options=BpOptions(max_iters=1_000))
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.status == "max_iters"
+    assert res.trajectory.rows == []
+    assert len(res.trajectory.per_iteration) == res.iterations == 1_000
+    assert retained < 3e6, retained
+
+
 def test_strict_mode_passes_on_healthy_models(quartet):
-    res = run_bp(quartet, options=BpOptions(strict=True, record_messages=True))
+    res = run_bp(quartet, options=BpOptions(strict=True))
     assert res.status == "converged"
     from gabp.numerics import is_psd
-    for snap in res.trajectory.snapshots:
-        for msg in snap["f2v"].values():
+    # the messages after iteration k are the final messages of a k-iteration run
+    for k in range(1, res.iterations + 1):
+        messages = run_bp(quartet, options=BpOptions(strict=True, max_iters=k)).messages
+        for msg in messages["f2v"].values():
             assert is_psd(msg.J)
-        for msg in snap["v2f"].values():
+        for msg in messages["v2f"].values():
             assert is_psd(msg.J)
 
 
@@ -257,7 +278,8 @@ def test_run_rejects_the_fixed_point_of_another_graph(quartet):
 def test_trajectory_schema(quartet):
     g = build_factor_graph(quartet)
     from gabp.analysis import information_fixed_point
-    res = run_bp(quartet, g, init="lower", reference=information_fixed_point(quartet, g))
+    res = run_bp(quartet, g, init="lower", reference=information_fixed_point(quartet, g),
+                 options=BpOptions(record_messages=True))
     assert res.trajectory.initial_part_metric is not None
     assert res.trajectory.initial_part_metric > 0.0
 
@@ -294,11 +316,14 @@ def test_trajectory_part_metrics_match_part_metric_on_every_corpus_model():
         lower = make_init(model, g, "lower")
         assert res.trajectory.initial_part_metric == pytest.approx(
             max(part_metric(lower[e].J, ref[e]) for e in g.f2v_edges), rel=1e-9), k
+        assert len(res.trajectory.rows) == res.iterations * (len(g.f2v_edges) + len(g.v2f_edges))
         got = {(it, n, i): pm for it, kind, n, i, _, _, pm in res.trajectory.rows if kind == "f2v"}
-        for it, snap in enumerate(res.trajectory.snapshots, start=1):
+        # a sync run's f2v J are the information recursion's iterates
+        iterates = information_iterates(model, g, "lower", res.iterations)
+        for it in range(1, res.iterations + 1):
             for d in {j.shape[0] for j in ref.values()}:
                 edges = [e for e in g.f2v_edges if ref[e].shape[0] == d]
-                want = part_metric(np.stack([snap["f2v"][e].J for e in edges]),
+                want = part_metric(np.stack([iterates[it][e] for e in edges]),
                                    np.stack([ref[e] for e in edges]))
                 np.testing.assert_allclose([got[(it,) + e] for e in edges], want,
                                            rtol=1e-9, atol=0.0, err_msg=f"model {k} iter {it}")
@@ -310,8 +335,10 @@ def test_trajectory_part_metric_is_inf_for_a_reference_that_is_not_pd(quartet):
     fp = information_fixed_point(quartet, g)
     bad = g.f2v_edges[0]
     fp.f2v[bad][...] = 0.0  # a view of fp.f2v_j
-    res = run_bp(quartet, g, init="lower", reference=fp, options=BpOptions(max_iters=3))
+    res = run_bp(quartet, g, init="lower", reference=fp,
+                 options=BpOptions(max_iters=3, record_messages=True))
     assert res.trajectory.initial_part_metric == math.inf
+    assert len(res.trajectory.rows) == res.iterations * (len(g.f2v_edges) + len(g.v2f_edges))
     for it, kind, n, i, _, _, pm in res.trajectory.rows:
         if kind == "f2v":
             assert (pm == math.inf) == ((n, i) == bad)

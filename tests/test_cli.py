@@ -9,6 +9,7 @@ from conftest import QUARTET_J, quartet_model, vague_prior_model
 from corpus import SHOWCASE_DIVERGENT, frustrated_model, grid_field, mixed_corpus
 from gabp.cli import main
 from gabp.errors import ExistenceViolation
+from gabp.graph import build_factor_graph
 from gabp.io import matrix_to_json, model_to_json, save_model, save_mrf
 from gabp.model import LinearGaussianModel, VariableSpec, validate_model
 
@@ -128,6 +129,17 @@ def test_run_converges_and_writes_artifacts(quartet_file, tmp_path, capsys):
     with open(bel) as fh:
         assert len(fh.readlines()) == 5
 
+    # one row per edge per iteration, and the run itself is the plain run
+    g = build_factor_graph(quartet_model())
+    iterations = int(out.split(" after ")[1].split()[0])
+    with open(traj) as fh:
+        assert len(fh.readlines()) == 1 + iterations * (len(g.f2v_edges) + len(g.v2f_edges))
+    plain = str(tmp_path / "plain.csv")
+    assert main(["run", quartet_file, "--init", "lower", "--out", plain]) == 0
+    assert capsys.readouterr().out == out.replace(f"wrote {traj}\n", "").replace(bel, plain)
+    with open(bel) as fh, open(plain) as plain_fh:
+        assert fh.read() == plain_fh.read()
+
 
 def test_run_budget_exhaustion(quartet_file):
     assert main(["run", quartet_file, "--max-iters", "2"]) == 3
@@ -139,7 +151,6 @@ def test_run_divergence_exit_code(divergent_file, capsys):
 
 
 def test_run_custom_init(quartet_file, tmp_path, capsys):
-    from gabp.graph import build_factor_graph
     g = build_factor_graph(quartet_model())
     recs = [{"factor": n, "variable": i,
              "J": {"rows": 1, "cols": 1, "data": [0.2]}, "v": [0.0]}

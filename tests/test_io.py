@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import quartet_model
-from gabp.bp import Belief, run_bp
+from gabp.bp import Belief, BpOptions, run_bp
 from gabp.errors import InputFormatError
+from gabp.graph import build_factor_graph
 from gabp.io import (fmt, load_custom_init, load_model, load_mrf,
                      matrix_from_json, matrix_to_json, model_from_json,
                      model_to_json, save_model, save_mrf, write_beliefs_csv,
@@ -167,7 +168,9 @@ def test_custom_init_loader(tmp_path):
 
 
 def test_trajectory_csv(tmp_path, quartet):
-    res = run_bp(quartet)
+    g = build_factor_graph(quartet)
+    res = run_bp(quartet, g, options=BpOptions(record_messages=True))
+    assert len(res.trajectory.rows) == res.iterations * (len(g.f2v_edges) + len(g.v2f_edges))
     path = tmp_path / "traj.csv"
     write_trajectory_csv(res.trajectory.rows, path)
     with open(path) as fh:
