@@ -149,8 +149,8 @@ def _v2f_coords(stack, keep):
     """Coordinates of the twin v2f edges of the rows keep marks, packed in canonical v2f order.
 
     Returns each row's coordinate per padded slot and the mask of the
-    real slots of the kept rows. With every row kept the layout is
-    graph.v2f_offsets.
+    real slots of the kept rows. With every row kept this is the layout
+    of the whole stacked v2f vector, Q's coordinates.
     """
     rows = stack.v2f_rows[keep[stack.v2f_rows]]
     start = np.zeros(len(stack.edges), dtype=int)
@@ -220,7 +220,7 @@ def two_phase_mean_recursion(fixed_point):
             status = "converged"
             break
     coords, real = _v2f_coords(st, np.ones(len(st.edges), dtype=bool))
-    v = np.zeros(st.graph.total_v2f_dim)
+    v = np.zeros(int(real.sum()))
     v[coords[real]] = vv[real]
     return MeanRecursionResult(status=status, iterations=iterations, v=v)
 
@@ -362,10 +362,10 @@ def certify(model, cross_check=True):
         if result.status == "converged":
             precision, information, offsets = joint_system(model)
             exact = np.linalg.solve(precision, information)
-            report.max_mean_error = max(
+            report.max_mean_error = max((
                 float(np.max(np.abs(result.beliefs[v.id].mean - exact[s:s + d]))) if d else 0.0
                 for v in model.variables for s, d in [offsets[v.id]]
-            )
+            ), default=0.0)
         metrics = [rec["part_metric"] for rec in result.trajectory.per_iteration]
         try:
             report.fitted_rate = fit_contraction_rate(metrics).c

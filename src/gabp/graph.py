@@ -7,13 +7,14 @@ the factor then on the variable, variable-to-factor edges as
 Every stacked vector or matrix in the analysis module follows these
 orders, so they are fixed here once.
 
-Topology classes come from each connected component's cycle count, and
-the exact diameter from one breadth-first search out of every node at
-once, over uint64 bitsets of the nodes each node reaches.
+One breadth-first search out of every node at once, over uint64
+bitsets of the nodes each node reaches, gives the connected components,
+their cycle counts (hence the topology classes) and their exact
+diameters. It numbers the nodes factors first (factor_ids order), then
+variables (var_ids order).
 """
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +34,6 @@ class FactorGraph:
 
     def __post_init__(self):
         self.f2v_index = {e: k for k, e in enumerate(self.f2v_edges)}
-        offsets = {}
-        pos = 0
-        for (j, n) in self.v2f_edges:
-            d = self.var_dims[j]
-            offsets[(j, n)] = (pos, d)
-            pos += d
-        self.v2f_offsets = offsets
-        self.total_v2f_dim = pos
 
 
 def build_factor_graph(model):
@@ -65,15 +58,6 @@ def build_factor_graph(model):
         f2v_edges=f2v,
         v2f_edges=v2f,
     )
-
-
-def _adjacency(graph):
-    adj = {("v", i): [] for i in graph.var_ids}
-    adj.update({("f", n): [] for n in graph.factor_ids})
-    for (n, i) in graph.f2v_edges:
-        adj[("f", n)].append(("v", i))
-        adj[("v", i)].append(("f", n))
-    return adj
 
 
 @dataclass
@@ -103,20 +87,21 @@ class TopologyReport:
         return len(self.components)
 
 
-_RANK = {"forest": 0, "single_loop_plus_forest": 1, "multi_loop": 2}
+# kind by independent cycle count 0, 1 or more; also the ranking of kinds
+_KINDS = ("forest", "single_loop_plus_forest", "multi_loop")
 
 
-def _eccentricities(graph):
-    """Eccentricity of every node, from one BFS out of all sources at once.
+def _reach(graph):
+    """Each node's eccentricity and final reach row, from one BFS out of all sources at once.
 
-    Nodes are numbered variables first (graph.var_ids order), then
-    factors (graph.factor_ids order). Row k of reach is a bitset of the
-    nodes within s edges of node k after step s: each step ORs in the
-    rows of k's neighbours, so the last step at which row k grows is the
-    eccentricity of k. Returns the node numbering and the eccentricities.
+    Row k of reach is a bitset of the nodes within s edges of node k
+    after step s: each step ORs in the rows of k's neighbours, so the
+    last step at which row k grows is the eccentricity of k, and the
+    final row is k's whole component. Returns the f2v edges as node
+    pairs, the eccentricities and the final rows.
     """
-    index = {("v", i): k for k, i in enumerate(graph.var_ids)}
-    index.update({("f", n): len(index) + k for k, n in enumerate(graph.factor_ids)})
+    index = {("f", n): k for k, n in enumerate(graph.factor_ids)}
+    index.update({("v", i): len(index) + k for k, i in enumerate(graph.var_ids)})
     pairs = np.array([(index[("f", n)], index[("v", i)]) for (n, i) in graph.f2v_edges],
                      dtype=np.intp).reshape(-1, 2)
     head = np.concatenate([pairs[:, 0], pairs[:, 1]])
@@ -127,7 +112,8 @@ def _eccentricities(graph):
     heads = head[starts]
 
     nodes = np.arange(len(index))
-    reach = np.zeros((len(index), -(-len(index) // 64)), dtype=np.uint64)
+    # at least one word per row, so a graph with no nodes still has a column to scan
+    reach = np.zeros((len(index), len(index) // 64 + 1), dtype=np.uint64)
     reach[nodes, nodes // 64] = np.left_shift(np.uint64(1), (nodes % 64).astype(np.uint64))
     ecc = np.zeros(len(index), dtype=np.intp)
     for step in itertools.count(1):
@@ -135,7 +121,7 @@ def _eccentricities(graph):
         new = old | np.bitwise_or.reduceat(reach[tail], starts, axis=0)
         grew = np.any(new != old, axis=1)
         if not grew.any():
-            return index, ecc
+            return pairs, ecc, reach
         reach[heads] = new
         ecc[heads[grew]] = step
 
@@ -143,46 +129,31 @@ def _eccentricities(graph):
 def classify_topology(graph):
     """Classify each connected component by its independent cycle count.
 
-    A component with E edges and N nodes has E - N + 1 independent
-    cycles: 0 means forest, 1 means a single loop with trees hanging off,
-    anything more is multi_loop.
-
-    A component's diameter is the largest eccentricity among its nodes,
-    exact on every topology. The bit-parallel BFS behind it costs
+    One bit-parallel BFS (_reach) gives the components, their cycle
+    counts and their diameters. Each node's component is labelled by its
+    lowest node (factors first), the lowest set bit of its final reach
+    row, and components come in label order. A component with E edges
+    and N nodes has E - N + 1 independent cycles: 0 means forest, 1
+    means a single loop with trees hanging off, anything more is
+    multi_loop. Its diameter is the largest eccentricity among its
+    nodes, exact on every topology. The BFS costs
     O(diameter * E * N / 64) word operations and N^2 / 8 bytes for N
     nodes and E edges.
     """
-    adj = _adjacency(graph)
-    index, ecc = _eccentricities(graph)
-    unvisited = set(adj)
-    components = []
-    while unvisited:
-        start = min(unvisited)
-        members = set()
-        queue = deque([start])
-        members.add(start)
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in members:
-                    members.add(w)
-                    queue.append(w)
-        unvisited -= members
-        n_nodes = len(members)
-        n_edges = sum(len(adj[u]) for u in members) // 2
-        cycles = n_edges - n_nodes + 1
-        if cycles == 0:
-            kind = "forest"
-        elif cycles == 1:
-            kind = "single_loop_plus_forest"
-        else:
-            kind = "multi_loop"
-        diameter = int(max(ecc[index[u]] for u in members))
-        components.append(
-            ComponentInfo(nodes=n_nodes, edges=n_edges, independent_cycles=cycles,
-                          kind=kind, diameter=diameter)
-        )
-    overall = max((c.kind for c in components), key=_RANK.get, default="forest")
+    pairs, ecc, reach = _reach(graph)
+    word = np.argmax(reach != 0, axis=1)
+    low = reach[np.arange(len(reach)), word]
+    label = 64 * word + np.log2(low & (~low + np.uint64(1))).astype(np.intp)
+    root = label == np.arange(len(label))
+    comp = (np.cumsum(root) - 1)[label]
+    n_nodes = np.bincount(comp)
+    n_edges = np.bincount(comp[pairs[:, 0]], minlength=len(n_nodes))
+    diameters = np.zeros_like(n_nodes)
+    np.maximum.at(diameters, comp, ecc)
+    components = [ComponentInfo(nodes=n, edges=e, independent_cycles=e - n + 1,
+                                kind=_KINDS[min(e - n + 1, 2)], diameter=d)
+                  for n, e, d in zip(n_nodes.tolist(), n_edges.tolist(), diameters.tolist())]
+    overall = max((c.kind for c in components), key=_KINDS.index, default="forest")
     diameter = max((c.diameter for c in components), default=0)
     return TopologyReport(overall=overall, components=components, diameter=diameter)
 

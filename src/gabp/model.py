@@ -372,7 +372,6 @@ def random_model(seed, n_agents, dims=(1, 3), topology="multi_loop",
     factor graph always classifies as requested (the generator raises if
     the request is infeasible, e.g. a loop with a single agent).
     """
-    rng = np.random.default_rng(seed)
     if isinstance(dims, int):
         lo, hi = dims, dims
     else:
@@ -387,7 +386,10 @@ def random_model(seed, n_agents, dims=(1, 3), topology="multi_loop",
         raise DomainError(f"topology {topology} needs at least two agents")
     if topology not in ("forest", "single_loop_plus_forest", "multi_loop"):
         raise DomainError(f"unknown topology {topology!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
 
+    rng = np.random.default_rng(seed)
     var_ids = list(range(1, n_agents + 1))
     var_dims = {i: int(rng.integers(lo, hi + 1)) for i in var_ids}
 

@@ -113,17 +113,30 @@ def information_iterates(model, graph, init, n):
     return out
 
 
+def v2f_layout(graph):
+    """(start, dim) of each v2f edge in the stacked v2f vector, and the vector's length.
+
+    The edges are stacked in canonical graph.v2f_edges order, each taking
+    its variable's dim coordinates.
+    """
+    offsets, pos = {}, 0
+    for (j, n) in graph.v2f_edges:
+        offsets[(j, n)] = (pos, graph.var_dims[j])
+        pos += graph.var_dims[j]
+    return offsets, pos
+
+
 def dense_q(model, graph, fp):
     """The whole Q of the frozen-J* mean recursion v <- b - Q v, edge by edge.
 
-    Rows and columns follow graph.v2f_offsets. The block in row (j, n),
+    Rows and columns follow v2f_layout. The block in row (j, n),
     column (z, k), for each factor k != n of j and each variable z != j
     of k, is J_{j->n}^-1 A_{k,j}^T M_{k,j}^-1 A_{k,z} with
     M_{k,j} = R_k + sum over the variables z' != j of k of
     A_{k,z'} J_{z'->k}^-1 A_{k,z'}^T, read from fp.v2f and the model.
     """
-    offsets = graph.v2f_offsets
-    q = np.zeros((graph.total_v2f_dim, graph.total_v2f_dim))
+    offsets, dim = v2f_layout(graph)
+    q = np.zeros((dim, dim))
     for (j, n), (rs, rd) in offsets.items():
         for k in graph.neighbors_of_var[j]:
             if k == n:

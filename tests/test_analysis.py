@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (GOLDEN_EDGE_PRECISION, charpoly_radius, dense_q, entry_core,
-                      information_iterates, quartet_model, rand_spd)
+                      information_iterates, quartet_model, rand_spd, v2f_layout)
 from corpus import (SHOWCASE_DIVERGENT, forest_corpus, frustrated_model,
                     loopy_corpus, mixed_corpus)
 from gabp.analysis import (MEAN_RECURSION_TOL, assemble_q,
@@ -16,7 +16,7 @@ from gabp.model import centralized_solve, random_model
 from gabp.numerics import part_metric, psd_compare
 
 
-def affine_offset(model, g, fp, offsets):
+def affine_offset(model, g, fp):
     """b of the mean recursion v <- -Q v + b, edge by edge from the message equations.
 
     b is the v2f means one mean step makes from zero v2f means: each
@@ -24,7 +24,8 @@ def affine_offset(model, g, fp, offsets):
     the other variables z of A_z J_{z->k}^-1 A_z^T, and the v2f mean is
     J_{j->n}^-1 times the sum of what the factors k != n send.
     """
-    b = np.zeros(g.total_v2f_dim)
+    offsets, total = v2f_layout(g)
+    b = np.zeros(total)
     for (j, n), (start, dim) in offsets.items():
         sent = np.zeros(dim)
         for k in g.neighbors_of_var[j]:
@@ -143,8 +144,8 @@ def test_q_block_sparsity_pattern(quartet):
     g = build_factor_graph(quartet)
     fp = information_fixed_point(quartet, g)
     qs = assemble_q(quartet, g, fp)
-    q, offsets = dense_q(quartet, g, fp), g.v2f_offsets
-    assert q.shape == (g.total_v2f_dim, g.total_v2f_dim)
+    q, (offsets, dim) = dense_q(quartet, g, fp), v2f_layout(g)
+    assert q.shape == (dim, dim)
     neighbors_of_var = {j: set(g.neighbors_of_var[j]) for j in g.var_ids}
     scope = {n: set(g.neighbors_of_factor[n]) for n in g.factor_ids}
     for (j, n) in g.v2f_edges:
@@ -166,10 +167,10 @@ def test_engine_one_step_equals_affine_map(quartet, monkeypatch):
     g = build_factor_graph(quartet)
     monkeypatch.setattr("gabp.analysis.FIXED_POINT_TOL", 1e-14)
     fp = information_fixed_point(quartet, g)
-    q, offsets = dense_q(quartet, g, fp), g.v2f_offsets
+    q, (offsets, total) = dense_q(quartet, g, fp), v2f_layout(g)
 
     rng = np.random.default_rng(7)
-    x = rng.standard_normal(g.total_v2f_dim)
+    x = rng.standard_normal(total)
 
     # f2v means consistent with v2f means x at the frozen fixed point
     f2v_means = {}
@@ -190,11 +191,11 @@ def test_engine_one_step_equals_affine_map(quartet, monkeypatch):
 
     init = {e: Message(J=fp.f2v[e].copy(), v=f2v_means[e]) for e in g.f2v_edges}
     res = run_bp(quartet, g, init=init, options=BpOptions(max_iters=1))
-    got = np.zeros(g.total_v2f_dim)
+    got = np.zeros(total)
     for e, (start, dim) in offsets.items():
         got[start:start + dim] = res.messages["v2f"][e].v
 
-    expected = -q @ x + affine_offset(quartet, g, fp, offsets)
+    expected = -q @ x + affine_offset(quartet, g, fp)
     np.testing.assert_allclose(got, expected, atol=1e-9)
 
 
@@ -225,7 +226,7 @@ def test_two_phase_converges_to_linear_solve(quartet):
         g = build_factor_graph(model)
         fp = information_fixed_point(model, g)
         q = dense_q(model, g, fp)
-        b = affine_offset(model, g, fp, g.v2f_offsets)
+        b = affine_offset(model, g, fp)
         mr = two_phase_mean_recursion(fp)
         assert mr.status == "converged"
         direct = np.linalg.solve(np.eye(q.shape[0]) + q, b)
@@ -393,7 +394,7 @@ def test_certify_runs_eigvals_once_on_the_core_and_never_on_a_forest(monkeypatch
     rep = certify(model)
     assert rep.topology == "multi_loop" and rep.rho_q > 0.0
     assert shapes == [(core_dim, core_dim)]
-    assert 0 < core_dim < g.total_v2f_dim
+    assert 0 < core_dim < v2f_layout(g)[1]
 
     shapes.clear()
     rep = certify(random_model(seed=3, n_agents=20, dims=(1, 3), topology="forest"))
@@ -413,8 +414,8 @@ def cli_mixed_models():
 
 
 def core_coordinates(g, core):
-    """Coordinates, in the graph.v2f_offsets layout, of the v2f edges whose stack rows core keeps."""
-    return [c for (j, n), (s, d) in g.v2f_offsets.items() if core[g.f2v_index[(n, j)]]
+    """Coordinates, in the v2f_layout, of the v2f edges whose stack rows core keeps."""
+    return [c for (j, n), (s, d) in v2f_layout(g)[0].items() if core[g.f2v_index[(n, j)]]
             for c in range(s, s + d)]
 
 
@@ -446,7 +447,7 @@ def test_certify_allocates_no_array_as_large_as_the_whole_q():
     import tracemalloc
 
     model = random_model(seed=1, n_agents=480, topology="multi_loop")
-    dim = build_factor_graph(model).total_v2f_dim
+    dim = v2f_layout(build_factor_graph(model))[1]
     tracemalloc.start()
     try:
         certify(model, cross_check=False)

@@ -269,6 +269,10 @@ def test_every_command_returns_a_documented_exit_code(divergent_file, quartet_fi
     codes = Counter(main(cmd + [path]) for path in paths for cmd in commands)
     assert set(codes) <= set(range(6)) and all(type(c) is int for c in codes)
     assert codes[0] and codes[3] and codes[4]
+    # a model with no variables passes validate, so every command handles it
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"variables": [], "factors": []}))
+    assert [main(cmd + [str(empty)]) for cmd in commands] == [0] * len(commands)
 
 
 def test_analyze_writes_dot(quartet_file, tmp_path):
@@ -382,6 +386,11 @@ def test_gen_deterministic(tmp_path):
     assert open(a).read() == open(b).read()
     from gabp.io import load_model
     assert validate_model(load_model(a)) == []
+
+
+def test_gen_rejects_a_negative_seed(tmp_path, capsys):
+    assert main(["gen", "--seed", "-1", "--out", str(tmp_path / "m.json")]) == 1
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
 
 
 def test_gen_rejects_a_max_dim_below_one(tmp_path, capsys):

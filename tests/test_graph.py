@@ -1,9 +1,15 @@
+import hashlib
+import json
 from collections import deque
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from conftest import quartet_model, rand_spd
+from conftest import quartet_model, rand_spd, v2f_layout
+from gabp.analysis import _v2f_coords
+from gabp.bp import EdgeStack
+from gabp.errors import DomainError
 from gabp.graph import FactorGraph, build_factor_graph, classify_topology, to_dot
 from gabp.model import FactorSpec, LinearGaussianModel, VariableSpec, random_model
 
@@ -19,14 +25,23 @@ def test_quartet_adjacency_and_edge_order(quartet):
 
 
 def test_v2f_offsets_partition_the_stacked_vector(quartet):
-    g = build_factor_graph(quartet)
-    cursor = 0
-    for e in g.v2f_edges:
-        start, dim = g.v2f_offsets[e]
-        assert start == cursor
-        assert dim == g.var_dims[e[0]]
-        cursor += dim
-    assert g.total_v2f_dim == cursor
+    for model in (quartet, random_model(seed=1, n_agents=8, dims=(1, 3), topology="multi_loop")):
+        g = build_factor_graph(model)
+        offsets, total = v2f_layout(g)
+        cursor = 0
+        for e in g.v2f_edges:
+            start, dim = offsets[e]
+            assert start == cursor
+            assert dim == g.var_dims[e[0]]
+            cursor += dim
+        assert total == cursor
+        # with every row kept, the analysis packs each twin v2f edge into the same slice
+        st = EdgeStack(model, g)
+        coords, real = _v2f_coords(st, np.ones(len(st.edges), dtype=bool))
+        assert int(real.sum()) == total
+        for (j, n), (start, dim) in offsets.items():
+            e = g.f2v_index[(n, j)]
+            assert coords[e][real[e]].tolist() == list(range(start, start + dim))
 
 
 def test_quartet_topology(quartet):
@@ -122,7 +137,10 @@ def test_isolated_variable_counts_as_forest():
 
 
 def oracle_components(model):
-    """(nodes, edges, diameter) per component, by a plain BFS from every node."""
+    """(nodes, edges, diameter) per component, by a plain BFS from every node.
+
+    Components come in the order of their smallest ("f", id) or ("v", id) node.
+    """
     adj = {("v", v.id): [] for v in model.variables}
     adj.update({("f", f.id): [] for f in model.factors})
     for f in model.factors:
@@ -142,10 +160,8 @@ def oracle_components(model):
                     queue.append(w)
         ecc[s] = max(dist.values())
         comp_of[s] = frozenset(dist)
-    return sorted(
-        (len(members), sum(len(adj[u]) for u in members) // 2, max(ecc[u] for u in members))
-        for members in set(comp_of.values())
-    )
+    return [(len(members), sum(len(adj[u]) for u in members) // 2, max(ecc[u] for u in members))
+            for members in sorted(set(comp_of.values()), key=min)]
 
 
 def disjoint_union(*models):
@@ -162,7 +178,7 @@ def disjoint_union(*models):
 
 def _checked_against_oracle(model):
     t = classify_topology(build_factor_graph(model))
-    got = sorted((c.nodes, c.edges, c.diameter) for c in t.components)
+    got = [(c.nodes, c.edges, c.diameter) for c in t.components]
     want = oracle_components(model)
     assert got == want
     assert t.diameter == max((d for _, _, d in want), default=0)
@@ -216,3 +232,43 @@ def test_model_without_factors_has_zero_diameter():
     assert t.overall == "forest"
     assert t.n_components == 3
     assert t.diameter == 0
+
+
+@pytest.mark.parametrize("chain_factors", [63, 64, 65])
+def test_component_order_and_labels_at_word_edges(chain_factors):
+    # nodes are numbered factors first, so the one-factor component's
+    # lowest node is node chain_factors (bit 63 of word 0, bit 0 or bit 1
+    # of word 1) and the loop component's the node after it
+    rng = np.random.default_rng(7)
+    one = np.eye(1)
+    single = LinearGaussianModel(variables=[VariableSpec(1, 1, rand_spd(rng, 1))],
+                                 factors=[FactorSpec(1, (1,), {1: one}, one, np.zeros(1))])
+    lonely = LinearGaussianModel(variables=[VariableSpec(1, 1, rand_spd(rng, 1))], factors=[])
+    m = disjoint_union(chain_model(chain_factors + 1), single,
+                       random_model(seed=0, n_agents=6, topology="single_loop"), lonely)
+    t = _checked_against_oracle(m)
+    assert [c.kind for c in t.components] == ["forest", "forest", "single_loop_plus_forest",
+                                              "forest"]
+    assert [(c.nodes, c.edges) for c in t.components[1::2]] == [(2, 1), (1, 0)]
+
+
+def test_model_without_variables_is_an_empty_forest():
+    t = _checked_against_oracle(LinearGaussianModel(variables=[], factors=[]))
+    assert (t.overall, t.components, t.diameter) == ("forest", [], 0)
+
+
+def test_classify_topology_is_pinned():
+    # sha1 of the reports of 390 random_model requests, infeasible ones as their error
+    lines = []
+    for seed in range(10):
+        for topology in ("forest", "single_loop", "multi_loop"):
+            for n_agents in (1, 2, 3, 4, 5, 7, 9, 12, 16, 20, 25, 32, 40):
+                try:
+                    m = random_model(seed=seed, n_agents=n_agents, topology=topology)
+                except DomainError as exc:
+                    lines.append("ERR " + str(exc))
+                    continue
+                report = asdict(classify_topology(build_factor_graph(m)))
+                lines.append(json.dumps(report, sort_keys=True))
+    digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+    assert digest == "4dc754a73df42d4a8fd827153f2f7e5df004c260"

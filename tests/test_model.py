@@ -493,6 +493,8 @@ def test_random_model_rejects_bad_arguments():
         random_model(seed=0, n_agents=0)
     with pytest.raises(DomainError):
         random_model(seed=0, n_agents=5, topology="pretzel")
+    with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+        random_model(seed=-1, n_agents=5)
     for dims in (0, (0, 3), (1, 0), (3, 2)):
         with pytest.raises(DomainError, match="dims"):
             random_model(seed=0, n_agents=5, dims=dims)
