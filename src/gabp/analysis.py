@@ -24,10 +24,10 @@ over the whole stack, and FixedPoint keeps the stacks at J*: J of both
 edge kinds and the gains K. assemble_q builds the blocks of Q's loop
 core from them, with one stacked solve per pair of gather slots, for
 rho(Q) only; the whole Q is never formed. The mean recursion is the
-engine's mean half at J*, and beliefs_from_v2f_means runs its f2v step
-before compute_beliefs. certify reads the edge bounds off fp.stack and
-gives run_bp the FixedPoint as its reference; compute_bounds is a dict
-view of the stack's two envelopes.
+engine's mean half at J*, and compute_beliefs turns its final f2v
+potentials into the belief means. certify reads the edge bounds off
+fp.stack and gives run_bp the FixedPoint as its reference;
+compute_bounds is a dict view of the stack's two envelopes.
 """
 
 import logging
@@ -189,6 +189,7 @@ class MeanRecursionResult:
     status: str
     iterations: int
     v: np.ndarray
+    means: dict
 
 
 def two_phase_mean_recursion(fixed_point):
@@ -198,8 +199,9 @@ def two_phase_mean_recursion(fixed_point):
     the whole stack: exactly v <- b - Q v, as Q's block is
     J_{j->n}^-1 K_{k->j} A_{k,z}. Returns status "converged" (step below
     MEAN_RECURSION_TOL), "diverged" (DIVERGENCE_GUARD exceeded or values
-    not finite) or "max_iters" after MEAN_RECURSION_MAX_ITERS, and v in
-    Q's coordinates.
+    not finite) or "max_iters" after MEAN_RECURSION_MAX_ITERS, v in Q's
+    coordinates, and the belief means by variable id from one more f2v
+    step at the last v (None if diverged).
     """
     st = fixed_point.stack
     vv = np.zeros(st.w.shape[:2])
@@ -222,23 +224,11 @@ def two_phase_mean_recursion(fixed_point):
     coords, real = _v2f_coords(st, np.ones(len(st.edges), dtype=bool))
     v = np.zeros(int(real.sum()))
     v[coords[real]] = vv[real]
-    return MeanRecursionResult(status=status, iterations=iterations, v=v)
-
-
-def beliefs_from_v2f_means(model, graph, fixed_point, v_stacked):
-    """Belief means implied by a converged stacked mean vector.
-
-    Completes the two-phase run: the engine's mean half turns the stacked
-    variable-to-factor means into factor-to-variable means at J*, and
-    compute_beliefs combines them into per-variable means.
-    """
-    st = fixed_point.stack
-    coords, real = _v2f_coords(st, np.ones(len(st.edges), dtype=bool))
-    vv = np.zeros(coords.shape)
-    vv[real] = np.asarray(v_stacked, dtype=float)[coords[real]]
-    fv = st.f2v_mean(vv, st.all, fixed_point.gain, fixed_point.f2v_j)
-    beliefs = compute_beliefs(model, graph, {"f2v": st.views(fixed_point.f2v_j, fv)})
-    return {vid: b.mean for vid, b in beliefs.items()}
+    means = None
+    if status != "diverged":
+        fh[:-1] = st.f2v_potential(vv, st.all, fixed_point.gain)
+        means = {vid: b.mean for vid, b in compute_beliefs(st, fixed_point.f2v_j, fh).items()}
+    return MeanRecursionResult(status=status, iterations=iterations, v=v, means=means)
 
 
 def decide_mean_convergence(rho, kind):

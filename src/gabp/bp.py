@@ -12,12 +12,13 @@ analysis module reuses both.
 * The mean half reuses K:
   v_{j->n} = J_{j->n}^-1 sum_{k != n} J_{k->j} v_{k->j}, and
   v_{n->i} = J_{n->i}^-1 K (y_n - sum_{j != i} A_j v_{j->n}), whose
-  information form K (y_n - ...) = J_{n->i} v_{n->i} is f2v_potential.
+  information form K (y_n - ...) = J_{n->i} v_{n->i} is f2v_potential,
+  the mean half's state; v_{n->i} is one solve from it.
 
 Both halves run on an EdgeStack, built once per run_bp or
 information_fixed_point call. Row e of every stack belongs to the
 factor-to-variable edge graph.f2v_edges[e] = (n, i) and to its twin, the
-variable-to-factor edge (i, n). Blocks are padded to the largest variable
+variable-to-factor edge (i, n). Blocks are padded to the largest edge
 dim D and observation dim P: A_{n,i} sits top-left in a zero (P, D)
 block, while R_n, W_i^-1 and every information matrix carry an identity
 in their pad, so each solve stays block diagonal and the pad never mixes
@@ -31,11 +32,12 @@ The stack also holds the edge-wise envelopes of the information
 recursion (lower_bound is one information half from zero messages,
 upper_bound is A_i^T R_n^-1 A_i) and the one init path, EdgeStack.init,
 for run_bp, information_fixed_point and make_init: "zero", "lower",
-"upper", or a dict that must cover every edge with finite, psd
+"upper", or a dict over exactly the edges with finite, symmetric, psd
 information matrices, the precondition of the paper's convergence results.
 Edge dicts enter only there, and leave only through EdgeStack.views.
 loop_core reads Q's block pattern off the two gather arrays and keeps
-the rows on which the analysis builds Q for rho(Q).
+the rows on which the analysis builds Q for rho(Q). compute_beliefs adds
+the f2v stores by var_of_row to prior: every W_i^-1, padded to max dim_i >= D.
 
 One outer iteration updates every edge of both kinds exactly once. A
 schedule is a choice of factor blocks (sets of rows) for one shared
@@ -67,7 +69,7 @@ import numpy as np
 from gabp.errors import DomainError, ExistenceViolation
 from gabp.graph import build_factor_graph
 from gabp.model import prior_precisions
-from gabp.numerics import is_pd, is_psd, part_metric_to, shape_groups
+from gabp.numerics import is_pd, is_psd, is_symmetric, part_metric_to
 
 log = logging.getLogger("gabp")
 
@@ -146,18 +148,22 @@ class EdgeStack:
         self.dims = np.array([graph.var_dims[i] for _, i in self.edges], dtype=int)
         d_max = int(self.dims.max(initial=0))
         p_max = max((model.factor(n).obs_dim for n, _ in self.edges), default=0)
-        prior_prec = prior_precisions(model)
+        index = {v.id: k for k, v in enumerate(model.variables)}
+        self.var_ids, self.var_dims = list(index), np.array([v.dim for v in model.variables], dtype=int)
+        self.var_of_row = np.array([index[i] for _, i in self.edges], dtype=int)
+        self.prior = np.zeros((len(index),) + (int(self.var_dims.max(initial=0)),) * 2)
+        for i, w in prior_precisions(model).items():
+            self.prior[index[i], :len(w), :len(w)] = w
         self.pad = np.where(np.arange(d_max) < self.dims[:, None, None], 0.0, np.eye(d_max))
         self.a = np.zeros((n_edges + 1, p_max, d_max))
         self.r = np.tile(np.eye(p_max), (n_edges, 1, 1))
-        self.w = self.pad.copy()
+        self.w = self.prior[self.var_of_row, :d_max, :d_max] + self.pad
         self.y = np.zeros((n_edges, p_max))
         for e, (n, i) in enumerate(self.edges):
             f = model.factor(n)
             p, d = f.obs_dim, self.dims[e]
             self.a[e, :p, :d] = f.coeff[i]
             self.r[e, :p, :p] = f.noise_cov
-            self.w[e, :d, :d] = prior_prec[i]
             self.y[e, :p] = f.obs
         row = graph.f2v_index
         self.others_of_var = _gather([[row[(k, i)] for k in graph.neighbors_of_var[i] if k != n]
@@ -231,6 +237,9 @@ class EdgeStack:
         every edge of Messages or bare Js (zero mean); run_bp lists its checks.
         """
         if isinstance(init, dict):
+            for edge in init:
+                if edge not in self.graph.f2v_index:
+                    raise DomainError(f"init edge {edge} is not in the factor graph")
             jm, vm = self.init("zero")
             for e, edge in enumerate(self.edges):
                 d = self.dims[e]
@@ -249,6 +258,9 @@ class EdgeStack:
             bad = np.flatnonzero(~(np.isfinite(jm).all(axis=(1, 2)) & np.isfinite(vm).all(axis=1)))
             if bad.size:
                 raise DomainError(f"init edge {self.edges[bad[0]]} is not finite")
+            bad = np.flatnonzero(~self.per_edge(is_symmetric, jm, dtype=bool))
+            if bad.size:
+                raise DomainError(f"init edge {self.edges[bad[0]]} has an asymmetric information matrix")
             bad = np.flatnonzero(~self.per_edge(is_psd, jm, dtype=bool))
             if bad.size:
                 raise DomainError(f"custom init edge {self.edges[bad[0]]} has a non-psd information matrix")
@@ -306,19 +318,12 @@ class EdgeStack:
         resid = self.y[rows] - self._pull[self.others_of_factor[rows]].sum(axis=1)
         return (gain @ resid[..., None])[..., 0]
 
-    def f2v_mean(self, vv, rows, gain, jmat):
-        """v_{n->i} for the rows, from their twins' v_{i->n} in vv and the rows' K and J."""
-        return np.linalg.solve(jmat, self.f2v_potential(vv, rows, gain)[..., None])[..., 0]
-
 
 def make_init(model, graph, strategy="zero"):
     """Initial factor-to-variable messages for every edge: a dict view of EdgeStack.init.
 
-    strategy is "zero", "lower" or "upper", or a dict mapping (factor,
-    variable) to a Message or a bare information matrix (zero mean),
-    whose information matrices must be finite and psd. The bound inits
-    place the edge-wise lower/upper envelopes of the information
-    recursion on every edge with zero mean vectors.
+    strategy is any init run_bp takes; "lower" and "upper" place the edge-wise
+    envelopes of the information recursion on every edge, with zero means.
     """
     stack = EdgeStack(model, graph)
     return stack.views(*stack.init(strategy))
@@ -335,9 +340,9 @@ def _sweep(stack, state, rows, strict, it):
             raise ExistenceViolation(f"variable-to-factor message ({j} -> {n}) not pd at iteration {it}")
     gain, jn = stack.f2v_information(jv, rows)
     vv[rows] = stack.v2f_mean(fh, rows, jv)
-    fv[rows] = stack.f2v_mean(vv[rows], rows, gain, jn)
+    fh[rows] = stack.f2v_potential(vv[rows], rows, gain)
+    fv[rows] = np.linalg.solve(jn, fh[rows, :, None])[..., 0]
     vj[rows], fj[rows] = jv, jn
-    fh[rows] = (jn @ fv[rows, :, None])[..., 0]
 
 
 def _deltas(new_j, old_j, new_v, old_v):
@@ -346,31 +351,22 @@ def _deltas(new_j, old_j, new_v, old_v):
             np.max(np.abs(new_v - old_v), axis=1, initial=0.0))
 
 
-def compute_beliefs(model, graph, messages):
-    """Marginal beliefs from the current factor-to-variable messages.
+def compute_beliefs(stack, fj, fh):
+    """Beliefs by variable id from the f2v stores fj (J_{n->i}) and fh (J_{n->i} v_{n->i}) by row.
 
-    Each variable's precision and information are summed from its
-    messages; the covariances come from one stacked inverse per dim.
+    A variable's precision is its prior plus its messages' J in factor
+    (row) order; the covariances come from one stacked inverse per dim.
     """
-    f2v = messages["f2v"]
-    prior_prec = prior_precisions(model)
-    precs, rhss = [], []
-    for v in model.variables:
-        prec = prior_prec[v.id]
-        rhs = np.zeros(v.dim)
-        for n in graph.neighbors_of_var[v.id]:
-            msg = f2v[(n, v.id)]
-            prec = prec + msg.J
-            rhs = rhs + msg.J @ msg.v
-        precs.append((prec + prec.T) / 2.0)
-        rhss.append(rhs)
-    beliefs = [None] * len(precs)
-    for idx in shape_groups(precs):
-        covs = np.linalg.inv(np.stack([precs[k] for k in idx]))
-        means = (covs @ np.stack([rhss[k] for k in idx])[..., None])[..., 0]
-        for k, cov, mean in zip(idx, covs, means):
+    prec, rhs, d_max = stack.prior.copy(), np.zeros(stack.prior.shape[:2]), fj.shape[-1]
+    np.add.at(prec[:, :d_max, :d_max], stack.var_of_row, fj[stack.all])
+    np.add.at(rhs[:, :d_max], stack.var_of_row, fh[stack.all])
+    beliefs = [None] * len(prec)
+    for d in np.unique(stack.var_dims).tolist():
+        sel = np.flatnonzero(stack.var_dims == d)
+        covs = np.linalg.inv((prec[sel, :d, :d] + prec[sel, :d, :d].swapaxes(1, 2)) / 2.0)
+        for k, cov, mean in zip(sel, covs, (covs @ rhs[sel, :d, None])[..., 0]):
             beliefs[k] = Belief(mean=mean, cov=cov)
-    return {v.id: b for v, b in zip(model.variables, beliefs)}
+    return dict(zip(stack.var_ids, beliefs))
 
 
 def run_bp(model, graph=None, init="zero", options=None, reference=None):
@@ -383,9 +379,9 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
         Built from the model when omitted.
     init : str or dict
         Init strategy name, or a dict mapping every (factor, variable)
-        edge to a Message or a bare J (zero mean). A missing edge, any
-        other value, a wrong shape, a value that is not finite or a J
-        that is not psd raises DomainError.
+        edge to a Message or a bare J (zero mean). A missing or unknown
+        edge, any other value, a wrong shape, a value that is not finite
+        or a J that is not symmetric and psd raises DomainError.
     options : BpOptions
         tol_j and tol_v must be finite and positive, max_iters and seed
         non-negative, or DomainError is raised.
@@ -482,7 +478,6 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
             status = "converged"
             break
 
-    messages = {"f2v": stack.views(fj, fv), "v2f": stack.views(vj, vv, v2f=True)}
-    beliefs = None if status == "diverged" else compute_beliefs(model, graph, messages)
-    return BpResult(status=status, iterations=iterations, messages=messages,
-                    trajectory=traj, beliefs=beliefs)
+    return BpResult(status=status, iterations=iterations, trajectory=traj,
+                    messages={"f2v": stack.views(fj, fv), "v2f": stack.views(vj, vv, v2f=True)},
+                    beliefs=None if status == "diverged" else compute_beliefs(stack, fj, fh))

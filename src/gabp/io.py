@@ -27,15 +27,23 @@ def matrix_to_json(a):
     return {"rows": a.shape[0], "cols": a.shape[1], "data": [float(x) for x in a.ravel()]}
 
 
+def _integer(x, what):
+    """An int, integral float or integer string as an int, never truncated; else InputFormatError."""
+    try:
+        if not isinstance(x, bool) and (not isinstance(x, float) or x.is_integer()):
+            return int(x)
+    except (TypeError, ValueError):
+        pass
+    raise InputFormatError(f"{what} must be an integer, got {x!r}")
+
+
 def matrix_from_json(obj, what="matrix"):
     if not isinstance(obj, dict):
         raise InputFormatError(f"{what}: expected an object with rows/cols/data")
-    try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        data = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"{what}: expected rows/cols/data, got {sorted(obj)}") from exc
+    if not {"rows", "cols", "data"} <= obj.keys():
+        raise InputFormatError(f"{what}: expected rows/cols/data, got {sorted(obj)}")
+    rows, cols = _integer(obj["rows"], f"{what} rows"), _integer(obj["cols"], f"{what} cols")
+    data = obj["data"]
     if rows < 0 or cols < 0:
         raise InputFormatError(f"{what}: rows and cols must be non-negative, got {rows}x{cols}")
     if not isinstance(data, list) or len(data) != rows * cols:
@@ -93,11 +101,9 @@ def model_from_json(obj):
     for idx, entry in enumerate(obj["variables"]):
         if not isinstance(entry, dict):
             raise InputFormatError(f"variable #{idx}: expected an object")
-        try:
-            vid = int(entry["id"])
-            dim = int(entry["dim"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputFormatError(f"variable #{idx}: needs integer id and dim") from exc
+        if not {"id", "dim"} <= entry.keys():
+            raise InputFormatError(f"variable #{idx}: needs integer id and dim")
+        vid, dim = (_integer(entry[k], f"variable #{idx} {k}") for k in ("id", "dim"))
         prior = matrix_from_json(entry.get("prior_cov"), f"variable {vid} prior_cov")
         variables.append(VariableSpec(id=vid, dim=dim, prior_cov=prior))
     factors = []
@@ -105,19 +111,16 @@ def model_from_json(obj):
         if not isinstance(entry, dict):
             raise InputFormatError(f"factor #{idx}: expected an object")
         try:
-            fid = int(entry["id"])
-            scope = tuple(int(j) for j in entry["scope"])
-        except (KeyError, TypeError, ValueError) as exc:
+            fid = _integer(entry["id"], f"factor #{idx} id")
+            scope = tuple(_integer(j, f"factor #{idx} scope entry") for j in entry["scope"])
+        except (KeyError, TypeError) as exc:
             raise InputFormatError(f"factor #{idx}: needs integer id and scope list") from exc
         coeff_obj = entry.get("coeff")
         if not isinstance(coeff_obj, dict):
             raise InputFormatError(f"factor {fid}: 'coeff' must map variable id to matrix")
         coeff = {}
         for key, mat in coeff_obj.items():
-            try:
-                j = int(key)
-            except (TypeError, ValueError) as exc:
-                raise InputFormatError(f"factor {fid}: coeff key {key!r} is not an id") from exc
+            j = _integer(key, f"factor {fid} coeff key")
             coeff[j] = matrix_from_json(mat, f"factor {fid} coeff[{j}]")
         noise = matrix_from_json(entry.get("noise_cov"), f"factor {fid} noise_cov")
         obs = _vector_from_json(entry.get("obs"), f"factor {fid} obs")
@@ -194,11 +197,9 @@ def load_custom_init(path):
     for idx, rec in enumerate(obj["f2v"]):
         if not isinstance(rec, dict):
             raise InputFormatError(f"init record #{idx}: expected an object")
-        try:
-            n = int(rec["factor"])
-            i = int(rec["variable"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputFormatError(f"init record #{idx}: needs factor and variable ids") from exc
+        if not {"factor", "variable"} <= rec.keys():
+            raise InputFormatError(f"init record #{idx}: needs factor and variable ids")
+        n, i = (_integer(rec[k], f"init record #{idx} {k}") for k in ("factor", "variable"))
         jmat = matrix_from_json(rec.get("J"), f"init ({n}->{i}) J")
         v = _vector_from_json(rec.get("v"), f"init ({n}->{i}) v")
         if (n, i) in out:

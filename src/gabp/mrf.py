@@ -23,7 +23,7 @@ import numpy as np
 
 from gabp.errors import DomainError
 from gabp.model import FactorSpec, LinearGaussianModel, VariableSpec
-from gabp.numerics import PSD_TOL, is_pd, symmetrize
+from gabp.numerics import PSD_TOL, is_pd, is_symmetric, symmetrize
 
 log = logging.getLogger("gabp")
 
@@ -35,9 +35,12 @@ SURPLUS_TOL = 1e-14
 
 
 def _require_finite(x, what):
+    """x as floats; DomainError unless it is finite and, if a matrix, symmetric."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError(f"{what} is not finite")
+    if x.ndim == 2 and not is_symmetric(x):
+        raise DomainError(f"{what} is not symmetric: max asymmetry {np.max(np.abs(x - x.T)):.3e}")
     return x
 
 
@@ -265,7 +268,7 @@ def mrf_to_linear_gaussian(j_norm, h=None, omega=None):
 
 def mrf_marginals(j, h):
     """Exact marginal means and variances by one dense solve."""
-    j = symmetrize(j)
+    j = symmetrize(_require_finite(j, "J"))
     if not is_pd(j):
         raise DomainError("information matrix must be positive definite")
     h = np.asarray(h, dtype=float)

@@ -8,8 +8,8 @@ import pytest
 from conftest import information_iterates, quartet_model, rand_spd, vague_prior_model
 from corpus import (SHOWCASE_DIVERGENT, forest_corpus, frustrated_model,
                     loopy_corpus, mixed_corpus)
-from gabp.bp import (Belief, BpOptions, Message, compute_beliefs, make_init,
-                     run_bp)
+from gabp.bp import (Belief, BpOptions, EdgeStack, Message, compute_beliefs,
+                     make_init, run_bp)
 from gabp.errors import DomainError, ExistenceViolation
 from gabp.graph import build_factor_graph
 from gabp.model import (FactorSpec, LinearGaussianModel, VariableSpec,
@@ -169,6 +169,30 @@ def test_every_entry_point_rejects_a_non_psd_dict_init(quartet):
             call()
         messages.add(str(exc.value))
     assert messages == {f"custom init edge {g.f2v_edges[1]} has a non-psd information matrix"}
+
+
+@pytest.mark.parametrize("case", ["unknown edge", "asymmetric"])
+def test_every_entry_point_rejects_an_unknown_edge_or_an_asymmetric_dict_init(case):
+    from gabp.analysis import information_fixed_point
+    m = tree_model()
+    g = build_factor_graph(m)
+    init = {(n, i): np.eye(m.variable(i).dim) for n, i in g.f2v_edges}
+    if case == "unknown edge":
+        edge = (99, 1)
+        init[edge] = np.array([[-5.0]])
+        expected = f"init edge {edge} is not in the factor graph"
+    else:
+        edge = (1, 1)
+        init[edge] = np.array([[1.0, 0.5], [0.0, 1.0]])
+        expected = f"init edge {edge} has an asymmetric information matrix"
+    messages = set()
+    for call in (lambda: run_bp(m, g, init=init),
+                 lambda: information_fixed_point(m, g, init=init),
+                 lambda: make_init(m, g, init)):
+        with pytest.raises(DomainError) as exc:
+            call()
+        messages.add(str(exc.value))
+    assert messages == {expected}
 
 
 def test_dict_init_rejects_a_pair_value(quartet):
@@ -344,15 +368,6 @@ def test_trajectory_part_metric_is_inf_for_a_reference_that_is_not_pd(quartet):
             assert (pm == math.inf) == ((n, i) == bad)
 
 
-def test_compute_beliefs_from_final_messages(quartet):
-    g = build_factor_graph(quartet)
-    res = run_bp(quartet, g)
-    direct = compute_beliefs(quartet, g, res.messages)
-    for v in direct:
-        np.testing.assert_array_equal(direct[v].mean, res.beliefs[v].mean)
-        np.testing.assert_array_equal(direct[v].cov, res.beliefs[v].cov)
-
-
 def test_belief_container_shapes(quartet):
     res = run_bp(quartet)
     for vid, b in res.beliefs.items():
@@ -362,16 +377,20 @@ def test_belief_container_shapes(quartet):
         assert b.cov[0, 0] > 0.0
 
 
-def _beliefs_per_variable(model, graph, f2v):
-    """The belief assembly one variable at a time: (mean, cov) by variable id."""
+def _beliefs_per_variable(model, graph, fj, fh):
+    """The belief assembly one variable at a time from f2v stores by row: (mean, cov) by variable id.
+
+    The precision is W^-1 plus the messages' Js in factor order, the
+    information the sum of their potentials J v.
+    """
     out = {}
     for v in model.variables:
         prec = np.linalg.inv(v.prior_cov)
         rhs = np.zeros(v.dim)
         for n in graph.neighbors_of_var[v.id]:
-            msg = f2v[(n, v.id)]
-            prec = prec + msg.J
-            rhs = rhs + msg.J @ msg.v
+            e = graph.f2v_index[(n, v.id)]
+            prec = prec + fj[e, :v.dim, :v.dim]
+            rhs = rhs + fh[e, :v.dim]
         cov = np.linalg.inv((prec + prec.T) / 2.0)
         out[v.id] = (cov @ rhs, cov)
     return out
@@ -382,10 +401,34 @@ def test_grouped_beliefs_equal_the_per_variable_assembly_bit_for_bit():
     models = list(forest_corpus()) + list(loopy_corpus()) + [m for _, m in mixed_corpus()]
     for model in models + [random_model(seed=1, n_agents=480)]:
         g = build_factor_graph(model)
-        f2v = {e: Message(J=m.J, v=rng.standard_normal(len(m.v)))
-               for e, m in make_init(model, g, "lower").items()}
-        got = compute_beliefs(model, g, {"f2v": f2v})
-        want = _beliefs_per_variable(model, g, f2v)
+        stack = EdgeStack(model, g)
+        fj, fv = stack.init("lower")
+        fh = rng.standard_normal(fv.shape)
+        got = compute_beliefs(stack, fj, fh)
+        want = _beliefs_per_variable(model, g, fj, fh)
         assert list(got) == [v.id for v in model.variables]
         for vid, (mean, cov) in want.items():
             assert np.array_equal(got[vid].mean, mean) and np.array_equal(got[vid].cov, cov)
+
+
+def test_a_largest_variable_without_factors_gets_exact_beliefs():
+    # the 3-dim variable has no factor, so every edge is 1-dim: the prior
+    # store is padded to the variables' largest dim, not the edges'
+    from gabp.analysis import information_fixed_point, two_phase_mean_recursion
+    rng = np.random.default_rng(11)
+    one = np.eye(1)
+    m = LinearGaussianModel(
+        variables=[VariableSpec(1, 1, rand_spd(rng, 1)), VariableSpec(2, 3, rand_spd(rng, 3)),
+                   VariableSpec(3, 1, rand_spd(rng, 1))],
+        factors=[FactorSpec(1, (1, 3), {1: rng.standard_normal((2, 1)), 3: rng.standard_normal((2, 1))},
+                            rand_spd(rng, 2), rng.standard_normal(2)),
+                 FactorSpec(2, (3,), {3: one}, one, rng.standard_normal(1))])
+    sol = centralized_solve(m)
+    res = run_bp(m)
+    assert res.status == "converged"
+    assert max_mean_error(res.beliefs, sol) < 1e-12
+    assert max_cov_error(res.beliefs, sol) < 1e-12
+    mr = two_phase_mean_recursion(information_fixed_point(m))
+    assert mr.status == "converged" and list(mr.means) == [1, 2, 3]
+    for vid, mean in sol.means.items():
+        np.testing.assert_allclose(mr.means[vid], mean, rtol=0, atol=1e-12)

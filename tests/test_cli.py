@@ -11,7 +11,7 @@ from gabp.cli import main
 from gabp.errors import ExistenceViolation
 from gabp.graph import build_factor_graph
 from gabp.io import matrix_to_json, model_to_json, save_model, save_mrf
-from gabp.model import LinearGaussianModel, VariableSpec, validate_model
+from gabp.model import FactorSpec, LinearGaussianModel, VariableSpec, validate_model
 
 
 @pytest.fixture
@@ -206,6 +206,54 @@ def test_model_without_factors_runs_and_certifies(tmp_path):
                                   np.loadtxt(solved, delimiter=",", skiprows=1))
     with open(report) as fh:
         assert json.load(fh)["max_mean_error"] == 0.0
+
+
+def test_malformed_inputs_end_in_a_named_error(quartet_file, tmp_path, capsys):
+    # asymmetric matrices, an init edge outside the graph and non-integral
+    # integer fields: each once ended in a traceback or was accepted
+    def write(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    def mrf(diagonal):
+        return write(f"mrf{diagonal}.json", {"J": {"rows": 2, "cols": 2, "data": [diagonal, 0.3, 0.1, 1.0]},
+                                             "h": [1.0, 2.0]})
+
+    eye = np.eye(2)
+    plane_model = LinearGaussianModel(variables=[VariableSpec(1, 2, eye)],
+                                      factors=[FactorSpec(1, (1,), {1: eye}, eye, np.zeros(2))])
+    plane = str(tmp_path / "plane.json")
+    save_model(plane_model, plane)
+
+    def with_variable(**fields):
+        # each of these once read as the valid plane model, truncated
+        obj = model_to_json(plane_model)
+        obj["variables"][0].update(fields)
+        return write(f"variable{len(list(tmp_path.iterdir()))}.json", obj)
+
+    skew = write("skew.json", {"f2v": [{"factor": 1, "variable": 1, "v": [0.0, 0.0],
+                                        "J": {"rows": 2, "cols": 2, "data": [1.0, 0.5, 0.0, 1.0]}}]})
+    recs = [{"factor": n, "variable": i, "J": {"rows": 1, "cols": 1, "data": [0.2]}, "v": [0.0]}
+            for n, i in build_factor_graph(quartet_model()).f2v_edges]
+    extra = write("extra.json", {"f2v": recs + [{"factor": 99, "variable": 1, "v": [0.0],
+                                                 "J": {"rows": 1, "cols": 1, "data": [-5.0]}}]})
+    cases = [
+        (["convert-mrf", mrf(1.0)], 1, "domain error: J is not symmetric"),
+        (["convert-mrf", mrf(2.0)], 1, "domain error: J is not symmetric"),
+        (["run", plane, "--init", f"custom:{skew}"], 1,
+         "domain error: init edge (1, 1) has an asymmetric information matrix"),
+        (["run", quartet_file, "--init", f"custom:{extra}"], 1,
+         "domain error: init edge (99, 1) is not in the factor graph"),
+        (["validate", with_variable(dim=2.7)], 2, "input error: variable #0 dim must be an integer, got 2.7"),
+        (["validate", with_variable(dim=True)], 2, "input error: variable #0 dim must be an integer, got True"),
+        (["validate", with_variable(prior_cov={"rows": 2.5, "cols": 2, "data": [1.0, 0.0, 0.0, 1.0]})], 2,
+         "rows must be an integer, got 2.5"),
+        (["validate", with_variable(id=1.5)], 2, "input error: variable #0 id must be an integer, got 1.5"),
+    ]
+    for argv, code, message in cases:
+        assert main(argv) == code, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_existence_violation_maps_to_exit_5(quartet_file, monkeypatch, capsys):
