@@ -15,8 +15,9 @@ analysis module reuses both.
   information form K (y_n - ...) = J_{n->i} v_{n->i} is f2v_potential,
   the mean half's state; v_{n->i} is one solve from it.
 
-Both halves run on an EdgeStack, built once per run_bp or
-information_fixed_point call. Row e of every stack belongs to the
+Both halves run on an EdgeStack, built once per information_fixed_point
+or run_bp call; a run_bp reuses its reference's stack if built from the
+same model and graph objects. Row e of every stack belongs to the
 factor-to-variable edge graph.f2v_edges[e] = (n, i) and to its twin, the
 variable-to-factor edge (i, n). Blocks are padded to the largest edge
 dim D and observation dim P: A_{n,i} sits top-left in a zero (P, D)
@@ -43,7 +44,8 @@ One outer iteration updates every edge of both kinds exactly once. A
 schedule is a choice of factor blocks (sets of rows) for one shared
 sweep: the sweep over a block first refreshes every variable-to-factor
 message into the block from the current factor-to-variable state, then
-every factor-to-variable message out of the block.
+every factor-to-variable message out of the block. The f2v means, which
+no sweep reads, are solved once per iteration after the last block.
 
 * "sync": one block of all factors, so every update reads the previous
   iteration's state. Deterministic bit for bit.
@@ -141,7 +143,7 @@ class EdgeStack:
     """
 
     def __init__(self, model, graph):
-        self.graph = graph
+        self.model, self.graph = model, graph
         self.edges = list(graph.f2v_edges)
         n_edges = len(self.edges)
         self.all = slice(0, n_edges)
@@ -331,7 +333,7 @@ def make_init(model, graph, strategy="zero"):
 
 def _sweep(stack, state, rows, strict, it):
     """Refresh the v2f messages into a block of factors, then the block's f2v messages."""
-    fj, fv, fh, vj, vv = state
+    fj, fh, vj, vv = state
     jv = stack.v2f_information(fj, rows)
     if strict:
         bad = np.arange(len(stack.edges))[rows][~stack.per_edge(is_pd, jv, rows=rows, dtype=bool)]
@@ -341,14 +343,13 @@ def _sweep(stack, state, rows, strict, it):
     gain, jn = stack.f2v_information(jv, rows)
     vv[rows] = stack.v2f_mean(fh, rows, jv)
     fh[rows] = stack.f2v_potential(vv[rows], rows, gain)
-    fv[rows] = np.linalg.solve(jn, fh[rows, :, None])[..., 0]
     vj[rows], fj[rows] = jv, jn
 
 
 def _deltas(new_j, old_j, new_v, old_v):
     """Per-row Frobenius change of J and max-abs change of v."""
-    return (np.linalg.norm(new_j - old_j, axis=(1, 2)),
-            np.max(np.abs(new_v - old_v), axis=1, initial=0.0))
+    dj = new_j - old_j
+    return np.sqrt((dj * dj).sum(axis=(1, 2))), np.abs(new_v - old_v).max(axis=1, initial=0.0)
 
 
 def compute_beliefs(stack, fj, fh):
@@ -413,7 +414,8 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
         raise DomainError(f"tol_j and tol_v must be finite and positive, got {opts.tol_j}, {opts.tol_v}")
     if opts.max_iters < 0:
         raise DomainError(f"max_iters must be non-negative, got {opts.max_iters}")
-    stack = EdgeStack(model, graph)
+    own = reference is not None and reference.stack.model is model and reference.stack.graph is graph
+    stack = reference.stack if own else EdgeStack(model, graph)
     fj, fv = stack.init(init)
     fh = (fj @ fv[..., None])[..., 0]
     vj, vv = np.zeros_like(fj[:-1]), np.zeros_like(fv[:-1])
@@ -423,11 +425,14 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
         if reference.stack.edges != stack.edges or not np.array_equal(reference.stack.dims, stack.dims):
             raise DomainError("reference fixed point belongs to another graph")
         # the reference is constant: factor it once per dim group
-        ref = reference.f2v_j
-        to_ref = {d: part_metric_to(ref[stack.dims == d, :d, :d]) for d in stack.dim_values}
+        groups = [(d, rows, part_metric_to(reference.f2v_j[rows, :d, :d]))
+                  for d in stack.dim_values for rows in [np.flatnonzero(stack.dims == d)]]
 
         def ref_metric(x):
-            return stack.per_edge(lambda xd: to_ref[xd.shape[-1]](xd), x)
+            out = np.empty(len(stack.edges))
+            for d, rows, metric in groups:
+                out[rows] = metric(x[rows, :d, :d])
+            return out
 
         traj.initial_part_metric = float(np.max(ref_metric(fj), initial=0.0))
 
@@ -444,7 +449,8 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
             rng.shuffle(order)
             blocks = stack.blocks(order)
         for rows in blocks:
-            _sweep(stack, (fj, fv, fh, vj, vv), rows, opts.strict, it)
+            _sweep(stack, (fj, fh, vj, vv), rows, opts.strict, it)
+        fv[:-1] = np.linalg.solve(fj[:-1], fh[:-1, :, None])[..., 0]
 
         if opts.strict:
             bad = np.flatnonzero(~stack.per_edge(is_pd, fj, dtype=bool))
@@ -453,24 +459,24 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
                 raise ExistenceViolation(f"factor-to-variable message ({n} -> {i}) not pd at iteration {it}")
 
         f_dj, f_dv = _deltas(fj[:-1], old[0], fv[:-1], old[1])
-        v_dj, v_dv = (x[stack.v2f_rows] for x in _deltas(vj, old[2], vv, old[3]))
+        v_dj, v_dv = _deltas(vj, old[2], vv, old[3])
         if it == 1:
             v_dj = v_dv = np.full(len(v_dj), math.nan)
             max_dj = max_dv = math.inf
         else:
-            max_dj = float(max(np.max(v_dj, initial=0.0), np.max(f_dj, initial=0.0)))
-            max_dv = float(max(np.max(v_dv, initial=0.0), np.max(f_dv, initial=0.0)))
+            max_dj = float(max(v_dj.max(initial=0.0), f_dj.max(initial=0.0)))
+            max_dv = float(max(v_dv.max(initial=0.0), f_dv.max(initial=0.0)))
         pm = ref_metric(fj) if reference is not None else None
         if opts.record_messages:
-            traj.rows.extend(zip(repeat(it), repeat("v2f"), *v2f_ends, v_dj.tolist(), v_dv.tolist(),
-                                 repeat(None)))
+            traj.rows.extend(zip(repeat(it), repeat("v2f"), *v2f_ends, v_dj[stack.v2f_rows].tolist(),
+                                 v_dv[stack.v2f_rows].tolist(), repeat(None)))
             traj.rows.extend(zip(repeat(it), repeat("f2v"), *f2v_ends, f_dj.tolist(), f_dv.tolist(),
                                  repeat(None) if pm is None else pm.tolist()))
         traj.per_iteration.append({"iter": it, "max_dj": max_dj, "max_dv": max_dv,
                                    "part_metric": None if pm is None else float(np.max(pm, initial=0.0))})
         log.debug("bp iter %d: max_dj=%.3e max_dv=%.3e", it, max_dj, max_dv)
 
-        peak = np.maximum(np.max(np.abs(fv), initial=0.0), np.max(np.abs(vv), initial=0.0))
+        peak = np.maximum(np.abs(fv).max(initial=0.0), np.abs(vv).max(initial=0.0))
         if not np.isfinite(peak) or peak > DIVERGENCE_GUARD:
             status = "diverged"
             break

@@ -9,6 +9,7 @@ Set GABP_LOG=DEBUG (or INFO, WARNING, ...) to see progress logging.
 """
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -190,21 +191,23 @@ def cmd_gen(args):
     model = random_model(seed=args.seed, n_agents=args.agents,
                          dims=(1, args.max_dim), topology=args.topology,
                          coeff_scale=args.coeff_scale, noise_scale=args.noise_scale)
-    graph = build_factor_graph(model)
-    topo = classify_topology(graph)
+    # random_model has checked that the graph classifies as the request
+    topology = "single_loop_plus_forest" if args.topology == "single_loop" else args.topology
     print(f"generated {len(model.variables)} agents, {len(model.factors)} factors, "
-          f"topology {topo.overall}")
+          f"topology {topology}")
     if args.out:
         save_model(model, args.out)
         print(f"wrote {args.out}")
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(to_dot(graph))
+            fh.write(to_dot(build_factor_graph(model)))
         print(f"wrote {args.dot}")
     return 0
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built once per process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="gabp",
         description="Gaussian belief propagation for distributed linear models")

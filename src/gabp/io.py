@@ -110,11 +110,10 @@ def model_from_json(obj):
     for idx, entry in enumerate(obj["factors"]):
         if not isinstance(entry, dict):
             raise InputFormatError(f"factor #{idx}: expected an object")
-        try:
-            fid = _integer(entry["id"], f"factor #{idx} id")
-            scope = tuple(_integer(j, f"factor #{idx} scope entry") for j in entry["scope"])
-        except (KeyError, TypeError) as exc:
-            raise InputFormatError(f"factor #{idx}: needs integer id and scope list") from exc
+        if not {"id", "scope"} <= entry.keys() or not isinstance(entry["scope"], list):
+            raise InputFormatError(f"factor #{idx}: needs integer id and scope list")
+        fid = _integer(entry["id"], f"factor #{idx} id")
+        scope = tuple(_integer(j, f"factor #{idx} scope entry") for j in entry["scope"])
         coeff_obj = entry.get("coeff")
         if not isinstance(coeff_obj, dict):
             raise InputFormatError(f"factor {fid}: 'coeff' must map variable id to matrix")

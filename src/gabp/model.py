@@ -44,8 +44,8 @@ class FactorSpec:
     """One vector observation tying together the variables in its scope.
 
     coeff maps each variable id in the scope to its (obs_dim x var_dim)
-    coefficient block. The scope is kept sorted ascending; stacked
-    quantities built from a factor always follow that order.
+    coefficient block. The scope is kept sorted ascending, repeats
+    included; stacked quantities built from a factor follow that order.
     """
 
     id: int
@@ -55,7 +55,7 @@ class FactorSpec:
     obs: np.ndarray
 
     def __post_init__(self):
-        self.scope = tuple(sorted(set(int(i) for i in self.scope)))
+        self.scope = tuple(sorted(int(i) for i in self.scope))
         self.coeff = {int(i): np.atleast_2d(np.asarray(a, dtype=float)) for i, a in self.coeff.items()}
         self.noise_cov = np.atleast_2d(np.asarray(self.noise_cov, dtype=float))
         self.obs = np.atleast_1d(np.asarray(self.obs, dtype=float))
@@ -154,6 +154,10 @@ def validate_model(model):
         if missing:
             problems.append(f"factor {f.id}: scope references unknown variables {missing}")
             continue
+        repeated = sorted({i for i, j in zip(f.scope, f.scope[1:]) if i == j})
+        if repeated:
+            problems.append(f"factor {f.id}: scope repeats variables {repeated}")
+            continue
         if set(f.coeff) != set(f.scope):
             problems.append(
                 f"factor {f.id}: coefficient keys {sorted(f.coeff)} do not match scope {list(f.scope)}"
@@ -237,25 +241,35 @@ def prior_precisions(model):
 def joint_system(model):
     """Joint precision W^-1 + sum_n A_n^T R_n^-1 A_n, information sum_n A_n^T R_n^-1 y_n, offsets.
 
-    Both are assembled factor by factor, each from one small solve
-    against that factor's own noise covariance; offsets is
-    variable_offsets(model), the layout of their rows and columns.
+    Each prior is a factor x_i = 0 with noise W_i. Blocks are padded (A
+    with zeros, R with an identity) to multiples of 4 rows and columns, so
+    most models' small blocks share a size; each size takes one stacked
+    solve, one scatter sums the terms, and offsets is variable_offsets.
     """
     voff = variable_offsets(model)
     n = model.total_dim
-    precision = np.zeros((n, n))
-    information = np.zeros(n)
-    span = {i: np.arange(s, s + d) for i, (s, d) in voff.items()}
-    for i, w in prior_precisions(model).items():
-        s, d = voff[i]
-        precision[s:s + d, s:s + d] = w
-    for f in model.factors:
-        cols = np.concatenate([span[i] for i in f.scope])
-        a = np.hstack([f.coeff[i] for i in f.scope])
-        rinv_a = np.linalg.solve(f.noise_cov, a)
-        precision[np.ix_(cols, cols)] += a.T @ rinv_a
-        information[cols] += rinv_a.T @ f.obs
-    return precision, information, voff
+    groups = {}
+    for coeff, noise, obs in ([({v.id: np.eye(v.dim)}, v.prior_cov, np.zeros(v.dim)) for v in model.variables]
+                              + [(f.coeff, f.noise_cov, f.obs) for f in model.factors]):
+        width = sum(voff[i][1] for i in coeff)
+        groups.setdefault((-(-len(obs) // 4) * 4, -(-width // 4) * 4), []).append((coeff, noise, obs))
+    at, val = [np.zeros(0, dtype=int)], [np.zeros(0)]
+    for (p, width), group in groups.items():
+        a, y = np.zeros((len(group), p, width)), np.zeros((len(group), p, 1))
+        r, cols = np.tile(np.eye(p), (len(group), 1, 1)), np.full((len(group), width), n)
+        for k, (coeff, noise, obs) in enumerate(group):
+            m, c = len(obs), 0
+            r[k, :m, :m], y[k, :m, 0] = noise, obs
+            for i, block in coeff.items():
+                s, d = voff[i]
+                a[k, :m, c:c + d], cols[k, c:c + d] = block, np.arange(s, s + d)
+                c += d
+        rinv_a = np.linalg.solve(r, a)
+        # an (n + 1, n + 1) precision, then the information, flat; pad columns land in row and column n
+        at += [(cols[:, :, None] * (n + 1) + cols[:, None, :]).ravel(), (n + 1) ** 2 + cols.ravel()]
+        val += [(a.swapaxes(1, 2) @ rinv_a).ravel(), (rinv_a.swapaxes(1, 2) @ y).ravel()]
+    total = np.bincount(np.concatenate(at), np.concatenate(val), minlength=(n + 1) * (n + 2))
+    return total[:(n + 1) ** 2].reshape(n + 1, n + 1)[:n, :n], total[(n + 1) ** 2:-1], voff
 
 
 def centralized_solve(model):

@@ -5,7 +5,8 @@ definite" or "full column rank" means. The conventions are deliberate and
 fixed; no function takes a per-call tolerance override:
 
 * matrices are symmetrized via (X + X.T) / 2 after checking the asymmetry
-  is below 1e-12 (relative to the largest entry),
+  is below 1e-12 (relative to the largest entry), a test skipped when
+  the stack equals its transpose exactly (the engine's J do),
 * psd means lambda_min >= -1e-9 * max(1, lambda_max),
 * pd means lambda_min > 1e-9 * max(1, lambda_max),
 * full column rank means smallest singular value > 1e-10 * largest,
@@ -40,8 +41,8 @@ def is_symmetric(x):
     x = np.asarray(x, dtype=float)
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {x.shape}")
-    ok = np.ones(x.shape[:-2], dtype=bool)
-    if x.size:
+    ok = (x == np.swapaxes(x, -1, -2)).all(axis=(-2, -1))
+    if not ok.all():
         scale = np.maximum(1.0, np.max(np.abs(x), axis=(-2, -1)))
         ok = ~(np.max(np.abs(x - np.swapaxes(x, -1, -2)), axis=(-2, -1)) > SYM_TOL * scale)
     return bool(ok) if x.ndim == 2 else ok
@@ -60,13 +61,17 @@ def symmetrize(x):
     return (x + xt) / 2.0
 
 
+def _verdict(w, strict):
+    """pd (strict) or psd verdict from each matrix's ascending eigenvalues w."""
+    bar = PSD_TOL * np.maximum(1.0, w[..., -1])
+    return w[..., 0] > bar if strict else w[..., 0] >= -bar
+
+
 def _definite(x, strict):
     """pd (strict) or psd verdict: a bool for a matrix, a bool array for a stack."""
     x = symmetrize(x)
     # an empty matrix passes both checks, as if its spectrum were {1}
-    w = np.linalg.eigvalsh(x) if x.shape[-1] else np.ones(x.shape[:-2] + (1,))
-    bar = PSD_TOL * np.maximum(1.0, w[..., -1])
-    ok = w[..., 0] > bar if strict else w[..., 0] >= -bar
+    ok = _verdict(np.linalg.eigvalsh(x) if x.shape[-1] else np.ones(x.shape[:-2] + (1,)), strict)
     return bool(ok) if x.ndim == 2 else ok
 
 
@@ -102,18 +107,6 @@ def has_full_column_rank(a):
     return bool(ok) if a.ndim == 2 else ok
 
 
-def _part_distance(chol, x, y):
-    """Part metric between pd stacks x = chol chol^T and y, pair by pair."""
-    half = np.linalg.solve(chol, y - x)
-    mu = np.linalg.eigvalsh(np.linalg.solve(chol, np.swapaxes(half, -1, -2)))
-    lo, hi = mu[..., 0], mu[..., -1]
-    # lo <= -1 is possible only for near-singular inputs that slipped
-    # through the pd check; it is a domain error, not a distance.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        d = np.maximum(np.maximum(np.log1p(hi), -np.log1p(lo)), 0.0)
-    return np.where(lo > -1.0, d, np.inf)
-
-
 def part_metric(x, y):
     """Distance between two positive definite matrices, or per pair of two stacks.
 
@@ -123,9 +116,9 @@ def part_metric(x, y):
         log max( lambda_max(x^-1 y), 1 / lambda_min(x^-1 y) ).
 
     The eigenvalues of x^-1 y are 1 + mu with mu the eigenvalues of
-    L^-1 (y - x) L^-T, x = L L^T (Cholesky reduction), so no explicit
-    inverse is formed and distances near zero keep their relative
-    accuracy. It is part_metric_to(x)(y), a pair of matrices a stack of one.
+    L^-1 (y - x) L^-T, x = L L^T (Cholesky reduction), so x^-1 y is
+    never formed and distances near zero keep their relative accuracy.
+    It is part_metric_to(x)(y), a pair of matrices a stack of one.
 
     For two matrices, raises ValueError if either fails the pd check. For
     two (E, d, d) stacks, returns an array of E distances, inf where a
@@ -147,21 +140,25 @@ def part_metric(x, y):
 def part_metric_to(ref):
     """part_metric(x, ref) for (E, d, d) stacks x, as a function of x, with ref factored once.
 
-    ref is symmetrized, pd-checked and Cholesky-factored here; each call
-    then checks only x. The distance is symmetric in its arguments. A
-    pair that fails the pd check gets inf.
+    ref is symmetrized, pd-checked, Cholesky-factored and the factor
+    inverted here; each call then makes one eigvalsh over x stacked on
+    its reduction L^-1 (x - ref) L^-T, for the pd verdict on x and the mu
+    of part_metric. The distance is symmetric in its arguments. A pair
+    that fails the pd check gets inf.
     """
     ref = symmetrize(ref)
     ref_ok = np.asarray(is_pd(ref))
-    chol = np.linalg.cholesky(np.where(ref_ok[:, None, None], ref, np.eye(ref.shape[-1])))
+    inv = np.linalg.inv(np.linalg.cholesky(np.where(ref_ok[:, None, None], ref, np.eye(ref.shape[-1]))))
 
     def metric(x):
         x = symmetrize(x)
-        ok = ref_ok & is_pd(x)
-        dist = np.full(len(x), np.inf)
-        if np.any(ok):
-            dist[ok] = _part_distance(chol[ok], ref[ok], x[ok])
-        return dist
+        w = np.linalg.eigvalsh(np.concatenate([x, inv @ (x - ref) @ inv.swapaxes(1, 2)]))
+        lo, hi = w[len(x):, 0], w[len(x):, -1]
+        # lo <= -1 is possible only for near-singular inputs that slipped
+        # through the pd check; it is a domain error, not a distance.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            dist = np.maximum(np.maximum(np.log1p(hi), -np.log1p(lo)), 0.0)
+        return np.where(ref_ok & _verdict(w[:len(x)], strict=True) & (lo > -1.0), dist, np.inf)
 
     return metric
 

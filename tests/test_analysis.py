@@ -302,7 +302,7 @@ def test_fit_contraction_rate_cuts_a_flat_noise_tail():
     assert fit.window == (1, 12)
 
 
-def test_certify_builds_one_stack_and_one_more_for_the_cross_check(quartet, monkeypatch):
+def test_certify_builds_one_stack_with_or_without_the_cross_check(quartet, monkeypatch):
     from gabp.bp import EdgeStack
 
     calls = []
@@ -310,8 +310,8 @@ def test_certify_builds_one_stack_and_one_more_for_the_cross_check(quartet, monk
         monkeypatch.setattr(EdgeStack, name, lambda self, *args, name=name, real=getattr(EdgeStack, name):
                             calls.append(name) or real(self, *args))
     certify(quartet)
-    # the cross-check's run_bp builds the second stack, and its "lower" init bounds it once
-    assert calls == ["__init__", "lower_bound", "__init__", "lower_bound"]
+    # the cross-check's run_bp runs on the fixed point's stack, and its "lower" init bounds it once
+    assert calls == ["__init__", "lower_bound", "lower_bound"]
     calls.clear()
     certify(quartet, cross_check=False)
     assert calls == ["__init__", "lower_bound"]

@@ -299,6 +299,21 @@ def test_run_rejects_the_fixed_point_of_another_graph(quartet):
         run_bp(one, init="lower", reference=information_fixed_point(two))
 
 
+def test_a_reference_from_an_equal_structure_model_leaves_the_run_on_its_own_model():
+    # same A, R, W and graph object, other observations: J* is shared, the beliefs are not
+    from gabp.analysis import information_fixed_point
+    model, other = quartet_model(), quartet_model(obs=(2.0, -1.0, 0.5))
+    g = build_factor_graph(other)
+    res = run_bp(other, g, init="lower", reference=information_fixed_point(model, g))
+    own = run_bp(other, g, init="lower")
+    theirs = run_bp(model, g, init="lower")
+    assert (res.status, res.iterations) == (own.status, own.iterations)
+    for vid, b in own.beliefs.items():
+        np.testing.assert_array_equal(res.beliefs[vid].mean, b.mean)
+        np.testing.assert_array_equal(res.beliefs[vid].cov, b.cov)
+        assert not np.allclose(res.beliefs[vid].mean, theirs.beliefs[vid].mean)
+
+
 def test_trajectory_schema(quartet):
     g = build_factor_graph(quartet)
     from gabp.analysis import information_fixed_point

@@ -256,6 +256,35 @@ def test_malformed_inputs_end_in_a_named_error(quartet_file, tmp_path, capsys):
         assert message in capsys.readouterr().err, argv
 
 
+@pytest.mark.parametrize("cmd", ["validate", "run"])
+def test_a_scope_that_is_not_a_list_or_repeats_an_entry_is_refused(cmd, quartet_file, tmp_path, capsys):
+    obj = json.loads(open(quartet_file).read())
+    scope = obj["factors"][0]["scope"]
+    assert len(scope) > 1 and max(scope) < 10
+    text, repeated = (tmp_path / "text.json"), (tmp_path / "repeated.json")
+    # "134" once loaded as the scope (1, 3, 4), and [a, b, a] as (a, b)
+    obj["factors"][0]["scope"] = "".join(map(str, scope))
+    text.write_text(json.dumps(obj))
+    obj["factors"][0]["scope"] = scope + scope[:1]
+    repeated.write_text(json.dumps(obj))
+    assert main([cmd, str(text)]) == 2
+    assert "input error: factor #0: needs integer id and scope list" in capsys.readouterr().err
+    assert main([cmd, str(repeated)]) == 1
+    assert f"factor 1: scope repeats variables [{scope[0]}]" in "".join(capsys.readouterr())
+
+
+def test_two_main_calls_in_a_row_share_no_options(quartet_file, monkeypatch):
+    import gabp.cli as cli
+
+    schedules = []
+    real = cli.run_bp
+    monkeypatch.setattr(cli, "run_bp", lambda *args, **kwargs:
+                        schedules.append(kwargs["options"].schedule) or real(*args, **kwargs))
+    assert main(["run", quartet_file, "--schedule", "seq"]) == 0
+    assert main(["run", quartet_file]) == 0
+    assert schedules == ["seq", "sync"]
+
+
 def test_existence_violation_maps_to_exit_5(quartet_file, monkeypatch, capsys):
     import gabp.cli as cli
 
@@ -434,6 +463,28 @@ def test_gen_deterministic(tmp_path):
     assert open(a).read() == open(b).read()
     from gabp.io import load_model
     assert validate_model(load_model(a)) == []
+
+
+def test_gen_prints_the_topology_it_generated_and_classifies_once(tmp_path, monkeypatch, capsys):
+    import gabp.cli
+    import gabp.graph
+    from gabp.graph import classify_topology
+    from gabp.io import load_model
+
+    calls = []
+    for module in (gabp.graph, gabp.cli):
+        monkeypatch.setattr(module, "classify_topology",
+                            lambda graph: calls.append(1) or classify_topology(graph))
+    for topology in ("forest", "single_loop", "multi_loop"):
+        path = str(tmp_path / f"{topology}.json")
+        calls.clear()
+        assert main(["gen", "--seed", "4", "--agents", "6", "--topology", topology, "--out", path]) == 0
+        assert len(calls) == 1, topology
+        model = load_model(path)
+        topo = classify_topology(build_factor_graph(model))
+        assert capsys.readouterr().out == (f"generated {len(model.variables)} agents, "
+                                           f"{len(model.factors)} factors, topology {topo.overall}\n"
+                                           f"wrote {path}\n")
 
 
 def test_gen_rejects_a_negative_seed(tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import charpoly_radius, part_metric_bisection, rand_spd
 from gabp.numerics import (has_full_column_rank, is_pd, is_psd, is_symmetric, part_metric,
-                           psd_compare, spectral_radius, symmetrize)
+                           part_metric_to, psd_compare, spectral_radius, symmetrize)
 
 
 def test_symmetrize_passthrough():
@@ -112,6 +112,30 @@ def test_stacked_symmetry_and_rank_match_per_matrix_calls():
         assert ranks.tolist() == [has_full_column_rank(x) for x in a]
         assert ranks.all() == (d == 0 or (m >= d and d <= 1))
         assert has_full_column_rank(np.zeros((0, m, d))).shape == (0,)
+
+
+def test_part_metric_to_matches_the_bisection_oracle_and_the_pd_verdict():
+    # one eigvalsh gives both the pd verdict on x and the distance to the reference
+    rng = np.random.default_rng(21)
+    for d in (1, 2, 3):
+        refs = np.stack([rand_spd(rng, d) for _ in range(10)])
+        xs = np.stack([rand_spd(rng, d) for _ in range(10)])
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+
+        def rotated(*eigs):
+            x = q @ np.diag(eigs[:d]) @ q.T
+            return (x + x.T) / 2.0
+
+        xs[1] = rotated(1e-14, 1.0, 2.0)          # near-singular: inf
+        refs[2] = rotated(-1.0, 1.0, 2.0)         # reference not pd: inf
+        xs[3] = rotated(3e10, 2e3, 5e9)           # lambda_max > 1e9, lambda_min far above its floor
+        dist = part_metric_to(refs)(xs)
+        pd = is_pd(refs) & is_pd(xs)
+        assert pd.tolist() == [k not in (1, 2) for k in range(10)], d
+        assert np.isfinite(dist).tolist() == pd.tolist(), d
+        for k in np.flatnonzero(pd):
+            assert dist[k] == pytest.approx(part_metric_bisection(refs[k], xs[k]), abs=1e-9), (d, k)
+        assert dist[3] > np.log(1e9)
 
 
 def test_part_metric_symmetry_and_scaling():
