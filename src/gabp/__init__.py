@@ -14,7 +14,6 @@ from gabp.model import (
     validate_model,
     centralized_solve,
     joint_system,
-    eliminate_noiseless_factor,
     random_model,
 )
 from gabp.graph import FactorGraph, build_factor_graph, classify_topology
@@ -47,7 +46,6 @@ __all__ = [
     "validate_model",
     "centralized_solve",
     "joint_system",
-    "eliminate_noiseless_factor",
     "random_model",
     "FactorGraph",
     "build_factor_graph",

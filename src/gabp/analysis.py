@@ -20,14 +20,15 @@ Three separate questions are answered here:
 
 The analysis runs on the engine's EdgeStack (gabp.bp, whose docstring
 gives the stack layout). The fixed point iterates its information half
-over the whole stack, and FixedPoint keeps the stacks at J*: J of both
-edge kinds and the gains K. assemble_q builds the blocks of Q's loop
-core from them, with one stacked solve per pair of gather slots, for
-rho(Q) only; the whole Q is never formed. The mean recursion is the
-engine's mean half at J*, and compute_beliefs turns its final f2v
-potentials into the belief means. certify reads the edge bounds off
-fp.stack and gives run_bp the FixedPoint as its reference;
-compute_bounds is a dict view of the stack's two envelopes.
+over the whole stack, and FixedPoint keeps J* only as the stacks: J of
+both edge kinds and the gains K, with no per-edge copy (stack.views
+gives one on demand). assemble_q builds the blocks of Q's loop core from
+them, with one stacked solve per pair of gather slots, for rho(Q) only;
+the whole Q is never formed. The mean recursion is the engine's mean
+half at J*, and compute_beliefs turns its final f2v potentials into the
+belief means. certify reads the edge bounds off fp.stack (the lower one
+computed once per stack) and gives run_bp the FixedPoint as its
+reference; compute_bounds is a dict view of the stack's two envelopes.
 """
 
 import logging
@@ -77,17 +78,14 @@ def compute_bounds(model, graph):
 
 @dataclass
 class FixedPoint:
-    """Fixed point of the information recursion on both edge kinds.
+    """Fixed point of the information recursion on both edge kinds, as the kernel's stacks at J*.
 
-    f2v and v2f map each edge to its information matrix at J*. The
-    kernel's stacks at J* come along: stack is the EdgeStack they are laid
-    out on, f2v_j and v2f_j hold J_{n->i} and J_{i->n} by stack row, and
-    gain holds K_{n->i} = A_i^T M^-1, the map the mean half applies to
-    each factor's residual once the information side is frozen.
+    stack is the EdgeStack they are laid out on, f2v_j and v2f_j hold
+    J_{n->i} and J_{i->n} by stack row (stack.views gives them by edge),
+    and gain holds K_{n->i} = A_i^T M^-1, the map the mean half applies
+    to each factor's residual once the information side is frozen.
     """
 
-    f2v: dict
-    v2f: dict
     gain: np.ndarray
     iterations: int
     stack: EdgeStack
@@ -118,8 +116,7 @@ def information_fixed_point(model, graph=None, init="zero"):
             jv = stack.v2f_information(fj, stack.all)
             gain, _ = stack.f2v_information(jv, stack.all)
             log.debug("information fixed point reached after %d iterations", it)
-            return FixedPoint(f2v=stack.views(new), v2f=stack.views(jv, v2f=True),
-                              gain=gain, iterations=it, stack=stack, f2v_j=new, v2f_j=jv)
+            return FixedPoint(gain=gain, iterations=it, stack=stack, f2v_j=new, v2f_j=jv)
     raise IterationBudgetError(
         f"information recursion did not reach tol={FIXED_POINT_TOL:g} within "
         f"{FIXED_POINT_MAX_ITERS} iterations (last delta {delta:.3e})"
@@ -137,11 +134,9 @@ class QSystem:
     message equations). q keeps the v2f edges of EdgeStack.loop_core, in
     canonical order; the edges it peels add only zero eigenvalues, so
     rho is rho of the whole Q, and 0.0 with an empty q on a forest.
-    offsets maps each core edge to its (start, dim) slice of q.
     """
 
     q: np.ndarray
-    offsets: dict
     rho: float
 
 
@@ -170,8 +165,6 @@ def assemble_q(model, graph, fixed_point):
     st, gain = fixed_point.stack, fixed_point.gain
     core = st.loop_core()
     coords, real = _v2f_coords(st, core)
-    offsets = {st.edges[e][::-1]: (int(coords[e, 0]), int(st.dims[e]))
-               for e in st.v2f_rows.tolist() if core[e]}
     rows = np.flatnonzero(core)
     jv, row_coords, row_real = fixed_point.v2f_j[rows], coords[rows], real[rows]
     q = np.zeros((int(real.sum()),) * 2)
@@ -181,7 +174,7 @@ def assemble_q(model, graph, fixed_point):
             block = np.linalg.solve(jv, gain[kj] @ st.a[kz])
             q[np.broadcast_to(row_coords[:, :, None], keep.shape)[keep],
               np.broadcast_to(coords[kz][:, None, :], keep.shape)[keep]] = block[keep]
-    return QSystem(q=q, offsets=offsets, rho=spectral_radius(q))
+    return QSystem(q=q, rho=spectral_radius(q))
 
 
 @dataclass

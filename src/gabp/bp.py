@@ -176,6 +176,7 @@ class EdgeStack:
         self.factor_rows = {n: [row[(n, i)] for i in graph.neighbors_of_factor[n]]
                             for n in graph.factor_ids}
         self.dim_values = np.unique(self.dims).tolist()
+        self._lower = None
         self._spread = np.zeros((n_edges + 1, p_max, p_max))
         self._pull = np.zeros((n_edges + 1, p_max))
 
@@ -223,9 +224,12 @@ class EdgeStack:
         """L_{n->i} = A_i^T (R_n + sum_{j != i} A_j W_j A_j^T)^-1 A_i for every row.
 
         This is one information half from zero messages, so it equals the
-        first iterate of the recursion from a zero start.
+        first iterate of the recursion from a zero start. It is computed
+        once per stack; callers only read it (init copies it).
         """
-        return self.f2v_information(self.w, self.all)[1]
+        if self._lower is None:
+            self._lower = self.f2v_information(self.w, self.all)[1]
+        return self._lower
 
     def upper_bound(self):
         """U_{n->i} = A_i^T R_n^-1 A_i for every row, with the identity pad."""
@@ -289,12 +293,13 @@ class EdgeStack:
                 for edge, e in order for d in [self.dims[e]]}
 
     def per_edge(self, fn, *stacks, rows=slice(None), dtype=float):
-        """fn over the real d x d block of each row the stacks hold (all, or rows), one call per dim."""
+        """fn over the real d x d block of each row the stacks hold (all, or rows), one call per dim present."""
         dims = self.dims[rows]
         out = np.zeros(len(dims), dtype=dtype)
         for d in self.dim_values:
             sel = np.flatnonzero(dims == d)
-            out[sel] = fn(*(s[sel, :d, :d] for s in stacks))
+            if sel.size:
+                out[sel] = fn(*(s[sel, :d, :d] for s in stacks))
         return out
 
     def v2f_information(self, fj, rows):

@@ -12,19 +12,12 @@ same schema covers the symmetric one-factor-per-agent layout, tree
 structured models, and the pairwise models produced by the MRF bridge.
 """
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from gabp.errors import DomainError
 from gabp.numerics import has_full_column_rank, is_pd, is_symmetric, shape_groups
-
-log = logging.getLogger("gabp")
-
-# Entries this small (relative to the block) are treated as structural zeros
-# when elimination rewrites coefficient blocks.
-ZERO_BLOCK_TOL = 1e-14
 
 
 @dataclass
@@ -289,86 +282,6 @@ def centralized_solve(model):
         means[v.id] = mean[s:s + d]
         covs[v.id] = cov[s:s + d, s:s + d]
     return CentralizedSolution(mean=mean, cov=cov, means=means, covs=covs)
-
-
-def _is_zero_block(a, scale):
-    return np.max(np.abs(a)) <= ZERO_BLOCK_TOL * max(1.0, scale) if a.size else True
-
-
-def eliminate_noiseless_factor(model, factor_id, variable_id=None):
-    """Remove a noiseless factor by substituting the variable it pins down.
-
-    The factor must declare an exactly zero noise covariance and carry a
-    square invertible coefficient block for ``variable_id`` (defaults to
-    the factor's own id). The deterministic relation
-
-        x_j = A_jj^-1 (y_n - sum_{i != j} A_{n,i} x_i)
-
-    is substituted into every other factor containing x_j, and the prior
-    of x_j turns into a new observation factor over the remaining scope
-    with noise covariance W_j. Returns a new model without x_j.
-    """
-    f0 = model.factor(factor_id)
-    j = factor_id if variable_id is None else variable_id
-    if j not in f0.scope:
-        raise DomainError(f"factor {factor_id} scope {f0.scope} does not contain variable {j}")
-    if np.max(np.abs(f0.noise_cov)) > ZERO_BLOCK_TOL:
-        raise DomainError(f"factor {factor_id} is not noiseless (max |R| = {np.max(np.abs(f0.noise_cov)):.3e})")
-    var_j = model.variable(j)
-    a_jj = f0.coeff[j]
-    if a_jj.shape[0] != a_jj.shape[1]:
-        raise DomainError(
-            f"coefficient block ({factor_id}, {j}) must be square to eliminate, got {a_jj.shape}"
-        )
-    if not has_full_column_rank(a_jj):
-        raise DomainError(f"coefficient block ({factor_id}, {j}) is singular")
-
-    a_jj_inv = np.linalg.inv(a_jj)
-    others = [i for i in f0.scope if i != j]
-
-    new_factors = []
-    for f in model.factors:
-        if f.id == factor_id:
-            continue
-        if j not in f.scope:
-            new_factors.append(f)
-            continue
-        t = f.coeff[j] @ a_jj_inv
-        coeff = {i: f.coeff[i].copy() for i in f.scope if i != j}
-        for i in others:
-            block = coeff.get(i, np.zeros((f.obs_dim, model.variable(i).dim)))
-            coeff[i] = block - t @ f0.coeff[i]
-        scale = max((np.max(np.abs(b)) for b in coeff.values()), default=1.0)
-        coeff = {i: b for i, b in coeff.items() if not _is_zero_block(b, scale)}
-        if not coeff:
-            log.debug("eliminate: factor %s reduced to a constant, dropped", f.id)
-            continue
-        new_factors.append(
-            FactorSpec(
-                id=f.id,
-                scope=tuple(coeff),
-                coeff=coeff,
-                noise_cov=f.noise_cov,
-                obs=f.obs - t @ f0.obs,
-            )
-        )
-
-    # The prior of x_j survives as a likelihood over the variables that
-    # used to share the noiseless factor with it.
-    if others:
-        prior_coeff = {i: a_jj_inv @ f0.coeff[i] for i in others}
-        new_factors.append(
-            FactorSpec(
-                id=factor_id,
-                scope=tuple(others),
-                coeff=prior_coeff,
-                noise_cov=var_j.prior_cov,
-                obs=a_jj_inv @ f0.obs,
-            )
-        )
-
-    new_vars = [v for v in model.variables if v.id != j]
-    return LinearGaussianModel(variables=new_vars, factors=new_factors, meta=dict(model.meta))
 
 
 def _random_spd(rng, n, scale=1.0):

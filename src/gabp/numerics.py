@@ -5,8 +5,9 @@ definite" or "full column rank" means. The conventions are deliberate and
 fixed; no function takes a per-call tolerance override:
 
 * matrices are symmetrized via (X + X.T) / 2 after checking the asymmetry
-  is below 1e-12 (relative to the largest entry), a test skipped when
-  the stack equals its transpose exactly (the engine's J do),
+  is below 1e-12 (relative to the largest entry); an exactly symmetric
+  stack (the engine's J are) is returned as it is, which is (X + X) / 2
+  bit for bit, so callers of symmetrize only read what it returns,
 * psd means lambda_min >= -1e-9 * max(1, lambda_max),
 * pd means lambda_min > 1e-9 * max(1, lambda_max),
 * full column rank means smallest singular value > 1e-10 * largest,
@@ -49,11 +50,13 @@ def is_symmetric(x):
 
 
 def symmetrize(x):
-    """Return (x + x.T) / 2 for a matrix or an (E, d, d) stack of them.
+    """Return (x + x.T) / 2 for a matrix or an (E, d, d) stack of them; x itself if exactly symmetric.
 
     Refuses any matrix that is not nearly symmetric (is_symmetric).
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim >= 2 and np.array_equal(x, np.swapaxes(x, -1, -2)):
+        return x
     ok = is_symmetric(x)
     xt = np.swapaxes(x, -1, -2)
     if not np.all(ok):
@@ -141,10 +144,11 @@ def part_metric_to(ref):
     """part_metric(x, ref) for (E, d, d) stacks x, as a function of x, with ref factored once.
 
     ref is symmetrized, pd-checked, Cholesky-factored and the factor
-    inverted here; each call then makes one eigvalsh over x stacked on
-    its reduction L^-1 (x - ref) L^-T, for the pd verdict on x and the mu
-    of part_metric. The distance is symmetric in its arguments. A pair
-    that fails the pd check gets inf.
+    inverted here; an exactly symmetric ref is not copied, so it must not
+    change while the metric is in use. Each call then makes one eigvalsh
+    over x stacked on its reduction L^-1 (x - ref) L^-T, for the pd
+    verdict on x and the mu of part_metric. The distance is symmetric in
+    its arguments. A pair that fails the pd check gets inf.
     """
     ref = symmetrize(ref)
     ref_ok = np.asarray(is_pd(ref))

@@ -2,10 +2,9 @@
 
 The oracles deliberately avoid the code paths they are used to check:
 the part metric is re-derived by bisection on definiteness tests, the
-spectral radius from characteristic polynomial roots, constrained
-posteriors from a null-space parameterization, the whole Q edge by edge
-from the message equations, and its loop core from Q's exact zero
-pattern.
+spectral radius from characteristic polynomial roots, the whole Q edge
+by edge from the message equations, and its loop core from Q's exact
+zero pattern.
 """
 
 import numpy as np
@@ -133,9 +132,10 @@ def dense_q(model, graph, fp):
     column (z, k), for each factor k != n of j and each variable z != j
     of k, is J_{j->n}^-1 A_{k,j}^T M_{k,j}^-1 A_{k,z} with
     M_{k,j} = R_k + sum over the variables z' != j of k of
-    A_{k,z'} J_{z'->k}^-1 A_{k,z'}^T, read from fp.v2f and the model.
+    A_{k,z'} J_{z'->k}^-1 A_{k,z'}^T, read from fp.v2f_j and the model.
     """
     offsets, dim = v2f_layout(graph)
+    v2f = fp.stack.views(fp.v2f_j, v2f=True)
     q = np.zeros((dim, dim))
     for (j, n), (rs, rd) in offsets.items():
         for k in graph.neighbors_of_var[j]:
@@ -143,12 +143,12 @@ def dense_q(model, graph, fp):
                 continue
             f = model.factor(k)
             others = [z for z in f.scope if z != j]
-            core = f.noise_cov + sum(f.coeff[z] @ np.linalg.solve(fp.v2f[(z, k)], f.coeff[z].T)
+            core = f.noise_cov + sum(f.coeff[z] @ np.linalg.solve(v2f[(z, k)], f.coeff[z].T)
                                      for z in others)
             gain = f.coeff[j].T @ np.linalg.inv(core)
             for z in others:
                 cs, cd = offsets[(z, k)]
-                q[rs:rs + rd, cs:cs + cd] = np.linalg.solve(fp.v2f[(j, n)], gain @ f.coeff[z])
+                q[rs:rs + rd, cs:cs + cd] = np.linalg.solve(v2f[(j, n)], gain @ f.coeff[z])
     return q
 
 
@@ -171,35 +171,6 @@ def entry_core(q):
         left &= ~peel
         keep = left[rows] & left[cols]
         rows, cols = rows[keep], cols[keep]
-
-
-def constrained_posterior(model, constraint_coeff, constraint_obs):
-    """Posterior mean of a model subject to an exact linear constraint,
-    via null-space parameterization. constraint_coeff maps variable id
-    to its coefficient block; rows are the constraint equations.
-
-    Returns a dict of posterior means per variable id.
-    """
-    from scipy.linalg import null_space
-
-    a, r, w, y = stack_global(model)
-    offsets = variable_offsets(model)
-    total = sum(v.dim for v in model.variables)
-    rows = constraint_obs.shape[0]
-    c = np.zeros((rows, total))
-    for vid, block in constraint_coeff.items():
-        start, dim = offsets[vid]
-        c[:, start:start + dim] = block
-    x_p = np.linalg.lstsq(c, constraint_obs, rcond=None)[0]
-    nsp = null_space(c)
-    # prior + likelihood restricted to the affine subspace x = x_p + N z
-    prec = np.linalg.inv(w) + a.T @ np.linalg.solve(r, a)
-    info = a.T @ np.linalg.solve(r, y)
-    prec_z = nsp.T @ prec @ nsp
-    info_z = nsp.T @ (info - prec @ x_p)
-    z = np.linalg.solve(prec_z, info_z)
-    x = x_p + nsp @ z
-    return {v.id: x[offsets[v.id][0]:offsets[v.id][0] + v.dim] for v in model.variables}
 
 
 @pytest.fixture

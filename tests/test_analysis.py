@@ -24,6 +24,7 @@ def affine_offset(model, g, fp):
     J_{j->n}^-1 times the sum of what the factors k != n send.
     """
     offsets, total = v2f_layout(g)
+    v2f = fp.stack.views(fp.v2f_j, v2f=True)
     b = np.zeros(total)
     for (j, n), (start, dim) in offsets.items():
         sent = np.zeros(dim)
@@ -31,10 +32,10 @@ def affine_offset(model, g, fp):
             if k == n:
                 continue
             f = model.factor(k)
-            core = f.noise_cov + sum(f.coeff[z] @ np.linalg.solve(fp.v2f[(z, k)], f.coeff[z].T)
+            core = f.noise_cov + sum(f.coeff[z] @ np.linalg.solve(v2f[(z, k)], f.coeff[z].T)
                                      for z in f.scope if z != j)
             sent += f.coeff[j].T @ np.linalg.solve(core, f.obs)
-        b[start:start + dim] = np.linalg.solve(fp.v2f[(j, n)], sent)
+        b[start:start + dim] = np.linalg.solve(v2f[(j, n)], sent)
     return b
 
 
@@ -81,10 +82,10 @@ def test_information_iterates_are_the_engine_f2v_j_bit_for_bit(quartet):
 
 def test_golden_ratio_fixed_point(two_agent_unit_chain):
     fp = information_fixed_point(two_agent_unit_chain)
-    for j in fp.f2v.values():
+    for j in fp.stack.views(fp.f2v_j).values():
         assert j[0, 0] == pytest.approx(GOLDEN_EDGE_PRECISION, abs=1e-12)
     # v2f companions: prior precision 1 plus the other factor's message
-    for j in fp.v2f.values():
+    for j in fp.stack.views(fp.v2f_j, v2f=True).values():
         assert j[0, 0] == pytest.approx(1.0 + GOLDEN_EDGE_PRECISION, abs=1e-12)
 
 
@@ -98,8 +99,9 @@ def test_fixed_point_is_init_invariant(quartet):
         information_fixed_point(quartet, g, init="lower"),
         information_fixed_point(quartet, g, init=custom),
     ):
+        got, want = fp.stack.views(fp.f2v_j), ref.stack.views(ref.f2v_j)
         for e in g.f2v_edges:
-            np.testing.assert_allclose(fp.f2v[e], ref.f2v[e], atol=1e-10)
+            np.testing.assert_allclose(got[e], want[e], atol=1e-10)
 
 
 def test_zero_init_iterates_are_monotone_and_sandwiched(quartet):
@@ -167,6 +169,7 @@ def test_engine_one_step_equals_affine_map(quartet, monkeypatch):
     monkeypatch.setattr("gabp.analysis.FIXED_POINT_TOL", 1e-14)
     fp = information_fixed_point(quartet, g)
     q, (offsets, total) = dense_q(quartet, g, fp), v2f_layout(g)
+    f2v, v2f = fp.stack.views(fp.f2v_j), fp.stack.views(fp.v2f_j, v2f=True)
 
     rng = np.random.default_rng(7)
     x = rng.standard_normal(total)
@@ -181,14 +184,14 @@ def test_engine_one_step_equals_affine_map(quartet, monkeypatch):
             if z == i:
                 continue
             az = f.coeff[z]
-            core = core + az @ np.linalg.solve(fp.v2f[(z, n)], az.T)
+            core = core + az @ np.linalg.solve(v2f[(z, n)], az.T)
             start, dim = offsets[(z, n)]
             resid = resid - az @ x[start:start + dim]
         ai = f.coeff[i]
         jmat = ai.T @ np.linalg.solve(core, ai)
         f2v_means[(n, i)] = np.linalg.solve(jmat, ai.T @ np.linalg.solve(core, resid))
 
-    init = {e: Message(J=fp.f2v[e].copy(), v=f2v_means[e]) for e in g.f2v_edges}
+    init = {e: Message(J=f2v[e].copy(), v=f2v_means[e]) for e in g.f2v_edges}
     res = run_bp(quartet, g, init=init, options=BpOptions(max_iters=1))
     got = np.zeros(total)
     for e, (start, dim) in offsets.items():
@@ -207,7 +210,7 @@ def test_forest_q_is_nilpotent():
     power = np.linalg.matrix_power(dense_q(m, g, fp), len(g.v2f_edges))
     assert np.max(np.abs(power)) < 1e-12
     # every edge of a forest is peeled: the core is empty and rho exactly 0
-    assert qs.q.shape == (0, 0) and qs.offsets == {} and qs.rho == 0.0
+    assert qs.q.shape == (0, 0) and qs.rho == 0.0
 
 
 def test_spectral_radius_route_agreement(quartet):
@@ -306,12 +309,20 @@ def test_certify_builds_one_stack_with_or_without_the_cross_check(quartet, monke
     from gabp.bp import EdgeStack
 
     calls = []
-    for name in ("__init__", "lower_bound"):
-        monkeypatch.setattr(EdgeStack, name, lambda self, *args, name=name, real=getattr(EdgeStack, name):
-                            calls.append(name) or real(self, *args))
+    real_init, real_f2v = EdgeStack.__init__, EdgeStack.f2v_information
+    monkeypatch.setattr(EdgeStack, "__init__",
+                        lambda self, *args: calls.append("__init__") or real_init(self, *args))
+
+    def f2v_information(self, jv, rows):
+        # the lower bound is the one information half that reads the stack's own priors w
+        if jv is self.w:
+            calls.append("lower_bound")
+        return real_f2v(self, jv, rows)
+
+    monkeypatch.setattr(EdgeStack, "f2v_information", f2v_information)
     certify(quartet)
-    # the cross-check's run_bp runs on the fixed point's stack, and its "lower" init bounds it once
-    assert calls == ["__init__", "lower_bound", "lower_bound"]
+    # the cross-check's run_bp runs on the fixed point's stack, and its "lower" init reuses the bound
+    assert calls == ["__init__", "lower_bound"]
     calls.clear()
     certify(quartet, cross_check=False)
     assert calls == ["__init__", "lower_bound"]
@@ -435,10 +446,6 @@ def test_loop_core_is_the_entry_level_peel_and_q_is_the_whole_q_on_it():
         qs = assemble_q(model, g, fp)
         np.testing.assert_allclose(qs.q, q[np.ix_(coords, coords)], rtol=0.0, atol=1e-12,
                                    err_msg=label)
-        core_edges = [(j, n) for j, n in g.v2f_edges if core[g.f2v_index[(n, j)]]]
-        assert list(qs.offsets) == core_edges, label
-        assert [d for _, d in qs.offsets.values()] == [g.var_dims[j] for j, _ in core_edges]
-        assert [c for s, d in qs.offsets.values() for c in range(s, s + d)] == list(range(len(coords)))
 
 
 def test_certify_allocates_no_array_as_large_as_the_whole_q():

@@ -349,7 +349,7 @@ def test_trajectory_part_metrics_match_part_metric_on_every_corpus_model():
     for k, model in enumerate(models):
         g = build_factor_graph(model)
         fp = information_fixed_point(model, g)
-        ref = fp.f2v
+        ref = fp.stack.views(fp.f2v_j)
         res = run_bp(model, g, init="lower", reference=fp,
                      options=BpOptions(max_iters=8, record_messages=True))
         lower = make_init(model, g, "lower")
@@ -373,7 +373,7 @@ def test_trajectory_part_metric_is_inf_for_a_reference_that_is_not_pd(quartet):
     from gabp.analysis import information_fixed_point
     fp = information_fixed_point(quartet, g)
     bad = g.f2v_edges[0]
-    fp.f2v[bad][...] = 0.0  # a view of fp.f2v_j
+    fp.f2v_j[g.f2v_index[bad]] = 0.0
     res = run_bp(quartet, g, init="lower", reference=fp,
                  options=BpOptions(max_iters=3, record_messages=True))
     assert res.trajectory.initial_part_metric == math.inf

@@ -6,14 +6,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import (QUARTET_A, QUARTET_J, QUARTET_PRIOR, constrained_posterior,
-                      quartet_model, rand_spd, stack_global)
+from conftest import QUARTET_A, QUARTET_J, QUARTET_PRIOR, quartet_model, rand_spd, stack_global
 from corpus import mixed_corpus
 from gabp.errors import DomainError
-from gabp.model import (FactorSpec, LinearGaussianModel, VariableSpec,
-                        centralized_solve, eliminate_noiseless_factor,
-                        random_model, require_valid, validate_model,
-                        variable_offsets)
+from gabp.model import (FactorSpec, LinearGaussianModel, VariableSpec, centralized_solve,
+                        random_model, require_valid, validate_model, variable_offsets)
 from gabp.numerics import PSD_TOL, RANK_TOL, SYM_TOL
 
 
@@ -374,70 +371,6 @@ def test_centralized_solve_matches_block_assembly():
         np.testing.assert_allclose(sol.means[v.id], expected[s:s + d], atol=1e-12)
         np.testing.assert_allclose(sol.covs[v.id],
                                    np.linalg.inv(prec)[s:s + d, s:s + d], atol=1e-12)
-
-
-def test_eliminate_noiseless_factor_matches_null_space_oracle():
-    rng = np.random.default_rng(11)
-    # three variables; factor 3 pins x3 = x1 + 2 x2 + 0.5 exactly
-    m = LinearGaussianModel(
-        variables=[
-            VariableSpec(1, 1, rand_spd(rng, 1)),
-            VariableSpec(2, 1, rand_spd(rng, 1)),
-            VariableSpec(3, 1, rand_spd(rng, 1)),
-        ],
-        factors=[
-            FactorSpec(1, (1, 3), {1: np.array([[1.2]]), 3: np.array([[-0.7]])},
-                       rand_spd(rng, 1), rng.standard_normal(1)),
-            FactorSpec(2, (2, 3), {2: np.array([[0.4]]), 3: np.array([[1.5]])},
-                       rand_spd(rng, 1), rng.standard_normal(1)),
-            FactorSpec(3, (1, 2, 3),
-                       {1: np.array([[-1.0]]), 2: np.array([[-2.0]]), 3: np.array([[1.0]])},
-                       np.zeros((1, 1)), np.array([0.5])),
-        ],
-    )
-    reduced = eliminate_noiseless_factor(m, 3, variable_id=3)
-    assert validate_model(reduced) == []
-    assert sorted(v.id for v in reduced.variables) == [1, 2]
-
-    # oracle: same joint with the constraint x3 - x1 - 2 x2 = 0.5 imposed
-    # on the unconstrained two-factor model plus the prior of x3
-    base = LinearGaussianModel(variables=m.variables, factors=m.factors[:2])
-    oracle = constrained_posterior(
-        base, {1: np.array([[-1.0]]), 2: np.array([[-2.0]]), 3: np.array([[1.0]])},
-        np.array([0.5]))
-    sol = centralized_solve(reduced)
-    np.testing.assert_allclose(sol.means[1], oracle[1], atol=1e-10)
-    np.testing.assert_allclose(sol.means[2], oracle[2], atol=1e-10)
-
-
-def test_eliminate_requires_noiseless_and_square():
-    m = small_model()
-    with pytest.raises(DomainError):
-        eliminate_noiseless_factor(m, 1, variable_id=1)
-
-
-def test_eliminate_constant_observation():
-    rng = np.random.default_rng(12)
-    # factor 1 pins x1 = 2.0 outright; factor 2 ties x1 and x2
-    m = LinearGaussianModel(
-        variables=[
-            VariableSpec(1, 1, rand_spd(rng, 1)),
-            VariableSpec(2, 1, np.array([[4.0]])),
-        ],
-        factors=[
-            FactorSpec(1, (1,), {1: np.array([[1.0]])}, np.zeros((1, 1)), np.array([2.0])),
-            FactorSpec(2, (1, 2), {1: np.array([[1.0]]), 2: np.array([[-1.0]])},
-                       np.array([[0.5]]), np.array([0.1])),
-        ],
-    )
-    reduced = eliminate_noiseless_factor(m, 1, variable_id=1)
-    assert [v.id for v in reduced.variables] == [2]
-    assert validate_model(reduced) == []
-    # x2 sees the observation 0.1 = 2.0 - x2 + noise(0.5)
-    sol = centralized_solve(reduced)
-    prec = 1 / 4.0 + 1 / 0.5
-    mean = (1.9 / 0.5) / prec
-    assert float(sol.means[2][0]) == pytest.approx(mean, abs=1e-12)
 
 
 def test_random_model_deterministic_and_valid():

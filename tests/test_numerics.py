@@ -14,6 +14,22 @@ def test_symmetrize_passthrough():
     np.testing.assert_array_equal(symmetrize(a), a)
 
 
+def test_symmetrize_returns_an_exactly_symmetric_stack_as_it_is():
+    # (x + x) / 2 == x bit for bit, so an exactly symmetric input is not copied
+    g = np.random.default_rng(2).standard_normal((5, 3, 3))
+    x = g + g.swapaxes(1, 2)
+    assert symmetrize(x) is x
+    near = x.copy()
+    near[1, 0, 2] += 1e-15
+    out = symmetrize(near)
+    assert out is not near and np.array_equal(out, out.swapaxes(1, 2))
+    bad = x.copy()
+    bad[3, 2, 0] += 0.5
+    for wrong in (bad, np.ones((2, 3)), np.ones((4, 2, 3)), np.ones(3)):
+        with pytest.raises(ValueError):
+            symmetrize(wrong)
+
+
 def test_symmetrize_rejects_asymmetry():
     a = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError):

@@ -113,4 +113,4 @@ def test_fixed_point_matches_per_edge_reference(label, model):
     iters, fj, _, _ = reference_bp(model, zero, tol=1e-12, means=False)
     fp = information_fixed_point(model, g)
     assert fp.iterations == iters
-    _close(fp.f2v, fj)
+    _close(fp.stack.views(fp.f2v_j), fj)
