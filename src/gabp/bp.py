@@ -36,8 +36,8 @@ for run_bp, information_fixed_point and make_init: "zero", "lower",
 "upper", or a dict over exactly the edges with finite, symmetric, psd
 information matrices, the precondition of the paper's convergence results.
 Edge dicts enter only there, and leave only through EdgeStack.views.
-loop_core reads Q's block pattern off the two gather arrays and keeps
-the rows on which the analysis builds Q for rho(Q). compute_beliefs adds
+loop_core keeps the rows with both ends in the factor graph's 2-core,
+on which the analysis builds Q for rho(Q). compute_beliefs adds
 the f2v stores by var_of_row to prior: every W_i^-1, padded to max dim_i >= D.
 
 One outer iteration updates every edge of both kinds exactly once. A
@@ -200,25 +200,17 @@ class EdgeStack:
     def loop_core(self):
         """Bool mask of the rows whose twin v2f edges carry Q's spectrum; none on a forest.
 
-        Q's block row for the twin of row e reads the twins of the rows
-        others_of_factor[others_of_var[e]], and its diagonal blocks are
-        zero. A row that reads no kept row, or that no kept row reads,
-        is a zero diagonal block of a block-triangular permutation of Q,
-        so it adds only zero eigenvalues. Such rows are peeled, pass by
-        pass, from this pattern alone: exact, with no tolerance.
+        These are the rows with both ends in the 2-core of the factor
+        graph (graph.peel). Q's block row for the twin of row e reads the
+        twins of the rows others_of_factor[others_of_var[e]], and its
+        diagonal blocks are zero. In a tree hanging off the core, the
+        messages toward the core read only messages below them, and no
+        core message reads those running away from it: in the order
+        (toward, core, away) Q is block triangular with nilpotent tree
+        blocks, so the trees add only zero eigenvalues. The peel reads
+        the graph alone: exact, with no tolerance.
         """
-        reads = self.others_of_factor[self.others_of_var]
-        dep = (self.others_of_var >= 0)[..., None] & (reads >= 0)
-        src, dst = np.nonzero(dep)[0], reads[dep]
-        keep = np.ones(len(self.edges), dtype=bool)
-        while True:
-            peel = keep & ((np.bincount(src, minlength=len(keep)) == 0)
-                           | (np.bincount(dst, minlength=len(keep)) == 0))
-            if not peel.any():
-                return keep
-            keep &= ~peel
-            live = keep[src] & keep[dst]
-            src, dst = src[live], dst[live]
+        return self.graph.peel.core_edges
 
     def lower_bound(self):
         """L_{n->i} = A_i^T (R_n + sum_{j != i} A_j W_j A_j^T)^-1 A_i for every row.

@@ -10,12 +10,15 @@ orders, so they are fixed here once.
 One breadth-first search out of every node at once, over uint64
 bitsets of the nodes each node reaches, gives the connected components,
 their cycle counts (hence the topology classes) and their exact
-diameters. It numbers the nodes factors first (factor_ids order), then
-variables (var_ids order).
+diameters. One leaf peel gives the trees that hang off the loops, in an
+order that eliminates them leaf by leaf, and the 2-core left over. Both
+number the nodes factors first (factor_ids order), then variables
+(var_ids order).
 """
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +37,11 @@ class FactorGraph:
 
     def __post_init__(self):
         self.f2v_index = {e: k for k, e in enumerate(self.f2v_edges)}
+
+    @cached_property
+    def peel(self):
+        """The graph's LeafPeel, computed once and shared by its readers."""
+        return leaf_peel(self)
 
 
 def build_factor_graph(model):
@@ -91,6 +99,94 @@ class TopologyReport:
 _KINDS = ("forest", "single_loop_plus_forest", "multi_loop")
 
 
+def _node_pairs(graph):
+    """The f2v edges as (factor node, variable node) pairs, in f2v order, and the node count."""
+    factor = {n: k for k, n in enumerate(graph.factor_ids)}
+    var = {i: len(factor) + k for k, i in enumerate(graph.var_ids)}
+    pairs = np.array([(factor[n], var[i]) for (n, i) in graph.f2v_edges], dtype=np.intp)
+    return pairs.reshape(-1, 2), len(factor) + len(var)
+
+
+@dataclass
+class LeafPeel:
+    """The factor graph's hanging trees, removed leaf by leaf, and the 2-core left over.
+
+    pairs holds each f2v edge as (factor node, variable node). Each round
+    removes every live node with at most one live edge, except that a
+    variable whose one live neighbour is a factor of the same round
+    waits for the next; so no two nodes of a round are adjacent. order
+    lists the removed nodes round by round, round r being
+    order[bounds[r]:bounds[r + 1]]; order[k] hung from the node parent[k]
+    by the edge of f2v row hung[k], both -1 if it had no live edge left
+    (the last node of a tree). core marks the nodes no round removes,
+    the 2-core: each keeps at least two edges inside it, and it is empty
+    exactly on a forest.
+    """
+
+    pairs: np.ndarray
+    order: np.ndarray
+    parent: np.ndarray
+    hung: np.ndarray
+    bounds: list
+    core: np.ndarray
+
+    @property
+    def core_edges(self):
+        """Bool mask of the f2v edges with both ends in the core."""
+        return self.core[self.pairs[:, 0]] & self.core[self.pairs[:, 1]]
+
+    @property
+    def overall(self):
+        """The worst topology class over components, read off the core alone.
+
+        A component's core is empty on a tree and a single cycle (every
+        core degree 2) on one loop; with more independent cycles it has a
+        node of core degree 3 or more.
+        """
+        degree = np.bincount(self.pairs[self.core_edges].ravel(), minlength=len(self.core))
+        return _KINDS[0] if not self.core.any() else _KINDS[1 + int(degree.max() >= 3)]
+
+
+def leaf_peel(graph):
+    """Remove every node of degree <= 1, round after round, until only the 2-core is left (LeafPeel).
+
+    One walk over the edges: a node joins the next round when its live
+    degree drops to 1, so the peel costs O(nodes + edges) however deep
+    the trees hang.
+    """
+    pairs, n = _node_pairs(graph)
+    n_f = len(graph.factor_ids)
+    ends = pairs.tolist()
+    rows_at = [[] for _ in range(n)]
+    for e, (f, v) in enumerate(ends):
+        rows_at[f].append(e)
+        rows_at[v].append(e)
+    degree = [len(rows) for rows in rows_at]
+    edge_live, live = [True] * len(ends), [True] * n
+    leaves, order, parent, hung, bounds = [k for k in range(n) if degree[k] <= 1], [], [], [], [0]
+    while leaves:
+        later = []
+        for k in sorted(leaves):
+            e = next((e for e in rows_at[k] if edge_live[e]), -1)
+            if k >= n_f and e >= 0 and degree[ends[e][0]] == 1:
+                later.append(k)
+            else:
+                order.append(k)
+                parent.append(sum(ends[e]) - k if e >= 0 else -1)
+                hung.append(e)
+        for k, p, e in zip(order[bounds[-1]:], parent[bounds[-1]:], hung[bounds[-1]:]):
+            live[k] = False
+            if e >= 0:
+                edge_live[e] = False
+                degree[p] -= 1
+                if degree[p] == 1:
+                    later.append(p)
+        bounds.append(len(order))
+        leaves = later
+    return LeafPeel(pairs=pairs, order=np.array(order, dtype=np.intp), parent=np.array(parent, dtype=np.intp),
+                    hung=np.array(hung, dtype=np.intp), bounds=bounds, core=np.array(live, dtype=bool))
+
+
 def _reach(graph):
     """Each node's eccentricity and final reach row, from one BFS out of all sources at once.
 
@@ -100,10 +196,7 @@ def _reach(graph):
     final row is k's whole component. Returns the f2v edges as node
     pairs, the eccentricities and the final rows.
     """
-    index = {("f", n): k for k, n in enumerate(graph.factor_ids)}
-    index.update({("v", i): len(index) + k for k, i in enumerate(graph.var_ids)})
-    pairs = np.array([(index[("f", n)], index[("v", i)]) for (n, i) in graph.f2v_edges],
-                     dtype=np.intp).reshape(-1, 2)
+    pairs, n = _node_pairs(graph)
     head = np.concatenate([pairs[:, 0], pairs[:, 1]])
     tail = np.concatenate([pairs[:, 1], pairs[:, 0]])
     order = np.argsort(head, kind="stable")
@@ -111,11 +204,11 @@ def _reach(graph):
     starts = np.flatnonzero(np.diff(head, prepend=-1))
     heads = head[starts]
 
-    nodes = np.arange(len(index))
+    nodes = np.arange(n)
     # at least one word per row, so a graph with no nodes still has a column to scan
-    reach = np.zeros((len(index), len(index) // 64 + 1), dtype=np.uint64)
+    reach = np.zeros((n, n // 64 + 1), dtype=np.uint64)
     reach[nodes, nodes // 64] = np.left_shift(np.uint64(1), (nodes % 64).astype(np.uint64))
-    ecc = np.zeros(len(index), dtype=np.intp)
+    ecc = np.zeros(n, dtype=np.intp)
     for step in itertools.count(1):
         old = reach[heads]
         new = old | np.bitwise_or.reduceat(reach[tail], starts, axis=0)

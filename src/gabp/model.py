@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from gabp.errors import DomainError
+from gabp.graph import build_factor_graph
 from gabp.numerics import has_full_column_rank, is_pd, is_symmetric, shape_groups
 
 
@@ -265,6 +266,95 @@ def joint_system(model):
     return total[:(n + 1) ** 2].reshape(n + 1, n + 1)[:n, :n], total[(n + 1) ** 2:-1], voff
 
 
+def joint_mean(model, graph=None):
+    """The joint MMSE mean, exactly, with one dense solve on the factor graph's 2-core only.
+
+    The hanging trees are eliminated in the rounds of graph.peel, on one
+    state per node padded to a common size q: [R_n | y_n] for a factor
+    (its noise covariance and observation, which absorb what is
+    eliminated into it) and [J_j | h_j] for a variable (its prior's
+    precision and information plus those of every factor folded into it).
+
+    * A leaf factor n folds A^T R_n^-1 A and A^T R_n^-1 y_n into its one
+      live variable.
+    * A leaf variable j leaves its one live factor n by the Schur
+      complement of the factor's block, which in noise form is
+      R_n += A_nj J_j^-1 A_nj^T and y_n -= A_nj J_j^-1 h_j: the fill
+      stays inside the factor.
+
+    Both are one step on a node's state [M | b] and its edge's block B (A
+    on the factor side, -A^T on the variable side): G = M^-1 [B | b], and
+    the neighbour's state gains G_B^T [B | b]; the nodes of a round take
+    one stacked solve. One dense solve then gives the core variables'
+    means, from their J and h and the core factors' A^T R^-1 A and
+    A^T R^-1 y. Back-substitution in reverse order gives every other value
+    from the same G, as G_b - G_B (the neighbour's value): a factor's
+    residual R_n^-1 (y_n - A x), then the mean x_j = J_j^-1 (h_j + A^T r_n)
+    of each variable hung from it. Returns the means stacked in
+    variable_offsets order, as centralized_solve's mean.
+    """
+    graph = graph or build_factor_graph(model)
+    peel = graph.peel
+    n_f, n = len(model.factors), len(peel.core)
+    dims = [v.dim for v in model.variables]
+    d = max(dims, default=0)
+    q = max([d] + [len(f.obs) for f in model.factors])
+    # node states, the last one a sentinel; A per f2v row, the last one zero for hung = -1
+    state, a = np.zeros((n + 1, q, q + 1)), np.zeros((len(peel.pairs) + 1, q, q))
+    state[:, :, :q] = np.eye(q)
+    e = 0
+    for k, f in enumerate(model.factors):
+        m = len(f.obs)
+        state[k, :m, :m], state[k, :m, q] = f.noise_cov, f.obs
+        for i in f.scope:
+            a[e, :m, :f.coeff[i].shape[1]] = f.coeff[i]
+            e += 1
+    for k, v in enumerate(model.variables, start=n_f):
+        state[k, :v.dim, :v.dim] = v.prior_cov
+    state[n_f:n, :, :q] = np.linalg.inv(state[n_f:n, :, :q])
+
+    # each removed node's block B, A from a factor and -A^T from a variable; parent -1 reaches
+    # the sentinels
+    b = a[peel.hung]
+    rhs = np.zeros((len(b), q, q + 1))
+    rhs[:, :, :q] = np.where((peel.order >= n_f)[:, None, None], -b.swapaxes(1, 2), b)
+    rounds, steps = list(zip(peel.bounds, peel.bounds[1:])), []
+    for lo, hi in rounds:
+        nodes = state[peel.order[lo:hi]]
+        rhs[lo:hi, :, q:] = nodes[..., q:]
+        g = np.linalg.solve(nodes[..., :q], rhs[lo:hi])
+        np.add.at(state, peel.parent[lo:hi], g[..., :q].swapaxes(1, 2) @ rhs[lo:hi])
+        steps.append(g)
+
+    val = np.zeros((n + 1, q))
+    rows = np.flatnonzero(peel.core_edges)
+    if len(rows):
+        # The core system on its variables' slots padded to d (the pads carry J's identity),
+        # from the core factors' G = R^-1 [A | y] on each pair (s, t) of their core rows.
+        f, v = peel.pairs[rows].T
+        cv = np.flatnonzero(peel.core[n_f:]) + n_f
+        u = np.searchsorted(cv, v)
+        first = np.searchsorted(f, f)
+        width = np.searchsorted(f, f, side="right") - first
+        s = np.repeat(np.arange(len(rows)), width)
+        t = np.arange(len(s)) - np.repeat(np.cumsum(width) - width - first, width)
+        ry = state[f]
+        ay = np.concatenate([a[rows], ry[..., q:]], axis=2)
+        g = np.linalg.solve(ry[..., :q], ay)
+        precision = np.zeros((len(cv), d, len(cv), d))
+        precision[np.arange(len(cv)), :, np.arange(len(cv)), :] = state[cv, :d, :d]
+        np.add.at(precision, (u[s], slice(None), u[t], slice(None)),
+                  g[s, :, :d].swapaxes(1, 2) @ ay[t, :, :d])
+        information = state[cv, :d, q]
+        np.add.at(information, u, (g[..., :d].swapaxes(1, 2) @ ay[..., q:])[..., 0])
+        val[cv, :d] = np.linalg.solve(precision.reshape(len(cv) * d, -1), information.ravel()).reshape(-1, d)
+        val[f] = g[..., q]
+        np.subtract.at(val, f, (g[..., :q] @ val[v, :, None])[..., 0])
+    for (lo, hi), g in zip(reversed(rounds), reversed(steps)):
+        val[peel.order[lo:hi]] = g[..., q] - (g[..., :q] @ val[peel.parent[lo:hi], :, None])[..., 0]
+    return val[n_f:n][np.arange(q) < np.array(dims, dtype=int)[:, None]]
+
+
 def centralized_solve(model):
     """Joint MMSE estimate x_hat = (W^-1 + A^T R^-1 A)^-1 A^T R^-1 y.
 
@@ -372,10 +462,7 @@ def random_model(seed, n_agents, dims=(1, 3), topology="multi_loop",
 
     model = LinearGaussianModel(variables=variables, factors=factors)
     require_valid(model)
-
-    from gabp.graph import build_factor_graph, classify_topology
-
-    got = classify_topology(build_factor_graph(model)).overall
+    got = build_factor_graph(model).peel.overall
     if got != topology:
         raise DomainError(
             f"generator produced topology {got!r} instead of {topology!r} (seed {seed})"

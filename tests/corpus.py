@@ -98,6 +98,17 @@ def mixed_corpus():
     return tuple(out)
 
 
+CLI_MIXED_TOPOLOGIES = ("forest", "single_loop", "multi_loop")
+
+
+def cli_mixed_models():
+    """The 18 models of the benchmark's cli-mixed workload (its observations aside)."""
+    return [(f"cli-mixed-{k}", random_model(seed=k + 1, n_agents=8 + round(16 * k / 17),
+                                            dims=(1, 1 + (k // 3) % 3),
+                                            topology=CLI_MIXED_TOPOLOGIES[k % 3]))
+            for k in range(18)]
+
+
 def random_walk_summable(seed, n=6, target_radius=0.7):
     """Normalized J = I - R with the absolute spectral radius pinned."""
     rng = np.random.default_rng(seed)

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import (GOLDEN_EDGE_PRECISION, charpoly_radius, dense_q, entry_core,
                       information_iterates, quartet_model, rand_spd, v2f_layout)
-from corpus import (SHOWCASE_DIVERGENT, forest_corpus, frustrated_model,
+from corpus import (SHOWCASE_DIVERGENT, cli_mixed_models, forest_corpus, frustrated_model,
                     loopy_corpus, mixed_corpus)
 from gabp.analysis import (MEAN_RECURSION_TOL, assemble_q, certify, compute_bounds,
                            decide_mean_convergence, fit_contraction_rate,
@@ -411,17 +411,6 @@ def test_certify_runs_eigvals_once_on_the_core_and_never_on_a_forest(monkeypatch
     assert shapes == []
 
 
-CLI_MIXED_TOPOLOGIES = ("forest", "single_loop", "multi_loop")
-
-
-def cli_mixed_models():
-    """The 18 models of the benchmark's cli-mixed workload (its observations aside)."""
-    return [(f"cli-mixed-{k}", random_model(seed=k + 1, n_agents=8 + round(16 * k / 17),
-                                            dims=(1, 1 + (k // 3) % 3),
-                                            topology=CLI_MIXED_TOPOLOGIES[k % 3]))
-            for k in range(18)]
-
-
 def core_coordinates(g, core):
     """Coordinates, in the v2f_layout, of the v2f edges whose stack rows core keeps."""
     return [c for (j, n), (s, d) in v2f_layout(g)[0].items() if core[g.f2v_index[(n, j)]]
@@ -460,3 +449,17 @@ def test_certify_allocates_no_array_as_large_as_the_whole_q():
     finally:
         tracemalloc.stop()
     assert peak < dim * dim * 8, (peak, dim)
+
+
+def test_certify_with_the_cross_check_allocates_no_array_as_large_as_the_joint_precision():
+    import tracemalloc
+
+    model = random_model(seed=1, n_agents=480, topology="multi_loop")
+    tracemalloc.start()
+    try:
+        report = certify(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.bp_status == "converged" and report.max_mean_error < 1e-8
+    assert peak < model.total_dim ** 2 * 8, (peak, model.total_dim)

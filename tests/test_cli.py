@@ -468,10 +468,12 @@ def test_gen_deterministic(tmp_path):
 def test_gen_prints_the_topology_it_generated_and_classifies_once(tmp_path, monkeypatch, capsys):
     import gabp.cli
     import gabp.graph
-    from gabp.graph import classify_topology
+    from gabp.graph import classify_topology, leaf_peel
     from gabp.io import load_model
 
+    # random_model classifies from the graph's peel; gen classifies nothing again
     calls = []
+    monkeypatch.setattr(gabp.graph, "leaf_peel", lambda graph: calls.append(1) or leaf_peel(graph))
     for module in (gabp.graph, gabp.cli):
         monkeypatch.setattr(module, "classify_topology",
                             lambda graph: calls.append(1) or classify_topology(graph))

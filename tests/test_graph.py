@@ -10,7 +10,7 @@ from conftest import quartet_model, rand_spd, v2f_layout
 from gabp.analysis import _v2f_coords
 from gabp.bp import EdgeStack
 from gabp.errors import DomainError
-from gabp.graph import FactorGraph, build_factor_graph, classify_topology, to_dot
+from gabp.graph import FactorGraph, build_factor_graph, classify_topology, leaf_peel, to_dot
 from gabp.model import FactorSpec, LinearGaussianModel, VariableSpec, random_model
 
 
@@ -272,3 +272,81 @@ def test_classify_topology_is_pinned():
                 lines.append(json.dumps(report, sort_keys=True))
     digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
     assert digest == "4dc754a73df42d4a8fd827153f2f7e5df004c260"
+
+
+def oracle_core(model):
+    """The 2-core as ("f", id)/("v", id) nodes: drop a node of degree <= 1, one at a time."""
+    adj = {("v", v.id): set() for v in model.variables}
+    adj.update({("f", f.id): set() for f in model.factors})
+    for f in model.factors:
+        for i in f.scope:
+            adj[("f", f.id)].add(("v", i))
+            adj[("v", i)].add(("f", f.id))
+    while True:
+        leaf = next((k for k, nbrs in adj.items() if len(nbrs) <= 1), None)
+        if leaf is None:
+            return set(adj)
+        for k in adj.pop(leaf):
+            adj[k].discard(leaf)
+
+
+def peel_models():
+    from corpus import cli_mixed_models, forest_corpus, grid_field, loopy_corpus, mixed_corpus
+    from gabp.mrf import mrf_to_linear_gaussian
+
+    models = list(mixed_corpus()) + [(f"forest-{k}", m) for k, m in enumerate(forest_corpus())]
+    models += [(f"loopy-{k}", m) for k, m in enumerate(loopy_corpus())] + cli_mixed_models()
+    models += [("quartet", quartet_model()), ("chain-5", chain_model(5)),
+               ("empty", LinearGaussianModel(variables=[], factors=[])),
+               ("bench-480", random_model(seed=1, n_agents=480, topology="multi_loop")),
+               ("grid-10", mrf_to_linear_gaussian(grid_field(10))[0])]
+    return models
+
+
+def test_leaf_peel_leaves_the_two_core_and_removes_every_leaf_round_by_round():
+    for label, model in peel_models():
+        g = build_factor_graph(model)
+        peel = g.peel
+        names = [("f", n) for n in g.factor_ids] + [("v", i) for i in g.var_ids]
+        pairs = [(names.index(("f", n)), names.index(("v", i))) for n, i in g.f2v_edges]
+        np.testing.assert_array_equal(peel.pairs.reshape(-1, 2), np.array(pairs).reshape(-1, 2))
+        assert {names[k] for k in np.flatnonzero(peel.core)} == oracle_core(model), label
+        assert sorted(peel.order.tolist() + np.flatnonzero(peel.core).tolist()) == list(range(len(names)))
+        # replay the rounds on the live edges
+        live = set(range(len(pairs)))
+        for lo, hi in zip(peel.bounds, peel.bounds[1:]):
+            edges_at = {k: {e for e in live if k in pairs[e]} for k in range(len(names))}
+            leaves = {k for k in range(len(names)) if len(edges_at[k]) <= 1
+                      and k not in peel.order[:lo].tolist()}
+            # every leaf goes, but a variable whose one neighbour is a leaf factor waits a round
+            waits = {k for k in leaves if names[k][0] == "v" and edges_at[k]
+                     and pairs[min(edges_at[k])][0] in leaves}
+            nodes = peel.order[lo:hi].tolist()
+            assert nodes == sorted(leaves - waits), label
+            for k, p, e in zip(nodes, peel.parent[lo:hi].tolist(), peel.hung[lo:hi].tolist()):
+                assert edges_at[k] == ({e} if e >= 0 else set()), label
+                assert p == (sum(pairs[e]) - k if e >= 0 else -1), label
+                live -= edges_at[k]
+        assert live == set(np.flatnonzero(peel.core_edges).tolist()), label
+        assert (peel.core_edges == (peel.core[peel.pairs[:, 0]] & peel.core[peel.pairs[:, 1]])).all()
+
+
+def test_leaf_peel_topology_is_the_component_classification():
+    for label, model in peel_models():
+        g = build_factor_graph(model)
+        assert g.peel.overall == classify_topology(g).overall, label
+    for seed in range(10):
+        for topology in ("forest", "single_loop", "multi_loop"):
+            m = random_model(seed=seed, n_agents=9, topology=topology)
+            assert build_factor_graph(m).peel.overall == classify_topology(build_factor_graph(m)).overall
+
+
+def test_the_peel_is_computed_once_per_graph(monkeypatch):
+    import gabp.graph
+
+    calls = []
+    monkeypatch.setattr(gabp.graph, "leaf_peel", lambda graph: calls.append(1) or leaf_peel(graph))
+    g = build_factor_graph(chain_model(2000))
+    assert g.peel is g.peel and calls == [1]
+    # the chain's 3999 nodes go two per round, one from each end, and no core is left
+    assert np.diff(g.peel.bounds).tolist() == [2] * 1999 + [1] and not g.peel.core.any()

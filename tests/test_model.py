@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import QUARTET_A, QUARTET_J, QUARTET_PRIOR, quartet_model, rand_spd, stack_global
-from corpus import mixed_corpus
+from corpus import cli_mixed_models, forest_corpus, grid_field, loopy_corpus, mixed_corpus
 from gabp.errors import DomainError
+from gabp.graph import build_factor_graph
 from gabp.model import (FactorSpec, LinearGaussianModel, VariableSpec, centralized_solve,
-                        random_model, require_valid, validate_model, variable_offsets)
+                        joint_mean, random_model, require_valid, validate_model, variable_offsets)
+from gabp.mrf import mrf_to_linear_gaussian
 from gabp.numerics import PSD_TOL, RANK_TOL, SYM_TOL
 
 
@@ -371,6 +373,123 @@ def test_centralized_solve_matches_block_assembly():
         np.testing.assert_allclose(sol.means[v.id], expected[s:s + d], atol=1e-12)
         np.testing.assert_allclose(sol.covs[v.id],
                                    np.linalg.inv(prec)[s:s + d, s:s + d], atol=1e-12)
+
+
+def dense_means(model):
+    """The oracle: (W^-1 + A^T R^-1 A)^-1 A^T R^-1 y on the stacked model."""
+    a, r, w, y = stack_global(model)
+    rinv_a = np.linalg.solve(r, a)
+    return np.linalg.solve(np.linalg.inv(w) + a.T @ rinv_a, rinv_a.T @ y)
+
+
+def assert_exact_means(model, label=""):
+    got, want = joint_mean(model), dense_means(model)
+    assert got.shape == want.shape, label
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want), initial=0.0),
+                               err_msg=str(label))
+
+
+def test_joint_mean_matches_the_dense_oracle_on_every_corpus_and_bench_model():
+    models = list(mixed_corpus()) + [(f"forest-{k}", m) for k, m in enumerate(forest_corpus())]
+    models += [(f"loopy-{k}", m) for k, m in enumerate(loopy_corpus())] + cli_mixed_models()
+    models += [(f"bench-{n}", random_model(seed=1, n_agents=n, topology="multi_loop"))
+               for n in (480, 520)]
+    models += [(f"grid-{side}", mrf_to_linear_gaussian(grid_field(side))[0]) for side in (10, 20)]
+    for label, model in models:
+        assert_exact_means(model, label)
+
+
+def test_joint_mean_of_an_empty_model_is_empty():
+    assert joint_mean(LinearGaussianModel(variables=[], factors=[])).shape == (0,)
+
+
+def test_joint_mean_without_factors_is_the_prior_mean():
+    rng = np.random.default_rng(3)
+    m = LinearGaussianModel(variables=[VariableSpec(1, 2, rand_spd(rng, 2)),
+                                       VariableSpec(4, 1, rand_spd(rng, 1))], factors=[])
+    np.testing.assert_array_equal(joint_mean(m), np.zeros(3))
+
+
+def test_a_variable_without_factors_keeps_its_prior_mean():
+    m = small_model()
+    m = LinearGaussianModel(variables=m.variables + [VariableSpec(3, 2, 2.0 * np.eye(2))],
+                            factors=m.factors)
+    peel = build_factor_graph(m).peel
+    # factors 1-2 are nodes 0-1 and variables 1-3 nodes 2-4: variable 3 leaves in round one, alone
+    assert dict(zip(peel.order[:peel.bounds[1]].tolist(), peel.hung.tolist())) == {1: 2, 2: 0, 4: -1}
+    np.testing.assert_array_equal(joint_mean(m)[3:], np.zeros(2))
+    assert_exact_means(m)
+
+
+def test_joint_mean_on_a_forest_eliminates_everything():
+    for seed in range(5):
+        m = random_model(seed=seed, n_agents=12, dims=(1, 3), topology="forest")
+        assert not build_factor_graph(m).peel.core.any()
+        assert_exact_means(m, seed)
+
+
+def test_joint_mean_on_a_single_loop_solves_only_the_loop():
+    for seed in range(5):
+        m = random_model(seed=seed, n_agents=12, dims=(1, 3), topology="single_loop")
+        peel = build_factor_graph(m).peel
+        core = peel.pairs[peel.core_edges]
+        # the core is one cycle: every core node keeps exactly two core edges
+        assert len(core) == peel.core.sum() > 0
+        assert set(np.bincount(core.ravel(), minlength=len(peel.core))[peel.core].tolist()) == {2}
+        assert_exact_means(m, seed)
+
+
+def test_an_arity_3_factor_is_eliminated_down_to_one_variable():
+    # factor 1 over (1, 2, 3) hangs off variable 3 of the loop 3-4-5: variables 1 and 2
+    # leave into it, then it folds into 3
+    rng = np.random.default_rng(11)
+    dims = {1: 2, 2: 1, 3: 3, 4: 1, 5: 2}
+    variables = [VariableSpec(i, d, rand_spd(rng, d)) for i, d in dims.items()]
+    scopes = {1: (1, 2, 3), 2: (3, 4), 3: (4, 5), 4: (3, 5)}
+    factors = [FactorSpec(n, scope, {i: rng.standard_normal((3, dims[i])) for i in scope},
+                          rand_spd(rng, 3), rng.standard_normal(3)) for n, scope in scopes.items()]
+    m = LinearGaussianModel(variables=variables, factors=factors)
+    g = build_factor_graph(m)
+    peel = g.peel
+    # nodes: factors 1-4 are 0-3, variables 1-5 are 4-8
+    rounds = [peel.order[lo:hi].tolist() for lo, hi in zip(peel.bounds, peel.bounds[1:])]
+    assert rounds == [[4, 5], [0]]
+    assert peel.hung.tolist() == [g.f2v_index[(1, 1)], g.f2v_index[(1, 2)], g.f2v_index[(1, 3)]]
+    assert peel.core.tolist() == [False, True, True, True, False, False, True, True, True]
+    assert_exact_means(m)
+
+
+def test_joint_mean_with_unary_factors_only():
+    rng = np.random.default_rng(12)
+    variables = [VariableSpec(i, 2, rand_spd(rng, 2)) for i in (1, 2, 3)]
+    factors = [FactorSpec(n, (i,), {i: rng.standard_normal((m, 2))}, rand_spd(rng, m),
+                          rng.standard_normal(m))
+               for n, (i, m) in enumerate([(1, 2), (1, 3), (2, 1), (3, 2), (3, 2)], start=1)]
+    m = LinearGaussianModel(variables=variables, factors=factors)
+    assert not build_factor_graph(m).peel.core.any()
+    assert_exact_means(m)
+
+
+def test_joint_mean_takes_nothing_from_the_engine():
+    # the exact means check the engine, so nothing they import may be gabp.bp or gabp.analysis
+    import ast
+    import importlib.util
+    import inspect
+    from pathlib import Path
+
+    seen, todo = set(), ["gabp.model"]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(ast.parse(Path(importlib.util.find_spec(name).origin).read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("gabp"):
+                todo.append(node.module)
+            elif isinstance(node, ast.Import):
+                todo += [a.name for a in node.names if a.name.startswith("gabp")]
+    assert seen == {"gabp.model", "gabp.graph", "gabp.errors", "gabp.numerics"}
+    assert "EdgeStack" not in inspect.getsource(joint_mean)
 
 
 def test_random_model_deterministic_and_valid():
