@@ -58,13 +58,15 @@ Strict mode requires pd incoming v2f information matrices before a
 block's f2v half (A^T R^-1 A is psd, so each update's existence core
 A^T R^-1 A + blockdiag(J) is then pd) and pd f2v ones after each
 iteration. Checks, deltas and part metrics run over stacks of rows;
-message dicts, and trajectory rows if recorded, are built for the result.
+message dicts are built for the result. A run keeps its per-iteration
+maxima in one float array and, if recorded, its per-edge trajectory rows
+as one float block per iteration (TrajectoryRows).
 """
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -95,21 +97,94 @@ class BpOptions:
     record_messages: bool = False
 
 
+class _Records(Sequence):
+    """A read-only sequence whose items are built from arrays on access.
+
+    It equals a list of the same items; subclasses give _item(k) for k in range(len).
+    """
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._item(j) for j in range(*k.indices(len(self)))]
+        return self._item(range(len(self))[k])
+
+    def __eq__(self, other):
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+
+class TrajectoryRows(_Records):
+    """A recorded run's per-edge rows: one float64 (2E, 3) block per iteration.
+
+    Block row r belongs to the v2f edge v2f_edges[r] for r < E, then to
+    the f2v edge f2v_edges[r - E], both the graph's own lists; label(r)
+    is its (kind, source id, target id). A block's columns are the
+    Frobenius change of J, the max-abs change of v and the part metric to
+    the reference. Rows from metric_from on carry a part metric: the f2v
+    rows of a run with a reference, none otherwise. Items are 7-tuples
+    (iteration, kind, source id, target id, dJ, dv, part metric or None)
+    of Python values.
+    """
+
+    def __init__(self, v2f_edges=(), f2v_edges=(), metric_from=0):
+        self.v2f_edges, self.f2v_edges, self.metric_from = v2f_edges, f2v_edges, metric_from
+        self.width, self.blocks = len(v2f_edges) + len(f2v_edges), []
+
+    def __len__(self):
+        return len(self.blocks) * self.width
+
+    def label(self, r):
+        n = len(self.v2f_edges)
+        return ("v2f", *self.v2f_edges[r]) if r < n else ("f2v", *self.f2v_edges[r - n])
+
+    def _item(self, k):
+        it, r = divmod(k, self.width)
+        dj, dv, pm = self.blocks[it][r].tolist()
+        return (it + 1, *self.label(r), dj, dv, pm if r >= self.metric_from else None)
+
+
+class IterationStats(_Records):
+    """Per-iteration maxima in one float (iterations, 3) array grown by doubling.
+
+    Columns are max_dj, max_dv and the largest f2v part metric to the
+    reference. Items are dicts {"iter", "max_dj", "max_dv", "part_metric"},
+    with part_metric None when the run had no reference.
+    """
+
+    def __init__(self, with_metric=False):
+        self.with_metric, self.count, self.data = with_metric, 0, np.empty((0, 3))
+
+    def __len__(self):
+        return self.count
+
+    def _item(self, k):
+        dj, dv, pm = self.data[k].tolist()
+        return {"iter": k + 1, "max_dj": dj, "max_dv": dv, "part_metric": pm if self.with_metric else None}
+
+    def append(self, max_dj, max_dv, pm):
+        if self.count == len(self.data):
+            self.data = np.concatenate([self.data, np.empty((max(self.count, 16), 3))])
+        self.data[self.count] = max_dj, max_dv, pm
+        self.count += 1
+
+    def trim(self):
+        """Drop the unused capacity, so a finished run keeps 24 B per iteration."""
+        self.data = self.data[:self.count].copy()
+
+
 @dataclass
 class BpTrajectory:
     """Per-edge and per-iteration convergence measurements.
 
     rows holds one record per edge per iteration when the run's
-    BpOptions.record_messages is set, and is empty otherwise:
-    (iteration, kind, source id, target id, Frobenius change of J,
-    max-abs change of v, part metric to the reference or nan).
+    BpOptions.record_messages is set, and is empty otherwise.
     per_iteration aggregates the maxima; part_metric there is the largest
     factor-to-variable part metric to the reference fixed point, or None
-    when no reference was supplied.
+    when no reference was supplied. Both are read-only views over float
+    arrays (TrajectoryRows, IterationStats).
     """
 
-    rows: list = field(default_factory=list)
-    per_iteration: list = field(default_factory=list)
+    rows: TrajectoryRows = field(default_factory=TrajectoryRows)
+    per_iteration: IterationStats = field(default_factory=IterationStats)
     initial_part_metric: float = None
 
 
@@ -416,8 +491,11 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
     fj, fv = stack.init(init)
     fh = (fj @ fv[..., None])[..., 0]
     vj, vv = np.zeros_like(fj[:-1]), np.zeros_like(fv[:-1])
-    f2v_ends, v2f_ends = (list(zip(*edges)) for edges in (graph.f2v_edges, graph.v2f_edges))
-    traj = BpTrajectory()
+    n_edges = len(stack.edges)
+    traj = BpTrajectory(per_iteration=IterationStats(with_metric=reference is not None))
+    if opts.record_messages:
+        traj.rows = TrajectoryRows(graph.v2f_edges, graph.f2v_edges,
+                                   n_edges if reference is not None else 2 * n_edges)
     if reference is not None:
         if reference.stack.edges != stack.edges or not np.array_equal(reference.stack.dims, stack.dims):
             raise DomainError("reference fixed point belongs to another graph")
@@ -463,14 +541,16 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
         else:
             max_dj = float(max(v_dj.max(initial=0.0), f_dj.max(initial=0.0)))
             max_dv = float(max(v_dv.max(initial=0.0), f_dv.max(initial=0.0)))
-        pm = ref_metric(fj) if reference is not None else None
+        pm = max_pm = math.nan
+        if reference is not None:
+            pm = ref_metric(fj)
+            max_pm = pm.max(initial=0.0)
         if opts.record_messages:
-            traj.rows.extend(zip(repeat(it), repeat("v2f"), *v2f_ends, v_dj[stack.v2f_rows].tolist(),
-                                 v_dv[stack.v2f_rows].tolist(), repeat(None)))
-            traj.rows.extend(zip(repeat(it), repeat("f2v"), *f2v_ends, f_dj.tolist(), f_dv.tolist(),
-                                 repeat(None) if pm is None else pm.tolist()))
-        traj.per_iteration.append({"iter": it, "max_dj": max_dj, "max_dv": max_dv,
-                                   "part_metric": None if pm is None else float(np.max(pm, initial=0.0))})
+            block = np.full((2 * n_edges, 3), math.nan)
+            block[:n_edges, 0], block[:n_edges, 1] = v_dj[stack.v2f_rows], v_dv[stack.v2f_rows]
+            block[n_edges:, 0], block[n_edges:, 1], block[n_edges:, 2] = f_dj, f_dv, pm
+            traj.rows.blocks.append(block)
+        traj.per_iteration.append(max_dj, max_dv, max_pm)
         log.debug("bp iter %d: max_dj=%.3e max_dv=%.3e", it, max_dj, max_dv)
 
         peak = np.maximum(np.abs(fv).max(initial=0.0), np.abs(vv).max(initial=0.0))
@@ -481,6 +561,7 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
             status = "converged"
             break
 
+    traj.per_iteration.trim()
     return BpResult(status=status, iterations=iterations, trajectory=traj,
                     messages={"f2v": stack.views(fj, fv), "v2f": stack.views(vj, vv, v2f=True)},
                     beliefs=None if status == "diverged" else compute_beliefs(stack, fj, fh))

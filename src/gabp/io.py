@@ -37,6 +37,19 @@ def _integer(x, what):
     raise InputFormatError(f"{what} must be an integer, got {x!r}")
 
 
+def _floats(values, what):
+    """A list of JSON numbers as a float array; InputFormatError unless every entry is an int or a float.
+
+    Booleans and numeric strings are not numbers here. The types are checked in one pass.
+    """
+    if not set(map(type, values)) <= {int, float}:
+        raise InputFormatError(f"{what} must be numeric")
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError as exc:
+        raise InputFormatError(f"{what} must be numeric: {exc}") from exc
+
+
 def matrix_from_json(obj, what="matrix"):
     if not isinstance(obj, dict):
         raise InputFormatError(f"{what}: expected an object with rows/cols/data")
@@ -51,22 +64,15 @@ def matrix_from_json(obj, what="matrix"):
             f"{what}: data length {len(data) if isinstance(data, list) else '?'} "
             f"does not match {rows}x{cols}"
         )
-    try:
-        return np.array(data, dtype=float).reshape(rows, cols)
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"{what}: data must be numeric") from exc
+    return _floats(data, f"{what}: data").reshape(rows, cols)
 
 
 def _vector_from_json(obj, what):
     if not isinstance(obj, list):
         raise InputFormatError(f"{what}: expected a list of numbers")
-    try:
-        vec = np.array(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"{what}: entries must be numeric") from exc
-    if vec.ndim != 1:
-        raise InputFormatError(f"{what}: expected a flat list of numbers, got shape {vec.shape}")
-    return vec
+    if any(isinstance(x, list) for x in obj):
+        raise InputFormatError(f"{what}: expected a flat list of numbers")
+    return _floats(obj, f"{what}: entries")
 
 
 def model_to_json(model):
@@ -212,12 +218,21 @@ BELIEF_HEADER = ["agent", "component", "mean", "variance"]
 
 
 def write_trajectory_csv(rows, path):
+    """Write a run's TrajectoryRows as CSV, one row's text at a time.
+
+    The fields are those csv.writer gives: %.17g floats, an empty part
+    metric where a row has none, CRLF line ends. Each block row gets one
+    format string, built once; its %.0s consumes an absent part metric
+    and prints nothing. Only one row's floats and text exist at a time.
+    """
+    line = "%%d,%s,%s,%s,%%.17g,%%.17g,%s\r\n"
+    lines = [line % (*rows.label(r), "%.0s" if r < rows.metric_from else "%.17g")
+             for r in range(rows.width)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_HEADER)
-        for (it, kind, src, dst, dj, dv, pm) in rows:
-            writer.writerow([it, kind, src, dst, fmt(dj), fmt(dv),
-                             "" if pm is None else fmt(pm)])
+        fh.write(",".join(TRAJECTORY_HEADER) + "\r\n")
+        for it, block in enumerate(rows.blocks, 1):
+            for template, row in zip(lines, block):
+                fh.write(template % (it, *row.tolist()))
 
 
 def write_beliefs_csv(beliefs, path):

@@ -78,8 +78,10 @@ class WalkSummability:
 def check_walk_summability(j_norm):
     """Spectral test on I - |R| for a normalized information matrix."""
     j_norm = _require_normalized(j_norm)
-    r = np.eye(j_norm.shape[0]) - j_norm
-    test = np.eye(j_norm.shape[0]) - np.abs(r)
+    # I - |R| in one array: 0 - |J_ij| off the diagonal, 1 - |1 - J_ii| on it
+    test = np.abs(j_norm)
+    np.subtract(0.0, test, out=test)
+    np.fill_diagonal(test, 1.0 - np.abs(1.0 - np.diag(j_norm)))
     w = np.linalg.eigvalsh(test)
     # the verdict is_pd(test) would give, from the same eigenvalues
     walk_summable = bool(w[0] > PSD_TOL * max(1.0, w[-1]))
@@ -105,24 +107,47 @@ def is_h_matrix(x):
 
 @dataclass
 class FactorWidth2:
-    """Width-two factorization J - omega*I = V V^T (up to dropped surplus).
+    """Width-two factorization J - omega*I = V V^T (up to dropped surplus), as index/value arrays.
 
-    Columns of v come in two flavors: pair columns with exactly two
-    nonzeros, one per off-diagonal coupling, and surplus columns with a
-    single nonzero absorbing what strict diagonal dominance left over.
-    scaling is the vector u that made the comparison matrix diagonally
-    dominant.
+    V has two flavors of column: pair columns with exactly two nonzeros,
+    one per off-diagonal coupling, then surplus columns with a single
+    nonzero absorbing what strict diagonal dominance left over. Pair
+    column c holds pair_row_values[c] in row pair_rows[c] and
+    pair_col_values[c] in row pair_cols[c] > pair_rows[c]; single column
+    c holds single_values[c] in row single_rows[c]. scaling is the vector
+    u that made the comparison matrix diagonally dominant. v builds the
+    dense n x columns V on each access.
     """
 
-    v: np.ndarray
     omega: float
     scaling: np.ndarray
-    pair_columns: int
-    single_columns: int
+    pair_rows: np.ndarray
+    pair_cols: np.ndarray
+    pair_row_values: np.ndarray
+    pair_col_values: np.ndarray
+    single_rows: np.ndarray
+    single_values: np.ndarray
+
+    @property
+    def pair_columns(self):
+        return len(self.pair_rows)
+
+    @property
+    def single_columns(self):
+        return len(self.single_rows)
 
     @property
     def columns(self):
-        return self.v.shape[1]
+        return self.pair_columns + self.single_columns
+
+    @property
+    def v(self):
+        v = np.zeros((len(self.scaling), self.columns))
+        at = np.arange(self.pair_columns)
+        v[self.pair_rows, at] = self.pair_row_values
+        v[self.pair_cols, at] = self.pair_col_values
+        v[self.single_rows, self.pair_columns + np.arange(self.single_columns)] = self.single_values
+        return v
 
 
 def default_omega(lam_min):
@@ -153,17 +178,28 @@ def factor_width_two(j_norm, omega=None):
         raise DomainError(f"omega must lie in (0, {limit:.6g}), got {omega:g}")
 
     n = j_norm.shape[0]
-    m = j_norm - omega * np.eye(n)
-    m[np.abs(m) <= COUPLING_TOL] = 0.0
-    u = np.linalg.solve(comparison_matrix(m), np.ones(n))
-    m_scaled = m * np.outer(u, u)
 
-    rows, cols = np.nonzero(np.triu(m_scaled, 1))
+    def shifted():
+        m = j_norm.copy()
+        m.flat[::n + 1] -= omega
+        m[(m <= COUPLING_TOL) & (m >= -COUPLING_TOL)] = 0.0
+        return m
+
+    # m is built twice, and C in the first m's place, so that besides J at
+    # most two n x n arrays are alive at a time, the solve's own copy included
+    c = shifted()
+    c_diag = np.abs(np.diag(c))
+    np.abs(c, out=c)
+    np.negative(c, out=c)
+    np.fill_diagonal(c, c_diag)
+    u = np.linalg.solve(c, np.ones(n))
+    del c
+    m_scaled = shifted()
+    m_scaled *= np.outer(u, u)
+
+    rows, cols = np.nonzero(np.triu(m_scaled != 0, 1))
     vals = m_scaled[rows, cols]
-    at = np.arange(len(vals))
-    pairs = np.zeros((n, len(vals)))
-    pairs[rows, at] = np.sqrt(np.abs(vals))
-    pairs[cols, at] = np.sign(vals) * pairs[rows, at]
+    root = np.sqrt(np.abs(vals))
     surplus = 2.0 * np.diag(m_scaled) - np.sum(np.abs(m_scaled), axis=1)
     if np.any(surplus < 0):
         i = int(np.argmin(surplus))
@@ -173,14 +209,11 @@ def factor_width_two(j_norm, omega=None):
     # The surplus carries the scale u_i^2 (it is u_i up to rounding, 1/u_i
     # unscaled); the threshold is in unscaled units.
     kept = np.flatnonzero(surplus > SURPLUS_TOL * u ** 2)
-    singles = np.zeros((n, len(kept)))
-    singles[kept, np.arange(len(kept))] = np.sqrt(surplus[kept])
-
-    v = np.hstack([pairs, singles]) / u[:, None]
     log.debug("factor width 2: %d pair + %d surplus columns, omega=%g",
               len(vals), len(kept), omega)
-    return FactorWidth2(v=v, omega=float(omega), scaling=u,
-                        pair_columns=len(vals), single_columns=len(kept))
+    return FactorWidth2(omega=float(omega), scaling=u, pair_rows=rows, pair_cols=cols,
+                        pair_row_values=root / u[rows], pair_col_values=np.sign(vals) * root / u[cols],
+                        single_rows=kept, single_values=np.sqrt(surplus[kept]) / u[kept])
 
 
 @dataclass
@@ -214,24 +247,15 @@ def mrf_to_linear_gaussian(j_norm, h=None, omega=None):
     omega = fw.omega
 
     prior_prec = np.full(n, omega / 2.0)
-    pair_cols = []
-    for c in range(fw.v.shape[1]):
-        col = fw.v[:, c]
-        support = np.nonzero(col)[0]
-        if len(support) == 1:
-            prior_prec[support[0]] += col[support[0]] ** 2
-        elif len(support) == 2:
-            pair_cols.append((int(support[0]), int(support[1]), col[support[0]], col[support[1]]))
-        else:
-            raise AssertionError(f"column {c} has {len(support)} nonzeros")
-
+    prior_prec[fw.single_rows] += fw.single_values ** 2
     variables = [
-        VariableSpec(id=i + 1, dim=1, prior_cov=np.array([[1.0 / prior_prec[i]]]))
-        for i in range(n)
+        VariableSpec(id=i + 1, dim=1, prior_cov=np.array([[1.0 / p]]))
+        for i, p in enumerate(prior_prec.tolist())
     ]
     factors = []
     fid = 0
-    for (i, k, a, b) in pair_cols:
+    for (i, k, a, b) in zip(fw.pair_rows.tolist(), fw.pair_cols.tolist(),
+                            fw.pair_row_values.tolist(), fw.pair_col_values.tolist()):
         fid += 1
         factors.append(
             FactorSpec(

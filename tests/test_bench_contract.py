@@ -1,19 +1,59 @@
-"""The benchmark's tracer wraps gabp functions by name; every name must exist."""
+"""The benchmark's tracer wraps gabp functions by name, and its probes read their results."""
 
 import importlib
 import importlib.util
+import inspect
+from collections import defaultdict
 from pathlib import Path
+
+import numpy as np
+
+from conftest import quartet_model
+from corpus import grid_field
+from gabp.bp import BpOptions, run_bp
+from gabp.graph import build_factor_graph
+from gabp.io import write_trajectory_csv
+from gabp.mrf import mrf_to_linear_gaussian
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
-def test_every_traced_target_is_a_gabp_function():
-    # Tracer.installed getattr's each target, so a deleted one breaks `bench/run.py --trace 1`
+def load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_target_is_a_gabp_function():
+    # Tracer.installed getattr's each target, so a deleted one breaks `bench/run.py --trace 1`
+    tracing = load_tracing()
     assert tracing.TARGETS
     for layer, func in tracing.TARGETS:
         assert layer in tracing.LAYERS, layer
         fn = getattr(importlib.import_module(f"gabp.{layer}"), func, None)
         assert callable(fn), f"gabp.{layer}.{func}"
+
+
+def test_the_probes_read_rows_trajectory_bytes_and_columns(tmp_path):
+    # bp.trajectory_rows, io.trajectory_bytes and mrf.columns would read 0 if these moved
+    tracing = load_tracing()
+    model = quartet_model()
+    g = build_factor_graph(model)
+    res = run_bp(model, g, options=BpOptions(record_messages=True))
+    counts = defaultdict(int)
+    tracing.PROBES["bp.run_bp"](counts, (model, g), {}, res)
+    assert counts["bp.trajectory_rows"] == len(res.trajectory.rows) == \
+        res.iterations * (len(g.f2v_edges) + len(g.v2f_edges)) > 0
+
+    params = list(inspect.signature(write_trajectory_csv).parameters.values())
+    assert params[1].kind == inspect.Parameter.POSITIONAL_OR_KEYWORD
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(res.trajectory.rows, str(path))
+    tracing.PROBES["io.write_trajectory_csv"](counts, (res.trajectory.rows, str(path)), {}, None)
+    assert counts["io.trajectory_bytes"] == path.stat().st_size > 0
+
+    result = mrf_to_linear_gaussian(grid_field(4), np.ones(16))
+    tracing.PROBES["mrf.mrf_to_linear_gaussian"](counts, (grid_field(4),), {}, result)
+    info = result[1]
+    assert counts["mrf.columns"] == info.columns == info.pair_columns + info.folded_columns == 40

@@ -7,13 +7,14 @@ import pytest
 
 from conftest import information_iterates, quartet_model, rand_spd, vague_prior_model
 from corpus import (SHOWCASE_DIVERGENT, forest_corpus, frustrated_model,
-                    loopy_corpus, mixed_corpus)
+                    grid_field, loopy_corpus, mixed_corpus)
 from gabp.bp import (Belief, BpOptions, EdgeStack, Message, compute_beliefs,
                      make_init, run_bp)
 from gabp.errors import DomainError, ExistenceViolation
 from gabp.graph import build_factor_graph
 from gabp.model import (FactorSpec, LinearGaussianModel, VariableSpec,
                         centralized_solve, random_model)
+from gabp.mrf import mrf_to_linear_gaussian
 from gabp.numerics import part_metric
 
 
@@ -236,6 +237,89 @@ def test_a_default_run_retains_no_per_edge_rows():
     assert res.trajectory.rows == []
     assert len(res.trajectory.per_iteration) == res.iterations == 1_000
     assert retained < 3e6, retained
+
+
+def traced_run(model, **kwargs):
+    """run_bp's result and the traced memory it retains."""
+    tracemalloc.start()
+    try:
+        res = run_bp(model, **kwargs)
+        return res, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_per_iteration_record_costs_at_most_32_bytes_an_iteration():
+    # one dict per iteration retained about 155 B each: 2.73 MB at 10,000
+    model = frustrated_model(8, n=5, gain=2.0, n_extra=5)
+    run_bp(model, options=BpOptions(max_iters=10))  # lazy imports are not per-iteration cost
+    short, short_bytes = traced_run(model, options=BpOptions(max_iters=1_000))
+    long, long_bytes = traced_run(model, options=BpOptions(max_iters=10_000))
+    assert short.status == long.status == "max_iters"
+    assert len(long.trajectory.per_iteration) == 10_000
+    assert long.trajectory.per_iteration[:1_000] == list(short.trajectory.per_iteration)
+    assert long_bytes < 1.6e6, long_bytes
+    assert (long_bytes - short_bytes) / 9_000 <= 32, (short_bytes, long_bytes)
+
+
+def test_a_recorded_grid_run_retains_at_most_64_bytes_a_row():
+    # one Python 7-tuple per row retained about 195 B each on this grid
+    from gabp.analysis import information_fixed_point
+    model = mrf_to_linear_gaussian(grid_field(20), np.linspace(-1.0, 1.0, 400))[0]
+    g = build_factor_graph(model)
+    ref = information_fixed_point(model, g)
+    run_bp(model, g, init="lower", reference=ref)  # fills the shared stack's caches
+    plain, plain_bytes = traced_run(model, graph=g, init="lower", reference=ref)
+    res, recorded_bytes = traced_run(model, graph=g, init="lower", reference=ref,
+                                     options=BpOptions(record_messages=True))
+    assert res.iterations == plain.iterations
+    rows = len(res.trajectory.rows)
+    assert rows == res.iterations * (len(g.f2v_edges) + len(g.v2f_edges)) > 0
+    assert (recorded_bytes - plain_bytes) / rows <= 64, (plain_bytes, recorded_bytes, rows)
+
+
+def test_trajectory_views_read_like_lists(quartet):
+    from gabp.analysis import information_fixed_point
+    g = build_factor_graph(quartet)
+    for ref in (None, information_fixed_point(quartet, g)):
+        traj = run_bp(quartet, g, reference=ref, options=BpOptions(record_messages=True)).trajectory
+        for view in (traj.rows, traj.per_iteration):
+            items = list(view)  # iteration-one v2f rows hold nan, so compare reprs
+            assert len(items) == len(view) > 0
+            assert repr([view[k] for k in range(len(view))]) == repr(items)
+            assert repr([view[-1], view[1:3], view[::-2]]) == repr([items[-1], items[1:3], items[::-2]])
+            with pytest.raises(IndexError):
+                view[len(view)]
+            assert view != items[:-1] and view != tuple(items)
+        assert traj.per_iteration == list(traj.per_iteration)
+        width = len(g.f2v_edges) + len(g.v2f_edges)
+        assert [r[1:4] for r in traj.rows[:width]] == \
+            [("v2f", j, n) for j, n in g.v2f_edges] + [("f2v", n, i) for n, i in g.f2v_edges]
+        for r in traj.rows:
+            assert all(type(x) is float for x in r[4:6])
+            assert (r[6] is None) == (ref is None or r[1] == "v2f")
+        for k, rec in enumerate(traj.per_iteration, 1):
+            assert rec["iter"] == k and type(rec["max_dj"]) is float and type(rec["max_dv"]) is float
+            assert (rec["part_metric"] is None) == (ref is None)
+            if ref is not None:
+                assert rec["part_metric"] == max(r[6] for r in traj.rows if r[0] == k and r[1] == "f2v")
+
+
+def test_trajectory_rows_are_each_edges_change_between_iterations():
+    # the messages after iteration k are the final messages of a k-iteration sync run
+    model = random_model(seed=7, n_agents=10, dims=(1, 3), topology="multi_loop")
+    g = build_factor_graph(model)
+    res = run_bp(model, g, init="lower", options=BpOptions(max_iters=5, record_messages=True))
+    assert res.iterations == 5
+    states = [run_bp(model, g, init="lower", options=BpOptions(max_iters=k)).messages for k in range(1, 6)]
+    checked = 0
+    for it, kind, src, dst, dj, dv, _ in res.trajectory.rows:
+        if it > 1:
+            new, old = states[it - 1][kind][(src, dst)], states[it - 2][kind][(src, dst)]
+            assert dj == pytest.approx(np.linalg.norm(new.J - old.J), rel=1e-12, abs=1e-300)
+            assert dv == pytest.approx(np.max(np.abs(new.v - old.v)), rel=1e-12, abs=1e-300)
+            checked += 1
+    assert checked == 4 * (len(g.f2v_edges) + len(g.v2f_edges))
 
 
 def test_strict_mode_passes_on_healthy_models(quartet):

@@ -93,6 +93,27 @@ def test_a_nested_obs_list_is_an_input_error(cmd, nested_obs_file, capsys):
     assert "input error: factor 1 obs: expected a flat list" in capsys.readouterr().err
 
 
+def test_solve_rejects_booleans_and_numeric_strings_as_entries(tmp_path, capsys):
+    # each of these entries alone let solve exit 0 with a solution
+    model = {"variables": [{"id": 1, "dim": 1, "prior_cov": {"rows": 1, "cols": 1, "data": [1.0]}}],
+             "factors": [{"id": 1, "scope": [1], "coeff": {"1": {"rows": 1, "cols": 1, "data": [2.5]}},
+                          "noise_cov": {"rows": 1, "cols": 1, "data": [1.0]}, "obs": [0.5]}]}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert main(["solve", str(path)]) == 0
+    factor = model["factors"][0]
+    for target, entry, what in ((model["variables"][0]["prior_cov"]["data"], True, "variable 1 prior_cov"),
+                                (factor["coeff"]["1"]["data"], "2.5", "factor 1 coeff[1]"),
+                                (factor["noise_cov"]["data"], True, "factor 1 noise_cov"),
+                                (factor["obs"], False, "factor 1 obs")):
+        good, target[0] = target[0], entry
+        path.write_text(json.dumps(model))
+        capsys.readouterr()
+        assert main(["solve", str(path)]) == 2, what
+        assert f"input error: {what}: " in capsys.readouterr().err
+        target[0] = good
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["validate", "/nonexistent/model.json"]) == 2
     assert "input error" in capsys.readouterr().err

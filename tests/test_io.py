@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from conftest import quartet_model
+from corpus import SHOWCASE_DIVERGENT, frustrated_model, grid_field, mixed_corpus
+from gabp.analysis import information_fixed_point
 from gabp.bp import Belief, BpOptions, run_bp
-from gabp.errors import InputFormatError
+from gabp.errors import InputFormatError, IterationBudgetError
 from gabp.graph import build_factor_graph
 from gabp.io import (fmt, load_custom_init, load_model, load_mrf,
                      matrix_from_json, matrix_to_json, model_from_json,
                      model_to_json, save_model, save_mrf, write_beliefs_csv,
                      write_trajectory_csv)
 from gabp.model import random_model, validate_model
+from gabp.mrf import mrf_to_linear_gaussian
 
 
 def test_fmt_round_trips_doubles():
@@ -185,6 +188,92 @@ def test_trajectory_csv(tmp_path, quartet):
     # every numeric field round-trips
     for r in rows[1:]:
         float(r[4]), float(r[5])
+
+
+def csv_module_trajectory(rows, path):
+    """The csv-module writer over the rows' 7-tuples, an independent transcription."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iter", "edge_kind", "from", "to", "dJ_fro", "dv_inf", "part_metric_to_ref"])
+        for (it, kind, src, dst, dj, dv, pm) in rows:
+            writer.writerow([it, kind, src, dst, "%.17g" % dj, "%.17g" % dv,
+                             "" if pm is None else "%.17g" % pm])
+
+
+def trajectory_cases():
+    n, n_extra, gain, seed = SHOWCASE_DIVERGENT
+    yield from ((name, model, 15) for name, model in mixed_corpus())
+    yield "divergent", frustrated_model(seed, n=n, gain=gain, n_extra=n_extra), 10_000
+    yield "grid-10", mrf_to_linear_gaussian(grid_field(10), np.linspace(-1.0, 1.0, 100))[0], 10_000
+
+
+def test_trajectory_csv_is_the_csv_modules_bytes_with_and_without_a_reference(tmp_path):
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    kinds = set()
+    for name, model, max_iters in trajectory_cases():
+        g = build_factor_graph(model)
+        try:
+            references = [None, information_fixed_point(model, g)]
+        except IterationBudgetError:
+            references = [None]
+        for ref in references:
+            res = run_bp(model, g, init="lower", reference=ref,
+                         options=BpOptions(max_iters=max_iters, record_messages=True))
+            write_trajectory_csv(res.trajectory.rows, ours)
+            csv_module_trajectory(res.trajectory.rows, theirs)
+            assert ours.read_bytes() == theirs.read_bytes(), (name, ref is None)
+            kinds.add((res.status, ref is None))
+    # nan and inf fields of a diverged run are among the rows compared
+    assert {("diverged", True), ("diverged", False), ("converged", False)} <= kinds
+
+
+@pytest.mark.parametrize("where", ["prior", "coeff", "noise", "obs"])
+@pytest.mark.parametrize("entry", [True, False, "2.5", None, [1.0]])
+def test_model_matrix_and_vector_entries_must_be_numbers(quartet, where, entry):
+    obj = json.loads(json.dumps(model_to_json(quartet)))
+    var, factor = obj["variables"][0], obj["factors"][0]
+    target = {"prior": var["prior_cov"]["data"], "coeff": next(iter(factor["coeff"].values()))["data"],
+              "noise": factor["noise_cov"]["data"], "obs": factor["obs"]}[where]
+    target[0] = entry
+    message = "expected a flat list" if where == "obs" and isinstance(entry, list) else "must be numeric"
+    with pytest.raises(InputFormatError, match=message):
+        model_from_json(obj)
+
+
+def test_integral_json_numbers_are_still_numbers(quartet):
+    obj = json.loads(json.dumps(model_to_json(quartet)))
+    obj["variables"][0]["prior_cov"]["data"] = [2]
+    obj["factors"][0]["obs"] = [0, -1]
+    back = model_from_json(obj)
+    assert back.variables[0].prior_cov.dtype == float and back.variables[0].prior_cov[0, 0] == 2.0
+    np.testing.assert_array_equal(back.factors[0].obs, [0.0, -1.0])
+
+
+def test_a_json_integer_beyond_float_range_is_an_input_error():
+    with pytest.raises(InputFormatError, match="must be numeric"):
+        matrix_from_json({"rows": 1, "cols": 1, "data": [10 ** 400]})
+
+
+@pytest.mark.parametrize("entry", [True, "0.5"])
+@pytest.mark.parametrize("where", ["J", "h"])
+def test_mrf_entries_must_be_numbers(tmp_path, where, entry):
+    obj = {"J": {"rows": 2, "cols": 2, "data": [1.0, 0.1, 0.1, 1.0]}, "h": [0.5, -0.5]}
+    (obj["J"]["data"] if where == "J" else obj["h"])[1] = entry
+    p = tmp_path / "field.json"
+    p.write_text(json.dumps(obj))
+    with pytest.raises(InputFormatError, match=f"{where}: .*must be numeric"):
+        load_mrf(p)
+
+
+@pytest.mark.parametrize("entry", [True, "0.5"])
+@pytest.mark.parametrize("where", ["J", "v"])
+def test_custom_init_entries_must_be_numbers(tmp_path, where, entry):
+    rec = {"factor": 1, "variable": 2, "J": {"rows": 1, "cols": 1, "data": [0.5]}, "v": [0.1]}
+    (rec["J"]["data"] if where == "J" else rec["v"])[0] = entry
+    p = tmp_path / "init.json"
+    p.write_text(json.dumps({"f2v": [rec]}))
+    with pytest.raises(InputFormatError, match=rf"init \(1->2\) {where}: .*must be numeric"):
+        load_custom_init(p)
 
 
 def test_beliefs_csv(tmp_path):

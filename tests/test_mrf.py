@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ from conftest import QUARTET_ABS_SPECTRUM, QUARTET_J, stack_global
 from corpus import grid_field, random_walk_summable
 from gabp.errors import DomainError
 from gabp.graph import build_factor_graph
-from gabp.model import centralized_solve, validate_model
+from gabp.io import model_to_json
+from gabp.model import (FactorSpec, LinearGaussianModel, VariableSpec, centralized_solve,
+                        validate_model)
 from gabp.mrf import (check_walk_summability, comparison_matrix, default_omega,
                       factor_width_two, is_h_matrix, mrf_marginals,
                       mrf_to_linear_gaussian, normalize_mrf)
@@ -184,3 +188,72 @@ def test_converted_model_graph_is_loopy_but_convergent():
     means, _ = mrf_marginals(j, h)
     for i in range(j.shape[0]):
         assert res.beliefs[i + 1].mean[0] == pytest.approx(means[i], abs=1e-8)
+
+
+def dense_width_two(j, omega):
+    """V as one dense n x (pairs + singles) array: an independent transcription of the split."""
+    n = j.shape[0]
+    m = j - omega * np.eye(n)
+    m[np.abs(m) <= 1e-15] = 0.0
+    c = -np.abs(m)
+    np.fill_diagonal(c, np.abs(np.diag(m)))
+    u = np.linalg.solve(c, np.ones(n))
+    m_scaled = m * np.outer(u, u)
+    rows, cols = np.nonzero(np.triu(m_scaled, 1))
+    vals = m_scaled[rows, cols]
+    at = np.arange(len(vals))
+    pairs = np.zeros((n, len(vals)))
+    pairs[rows, at] = np.sqrt(np.abs(vals))
+    pairs[cols, at] = np.sign(vals) * pairs[rows, at]
+    surplus = 2.0 * np.diag(m_scaled) - np.sum(np.abs(m_scaled), axis=1)
+    kept = np.flatnonzero(surplus > 1e-14 * u ** 2)
+    singles = np.zeros((n, len(kept)))
+    singles[kept, np.arange(len(kept))] = np.sqrt(surplus[kept])
+    return np.hstack([pairs, singles]) / u[:, None], len(vals), len(kept)
+
+
+def dense_route_model(j, h):
+    """The converted model read column by column off the dense V."""
+    n = j.shape[0]
+    omega = float(default_omega(check_walk_summability(j).min_eig))
+    v, _, _ = dense_width_two(j, omega)
+    prior_prec = np.full(n, omega / 2.0)
+    factors = []
+    for c in range(v.shape[1]):
+        support = np.nonzero(v[:, c])[0]
+        if len(support) == 1:
+            prior_prec[support[0]] += v[support[0], c] ** 2
+        else:
+            i, k = support
+            factors.append(FactorSpec(len(factors) + 1, (i + 1, k + 1),
+                                      {i + 1: np.array([[v[i, c]]]), k + 1: np.array([[v[k, c]]])},
+                                      np.array([[1.0]]), np.array([0.0])))
+    for i in range(n):
+        factors.append(FactorSpec(len(factors) + 1, (i + 1,), {i + 1: np.array([[1.0]])},
+                                  np.array([[2.0 / omega]]), np.array([2.0 * h[i] / omega])))
+    variables = [VariableSpec(i + 1, 1, np.array([[1.0 / prior_prec[i]]])) for i in range(n)]
+    return LinearGaussianModel(variables, factors, {"source": "mrf", "omega": omega,
+                                                    "columns": v.shape[1]})
+
+
+def test_the_index_arrays_are_the_dense_split_column_for_column():
+    fields = [(random_walk_summable(seed, n=n)[0], None) for seed in range(6) for n in (2, 5, 12)]
+    fields += [(np.array([[1.0]]), 0.25), (np.eye(5), None), (grid_field(6), None), (grid_field(20), None)]
+    j = np.eye(4)
+    j[0, 1] = j[1, 0] = 0.3
+    fields.append((j, None))  # couplings only between the first two
+    for j, omega in fields:
+        fw = factor_width_two(j, omega=omega)
+        v, pairs, singles = dense_width_two(j, fw.omega)
+        np.testing.assert_array_equal(fw.v, v)
+        assert (fw.pair_columns, fw.single_columns, fw.columns) == (pairs, singles, v.shape[1])
+        assert np.all(fw.pair_rows < fw.pair_cols)
+    assert factor_width_two(np.eye(5)).pair_columns == 0
+
+
+def test_converted_model_json_is_the_dense_routes_bytes():
+    for side in range(3, 21):
+        j = grid_field(side, seed=side)
+        h = np.random.default_rng(side).standard_normal(side * side)
+        ours = json.dumps(model_to_json(mrf_to_linear_gaussian(j, h)[0]), indent=2)
+        assert ours == json.dumps(model_to_json(dense_route_model(j, h)), indent=2), side
