@@ -13,7 +13,6 @@ from gabp.model import (
     LinearGaussianModel,
     validate_model,
     centralized_solve,
-    joint_system,
     random_model,
 )
 from gabp.graph import FactorGraph, build_factor_graph, classify_topology
@@ -45,7 +44,6 @@ __all__ = [
     "LinearGaussianModel",
     "validate_model",
     "centralized_solve",
-    "joint_system",
     "random_model",
     "FactorGraph",
     "build_factor_graph",

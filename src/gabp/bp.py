@@ -59,12 +59,13 @@ block's f2v half (A^T R^-1 A is psd, so each update's existence core
 A^T R^-1 A + blockdiag(J) is then pd) and pd f2v ones after each
 iteration. Checks, deltas and part metrics run over stacks of rows;
 message dicts are built for the result. A run keeps its per-iteration
-maxima in one float array and, if recorded, its per-edge trajectory rows
+maxima in one flat array("d") and, if recorded, its per-edge trajectory rows
 as one float block per iteration (TrajectoryRows).
 """
 
 import logging
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -143,32 +144,25 @@ class TrajectoryRows(_Records):
 
 
 class IterationStats(_Records):
-    """Per-iteration maxima in one float (iterations, 3) array grown by doubling.
+    """Per-iteration maxima in one flat array("d"), three doubles an iteration.
 
-    Columns are max_dj, max_dv and the largest f2v part metric to the
+    They are max_dj, max_dv and the largest f2v part metric to the
     reference. Items are dicts {"iter", "max_dj", "max_dv", "part_metric"},
     with part_metric None when the run had no reference.
     """
 
     def __init__(self, with_metric=False):
-        self.with_metric, self.count, self.data = with_metric, 0, np.empty((0, 3))
+        self.with_metric, self.data = with_metric, array("d")
 
     def __len__(self):
-        return self.count
+        return len(self.data) // 3
 
     def _item(self, k):
-        dj, dv, pm = self.data[k].tolist()
+        dj, dv, pm = self.data[3 * k:3 * k + 3]
         return {"iter": k + 1, "max_dj": dj, "max_dv": dv, "part_metric": pm if self.with_metric else None}
 
     def append(self, max_dj, max_dv, pm):
-        if self.count == len(self.data):
-            self.data = np.concatenate([self.data, np.empty((max(self.count, 16), 3))])
-        self.data[self.count] = max_dj, max_dv, pm
-        self.count += 1
-
-    def trim(self):
-        """Drop the unused capacity, so a finished run keeps 24 B per iteration."""
-        self.data = self.data[:self.count].copy()
+        self.data.extend((max_dj, max_dv, pm))
 
 
 @dataclass
@@ -561,7 +555,6 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
             status = "converged"
             break
 
-    traj.per_iteration.trim()
     return BpResult(status=status, iterations=iterations, trajectory=traj,
                     messages={"f2v": stack.views(fj, fv), "v2f": stack.views(vj, vv, v2f=True)},
                     beliefs=None if status == "diverged" else compute_beliefs(stack, fj, fh))

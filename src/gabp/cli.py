@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (and converged, for iterative commands), 1 domain
 problem (invalid model, non walk-summable field), 2 unreadable or
-malformed input, 3 iteration budget exhausted, 4 divergence detected,
-5 existence violation in strict mode.
+malformed input or an output path that cannot be written, 3 iteration
+budget exhausted, 4 divergence detected, 5 existence violation in
+strict mode.
 
 Set GABP_LOG=DEBUG (or INFO, WARNING, ...) to see progress logging.
 """
@@ -48,6 +49,11 @@ def _print_beliefs(beliefs):
         for c in range(len(b.mean)):
             print(f"agent {vid} component {c + 1}: "
                   f"mean {fmt(b.mean[c])} variance {fmt(var[c])}")
+
+
+def _print_walk_summability(walk_summable, min_eig):
+    print(f"walk-summable: {'yes' if walk_summable else 'no'} "
+          f"(min eigenvalue of I - |R|: {fmt(min_eig)})")
 
 
 def _parse_init(value):
@@ -172,15 +178,19 @@ def cmd_convert_mrf(args):
     if np.max(np.abs(np.diag(j) - 1.0)) > 1e-9:
         j, h, scale = normalize_mrf(j, h)
         log.info("rescaled input to unit diagonal")
-    ws = check_walk_summability(j)
-    print(f"walk-summable: {'yes' if ws.walk_summable else 'no'} "
-          f"(min eigenvalue of I - |R|: {fmt(ws.min_eig)})")
-    model, info = mrf_to_linear_gaussian(j, h, omega=args.omega)
+    try:
+        model, fw = mrf_to_linear_gaussian(j, h, omega=args.omega)
+    except DomainError:
+        # the verdict before the error; a J that has none raises the same error again
+        ws = check_walk_summability(j)
+        _print_walk_summability(ws.walk_summable, ws.min_eig)
+        raise
+    _print_walk_summability(True, fw.min_eig)
     if scale is not None:
         model.meta["scale"] = [float(x) for x in scale]
-    print(f"omega: {fmt(info.omega)}")
-    print(f"columns: {info.columns} ({info.pair_columns} pair, "
-          f"{info.folded_columns} folded into priors)")
+    print(f"omega: {fmt(fw.omega)}")
+    print(f"columns: {fw.columns} ({fw.pair_columns} pair, "
+          f"{fw.folded_columns} folded into priors)")
     if args.out:
         save_model(model, args.out)
         print(f"wrote {args.out}")
@@ -286,6 +296,9 @@ def main(argv=None):
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -232,40 +232,6 @@ def prior_precisions(model):
     return precisions
 
 
-def joint_system(model):
-    """Joint precision W^-1 + sum_n A_n^T R_n^-1 A_n, information sum_n A_n^T R_n^-1 y_n, offsets.
-
-    Each prior is a factor x_i = 0 with noise W_i. Blocks are padded (A
-    with zeros, R with an identity) to multiples of 4 rows and columns, so
-    most models' small blocks share a size; each size takes one stacked
-    solve, one scatter sums the terms, and offsets is variable_offsets.
-    """
-    voff = variable_offsets(model)
-    n = model.total_dim
-    groups = {}
-    for coeff, noise, obs in ([({v.id: np.eye(v.dim)}, v.prior_cov, np.zeros(v.dim)) for v in model.variables]
-                              + [(f.coeff, f.noise_cov, f.obs) for f in model.factors]):
-        width = sum(voff[i][1] for i in coeff)
-        groups.setdefault((-(-len(obs) // 4) * 4, -(-width // 4) * 4), []).append((coeff, noise, obs))
-    at, val = [np.zeros(0, dtype=int)], [np.zeros(0)]
-    for (p, width), group in groups.items():
-        a, y = np.zeros((len(group), p, width)), np.zeros((len(group), p, 1))
-        r, cols = np.tile(np.eye(p), (len(group), 1, 1)), np.full((len(group), width), n)
-        for k, (coeff, noise, obs) in enumerate(group):
-            m, c = len(obs), 0
-            r[k, :m, :m], y[k, :m, 0] = noise, obs
-            for i, block in coeff.items():
-                s, d = voff[i]
-                a[k, :m, c:c + d], cols[k, c:c + d] = block, np.arange(s, s + d)
-                c += d
-        rinv_a = np.linalg.solve(r, a)
-        # an (n + 1, n + 1) precision, then the information, flat; pad columns land in row and column n
-        at += [(cols[:, :, None] * (n + 1) + cols[:, None, :]).ravel(), (n + 1) ** 2 + cols.ravel()]
-        val += [(a.swapaxes(1, 2) @ rinv_a).ravel(), (rinv_a.swapaxes(1, 2) @ y).ravel()]
-    total = np.bincount(np.concatenate(at), np.concatenate(val), minlength=(n + 1) * (n + 2))
-    return total[:(n + 1) ** 2].reshape(n + 1, n + 1)[:n, :n], total[(n + 1) ** 2:-1], voff
-
-
 def joint_mean(model, graph=None):
     """The joint MMSE mean, exactly, with one dense solve on the factor graph's 2-core only.
 
@@ -309,9 +275,9 @@ def joint_mean(model, graph=None):
         for i in f.scope:
             a[e, :m, :f.coeff[i].shape[1]] = f.coeff[i]
             e += 1
+    precisions = prior_precisions(model)
     for k, v in enumerate(model.variables, start=n_f):
-        state[k, :v.dim, :v.dim] = v.prior_cov
-    state[n_f:n, :, :q] = np.linalg.inv(state[n_f:n, :, :q])
+        state[k, :v.dim, :v.dim] = precisions[v.id]
 
     # each removed node's block B, A from a factor and -A^T from a variable; parent -1 reaches
     # the sentinels
@@ -359,10 +325,25 @@ def centralized_solve(model):
     """Joint MMSE estimate x_hat = (W^-1 + A^T R^-1 A)^-1 A^T R^-1 y.
 
     This is the exact answer message passing is expected to reproduce.
-    The joint system comes from joint_system; the joint covariance is
-    then one dense inverse of the precision.
+    The joint system is assembled block by block: each W_i^-1 from
+    prior_precisions on its diagonal block, and each factor's A^T R^-1 A
+    and A^T R^-1 y from one solve against its own R. The joint covariance
+    is then one dense inverse of the precision.
     """
-    precision, information, voff = joint_system(model)
+    voff = variable_offsets(model)
+    n = model.total_dim
+    precision, information = np.zeros((n, n)), np.zeros(n)
+    for i, w in prior_precisions(model).items():
+        s, d = voff[i]
+        precision[s:s + d, s:s + d] = w
+    slots = {i: np.arange(s, s + d) for i, (s, d) in voff.items()}
+    for f in model.factors:
+        cols = np.concatenate([slots[i] for i in f.scope])
+        ay = np.hstack([f.coeff[i] for i in f.scope] + [f.obs[:, None]])
+        # A^T R^-1 [A | y]
+        terms = ay[:, :-1].T @ np.linalg.solve(f.noise_cov, ay)
+        precision[cols[:, None], cols] += terms[:, :-1]
+        information[cols] += terms[:, -1]
     cov = np.linalg.inv(precision)
     mean = cov @ information
     means = {}

@@ -114,12 +114,15 @@ class FactorWidth2:
     nonzero absorbing what strict diagonal dominance left over. Pair
     column c holds pair_row_values[c] in row pair_rows[c] and
     pair_col_values[c] in row pair_cols[c] > pair_rows[c]; single column
-    c holds single_values[c] in row single_rows[c]. scaling is the vector
-    u that made the comparison matrix diagonally dominant. v builds the
-    dense n x columns V on each access.
+    c holds single_values[c] in row single_rows[c]; each folds into its
+    variable's prior precision on conversion. min_eig is the smallest
+    eigenvalue of I - |R| from the walk-summability test, and scaling the
+    vector u that made the comparison matrix diagonally dominant. v
+    builds the dense n x columns V on each access.
     """
 
     omega: float
+    min_eig: float
     scaling: np.ndarray
     pair_rows: np.ndarray
     pair_cols: np.ndarray
@@ -133,12 +136,12 @@ class FactorWidth2:
         return len(self.pair_rows)
 
     @property
-    def single_columns(self):
+    def folded_columns(self):
         return len(self.single_rows)
 
     @property
     def columns(self):
-        return self.pair_columns + self.single_columns
+        return self.pair_columns + self.folded_columns
 
     @property
     def v(self):
@@ -146,7 +149,7 @@ class FactorWidth2:
         at = np.arange(self.pair_columns)
         v[self.pair_rows, at] = self.pair_row_values
         v[self.pair_cols, at] = self.pair_col_values
-        v[self.single_rows, self.pair_columns + np.arange(self.single_columns)] = self.single_values
+        v[self.single_rows, self.pair_columns + np.arange(self.folded_columns)] = self.single_values
         return v
 
 
@@ -211,18 +214,9 @@ def factor_width_two(j_norm, omega=None):
     kept = np.flatnonzero(surplus > SURPLUS_TOL * u ** 2)
     log.debug("factor width 2: %d pair + %d surplus columns, omega=%g",
               len(vals), len(kept), omega)
-    return FactorWidth2(omega=float(omega), scaling=u, pair_rows=rows, pair_cols=cols,
+    return FactorWidth2(omega=float(omega), min_eig=ws.min_eig, scaling=u, pair_rows=rows, pair_cols=cols,
                         pair_row_values=root / u[rows], pair_col_values=np.sign(vals) * root / u[cols],
                         single_rows=kept, single_values=np.sqrt(surplus[kept]) / u[kept])
-
-
-@dataclass
-class ConversionInfo:
-    omega: float
-    columns: int
-    pair_columns: int
-    folded_columns: int
-    factorization: FactorWidth2
 
 
 def mrf_to_linear_gaussian(j_norm, h=None, omega=None):
@@ -236,7 +230,7 @@ def mrf_to_linear_gaussian(j_norm, h=None, omega=None):
     noise 2/omega and observation 2 h_n / omega, which together
     contribute precision omega and information h_n. The joint density of
     the returned model therefore has precision exactly J and potential
-    exactly h.
+    exactly h. Returns the model and the factorization it was read from.
     """
     j_norm = _require_normalized(j_norm)
     n = j_norm.shape[0]
@@ -278,16 +272,9 @@ def mrf_to_linear_gaussian(j_norm, h=None, omega=None):
             )
         )
 
-    info = ConversionInfo(
-        omega=omega,
-        columns=fw.columns,
-        pair_columns=fw.pair_columns,
-        folded_columns=fw.single_columns,
-        factorization=fw,
-    )
     meta = {"source": "mrf", "omega": omega, "columns": fw.columns}
     model = LinearGaussianModel(variables=variables, factors=factors, meta=meta)
-    return model, info
+    return model, fw
 
 
 def mrf_marginals(j, h):

@@ -433,7 +433,7 @@ def test_convert_mrf_rejects_non_walk_summable(tmp_path, capsys):
 
 
 def test_convert_mrf_eigendecomposes_once_per_walk_summability_check(tmp_path, monkeypatch):
-    # one check in the command, one inside factor_width_two
+    # the one check inside factor_width_two; the command prints its min_eig
     src = str(tmp_path / "grid.json")
     save_mrf(grid_field(6), np.linspace(-1.0, 1.0, 36), src)
     calls = []
@@ -445,7 +445,40 @@ def test_convert_mrf_eigendecomposes_once_per_walk_summability_check(tmp_path, m
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     assert main(["convert-mrf", src, "--out", str(tmp_path / "model.json")]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def _field(j, h, bad=None):
+    j, h = j.copy(), h.copy()
+    if bad == "J":
+        j[0, 1] = j[1, 0] = np.nan
+    if bad == "h":
+        h[3] = np.nan
+    return {"J": matrix_to_json(j), "h": list(h)}
+
+
+GRID_LINE = "walk-summable: yes (min eigenvalue of I - |R|: 0.61406848877975739)\n"
+
+
+@pytest.mark.parametrize("field,flags,out,err", [
+    ({"J": matrix_to_json(QUARTET_J)}, [],
+     "walk-summable: no (min eigenvalue of I - |R|: -0.075366260062251153)\n",
+     "domain error: not walk-summable: min eigenvalue of I - |R| is -0.0753663\n"),
+    (_field(grid_field(3), np.linspace(-1.0, 1.0, 9)), ["--omega", "5"],
+     GRID_LINE, "domain error: omega must lie in (0, 0.614068), got 5\n"),
+    (_field(grid_field(3), np.linspace(-1.0, 1.0, 9), bad="h"), [],
+     GRID_LINE, "domain error: h is not finite\n"),
+    (_field(grid_field(3), np.linspace(-1.0, 1.0, 9), bad="J"), [],
+     "", "domain error: J is not finite\n"),
+], ids=["not-walk-summable", "omega-5", "non-finite-h", "non-finite-J"])
+def test_convert_mrf_prints_the_verdict_before_a_domain_error(field, flags, out, err, tmp_path, capsys):
+    # the walk-summability line is printed whenever the field has a verdict
+    src = tmp_path / "field.json"
+    src.write_text(json.dumps(field))
+    dst = tmp_path / "model.json"
+    assert main(["convert-mrf", str(src), *flags, "--out", str(dst)]) == 1
+    assert capsys.readouterr() == (out, err)
+    assert not dst.exists()
 
 
 def _poison_coupling(j, h):
@@ -472,6 +505,23 @@ def test_convert_mrf_rejects_non_finite_input(poison, what, tmp_path, capsys):
     assert main(["convert-mrf", str(src), "--out", str(dst)]) == 1
     assert f"domain error: {what} is not finite" in capsys.readouterr().err
     assert not dst.exists()
+
+
+@pytest.mark.parametrize("cmd", [
+    ["validate", "{model}", "--dot"], ["solve", "{model}", "--out"], ["run", "{model}", "--out"],
+    ["run", "{model}", "--trajectory"], ["analyze", "{model}", "--out"],
+    ["analyze", "{model}", "--dot"], ["convert-mrf", "{field}", "--out"],
+    ["gen", "--out"], ["gen", "--dot"],
+], ids=lambda cmd: f"{cmd[0]} {cmd[-1]}")
+def test_an_unwritable_output_path_exits_2_with_one_line(cmd, quartet_file, tmp_path, capsys):
+    field = tmp_path / "field.json"
+    save_mrf(grid_field(3), np.ones(9), str(field))
+    target = tmp_path / "missing" / "out.txt"
+    argv = [a.format(model=quartet_file, field=field) for a in cmd] + [str(target)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and str(target) in err and err.count("\n") == 1
+    assert not target.parent.exists()
 
 
 def test_gen_deterministic(tmp_path):
