@@ -29,9 +29,9 @@ half at J*, and compute_beliefs turns its final f2v potentials into the
 belief means. certify reads the edge bounds off fp.stack (the lower one
 computed once per stack) and gives run_bp the FixedPoint as its
 reference; compute_bounds is a dict view of the stack's two envelopes.
-Its cross-check compares the engine's means with model.joint_mean,
-which eliminates the same peel's hanging trees and solves only the
-core, and takes nothing from the engine.
+Its cross-check compares the engine's means with those of
+model.centralized_solve, which eliminates the same peel's hanging trees
+and inverts only the core, and takes nothing from the engine.
 """
 
 import logging
@@ -43,7 +43,7 @@ import numpy as np
 from gabp.bp import DIVERGENCE_GUARD, EdgeStack, compute_beliefs, run_bp
 from gabp.errors import DomainError, IterationBudgetError
 from gabp.graph import build_factor_graph, classify_topology
-from gabp.model import joint_mean, require_valid
+from gabp.model import centralized_solve, require_valid
 from gabp.numerics import psd_compare, spectral_radius
 
 log = logging.getLogger("gabp")
@@ -316,8 +316,8 @@ def certify(model, cross_check=True):
     bounds, the mean-recursion spectral radius and verdict, and (unless
     cross_check is False) an actual engine run compared against the
     exact joint means, plus a fitted contraction rate when the trajectory
-    supports one. The exact means (model.joint_mean) eliminate the factor
-    graph's hanging trees and run one dense solve on its 2-core only, so
+    supports one. The exact means (model.centralized_solve) eliminate the
+    factor graph's hanging trees and invert only its 2-core densely, so
     no array of the whole joint precision's size is formed.
     """
     require_valid(model)
@@ -327,15 +327,15 @@ def certify(model, cross_check=True):
     st = fp.stack
     bounds_hold = bool(st.per_edge(psd_compare, fp.f2v_j, st.lower_bound(), dtype=bool).all()
                        and st.per_edge(psd_compare, st.upper_bound(), fp.f2v_j, dtype=bool).all())
-    qsys = assemble_q(model, graph, fp)
-    verdict = decide_mean_convergence(qsys.rho, topo.overall)
+    rho = assemble_q(model, graph, fp).rho
+    verdict = decide_mean_convergence(rho, topo.overall)
     mean_run = two_phase_mean_recursion(fp)
 
     report = ConvergenceReport(
         topology=topo.overall,
         components=[asdict(c) for c in topo.components],
         diameter=topo.diameter,
-        rho_q=qsys.rho,
+        rho_q=rho,
         verdict=verdict,
         bounds_hold=bounds_hold,
         fixed_point_iterations=fp.iterations,
@@ -348,9 +348,9 @@ def certify(model, cross_check=True):
         report.bp_status = result.status
         report.bp_iterations = result.iterations
         if result.status == "converged":
-            means = [result.beliefs[v.id].mean for v in model.variables]
-            report.max_mean_error = float(np.max(np.abs(np.concatenate([np.zeros(0)] + means)
-                                                        - joint_mean(model, graph)), initial=0.0))
+            means = np.concatenate([np.zeros(0)] + [result.beliefs[v.id].mean for v in model.variables])
+            exact = centralized_solve(model, graph).mean
+            report.max_mean_error = float(np.max(np.abs(means - exact), initial=0.0))
         metrics = [rec["part_metric"] for rec in result.trajectory.per_iteration]
         try:
             report.fitted_rate = fit_contraction_rate(metrics).c

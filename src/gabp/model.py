@@ -10,6 +10,11 @@ positive definite. Factor ids and variable ids live in separate
 namespaces; a factor's scope is any nonempty set of variable ids, so the
 same schema covers the symmetric one-factor-per-agent layout, tree
 structured models, and the pairwise models produced by the MRF bridge.
+
+centralized_solve is the one exact reference: the joint MMSE means and
+each variable's covariance block, by Gaussian elimination along the
+factor graph's leaf peel with one dense inverse on its 2-core.
+certify's cross-check and `gabp solve` both read it.
 """
 
 from dataclasses import dataclass, field
@@ -202,22 +207,11 @@ def require_valid(model):
         raise DomainError("model validation failed:\n  " + "\n  ".join(problems))
 
 
-def variable_offsets(model):
-    """Map variable id -> (start, dim) in the globally stacked state vector."""
-    offsets = {}
-    pos = 0
-    for v in model.variables:
-        offsets[v.id] = (pos, v.dim)
-        pos += v.dim
-    return offsets
-
-
 @dataclass
 class CentralizedSolution:
-    """Joint MMSE estimate with its covariance, plus per-variable views."""
+    """The joint MMSE mean, stacked by ascending variable id, and each variable's mean and covariance."""
 
     mean: np.ndarray
-    cov: np.ndarray
     means: dict
     covs: dict
 
@@ -232,14 +226,18 @@ def prior_precisions(model):
     return precisions
 
 
-def joint_mean(model, graph=None):
-    """The joint MMSE mean, exactly, with one dense solve on the factor graph's 2-core only.
+def centralized_solve(model, graph=None):
+    """Joint MMSE estimate x_hat = (W^-1 + A^T R^-1 A)^-1 A^T R^-1 y, with each variable's covariance.
 
-    The hanging trees are eliminated in the rounds of graph.peel, on one
-    state per node padded to a common size q: [R_n | y_n] for a factor
-    (its noise covariance and observation, which absorb what is
-    eliminated into it) and [J_j | h_j] for a variable (its prior's
-    precision and information plus those of every factor folded into it).
+    This is the exact answer message passing is expected to reproduce,
+    by Gaussian elimination of K = [[-R, A], [A^T, W^-1]] on (-r, x): the
+    x-block of K^-1 is the joint covariance. Only the factor graph's
+    2-core is inverted densely; the hanging trees are eliminated in the
+    rounds of graph.peel, on one state per node padded to a common size
+    q: [R_n | y_n] for a factor (its noise covariance and observation,
+    which absorb what is eliminated into it) and [J_j | h_j] for a
+    variable (its prior's precision and information plus those of every
+    factor folded into it).
 
     * A leaf factor n folds A^T R_n^-1 A and A^T R_n^-1 y_n into its one
       live variable.
@@ -249,15 +247,19 @@ def joint_mean(model, graph=None):
       stays inside the factor.
 
     Both are one step on a node's state [M | b] and its edge's block B (A
-    on the factor side, -A^T on the variable side): G = M^-1 [B | b], and
-    the neighbour's state gains G_B^T [B | b]; the nodes of a round take
-    one stacked solve. One dense solve then gives the core variables'
-    means, from their J and h and the core factors' A^T R^-1 A and
-    A^T R^-1 y. Back-substitution in reverse order gives every other value
-    from the same G, as G_b - G_B (the neighbour's value): a factor's
-    residual R_n^-1 (y_n - A x), then the mean x_j = J_j^-1 (h_j + A^T r_n)
-    of each variable hung from it. Returns the means stacked in
-    variable_offsets order, as centralized_solve's mean.
+    on the factor side, -A^T on the variable side): G = M^-1 [B | b | sI],
+    s = -1 for a factor and +1 for a variable, and the neighbour's state
+    gains G_B^T [B | b]; the nodes of a round take one stacked solve. One
+    dense inverse of the core variables' J, with the core factors'
+    A^T R^-1 A, is their block of K^-1 and gives their means from h and
+    the core factors' A^T R^-1 y; a core factor's block is
+    -R^-1 + sum_st G_s S_st G_t^T over the pairs (s, t) of its core rows.
+    Back-substitution in reverse order gives every other node from the
+    same G and its neighbour's value v and block S (selected inversion,
+    Takahashi, Fagan & Chin 1973): the value G_b - G_B v (a factor's
+    residual R_n^-1 (y_n - A x), a variable's mean J_j^-1 (h_j + A^T r_n))
+    and the block s M^-1 + G_B S G_B^T. No array of the whole joint
+    precision's size is formed.
     """
     graph = graph or build_factor_graph(model)
     peel = graph.peel
@@ -265,9 +267,10 @@ def joint_mean(model, graph=None):
     dims = [v.dim for v in model.variables]
     d = max(dims, default=0)
     q = max([d] + [len(f.obs) for f in model.factors])
+    eye = np.eye(q)
     # node states, the last one a sentinel; A per f2v row, the last one zero for hung = -1
     state, a = np.zeros((n + 1, q, q + 1)), np.zeros((len(peel.pairs) + 1, q, q))
-    state[:, :, :q] = np.eye(q)
+    state[:, :, :q] = eye
     e = 0
     for k, f in enumerate(model.factors):
         m = len(f.obs)
@@ -279,80 +282,62 @@ def joint_mean(model, graph=None):
     for k, v in enumerate(model.variables, start=n_f):
         state[k, :v.dim, :v.dim] = precisions[v.id]
 
-    # each removed node's block B, A from a factor and -A^T from a variable; parent -1 reaches
-    # the sentinels
+    # each removed node's [B | b | sI], B = A from a factor and -A^T from a variable; parent -1
+    # reaches the sentinels
     b = a[peel.hung]
-    rhs = np.zeros((len(b), q, q + 1))
-    rhs[:, :, :q] = np.where((peel.order >= n_f)[:, None, None], -b.swapaxes(1, 2), b)
+    variable = (peel.order >= n_f)[:, None, None]
+    rhs = np.zeros((len(b), q, 2 * q + 1))
+    rhs[:, :, :q] = np.where(variable, -b.swapaxes(1, 2), b)
+    rhs[:, :, q + 1:] = np.where(variable, eye, -eye)
     rounds, steps = list(zip(peel.bounds, peel.bounds[1:])), []
     for lo, hi in rounds:
         nodes = state[peel.order[lo:hi]]
-        rhs[lo:hi, :, q:] = nodes[..., q:]
+        rhs[lo:hi, :, q] = nodes[..., q]
         g = np.linalg.solve(nodes[..., :q], rhs[lo:hi])
-        np.add.at(state, peel.parent[lo:hi], g[..., :q].swapaxes(1, 2) @ rhs[lo:hi])
+        np.add.at(state, peel.parent[lo:hi], g[..., :q].swapaxes(1, 2) @ rhs[lo:hi, :, :q + 1])
         steps.append(g)
 
-    val = np.zeros((n + 1, q))
+    # each node's value and block of K^-1
+    val, cov = np.zeros((n + 1, q)), np.zeros((n + 1, q, q))
     rows = np.flatnonzero(peel.core_edges)
     if len(rows):
-        # The core system on its variables' slots padded to d (the pads carry J's identity),
-        # from the core factors' G = R^-1 [A | y] on each pair (s, t) of their core rows.
+        # The core system on its variables' real slots, each pad slot sent to the spare last one,
+        # from the core factors' G = R^-1 [A | y | -I] on each pair (s, t) of their core rows.
         f, v = peel.pairs[rows].T
         cv = np.flatnonzero(peel.core[n_f:]) + n_f
-        u = np.searchsorted(cv, v)
+        real = np.arange(d) < np.array(dims)[cv - n_f, None]
+        size = int(real.sum())
+        slot = np.where(real, np.cumsum(real).reshape(real.shape) - 1, size)
+        u = slot[np.searchsorted(cv, v)]  # each core row's variable slots
         first = np.searchsorted(f, f)
         width = np.searchsorted(f, f, side="right") - first
         s = np.repeat(np.arange(len(rows)), width)
         t = np.arange(len(s)) - np.repeat(np.cumsum(width) - width - first, width)
         ry = state[f]
-        ay = np.concatenate([a[rows], ry[..., q:]], axis=2)
+        ay = np.concatenate([a[rows], ry[..., q:], np.broadcast_to(-eye, (len(rows), q, q))], axis=2)
         g = np.linalg.solve(ry[..., :q], ay)
-        precision = np.zeros((len(cv), d, len(cv), d))
-        precision[np.arange(len(cv)), :, np.arange(len(cv)), :] = state[cv, :d, :d]
-        np.add.at(precision, (u[s], slice(None), u[t], slice(None)),
-                  g[s, :, :d].swapaxes(1, 2) @ ay[t, :, :d])
-        information = state[cv, :d, q]
-        np.add.at(information, u, (g[..., :d].swapaxes(1, 2) @ ay[..., q:])[..., 0])
-        val[cv, :d] = np.linalg.solve(precision.reshape(len(cv) * d, -1), information.ravel()).reshape(-1, d)
+        ga = g[..., :d]
+        precision, information = np.zeros((size + 1, size + 1)), np.zeros(size + 1)
+        precision[slot[:, :, None], slot[:, None, :]] = state[cv, :d, :d]
+        np.add.at(precision, (u[s, :, None], u[t, None, :]), ga[s].swapaxes(1, 2) @ ay[t, :, :d])
+        information[slot] = state[cv, :d, q]
+        np.add.at(information, u, (ga.swapaxes(1, 2) @ ay[..., q:q + 1])[..., 0])
+        core = np.zeros_like(precision)
+        core[:-1, :-1] = np.linalg.inv(precision[:-1, :-1])
+        val[cv, :d] = (core @ information)[slot]
+        cov[cv, :d, :d] = core[slot[:, :, None], slot[:, None, :]]
         val[f] = g[..., q]
         np.subtract.at(val, f, (g[..., :q] @ val[v, :, None])[..., 0])
+        cov[f] = g[..., q + 1:]
+        np.add.at(cov, f[s], ga[s] @ core[u[s, :, None], u[t, None, :]] @ ga[t].swapaxes(1, 2))
     for (lo, hi), g in zip(reversed(rounds), reversed(steps)):
-        val[peel.order[lo:hi]] = g[..., q] - (g[..., :q] @ val[peel.parent[lo:hi], :, None])[..., 0]
-    return val[n_f:n][np.arange(q) < np.array(dims, dtype=int)[:, None]]
-
-
-def centralized_solve(model):
-    """Joint MMSE estimate x_hat = (W^-1 + A^T R^-1 A)^-1 A^T R^-1 y.
-
-    This is the exact answer message passing is expected to reproduce.
-    The joint system is assembled block by block: each W_i^-1 from
-    prior_precisions on its diagonal block, and each factor's A^T R^-1 A
-    and A^T R^-1 y from one solve against its own R. The joint covariance
-    is then one dense inverse of the precision.
-    """
-    voff = variable_offsets(model)
-    n = model.total_dim
-    precision, information = np.zeros((n, n)), np.zeros(n)
-    for i, w in prior_precisions(model).items():
-        s, d = voff[i]
-        precision[s:s + d, s:s + d] = w
-    slots = {i: np.arange(s, s + d) for i, (s, d) in voff.items()}
-    for f in model.factors:
-        cols = np.concatenate([slots[i] for i in f.scope])
-        ay = np.hstack([f.coeff[i] for i in f.scope] + [f.obs[:, None]])
-        # A^T R^-1 [A | y]
-        terms = ay[:, :-1].T @ np.linalg.solve(f.noise_cov, ay)
-        precision[cols[:, None], cols] += terms[:, :-1]
-        information[cols] += terms[:, -1]
-    cov = np.linalg.inv(precision)
-    mean = cov @ information
-    means = {}
-    covs = {}
-    for v in model.variables:
-        s, d = voff[v.id]
-        means[v.id] = mean[s:s + d]
-        covs[v.id] = cov[s:s + d, s:s + d]
-    return CentralizedSolution(mean=mean, cov=cov, means=means, covs=covs)
+        k, p, gb = peel.order[lo:hi], peel.parent[lo:hi], g[..., :q]
+        val[k] = g[..., q] - (gb @ val[p, :, None])[..., 0]
+        cov[k] = g[..., q + 1:] + gb @ cov[p] @ gb.swapaxes(1, 2)
+    variables = list(enumerate(model.variables, start=n_f))
+    return CentralizedSolution(mean=val[n_f:n][np.arange(q) < np.array(dims, dtype=int)[:, None]],
+                               means={v.id: val[k, :v.dim] for k, v in variables},
+                               covs={v.id: cov[k, :v.dim, :v.dim] for k, v in variables})
 
 
 def _random_spd(rng, n, scale=1.0):

@@ -77,7 +77,11 @@ class WalkSummability:
 
 def check_walk_summability(j_norm):
     """Spectral test on I - |R| for a normalized information matrix."""
-    j_norm = _require_normalized(j_norm)
+    return _walk_summability(_require_normalized(j_norm))
+
+
+def _walk_summability(j_norm):
+    """check_walk_summability of a J that _require_normalized has returned."""
     # I - |R| in one array: 0 - |J_ij| off the diagonal, 1 - |1 - J_ii| on it
     test = np.abs(j_norm)
     np.subtract(0.0, test, out=test)
@@ -168,8 +172,12 @@ def factor_width_two(j_norm, omega=None):
     sum by exactly u_i. Every coupling splits into a psd 2x2 block, each
     row's surplus into a single column, and the columns are unscaled.
     """
-    j_norm = _require_normalized(j_norm)
-    ws = check_walk_summability(j_norm)
+    return _factor_width_two(_require_normalized(j_norm), omega)
+
+
+def _factor_width_two(j_norm, omega):
+    """factor_width_two of a J that _require_normalized has returned."""
+    ws = _walk_summability(j_norm)
     if not ws.walk_summable:
         raise DomainError(
             f"not walk-summable: min eigenvalue of I - |R| is {ws.min_eig:.6g}"
@@ -237,7 +245,7 @@ def mrf_to_linear_gaussian(j_norm, h=None, omega=None):
     h = np.zeros(n) if h is None else _require_finite(h, "h")
     if h.shape != (n,):
         raise DomainError(f"potential vector has shape {h.shape}, expected ({n},)")
-    fw = factor_width_two(j_norm, omega=omega)
+    fw = _factor_width_two(j_norm, omega)
     omega = fw.omega
 
     prior_prec = np.full(n, omega / 2.0)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gabp.bp import EdgeStack
-from gabp.model import FactorSpec, LinearGaussianModel, VariableSpec, variable_offsets
+from gabp.model import FactorSpec, LinearGaussianModel, VariableSpec
 
 
 def rand_spd(rng, n, scale=1.0):
@@ -57,6 +57,16 @@ def charpoly_radius(a):
         m = a @ m + coeffs[-1] * np.eye(n)
         coeffs.append(-np.trace(a @ m) / k)
     return float(np.max(np.abs(np.roots(coeffs)))) if n else 0.0
+
+
+def variable_offsets(model):
+    """Map variable id -> (start, dim) in the globally stacked state vector."""
+    offsets = {}
+    pos = 0
+    for v in model.variables:
+        offsets[v.id] = (pos, v.dim)
+        pos += v.dim
+    return offsets
 
 
 def factor_offsets(model):

@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 
 from conftest import quartet_model
-from corpus import grid_field
+from corpus import cli_mixed_models, grid_field
 from gabp.bp import BpOptions, run_bp
+from gabp.cli import main
 from gabp.graph import build_factor_graph
-from gabp.io import write_trajectory_csv
+from gabp.io import save_model, write_trajectory_csv
 from gabp.mrf import mrf_to_linear_gaussian
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -57,3 +58,17 @@ def test_the_probes_read_rows_trajectory_bytes_and_columns(tmp_path):
     tracing.PROBES["mrf.mrf_to_linear_gaussian"](counts, (grid_field(4),), {}, result)
     info = result[1]
     assert counts["mrf.columns"] == info.columns == info.pair_columns + info.folded_columns == 40
+
+
+def test_certify_records_its_exact_mean_check_as_a_centralized_solve_span(tmp_path, capsys):
+    # model.centralized_solve_s sums these spans, so it times certify's mean check
+    tracing = load_tracing()
+    path = str(tmp_path / "model.json")
+    save_model(cli_mixed_models()[0][1], path)
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.operation(0):
+        assert main(["analyze", "--certify", path]) == 0
+    assert "gabp cross-check: converged" in capsys.readouterr().out
+    names = [name for name, *_ in tracer.spans]
+    solves = [parent for name, _, _, parent, _ in tracer.spans if name == "model.centralized_solve"]
+    assert len(solves) == 1 and names[solves[0]] == "analysis.certify"

@@ -5,8 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import QUARTET_J, quartet_model, vague_prior_model
-from corpus import SHOWCASE_DIVERGENT, frustrated_model, grid_field, mixed_corpus
+from conftest import QUARTET_J, quartet_model, stack_global, vague_prior_model
+from corpus import SHOWCASE_DIVERGENT, cli_mixed_models, frustrated_model, grid_field, mixed_corpus
 from gabp.cli import main
 from gabp.errors import ExistenceViolation
 from gabp.graph import build_factor_graph
@@ -133,6 +133,26 @@ def test_solve_prints_and_writes(quartet_file, tmp_path, capsys):
     with open(out_csv) as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 5  # header + 4 scalar agents
+
+
+def test_solve_writes_the_dense_oracles_means_and_variances(tmp_path):
+    for label, model in cli_mixed_models():
+        path, out = str(tmp_path / f"{label}.json"), str(tmp_path / f"{label}.csv")
+        save_model(model, path)
+        assert main(["solve", path, "--out", out]) == 0, label
+        a, r, w, y = stack_global(model)
+        rinv_a = np.linalg.solve(r, a)
+        cov = np.linalg.inv(np.linalg.inv(w) + a.T @ rinv_a)
+        mean = cov @ (rinv_a.T @ y)
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        # rows by agent id, then component: the stacked order
+        assert [(int(row["agent"]), int(row["component"])) for row in rows] == \
+            [(v.id, c + 1) for v in model.variables for c in range(v.dim)], label
+        got = np.array([[float(row["mean"]), float(row["variance"])] for row in rows])
+        np.testing.assert_allclose(got[:, 0], mean, rtol=0.0, atol=1e-12 * np.max(np.abs(mean)),
+                                   err_msg=label)
+        np.testing.assert_allclose(got[:, 1], np.diag(cov), rtol=1e-12, atol=0.0, err_msg=label)
 
 
 def test_run_converges_and_writes_artifacts(quartet_file, tmp_path, capsys):

@@ -6,12 +6,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import QUARTET_A, QUARTET_J, QUARTET_PRIOR, quartet_model, rand_spd, stack_global
+from conftest import (QUARTET_A, QUARTET_J, QUARTET_PRIOR, quartet_model, rand_spd, stack_global,
+                      variable_offsets)
 from corpus import cli_mixed_models, forest_corpus, grid_field, loopy_corpus, mixed_corpus
 from gabp.errors import DomainError
 from gabp.graph import build_factor_graph
-from gabp.model import (FactorSpec, LinearGaussianModel, VariableSpec, centralized_solve,
-                        joint_mean, random_model, require_valid, validate_model, variable_offsets)
+from gabp.model import (FactorSpec, LinearGaussianModel, VariableSpec, centralized_solve, random_model,
+                        require_valid, validate_model)
 from gabp.mrf import mrf_to_linear_gaussian
 from gabp.numerics import PSD_TOL, RANK_TOL, SYM_TOL
 
@@ -332,7 +333,9 @@ def test_centralized_solve_matches_dense_stacked_solve(seed, topology):
 
     sol = centralized_solve(m)
     np.testing.assert_allclose(sol.mean, mean, rtol=1e-10, atol=1e-10 * np.max(np.abs(mean)))
-    np.testing.assert_allclose(sol.cov, cov, rtol=1e-10, atol=1e-10 * np.max(np.abs(cov)))
+    for i, (s, d) in variable_offsets(m).items():
+        block = cov[s:s + d, s:s + d]
+        np.testing.assert_allclose(sol.covs[i], block, rtol=1e-10, atol=1e-10 * np.max(np.abs(block)))
 
 
 def test_centralized_solve_without_factors_returns_the_priors():
@@ -367,7 +370,6 @@ def test_centralized_solve_matches_block_assembly():
 
     sol = centralized_solve(m)
     np.testing.assert_allclose(sol.mean, expected, atol=1e-12)
-    np.testing.assert_allclose(sol.cov, np.linalg.inv(prec), atol=1e-12)
     for v in m.variables:
         s, d = offs[v.id]
         np.testing.assert_allclose(sol.means[v.id], expected[s:s + d], atol=1e-12)
@@ -375,18 +377,26 @@ def test_centralized_solve_matches_block_assembly():
                                    np.linalg.inv(prec)[s:s + d, s:s + d], atol=1e-12)
 
 
-def dense_means(model):
-    """The oracle: (W^-1 + A^T R^-1 A)^-1 A^T R^-1 y on the stacked model."""
+def dense_solution(model):
+    """The oracle: the joint covariance (W^-1 + A^T R^-1 A)^-1 and mean cov A^T R^-1 y, stacked."""
     a, r, w, y = stack_global(model)
     rinv_a = np.linalg.solve(r, a)
-    return np.linalg.solve(np.linalg.inv(w) + a.T @ rinv_a, rinv_a.T @ y)
+    cov = np.linalg.inv(np.linalg.inv(w) + a.T @ rinv_a)
+    return cov @ (rinv_a.T @ y), cov
 
 
 def assert_exact_means(model, label=""):
-    got, want = joint_mean(model), dense_means(model)
-    assert got.shape == want.shape, label
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want), initial=0.0),
+    """centralized_solve's means and every per-variable covariance against the dense oracle."""
+    sol = centralized_solve(model)
+    want, cov = dense_solution(model)
+    assert sol.mean.shape == want.shape, label
+    np.testing.assert_allclose(sol.mean, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want), initial=0.0),
                                err_msg=str(label))
+    assert sorted(sol.covs) == [v.id for v in model.variables], label
+    for i, (s, d) in variable_offsets(model).items():
+        block = cov[s:s + d, s:s + d]
+        np.testing.assert_allclose(sol.covs[i], block, rtol=0.0, atol=1e-12 * np.max(np.abs(block)),
+                                   err_msg=f"{label} variable {i}")
 
 
 def test_joint_mean_matches_the_dense_oracle_on_every_corpus_and_bench_model():
@@ -399,15 +409,30 @@ def test_joint_mean_matches_the_dense_oracle_on_every_corpus_and_bench_model():
         assert_exact_means(model, label)
 
 
+def test_centralized_solve_forms_no_array_of_the_joint_precisions_size():
+    # the dense route holds the D x D precision and its inverse; the elimination stays far below one
+    import tracemalloc
+
+    m = random_model(seed=1, n_agents=480, topology="multi_loop")
+    tracemalloc.start()
+    try:
+        centralized_solve(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m.total_dim ** 2 * 8
+
+
 def test_joint_mean_of_an_empty_model_is_empty():
-    assert joint_mean(LinearGaussianModel(variables=[], factors=[])).shape == (0,)
+    sol = centralized_solve(LinearGaussianModel(variables=[], factors=[]))
+    assert sol.mean.shape == (0,) and sol.means == sol.covs == {}
 
 
 def test_joint_mean_without_factors_is_the_prior_mean():
     rng = np.random.default_rng(3)
     m = LinearGaussianModel(variables=[VariableSpec(1, 2, rand_spd(rng, 2)),
                                        VariableSpec(4, 1, rand_spd(rng, 1))], factors=[])
-    np.testing.assert_array_equal(joint_mean(m), np.zeros(3))
+    np.testing.assert_array_equal(centralized_solve(m).mean, np.zeros(3))
 
 
 def test_a_variable_without_factors_keeps_its_prior_mean():
@@ -417,7 +442,7 @@ def test_a_variable_without_factors_keeps_its_prior_mean():
     peel = build_factor_graph(m).peel
     # factors 1-2 are nodes 0-1 and variables 1-3 nodes 2-4: variable 3 leaves in round one, alone
     assert dict(zip(peel.order[:peel.bounds[1]].tolist(), peel.hung.tolist())) == {1: 2, 2: 0, 4: -1}
-    np.testing.assert_array_equal(joint_mean(m)[3:], np.zeros(2))
+    np.testing.assert_array_equal(centralized_solve(m).mean[3:], np.zeros(2))
     assert_exact_means(m)
 
 
@@ -489,7 +514,7 @@ def test_joint_mean_takes_nothing_from_the_engine():
             elif isinstance(node, ast.Import):
                 todo += [a.name for a in node.names if a.name.startswith("gabp")]
     assert seen == {"gabp.model", "gabp.graph", "gabp.errors", "gabp.numerics"}
-    assert "EdgeStack" not in inspect.getsource(joint_mean)
+    assert "EdgeStack" not in inspect.getsource(centralized_solve)
 
 
 def test_random_model_deterministic_and_valid():

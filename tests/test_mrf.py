@@ -57,6 +57,48 @@ def test_check_requires_unit_diagonal():
         check_walk_summability(np.diag([2.0, 2.0]))
 
 
+def test_a_conversion_checks_j_once(monkeypatch):
+    import gabp.mrf
+
+    calls = []
+    check = gabp.mrf._require_normalized
+
+    def counted(j):
+        calls.append(1)
+        return check(j)
+
+    monkeypatch.setattr(gabp.mrf, "_require_normalized", counted)
+    mrf_to_linear_gaussian(grid_field(4), np.ones(16))
+    assert len(calls) == 1
+    calls.clear()
+    factor_width_two(grid_field(4))
+    check_walk_summability(grid_field(4))
+    assert len(calls) == 2
+
+
+def _bad_j(kind):
+    j = grid_field(3)
+    if kind == "non-finite":
+        j[0, 1] = j[1, 0] = np.inf
+    elif kind == "asymmetric":
+        j[0, 1] += 0.1
+    else:
+        j[2, 2] = 1.5
+    return j
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("non-finite", "J is not finite"),
+    ("asymmetric", "J is not symmetric: max asymmetry 1.000e-01"),
+    ("non-unit-diagonal", "expected a normalized (unit diagonal) matrix"),
+])
+@pytest.mark.parametrize("entry", [mrf_to_linear_gaussian, factor_width_two, check_walk_summability])
+def test_each_public_entry_rejects_a_bad_j_with_its_message(entry, kind, message):
+    with pytest.raises(DomainError) as exc:
+        entry(_bad_j(kind))
+    assert str(exc.value) == message
+
+
 def test_comparison_matrix_and_h_matrix():
     x = np.array([[2.0, -1.0], [-1.0, 2.0]])
     np.testing.assert_array_equal(comparison_matrix(x),
