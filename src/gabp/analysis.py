@@ -12,8 +12,8 @@ Three separate questions are answered here:
    v <- -Q v + b on the variable-to-factor means; it converges for every
    starting point exactly when the spectral radius of Q is below one. On
    trees Q is nilpotent: the messages outside the loops only add zero
-   eigenvalues, EdgeStack.loop_core keeps the edges of the factor
-   graph's 2-core (graph.peel), and rho on a forest is exactly 0.
+   eigenvalues, Q keeps only the edges of the factor graph's 2-core
+   (graph.peel.core_edges), and rho on a forest is exactly 0.
 3. How fast? The information recursion contracts the part metric to the
    fixed point; an empirical geometric rate is fitted from a recorded
    trajectory.
@@ -134,7 +134,7 @@ class QSystem:
     on the engine's mean half. The block in row (j, n), column (z, k) of
     the whole Q is nonzero only when factor k is another neighbor of j
     and z another neighbor of factor k (the two-hop dependency of the
-    message equations). q keeps the v2f edges of EdgeStack.loop_core, in
+    message equations). q keeps the v2f edges of graph.peel.core_edges, in
     canonical order; the edges it peels add only zero eigenvalues, so
     rho is rho of the whole Q, and 0.0 with an empty q on a forest.
     """
@@ -166,7 +166,7 @@ def assemble_q(model, graph, fixed_point):
     k; blocks whose (z, k) is off the core are dropped.
     """
     st, gain = fixed_point.stack, fixed_point.gain
-    core = st.loop_core()
+    core = st.graph.peel.core_edges
     coords, real = _v2f_coords(st, core)
     rows = np.flatnonzero(core)
     jv, row_coords, row_real = fixed_point.v2f_j[rows], coords[rows], real[rows]

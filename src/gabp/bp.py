@@ -36,8 +36,8 @@ for run_bp, information_fixed_point and make_init: "zero", "lower",
 "upper", or a dict over exactly the edges with finite, symmetric, psd
 information matrices, the precondition of the paper's convergence results.
 Edge dicts enter only there, and leave only through EdgeStack.views.
-loop_core keeps the rows with both ends in the factor graph's 2-core,
-on which the analysis builds Q for rho(Q). compute_beliefs adds
+The analysis builds Q for rho(Q) on the rows with both ends in the
+factor graph's 2-core (graph.peel.core_edges). compute_beliefs adds
 the f2v stores by var_of_row to prior: every W_i^-1, padded to max dim_i >= D.
 
 One outer iteration updates every edge of both kinds exactly once. A
@@ -265,21 +265,6 @@ class EdgeStack:
             out[-1] += self.factor_rows[n]
             seen.update(scope)
         return [np.array(rows, dtype=int) for rows in out]
-
-    def loop_core(self):
-        """Bool mask of the rows whose twin v2f edges carry Q's spectrum; none on a forest.
-
-        These are the rows with both ends in the 2-core of the factor
-        graph (graph.peel). Q's block row for the twin of row e reads the
-        twins of the rows others_of_factor[others_of_var[e]], and its
-        diagonal blocks are zero. In a tree hanging off the core, the
-        messages toward the core read only messages below them, and no
-        core message reads those running away from it: in the order
-        (toward, core, away) Q is block triangular with nilpotent tree
-        blocks, so the trees add only zero eigenvalues. The peel reads
-        the graph alone: exact, with no tolerance.
-        """
-        return self.graph.peel.core_edges
 
     def lower_bound(self):
         """L_{n->i} = A_i^T (R_n + sum_{j != i} A_j W_j A_j^T)^-1 A_i for every row.

@@ -7,13 +7,13 @@ the factor then on the variable, variable-to-factor edges as
 Every stacked vector or matrix in the analysis module follows these
 orders, so they are fixed here once.
 
-One breadth-first search out of every node at once, over uint64
-bitsets of the nodes each node reaches, gives the connected components,
-their cycle counts (hence the topology classes) and their exact
-diameters. One leaf peel gives the trees that hang off the loops, in an
-order that eliminates them leaf by leaf, and the 2-core left over. Both
-number the nodes factors first (factor_ids order), then variables
-(var_ids order).
+One leaf peel gives the trees that hang off the loops, in an order that
+eliminates them leaf by leaf, and the 2-core left over; it numbers the
+nodes factors first (factor_ids order), then variables (var_ids order).
+It is the only pass over every node: one walk over its trees and one
+breadth-first search over uint64 bitsets of the core's nodes alone give
+the connected components, their cycle counts (hence the topology
+classes, decided only in classify_topology) and their exact diameters.
 """
 
 import itertools
@@ -99,14 +99,6 @@ class TopologyReport:
 _KINDS = ("forest", "single_loop_plus_forest", "multi_loop")
 
 
-def _node_pairs(graph):
-    """The f2v edges as (factor node, variable node) pairs, in f2v order, and the node count."""
-    factor = {n: k for k, n in enumerate(graph.factor_ids)}
-    var = {i: len(factor) + k for k, i in enumerate(graph.var_ids)}
-    pairs = np.array([(factor[n], var[i]) for (n, i) in graph.f2v_edges], dtype=np.intp)
-    return pairs.reshape(-1, 2), len(factor) + len(var)
-
-
 @dataclass
 class LeafPeel:
     """The factor graph's hanging trees, removed leaf by leaf, and the 2-core left over.
@@ -132,19 +124,17 @@ class LeafPeel:
 
     @property
     def core_edges(self):
-        """Bool mask of the f2v edges with both ends in the core."""
-        return self.core[self.pairs[:, 0]] & self.core[self.pairs[:, 1]]
+        """Bool mask of the f2v edges with both ends in the core, whose twin v2f edges carry Q's spectrum.
 
-    @property
-    def overall(self):
-        """The worst topology class over components, read off the core alone.
-
-        A component's core is empty on a tree and a single cycle (every
-        core degree 2) on one loop; with more independent cycles it has a
-        node of core degree 3 or more.
+        Q's block row for the twin of stack row e reads the twins of the
+        rows others_of_factor[others_of_var[e]]; its diagonal blocks are
+        zero. In a tree hanging off the core, the messages toward the core
+        read only messages below them, and no core message reads those
+        running away from it: in the order (toward, core, away) Q is block
+        triangular with nilpotent tree blocks, so the trees add only zero
+        eigenvalues. Exact, with no tolerance; no edge on a forest.
         """
-        degree = np.bincount(self.pairs[self.core_edges].ravel(), minlength=len(self.core))
-        return _KINDS[0] if not self.core.any() else _KINDS[1 + int(degree.max() >= 3)]
+        return self.core[self.pairs[:, 0]] & self.core[self.pairs[:, 1]]
 
 
 def leaf_peel(graph):
@@ -154,9 +144,11 @@ def leaf_peel(graph):
     degree drops to 1, so the peel costs O(nodes + edges) however deep
     the trees hang.
     """
-    pairs, n = _node_pairs(graph)
     n_f = len(graph.factor_ids)
-    ends = pairs.tolist()
+    factor = {m: k for k, m in enumerate(graph.factor_ids)}
+    var = {i: n_f + k for k, i in enumerate(graph.var_ids)}
+    ends = [[factor[m], var[i]] for (m, i) in graph.f2v_edges]
+    n = n_f + len(var)
     rows_at = [[] for _ in range(n)]
     for e, (f, v) in enumerate(ends):
         rows_at[f].append(e)
@@ -183,66 +175,88 @@ def leaf_peel(graph):
                     later.append(p)
         bounds.append(len(order))
         leaves = later
-    return LeafPeel(pairs=pairs, order=np.array(order, dtype=np.intp), parent=np.array(parent, dtype=np.intp),
-                    hung=np.array(hung, dtype=np.intp), bounds=bounds, core=np.array(live, dtype=bool))
+    pairs, order, parent, hung = (np.array(x, dtype=np.intp) for x in (ends, order, parent, hung))
+    return LeafPeel(pairs.reshape(-1, 2), order, parent, hung, bounds, core=np.array(live, dtype=bool))
 
 
-def _reach(graph):
-    """Each node's eccentricity and final reach row, from one BFS out of all sources at once.
+def _lowest_bit(rows):
+    """Index of each uint64 bitset row's lowest set bit, -1 for an empty row."""
+    word = np.argmax(rows != 0, axis=1)
+    low = rows[np.arange(len(rows)), word]
+    # low & -low keeps the lowest set bit 2^b, whose frexp exponent is b + 1 (0 for an empty word)
+    return 64 * word + np.frexp((low & (~low + np.uint64(1))).astype(float))[1] - 1
 
-    Row k of reach is a bitset of the nodes within s edges of node k
-    after step s: each step ORs in the rows of k's neighbours, so the
-    last step at which row k grows is the eccentricity of k, and the
-    final row is k's whole component. Returns the f2v edges as node
-    pairs, the eccentricities and the final rows.
+
+def _reach(pairs, height):
+    """Each node's far reach and its component, from one BFS out of every node at once.
+
+    pairs are the edges of a 2-core, its nodes numbered 0..C-1 by
+    descending height. After step s, row k of reach is the bitset of the
+    nodes within s edges of k, so the lowest bit new at step s is the
+    highest node at distance s: far[k] is the largest d(k, b) + height[b]
+    over the nodes b != k of k's component, whose lowest node is the
+    lowest bit of the final row. O(diameter * E * C / 64) word operations
+    and C^2 / 8 bytes.
     """
-    pairs, n = _node_pairs(graph)
-    head = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    tail = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    order = np.argsort(head, kind="stable")
-    head, tail = head[order], tail[order]
-    starts = np.flatnonzero(np.diff(head, prepend=-1))
-    heads = head[starts]
-
-    nodes = np.arange(n)
-    # at least one word per row, so a graph with no nodes still has a column to scan
-    reach = np.zeros((n, n // 64 + 1), dtype=np.uint64)
+    head, tail = np.concatenate([pairs, pairs[:, ::-1]]).T
+    order = np.argsort(head)
+    tail, starts = tail[order], np.flatnonzero(np.diff(head[order], prepend=-1))
+    nodes = np.arange(len(height))
+    reach = np.zeros((len(nodes), len(nodes) // 64 + 1), dtype=np.uint64)
     reach[nodes, nodes // 64] = np.left_shift(np.uint64(1), (nodes % 64).astype(np.uint64))
-    ecc = np.zeros(n, dtype=np.intp)
+    far = np.zeros(len(nodes), dtype=np.intp)
     for step in itertools.count(1):
-        old = reach[heads]
-        new = old | np.bitwise_or.reduceat(reach[tail], starts, axis=0)
-        grew = np.any(new != old, axis=1)
-        if not grew.any():
-            return pairs, ecc, reach
-        reach[heads] = new
-        ecc[heads[grew]] = step
+        new = reach | np.bitwise_or.reduceat(reach[tail], starts, axis=0)
+        first = _lowest_bit(new & ~reach)
+        if (first < 0).all():
+            return far, _lowest_bit(reach)
+        far = np.where(first >= 0, np.maximum(far, step + height[first]), far)
+        reach = new
 
 
 def classify_topology(graph):
     """Classify each connected component by its independent cycle count.
 
-    One bit-parallel BFS (_reach) gives the components, their cycle
-    counts and their diameters. Each node's component is labelled by its
-    lowest node (factors first), the lowest set bit of its final reach
-    row, and components come in label order. A component with E edges
-    and N nodes has E - N + 1 independent cycles: 0 means forest, 1
-    means a single loop with trees hanging off, anything more is
-    multi_loop. Its diameter is the largest eccentricity among its
-    nodes, exact on every topology. The BFS costs
-    O(diameter * E * N / 64) word operations and N^2 / 8 bytes for N
-    nodes and E edges.
+    One walk over the leaf peel (graph.peel), children before parents,
+    gives each node's height (the depth of the trees hanging below it)
+    and the longest path through it inside those trees; a removed node
+    joins its parent's component. One bit-parallel BFS over the 2-core
+    alone (_reach) gives the core's components and, since a shortest path
+    between the trees hanging off core nodes a != b runs through the
+    core, each component's exact diameter: its longest in-tree path or
+    largest height[a] + d(a, b) + height[b]. Components come in the order
+    of their lowest node (factors first). A component with E edges and N
+    nodes has E - N + 1 independent cycles: 0 means forest, 1 means a
+    single loop with trees hanging off, anything more is multi_loop.
     """
-    pairs, ecc, reach = _reach(graph)
-    word = np.argmax(reach != 0, axis=1)
-    low = reach[np.arange(len(reach)), word]
-    label = 64 * word + np.log2(low & (~low + np.uint64(1))).astype(np.intp)
-    root = label == np.arange(len(label))
-    comp = (np.cumsum(root) - 1)[label]
+    peel = graph.peel
+    n = len(peel.core)
+    order, parent = peel.order.tolist(), peel.parent.tolist()
+    height, longest = [0] * n, [0] * n
+    for k, p in zip(order, parent):
+        if p >= 0:
+            longest[p] = max(longest[p], height[p] + height[k] + 1)
+            height[p] = max(height[p], height[k] + 1)
+    height, longest, rep = np.array(height, dtype=np.intp), np.array(longest, dtype=np.intp), np.arange(n)
+    core = np.flatnonzero(peel.core)
+    if len(core):
+        core = core[np.argsort(-height[core])]
+        number = np.zeros(n, dtype=np.intp)
+        number[core] = np.arange(len(core))
+        far, low = _reach(number[peel.pairs[peel.core_edges]], height[core])
+        longest[core] = np.maximum(longest[core], height[core] + far)
+        rep[core] = core[low]
+    rep = rep.tolist()
+    for k, p in zip(reversed(order), reversed(parent)):
+        if p >= 0:
+            rep[k] = rep[p]
+    # a component's first node in numbering order is its lowest
+    _, first, inverse = np.unique(rep, return_index=True, return_inverse=True)
+    comp = np.argsort(np.argsort(first))[inverse]
     n_nodes = np.bincount(comp)
-    n_edges = np.bincount(comp[pairs[:, 0]], minlength=len(n_nodes))
+    n_edges = np.bincount(comp[peel.pairs[:, 0]], minlength=len(n_nodes))
     diameters = np.zeros_like(n_nodes)
-    np.maximum.at(diameters, comp, ecc)
+    np.maximum.at(diameters, comp, longest)
     components = [ComponentInfo(nodes=n, edges=e, independent_cycles=e - n + 1,
                                 kind=_KINDS[min(e - n + 1, 2)], diameter=d)
                   for n, e, d in zip(n_nodes.tolist(), n_edges.tolist(), diameters.tolist())]

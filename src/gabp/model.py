@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from gabp.errors import DomainError
-from gabp.graph import build_factor_graph
+from gabp.graph import build_factor_graph, classify_topology
 from gabp.numerics import has_full_column_rank, is_pd, is_symmetric, shape_groups
 
 
@@ -428,7 +428,7 @@ def random_model(seed, n_agents, dims=(1, 3), topology="multi_loop",
 
     model = LinearGaussianModel(variables=variables, factors=factors)
     require_valid(model)
-    got = build_factor_graph(model).peel.overall
+    got = classify_topology(build_factor_graph(model)).overall
     if got != topology:
         raise DomainError(
             f"generator produced topology {got!r} instead of {topology!r} (seed {seed})"

@@ -23,7 +23,7 @@ import numpy as np
 
 from gabp.errors import DomainError
 from gabp.model import FactorSpec, LinearGaussianModel, VariableSpec
-from gabp.numerics import PSD_TOL, is_pd, is_symmetric, symmetrize
+from gabp.numerics import _verdict, is_pd, is_symmetric, symmetrize
 
 log = logging.getLogger("gabp")
 
@@ -88,8 +88,7 @@ def _walk_summability(j_norm):
     np.fill_diagonal(test, 1.0 - np.abs(1.0 - np.diag(j_norm)))
     w = np.linalg.eigvalsh(test)
     # the verdict is_pd(test) would give, from the same eigenvalues
-    walk_summable = bool(w[0] > PSD_TOL * max(1.0, w[-1]))
-    return WalkSummability(walk_summable=walk_summable, min_eig=float(w[0]), eigenvalues=w)
+    return WalkSummability(walk_summable=bool(_verdict(w, strict=True)), min_eig=float(w[0]), eigenvalues=w)
 
 
 def comparison_matrix(x):

@@ -15,7 +15,7 @@ fixed; no function takes a per-call tolerance override:
   matrix or an (E, d, d) stack, and has_full_column_rank one matrix or an
   (E, m, d) stack; on a stack they decide each matrix on its own,
 * the spectral radius is plain dense numpy eigvals; the analysis hands
-  it only Q's loop core (EdgeStack.loop_core).
+  it only Q's loop core (graph.peel.core_edges).
 """
 
 import numpy as np

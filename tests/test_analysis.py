@@ -426,7 +426,7 @@ def test_loop_core_is_the_entry_level_peel_and_q_is_the_whole_q_on_it():
     for label, model in models:
         g = build_factor_graph(model)
         fp = information_fixed_point(model, g)
-        core = fp.stack.loop_core()
+        core = g.peel.core_edges
         assert core.dtype == bool and core.shape == (len(g.f2v_edges),), label
         q = dense_q(model, g, fp)
         coords = core_coordinates(g, core)

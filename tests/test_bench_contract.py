@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from conftest import quartet_model
-from corpus import cli_mixed_models, grid_field
+from corpus import cli_mixed_models, grid_field, loopy_corpus
+from gabp.analysis import certify
 from gabp.bp import BpOptions, run_bp
 from gabp.cli import main
 from gabp.graph import build_factor_graph
@@ -72,3 +73,16 @@ def test_certify_records_its_exact_mean_check_as_a_centralized_solve_span(tmp_pa
     names = [name for name, *_ in tracer.spans]
     solves = [parent for name, _, _, parent, _ in tracer.spans if name == "model.centralized_solve"]
     assert len(solves) == 1 and names[solves[0]] == "analysis.certify"
+
+
+def test_the_rho_oracle_reads_the_radius_certify_reports(tmp_path, monkeypatch):
+    # the benchmark's rho check takes dense eigvals of assemble_q(...).q against the reported rho
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    oracles = importlib.import_module("oracles")
+    for label, model in [cli_mixed_models()[2], ("loopy-30", loopy_corpus()[30])]:
+        path = str(tmp_path / f"{label}.json")
+        save_model(model, path)
+        rho = certify(model).rho_q
+        assert rho > 0.0, label
+        got = oracles.dense_radius(oracles.assembled_q(path))
+        assert abs(got - rho) <= oracles.RHO_TOL * max(1.0, rho), label

@@ -559,20 +559,21 @@ def test_gen_deterministic(tmp_path):
 def test_gen_prints_the_topology_it_generated_and_classifies_once(tmp_path, monkeypatch, capsys):
     import gabp.cli
     import gabp.graph
+    import gabp.model
     from gabp.graph import classify_topology, leaf_peel
     from gabp.io import load_model
 
-    # random_model classifies from the graph's peel; gen classifies nothing again
+    # random_model classifies once, from the graph's peel; gen classifies nothing again
     calls = []
-    monkeypatch.setattr(gabp.graph, "leaf_peel", lambda graph: calls.append(1) or leaf_peel(graph))
-    for module in (gabp.graph, gabp.cli):
+    monkeypatch.setattr(gabp.graph, "leaf_peel", lambda graph: calls.append("peel") or leaf_peel(graph))
+    for module in (gabp.graph, gabp.model, gabp.cli):
         monkeypatch.setattr(module, "classify_topology",
-                            lambda graph: calls.append(1) or classify_topology(graph))
+                            lambda graph: calls.append("classify") or classify_topology(graph))
     for topology in ("forest", "single_loop", "multi_loop"):
         path = str(tmp_path / f"{topology}.json")
         calls.clear()
         assert main(["gen", "--seed", "4", "--agents", "6", "--topology", topology, "--out", path]) == 0
-        assert len(calls) == 1, topology
+        assert calls == ["classify", "peel"], topology
         model = load_model(path)
         topo = classify_topology(build_factor_graph(model))
         assert capsys.readouterr().out == (f"generated {len(model.variables)} agents, "

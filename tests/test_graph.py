@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from collections import deque
 from dataclasses import asdict
 
@@ -176,6 +177,39 @@ def disjoint_union(*models):
     return LinearGaussianModel(variables=variables, factors=factors)
 
 
+def scoped_model(scopes):
+    """Scalar unit model: one variable per id in the scopes, one factor per scope."""
+    one = np.eye(1)
+    return LinearGaussianModel(
+        variables=[VariableSpec(i, 1, one) for i in sorted({i for s in scopes for i in s})],
+        factors=[FactorSpec(k, s, {i: one for i in s}, one, np.zeros(1)) for k, s in enumerate(scopes, 1)])
+
+
+def cycle(n):
+    """Scopes of a cycle through variables 1..n: 2n nodes, every node at most n edges from another."""
+    return [tuple(sorted((k, k % n + 1))) for k in range(1, n + 1)]
+
+
+def tail(at, depth, fresh):
+    """Scopes of a path depth edges long hanging off variable at, through new variables fresh, fresh + 1, ..."""
+    ids = [at] + list(range(fresh, fresh + depth // 2))
+    return list(zip(ids, ids[1:])) + ([(ids[-1],)] if depth % 2 else [])
+
+
+# (label, model, diameter per component): trees hanging off loops and off each other
+HANGING_TREES = [
+    # tails 5 and 2 deep at opposite variables of a 24-node cycle: 5 + 12 + 2
+    ("distant-tails", scoped_model(cycle(12) + tail(1, 5, 100) + tail(7, 2, 200)), [19]),
+    # two tails on one core node outreach the cycle: 6 + 5 inside the tree
+    ("two-tails-one-node", scoped_model(cycle(3) + tail(1, 6, 100) + tail(1, 5, 200)), [11]),
+    # a branching tree hanging off a cycle (7 + 4), and a branching tree on its own
+    ("trees-off-trees", scoped_model(cycle(4) + [(1, 100), (100, 101, 102), (101, 103), (103,), (102,)]
+                                     + [(300, 301, 302), (301, 303), (303, 304), (302,)]), [11, 7]),
+    # a tail deeper than the core's own eccentricity: 9 + 3
+    ("deep-tail", scoped_model(cycle(3) + tail(2, 9, 100)), [12]),
+]
+
+
 def _checked_against_oracle(model):
     t = classify_topology(build_factor_graph(model))
     got = [(c.nodes, c.edges, c.diameter) for c in t.components]
@@ -222,6 +256,8 @@ def test_diameter_matches_per_node_bfs_on_disconnected_model():
     assert t.overall == "multi_loop"
     # the variable no factor touches is a one-node component
     assert (1, 0, 0) in [(c.nodes, c.edges, c.diameter) for c in t.components]
+    for label, model, diameters in HANGING_TREES:
+        assert [c.diameter for c in _checked_against_oracle(model).components] == diameters, label
 
 
 def test_model_without_factors_has_zero_diameter():
@@ -300,7 +336,7 @@ def peel_models():
                ("empty", LinearGaussianModel(variables=[], factors=[])),
                ("bench-480", random_model(seed=1, n_agents=480, topology="multi_loop")),
                ("grid-10", mrf_to_linear_gaussian(grid_field(10))[0])]
-    return models
+    return models + [(label, model) for label, model, _ in HANGING_TREES]
 
 
 def test_leaf_peel_leaves_the_two_core_and_removes_every_leaf_round_by_round():
@@ -331,14 +367,25 @@ def test_leaf_peel_leaves_the_two_core_and_removes_every_leaf_round_by_round():
         assert (peel.core_edges == (peel.core[peel.pairs[:, 0]] & peel.core[peel.pairs[:, 1]])).all()
 
 
-def test_leaf_peel_topology_is_the_component_classification():
+def test_classify_topology_matches_the_per_node_bfs_on_every_peel_model():
     for label, model in peel_models():
-        g = build_factor_graph(model)
-        assert g.peel.overall == classify_topology(g).overall, label
-    for seed in range(10):
-        for topology in ("forest", "single_loop", "multi_loop"):
-            m = random_model(seed=seed, n_agents=9, topology=topology)
-            assert build_factor_graph(m).peel.overall == classify_topology(build_factor_graph(m)).overall
+        t = _checked_against_oracle(model)
+        want = max((c.independent_cycles for c in t.components), default=0)
+        assert t.overall == ("forest", "single_loop_plus_forest", "multi_loop")[min(want, 2)], label
+
+
+def test_classify_topology_allocates_less_than_one_all_node_bitset():
+    g = build_factor_graph(random_model(seed=1, n_agents=1600))
+    g.peel  # cached on the graph and shared with its other readers, so not counted here
+    n = len(g.var_ids) + len(g.factor_ids)
+    tracemalloc.start()
+    try:
+        classify_topology(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a BFS out of every node would hold N rows of N // 64 + 1 words
+    assert peak < n * (n // 64 + 1) * 8
 
 
 def test_the_peel_is_computed_once_per_graph(monkeypatch):
