@@ -21,7 +21,7 @@ Three separate questions are answered here:
 The analysis runs on the engine's EdgeStack (gabp.bp, whose docstring
 gives the stack layout). The fixed point iterates its information half
 over the whole stack, and FixedPoint keeps J* only as the stacks: J of
-both edge kinds and the gains K, with no per-edge copy (stack.views
+both edge kinds and the gains K, with no per-edge copy (bp.edge_views
 gives one on demand). assemble_q builds the blocks of Q's loop core from
 them, with one stacked solve per pair of gather slots, for rho(Q) only;
 the whole Q is never formed. The mean recursion is the engine's mean
@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from gabp.bp import DIVERGENCE_GUARD, EdgeStack, compute_beliefs, run_bp
+from gabp.bp import EdgeStack, compute_beliefs, diverged, edge_views, run_bp
 from gabp.errors import DomainError, IterationBudgetError
 from gabp.graph import build_factor_graph, classify_topology
 from gabp.model import centralized_solve, require_valid
@@ -76,7 +76,8 @@ class EdgeBounds:
 def compute_bounds(model, graph):
     """EdgeBounds as dicts of views of the stacks EdgeStack.lower_bound and upper_bound."""
     stack = EdgeStack(model, graph)
-    return EdgeBounds(lower=stack.views(stack.lower_bound()), upper=stack.views(stack.upper_bound()))
+    return EdgeBounds(lower=edge_views(graph, stack.lower_bound()),
+                      upper=edge_views(graph, stack.upper_bound()))
 
 
 @dataclass
@@ -84,7 +85,7 @@ class FixedPoint:
     """Fixed point of the information recursion on both edge kinds, as the kernel's stacks at J*.
 
     stack is the EdgeStack they are laid out on, f2v_j and v2f_j hold
-    J_{n->i} and J_{i->n} by stack row (stack.views gives them by edge),
+    J_{n->i} and J_{i->n} by stack row (bp.edge_views gives them by edge),
     and gain holds K_{n->i} = A_i^T M^-1, the map the mean half applies
     to each factor's residual once the information side is frozen.
     """
@@ -191,29 +192,27 @@ class MeanRecursionResult:
 def two_phase_mean_recursion(fixed_point):
     """Iterate the engine's mean half from zero v2f means, its J frozen at J*.
 
-    An iteration is the f2v step K (y - sum A v), then the v2f step, over
-    the whole stack: exactly v <- b - Q v, as Q's block is
+    Step 0 primes the f2v store from zero v2f means; each iteration then
+    steps like the engine's sweep: v2f means, bp.diverged, f2v step
+    K (y - sum A v), exactly v <- b - Q v, as Q's block is
     J_{j->n}^-1 K_{k->j} A_{k,z}. Returns status "converged" (step below
-    MEAN_RECURSION_TOL), "diverged" (DIVERGENCE_GUARD exceeded or values
-    not finite) or "max_iters" after MEAN_RECURSION_MAX_ITERS, v in Q's
-    coordinates, and the belief means by variable id from one more f2v
-    step at the last v (None if diverged).
+    MEAN_RECURSION_TOL), "diverged" or "max_iters" after
+    MEAN_RECURSION_MAX_ITERS, v in the whole Q's canonical v2f order, and
+    the belief means by variable id from the last f2v store (None if
+    diverged).
     """
     st = fixed_point.stack
     vv = np.zeros(st.w.shape[:2])
     fh = np.zeros((len(vv) + 1, vv.shape[1]))
-    status = "max_iters"
-    iterations = 0
-    for it in range(1, MEAN_RECURSION_MAX_ITERS + 1):
-        iterations = it
+    status, dv = "max_iters", math.inf
+    for iterations in range(MEAN_RECURSION_MAX_ITERS + 1):
+        if iterations:
+            new = st.v2f_mean(fh, st.all, fixed_point.v2f_j)
+            dv, vv = np.max(np.abs(new - vv), initial=0.0), new
+            if diverged(vv):
+                status = "diverged"
+                break
         fh[:-1] = st.f2v_potential(vv, st.all, fixed_point.gain)
-        new = st.v2f_mean(fh, st.all, fixed_point.v2f_j)
-        dv = np.max(np.abs(new - vv), initial=0.0)
-        vv = new
-        peak = np.max(np.abs(vv), initial=0.0)
-        if not np.isfinite(peak) or peak > DIVERGENCE_GUARD:
-            status = "diverged"
-            break
         if dv < MEAN_RECURSION_TOL:
             status = "converged"
             break
@@ -222,7 +221,6 @@ def two_phase_mean_recursion(fixed_point):
     v[coords[real]] = vv[real]
     means = None
     if status != "diverged":
-        fh[:-1] = st.f2v_potential(vv, st.all, fixed_point.gain)
         means = {vid: b.mean for vid, b in compute_beliefs(st, fixed_point.f2v_j, fh).items()}
     return MeanRecursionResult(status=status, iterations=iterations, v=v, means=means)
 

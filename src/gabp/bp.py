@@ -35,7 +35,7 @@ upper_bound is A_i^T R_n^-1 A_i) and the one init path, EdgeStack.init,
 for run_bp, information_fixed_point and make_init: "zero", "lower",
 "upper", or a dict over exactly the edges with finite, symmetric, psd
 information matrices, the precondition of the paper's convergence results.
-Edge dicts enter only there, and leave only through EdgeStack.views.
+Edge dicts enter only there, and leave only through edge_views.
 The analysis builds Q for rho(Q) on the rows with both ends in the
 factor graph's 2-core (graph.peel.core_edges). compute_beliefs adds
 the f2v stores by var_of_row to prior: every W_i^-1, padded to max dim_i >= D.
@@ -58,9 +58,9 @@ Strict mode requires pd incoming v2f information matrices before a
 block's f2v half (A^T R^-1 A is psd, so each update's existence core
 A^T R^-1 A + blockdiag(J) is then pd) and pd f2v ones after each
 iteration. Checks, deltas and part metrics run over stacks of rows;
-message dicts are built for the result. A run keeps its per-iteration
-maxima in one flat array("d") and, if recorded, its per-edge trajectory rows
-as one float block per iteration (TrajectoryRows).
+a result builds its message dicts only when they are read. A run keeps
+its per-iteration maxima in one flat array("d") and, if recorded, its
+per-edge trajectory rows as one float block per iteration (TrajectoryRows).
 """
 
 import logging
@@ -68,6 +68,7 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -190,11 +191,35 @@ class Belief:
 
 @dataclass
 class BpResult:
+    """A run's outcome; messages is built from the run's final stores when first read.
+
+    messages holds the "f2v" and "v2f" dicts of Messages by edge, views of those stores.
+    """
+
     status: str
     iterations: int
-    messages: dict
     trajectory: BpTrajectory
     beliefs: dict
+    _stores: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def messages(self):
+        graph, fj, fv, vj, vv = self._stores
+        return {"f2v": edge_views(graph, fj, fv), "v2f": edge_views(graph, vj, vv, v2f=True)}
+
+
+def edge_views(graph, jm, vm=None, v2f=False):
+    """Each stack row's real block by canonical f2v edge (n, i), or by its twin v2f edge (i, n).
+
+    Values are views of jm, or Messages with views of jm and vm. Only the
+    graph is read, so a run's result keeps it and not the EdgeStack.
+    """
+    out = {}
+    for edge in graph.v2f_edges if v2f else graph.f2v_edges:
+        n, i = edge[::-1] if v2f else edge
+        e, d = graph.f2v_index[(n, i)], graph.var_dims[i]
+        out[edge] = jm[e, :d, :d] if vm is None else Message(J=jm[e, :d, :d], v=vm[e, :d])
+    return out
 
 
 def _gather(lists):
@@ -328,24 +353,14 @@ class EdgeStack:
         jm = np.concatenate([jm, np.zeros((1,) + jm.shape[1:])])
         return jm, np.zeros(jm.shape[:2])
 
-    def views(self, jm, vm=None, v2f=False):
-        """Each row's real block by canonical f2v edge, or by twin v2f edge.
-
-        Values are views of jm, or Messages with views of jm and vm.
-        """
-        order = zip(self.graph.v2f_edges, self.v2f_rows.tolist()) if v2f else \
-            zip(self.edges, range(len(self.edges)))
-        return {edge: jm[e, :d, :d] if vm is None else Message(J=jm[e, :d, :d], v=vm[e, :d])
-                for edge, e in order for d in [self.dims[e]]}
-
     def per_edge(self, fn, *stacks, rows=slice(None), dtype=float):
-        """fn over the real d x d block of each row the stacks hold (all, or rows), one call per dim present."""
+        """fn, or fn[d] of a dict by dim, once per dim d on the real d x d blocks of the rows (default all)."""
         dims = self.dims[rows]
         out = np.zeros(len(dims), dtype=dtype)
         for d in self.dim_values:
             sel = np.flatnonzero(dims == d)
             if sel.size:
-                out[sel] = fn(*(s[sel, :d, :d] for s in stacks))
+                out[sel] = (fn[d] if isinstance(fn, dict) else fn)(*(s[sel, :d, :d] for s in stacks))
         return out
 
     def v2f_information(self, fj, rows):
@@ -379,7 +394,7 @@ def make_init(model, graph, strategy="zero"):
     envelopes of the information recursion on every edge, with zero means.
     """
     stack = EdgeStack(model, graph)
-    return stack.views(*stack.init(strategy))
+    return edge_views(graph, *stack.init(strategy))
 
 
 def _sweep(stack, state, rows, strict, it):
@@ -401,6 +416,12 @@ def _deltas(new_j, old_j, new_v, old_v):
     """Per-row Frobenius change of J and max-abs change of v."""
     dj = new_j - old_j
     return np.sqrt((dj * dj).sum(axis=(1, 2))), np.abs(new_v - old_v).max(axis=1, initial=0.0)
+
+
+def diverged(*stores):
+    """The divergence guard: an entry of the stores exceeds DIVERGENCE_GUARD in magnitude or is not finite."""
+    peak = np.maximum.reduce([np.abs(x).max(initial=0.0) for x in stores])
+    return not np.isfinite(peak) or peak > DIVERGENCE_GUARD
 
 
 def compute_beliefs(stack, fj, fh):
@@ -478,17 +499,9 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
     if reference is not None:
         if reference.stack.edges != stack.edges or not np.array_equal(reference.stack.dims, stack.dims):
             raise DomainError("reference fixed point belongs to another graph")
-        # the reference is constant: factor it once per dim group
-        groups = [(d, rows, part_metric_to(reference.f2v_j[rows, :d, :d]))
-                  for d in stack.dim_values for rows in [np.flatnonzero(stack.dims == d)]]
-
-        def ref_metric(x):
-            out = np.empty(len(stack.edges))
-            for d, rows, metric in groups:
-                out[rows] = metric(x[rows, :d, :d])
-            return out
-
-        traj.initial_part_metric = float(np.max(ref_metric(fj), initial=0.0))
+        # the reference is constant: factor it once per dim
+        metrics = {d: part_metric_to(reference.f2v_j[stack.dims == d, :d, :d]) for d in stack.dim_values}
+        traj.initial_part_metric = float(np.max(stack.per_edge(metrics, fj), initial=0.0))
 
     rng = np.random.default_rng(opts.seed)
     blocks = [stack.all] if opts.schedule == "sync" else stack.blocks(graph.factor_ids)
@@ -522,7 +535,7 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
             max_dv = float(max(v_dv.max(initial=0.0), f_dv.max(initial=0.0)))
         pm = max_pm = math.nan
         if reference is not None:
-            pm = ref_metric(fj)
+            pm = stack.per_edge(metrics, fj)
             max_pm = pm.max(initial=0.0)
         if opts.record_messages:
             block = np.full((2 * n_edges, 3), math.nan)
@@ -532,14 +545,12 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
         traj.per_iteration.append(max_dj, max_dv, max_pm)
         log.debug("bp iter %d: max_dj=%.3e max_dv=%.3e", it, max_dj, max_dv)
 
-        peak = np.maximum(np.abs(fv).max(initial=0.0), np.abs(vv).max(initial=0.0))
-        if not np.isfinite(peak) or peak > DIVERGENCE_GUARD:
+        if diverged(fv, vv):
             status = "diverged"
             break
         if max_dj < opts.tol_j and max_dv < opts.tol_v:
             status = "converged"
             break
 
-    return BpResult(status=status, iterations=iterations, trajectory=traj,
-                    messages={"f2v": stack.views(fj, fv), "v2f": stack.views(vj, vv, v2f=True)},
+    return BpResult(status=status, iterations=iterations, trajectory=traj, _stores=(graph, fj, fv, vj, vv),
                     beliefs=None if status == "diverged" else compute_beliefs(stack, fj, fh))

@@ -15,17 +15,15 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from gabp.analysis import certify, information_fixed_point
 from gabp.bp import Belief, BpOptions, run_bp
 from gabp.errors import (DomainError, ExistenceViolation, InputFormatError,
                          IterationBudgetError)
-from gabp.graph import build_factor_graph, classify_topology, to_dot
-from gabp.io import (fmt, load_custom_init, load_model, load_mrf, save_model,
-                     write_beliefs_csv, write_trajectory_csv)
+from gabp.graph import build_factor_graph, classify_topology
+from gabp.io import (belief_rows, fmt, load_custom_init, load_model, load_mrf, save_model,
+                     write_beliefs_csv, write_dot, write_trajectory_csv)
 from gabp.model import centralized_solve, random_model, require_valid, validate_model
-from gabp.mrf import check_walk_summability, mrf_to_linear_gaussian, normalize_mrf
+from gabp.mrf import check_walk_summability, is_normalized, mrf_to_linear_gaussian, normalize_mrf
 
 log = logging.getLogger("gabp")
 
@@ -43,12 +41,13 @@ def _setup_logging():
 
 
 def _print_beliefs(beliefs):
-    for vid in sorted(beliefs):
-        b = beliefs[vid]
-        var = np.diag(b.cov)
-        for c in range(len(b.mean)):
-            print(f"agent {vid} component {c + 1}: "
-                  f"mean {fmt(b.mean[c])} variance {fmt(var[c])}")
+    for row in belief_rows(beliefs):
+        print("agent %s component %s: mean %s variance %s" % row)
+
+
+def _write(write, obj, path):
+    write(obj, path)
+    print(f"wrote {path}")
 
 
 def _print_walk_summability(walk_summable, min_eig):
@@ -82,9 +81,7 @@ def cmd_validate(args):
     print(f"ok: {len(model.variables)} agents, {len(model.factors)} factors, "
           f"topology {topo.overall}, diameter {topo.diameter}")
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(to_dot(graph))
-        print(f"wrote {args.dot}")
+        _write(write_dot, graph, args.dot)
     return 0
 
 
@@ -95,8 +92,7 @@ def cmd_solve(args):
     beliefs = {vid: Belief(mean=sol.means[vid], cov=sol.covs[vid]) for vid in sol.means}
     _print_beliefs(beliefs)
     if args.out:
-        write_beliefs_csv(beliefs, args.out)
-        print(f"wrote {args.out}")
+        _write(write_beliefs_csv, beliefs, args.out)
     return 0
 
 
@@ -122,11 +118,9 @@ def cmd_run(args):
     if result.beliefs is not None:
         _print_beliefs(result.beliefs)
     if args.trajectory:
-        write_trajectory_csv(result.trajectory.rows, args.trajectory)
-        print(f"wrote {args.trajectory}")
+        _write(write_trajectory_csv, result.trajectory.rows, args.trajectory)
     if args.out and result.beliefs is not None:
-        write_beliefs_csv(result.beliefs, args.out)
-        print(f"wrote {args.out}")
+        _write(write_beliefs_csv, result.beliefs, args.out)
     if result.status == "converged":
         return 0
     if result.status == "diverged":
@@ -164,9 +158,7 @@ def cmd_analyze(args):
             fh.write("\n")
         print(f"wrote {args.out}")
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(to_dot(build_factor_graph(model)))
-        print(f"wrote {args.dot}")
+        _write(write_dot, build_factor_graph(model), args.dot)
     if report.verdict == "diverges_rho_ge_1":
         return 4
     return 0
@@ -175,7 +167,7 @@ def cmd_analyze(args):
 def cmd_convert_mrf(args):
     j, h, _meta = load_mrf(args.mrf)
     scale = None
-    if np.max(np.abs(np.diag(j) - 1.0)) > 1e-9:
+    if not is_normalized(j):
         j, h, scale = normalize_mrf(j, h)
         log.info("rescaled input to unit diagonal")
     try:
@@ -192,8 +184,7 @@ def cmd_convert_mrf(args):
     print(f"columns: {fw.columns} ({fw.pair_columns} pair, "
           f"{fw.folded_columns} folded into priors)")
     if args.out:
-        save_model(model, args.out)
-        print(f"wrote {args.out}")
+        _write(save_model, model, args.out)
     return 0
 
 
@@ -206,12 +197,9 @@ def cmd_gen(args):
     print(f"generated {len(model.variables)} agents, {len(model.factors)} factors, "
           f"topology {topology}")
     if args.out:
-        save_model(model, args.out)
-        print(f"wrote {args.out}")
+        _write(save_model, model, args.out)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(to_dot(build_factor_graph(model)))
-        print(f"wrote {args.dot}")
+        _write(write_dot, build_factor_graph(model), args.dot)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""JSON model files, MRF files, custom message files, CSV writers.
+"""JSON model files, MRF files, custom message files, CSV and DOT writers.
 
 Matrices are stored as {"rows": r, "cols": c, "data": [...]} with data in
 row-major order. Structural problems in input files raise
@@ -13,6 +13,7 @@ import numpy as np
 
 from gabp.bp import Message
 from gabp.errors import InputFormatError
+from gabp.graph import to_dot
 from gabp.model import FactorSpec, LinearGaussianModel, VariableSpec
 
 
@@ -235,12 +236,22 @@ def write_trajectory_csv(rows, path):
                 fh.write(template % (it, *row.tolist()))
 
 
+def belief_rows(beliefs):
+    """(agent id, component from 1, fmt(mean), fmt(variance)) per belief component, by ascending id."""
+    for vid in sorted(beliefs):
+        b = beliefs[vid]
+        var = np.diag(b.cov)
+        for c in range(len(b.mean)):
+            yield vid, c + 1, fmt(b.mean[c]), fmt(var[c])
+
+
+def write_dot(graph, path):
+    with open(path, "w") as fh:
+        fh.write(to_dot(graph))
+
+
 def write_beliefs_csv(beliefs, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(BELIEF_HEADER)
-        for vid in sorted(beliefs):
-            b = beliefs[vid]
-            var = np.diag(b.cov)
-            for c in range(len(b.mean)):
-                writer.writerow([vid, c + 1, fmt(b.mean[c]), fmt(var[c])])
+        writer.writerows(belief_rows(beliefs))

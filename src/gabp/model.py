@@ -271,13 +271,12 @@ def centralized_solve(model, graph=None):
     # node states, the last one a sentinel; A per f2v row, the last one zero for hung = -1
     state, a = np.zeros((n + 1, q, q + 1)), np.zeros((len(peel.pairs) + 1, q, q))
     state[:, :, :q] = eye
-    e = 0
     for k, f in enumerate(model.factors):
         m = len(f.obs)
         state[k, :m, :m], state[k, :m, q] = f.noise_cov, f.obs
-        for i in f.scope:
-            a[e, :m, :f.coeff[i].shape[1]] = f.coeff[i]
-            e += 1
+    for e, (fid, i) in enumerate(graph.f2v_edges):
+        coeff = model.factor(fid).coeff[i]
+        a[e, :coeff.shape[0], :coeff.shape[1]] = coeff
     precisions = prior_precisions(model)
     for k, v in enumerate(model.variables, start=n_f):
         state[k, :v.dim, :v.dim] = precisions[v.id]

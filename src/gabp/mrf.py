@@ -35,13 +35,18 @@ SURPLUS_TOL = 1e-14
 
 
 def _require_finite(x, what):
-    """x as floats; DomainError unless it is finite and, if a matrix, symmetric."""
+    """x as floats, a matrix symmetrized; DomainError unless it is finite and, if a matrix, symmetric."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError(f"{what} is not finite")
     if x.ndim == 2 and not is_symmetric(x):
         raise DomainError(f"{what} is not symmetric: max asymmetry {np.max(np.abs(x - x.T)):.3e}")
-    return x
+    return symmetrize(x) if x.ndim == 2 else x
+
+
+def is_normalized(j):
+    """The unit-diagonal test: no diagonal entry of J is more than 1e-9 from 1 (NaN entries pass)."""
+    return not np.max(np.abs(np.diag(j) - 1.0)) > 1e-9
 
 
 def normalize_mrf(j, h=None):
@@ -50,7 +55,7 @@ def normalize_mrf(j, h=None):
     Returns (J', h', d) where d is the vector of diagonal scale factors.
     J'^-1 h' = D^-1 J^-1 h, so original means are d * normalized means.
     """
-    j = symmetrize(_require_finite(j, "J"))
+    j = _require_finite(j, "J")
     diag = np.diag(j)
     if np.any(diag <= 0):
         raise DomainError("normalization needs a strictly positive diagonal")
@@ -62,8 +67,8 @@ def normalize_mrf(j, h=None):
 
 
 def _require_normalized(j):
-    j = symmetrize(_require_finite(j, "J"))
-    if np.max(np.abs(np.diag(j) - 1.0)) > 1e-9:
+    j = _require_finite(j, "J")
+    if not is_normalized(j):
         raise DomainError("expected a normalized (unit diagonal) matrix")
     return j
 
@@ -286,7 +291,7 @@ def mrf_to_linear_gaussian(j_norm, h=None, omega=None):
 
 def mrf_marginals(j, h):
     """Exact marginal means and variances by one dense solve."""
-    j = symmetrize(_require_finite(j, "J"))
+    j = _require_finite(j, "J")
     if not is_pd(j):
         raise DomainError("information matrix must be positive definite")
     h = np.asarray(h, dtype=float)

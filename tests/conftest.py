@@ -10,7 +10,7 @@ zero pattern.
 import numpy as np
 import pytest
 
-from gabp.bp import EdgeStack
+from gabp.bp import EdgeStack, edge_views
 from gabp.model import FactorSpec, LinearGaussianModel, VariableSpec
 
 
@@ -104,6 +104,20 @@ def stack_global(model):
     return a, r, w, y
 
 
+def dense_solution(model):
+    """The oracle: the joint covariance (W^-1 + A^T R^-1 A)^-1 and mean cov A^T R^-1 y, stacked."""
+    a, r, w, y = stack_global(model)
+    rinv_a = np.linalg.solve(r, a)
+    cov = np.linalg.inv(np.linalg.inv(w) + a.T @ rinv_a)
+    return cov @ (rinv_a.T @ y), cov
+
+
+def dense_marginals(model):
+    """dense_solution by variable id: its (mean, covariance block); independent of gabp's solvers."""
+    mean, cov = dense_solution(model)
+    return {i: (mean[s:s + d], cov[s:s + d, s:s + d]) for i, (s, d) in variable_offsets(model).items()}
+
+
 def information_iterates(model, graph, init, n):
     """J iterates 0..n of the information recursion from init, each a dict by f2v edge.
 
@@ -114,11 +128,11 @@ def information_iterates(model, graph, init, n):
     """
     stack = EdgeStack(model, graph)
     fj, _ = stack.init(init)
-    out = [stack.views(fj[:-1].copy())]
+    out = [edge_views(stack.graph, fj[:-1].copy())]
     for _ in range(n):
         _, new = stack.f2v_information(stack.v2f_information(fj, stack.all), stack.all)
         fj[:-1] = new
-        out.append(stack.views(new))
+        out.append(edge_views(stack.graph, new))
     return out
 
 
@@ -145,7 +159,7 @@ def dense_q(model, graph, fp):
     A_{k,z'} J_{z'->k}^-1 A_{k,z'}^T, read from fp.v2f_j and the model.
     """
     offsets, dim = v2f_layout(graph)
-    v2f = fp.stack.views(fp.v2f_j, v2f=True)
+    v2f = edge_views(fp.stack.graph, fp.v2f_j, v2f=True)
     q = np.zeros((dim, dim))
     for (j, n), (rs, rd) in offsets.items():
         for k in graph.neighbors_of_var[j]:

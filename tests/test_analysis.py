@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import (GOLDEN_EDGE_PRECISION, charpoly_radius, dense_q, entry_core,
+from conftest import (GOLDEN_EDGE_PRECISION, charpoly_radius, dense_marginals, dense_q, entry_core,
                       information_iterates, quartet_model, rand_spd, v2f_layout)
 from corpus import (SHOWCASE_DIVERGENT, cli_mixed_models, forest_corpus, frustrated_model,
                     loopy_corpus, mixed_corpus)
 from gabp.analysis import (MEAN_RECURSION_TOL, assemble_q, certify, compute_bounds,
                            decide_mean_convergence, fit_contraction_rate,
                            information_fixed_point, two_phase_mean_recursion)
-from gabp.bp import BpOptions, Message, run_bp
+from gabp.bp import BpOptions, EdgeStack, Message, edge_views, run_bp
 from gabp.errors import DomainError, IterationBudgetError
 from gabp.graph import build_factor_graph, classify_topology
-from gabp.model import centralized_solve, random_model
+from gabp.model import random_model
 from gabp.numerics import part_metric, psd_compare
 
 
@@ -24,7 +24,7 @@ def affine_offset(model, g, fp):
     J_{j->n}^-1 times the sum of what the factors k != n send.
     """
     offsets, total = v2f_layout(g)
-    v2f = fp.stack.views(fp.v2f_j, v2f=True)
+    v2f = edge_views(fp.stack.graph, fp.v2f_j, v2f=True)
     b = np.zeros(total)
     for (j, n), (start, dim) in offsets.items():
         sent = np.zeros(dim)
@@ -82,10 +82,10 @@ def test_information_iterates_are_the_engine_f2v_j_bit_for_bit(quartet):
 
 def test_golden_ratio_fixed_point(two_agent_unit_chain):
     fp = information_fixed_point(two_agent_unit_chain)
-    for j in fp.stack.views(fp.f2v_j).values():
+    for j in edge_views(fp.stack.graph, fp.f2v_j).values():
         assert j[0, 0] == pytest.approx(GOLDEN_EDGE_PRECISION, abs=1e-12)
     # v2f companions: prior precision 1 plus the other factor's message
-    for j in fp.stack.views(fp.v2f_j, v2f=True).values():
+    for j in edge_views(fp.stack.graph, fp.v2f_j, v2f=True).values():
         assert j[0, 0] == pytest.approx(1.0 + GOLDEN_EDGE_PRECISION, abs=1e-12)
 
 
@@ -99,7 +99,7 @@ def test_fixed_point_is_init_invariant(quartet):
         information_fixed_point(quartet, g, init="lower"),
         information_fixed_point(quartet, g, init=custom),
     ):
-        got, want = fp.stack.views(fp.f2v_j), ref.stack.views(ref.f2v_j)
+        got, want = edge_views(fp.stack.graph, fp.f2v_j), edge_views(ref.stack.graph, ref.f2v_j)
         for e in g.f2v_edges:
             np.testing.assert_allclose(got[e], want[e], atol=1e-10)
 
@@ -169,7 +169,7 @@ def test_engine_one_step_equals_affine_map(quartet, monkeypatch):
     monkeypatch.setattr("gabp.analysis.FIXED_POINT_TOL", 1e-14)
     fp = information_fixed_point(quartet, g)
     q, (offsets, total) = dense_q(quartet, g, fp), v2f_layout(g)
-    f2v, v2f = fp.stack.views(fp.f2v_j), fp.stack.views(fp.v2f_j, v2f=True)
+    f2v, v2f = edge_views(fp.stack.graph, fp.f2v_j), edge_views(fp.stack.graph, fp.v2f_j, v2f=True)
 
     rng = np.random.default_rng(7)
     x = rng.standard_normal(total)
@@ -242,9 +242,8 @@ def test_two_phase_converges_to_linear_solve(quartet):
                 break
         assert mr.iterations == dense_iterations
 
-        sol = centralized_solve(model)
-        for v in sol.means:
-            np.testing.assert_allclose(mr.means[v], sol.means[v], atol=1e-8)
+        for v, (mean, _) in dense_marginals(model).items():
+            np.testing.assert_allclose(mr.means[v], mean, atol=1e-8)
 
 
 def test_two_phase_diverges_above_radius_one():
@@ -256,6 +255,20 @@ def test_two_phase_diverges_above_radius_one():
     assert qs.rho > 1.02
     mr = two_phase_mean_recursion(fp)
     assert mr.status == "diverged"
+
+
+def test_the_mean_recursion_takes_one_f2v_step_per_iteration_after_priming(monkeypatch):
+    # one step primes the store; a diverged iteration stops before its own
+    calls, step = [], EdgeStack.f2v_potential
+    monkeypatch.setattr(EdgeStack, "f2v_potential", lambda st, *args: calls.append(1) or step(st, *args))
+    n, n_extra, gain, seed = SHOWCASE_DIVERGENT
+    divergent = frustrated_model(seed, n=n, gain=gain, n_extra=n_extra)
+    for model, status, extra in ((quartet_model(), "converged", 1), (divergent, "diverged", 0)):
+        fp = information_fixed_point(model)
+        calls.clear()
+        mr = two_phase_mean_recursion(fp)
+        assert mr.status == status
+        assert len(calls) == mr.iterations + extra > 1
 
 
 def test_decide_mean_convergence_branches():
@@ -388,8 +401,8 @@ def test_certify_mean_error_matches_the_centralized_means(quartet, monkeypatch):
     for model in models:
         rep = certify(model)
         assert rep.bp_status == "converged"
-        exact = centralized_solve(model).means
-        expected = max(float(np.max(np.abs(runs[-1].beliefs[v].mean - exact[v]))) for v in exact)
+        exact = dense_marginals(model)
+        expected = max(float(np.max(np.abs(runs[-1].beliefs[v].mean - mean))) for v, (mean, _) in exact.items())
         assert rep.max_mean_error == pytest.approx(expected, rel=0.0, abs=1e-12)
 
 

@@ -5,17 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import information_iterates, quartet_model, rand_spd, vague_prior_model
+from conftest import dense_marginals, information_iterates, quartet_model, rand_spd, vague_prior_model
 from corpus import (SHOWCASE_DIVERGENT, forest_corpus, frustrated_model,
                     grid_field, loopy_corpus, mixed_corpus)
 from gabp.bp import (Belief, BpOptions, EdgeStack, Message, compute_beliefs,
-                     make_init, run_bp)
+                     edge_views, make_init, run_bp)
 from gabp.errors import DomainError, ExistenceViolation
 from gabp.graph import build_factor_graph
-from gabp.model import (FactorSpec, LinearGaussianModel, VariableSpec,
-                        centralized_solve, random_model)
+from gabp.model import FactorSpec, LinearGaussianModel, VariableSpec, random_model
 from gabp.mrf import mrf_to_linear_gaussian
-from gabp.numerics import part_metric
+from gabp.numerics import part_metric, part_metric_to
 
 
 def tree_model():
@@ -38,25 +37,25 @@ def tree_model():
     return LinearGaussianModel(variables=variables, factors=factors)
 
 
-def max_mean_error(beliefs, sol):
-    return max(float(np.max(np.abs(beliefs[v].mean - sol.means[v]))) for v in sol.means)
+def max_mean_error(beliefs, oracle):
+    return max(float(np.max(np.abs(beliefs[v].mean - mean))) for v, (mean, _) in oracle.items())
 
 
-def max_cov_error(beliefs, sol):
-    return max(float(np.max(np.abs(beliefs[v].cov - sol.covs[v]))) for v in sol.covs)
+def max_cov_error(beliefs, oracle):
+    return max(float(np.max(np.abs(beliefs[v].cov - cov))) for v, (_, cov) in oracle.items())
 
 
 def test_tree_beliefs_are_exact():
     m = tree_model()
     res = run_bp(m)
-    sol = centralized_solve(m)
+    sol = dense_marginals(m)
     assert res.status == "converged"
     assert max_mean_error(res.beliefs, sol) < 1e-10
     assert max_cov_error(res.beliefs, sol) < 1e-10
 
 
 def test_quartet_converges_from_every_init(quartet):
-    sol = centralized_solve(quartet)
+    sol = dense_marginals(quartet)
     for init in ("zero", "lower", "upper"):
         res = run_bp(quartet, init=init)
         assert res.status == "converged"
@@ -83,13 +82,13 @@ def test_sync_runs_are_bitwise_deterministic(quartet):
 @pytest.mark.parametrize("schedule", ["seq", "random"])
 def test_schedules_agree_on_the_limit(schedule):
     m = random_model(seed=21, n_agents=6, topology="multi_loop")
-    sol = centralized_solve(m)
+    sol = dense_marginals(m)
     base = run_bp(m)
     other = run_bp(m, options=BpOptions(schedule=schedule, seed=5))
     assert base.status == other.status == "converged"
     assert max_mean_error(base.beliefs, sol) < 1e-8
     assert max_mean_error(other.beliefs, sol) < 1e-8
-    for v in sol.means:
+    for v in sol:
         np.testing.assert_allclose(base.beliefs[v].mean, other.beliefs[v].mean,
                                    atol=1e-7)
 
@@ -140,7 +139,7 @@ def test_run_accepts_message_dict_init(quartet):
     init = {e: Message(J=np.array([[0.2]]), v=np.array([0.3])) for e in g.f2v_edges}
     res = run_bp(quartet, g, init=init)
     assert res.status == "converged"
-    sol = centralized_solve(quartet)
+    sol = dense_marginals(quartet)
     assert max_mean_error(res.beliefs, sol) < 1e-8
 
 
@@ -276,6 +275,19 @@ def test_a_recorded_grid_run_retains_at_most_64_bytes_a_row():
     rows = len(res.trajectory.rows)
     assert rows == res.iterations * (len(g.f2v_edges) + len(g.v2f_edges)) > 0
     assert (recorded_bytes - plain_bytes) / rows <= 64, (plain_bytes, recorded_bytes, rows)
+
+
+def test_a_result_builds_its_messages_when_first_read():
+    # one Message per f2v and per v2f edge, built eagerly, retained about 390 KB on this grid
+    model = mrf_to_linear_gaussian(grid_field(10))[0]
+    g = build_factor_graph(model)
+    run_bp(model, g)  # lazy imports are not the result's
+    res, retained = traced_run(model, graph=g)
+    assert "messages" not in vars(res)
+    assert retained < 150e3, retained
+    messages = res.messages
+    assert res.messages is messages
+    assert list(messages["f2v"]) == g.f2v_edges and list(messages["v2f"]) == g.v2f_edges
 
 
 def test_trajectory_views_read_like_lists(quartet):
@@ -433,7 +445,7 @@ def test_trajectory_part_metrics_match_part_metric_on_every_corpus_model():
     for k, model in enumerate(models):
         g = build_factor_graph(model)
         fp = information_fixed_point(model, g)
-        ref = fp.stack.views(fp.f2v_j)
+        ref = edge_views(fp.stack.graph, fp.f2v_j)
         res = run_bp(model, g, init="lower", reference=fp,
                      options=BpOptions(max_iters=8, record_messages=True))
         lower = make_init(model, g, "lower")
@@ -450,6 +462,29 @@ def test_trajectory_part_metrics_match_part_metric_on_every_corpus_model():
                                    np.stack([ref[e] for e in edges]))
                 np.testing.assert_allclose([got[(it,) + e] for e in edges], want,
                                            rtol=1e-9, atol=0.0, err_msg=f"model {k} iter {it}")
+
+
+def test_reference_part_metrics_equal_a_per_dim_part_metric_to_loop_bit_for_bit():
+    # mixed_corpus's random-multi-3: edges of dims 1 and 2
+    from gabp.analysis import information_fixed_point
+    model = random_model(seed=3, n_agents=8, dims=(1, 2), topology="multi_loop")
+    g = build_factor_graph(model)
+    fp = information_fixed_point(model, g)
+    res = run_bp(model, g, init="lower", reference=fp, options=BpOptions(record_messages=True))
+    dims = np.array([g.var_dims[i] for _, i in g.f2v_edges])
+    assert res.status == "converged" and set(dims.tolist()) == {1, 2}
+    metrics = {d: (rows, part_metric_to(fp.f2v_j[rows, :d, :d]))
+               for d in (1, 2) for rows in [np.flatnonzero(dims == d)]}
+    n = len(g.f2v_edges)
+    for it, state in enumerate(information_iterates(model, g, "lower", res.iterations)):
+        want = np.empty(n)
+        for d, (rows, metric) in metrics.items():
+            want[rows] = metric(np.stack([state[g.f2v_edges[e]] for e in rows]))
+        if it == 0:
+            assert res.trajectory.initial_part_metric == want.max()
+            continue
+        assert np.array_equal(res.trajectory.rows.blocks[it - 1][n:, 2], want), it
+        assert res.trajectory.per_iteration[it - 1]["part_metric"] == want.max(), it
 
 
 def test_trajectory_part_metric_is_inf_for_a_reference_that_is_not_pd(quartet):
@@ -522,12 +557,12 @@ def test_a_largest_variable_without_factors_gets_exact_beliefs():
         factors=[FactorSpec(1, (1, 3), {1: rng.standard_normal((2, 1)), 3: rng.standard_normal((2, 1))},
                             rand_spd(rng, 2), rng.standard_normal(2)),
                  FactorSpec(2, (3,), {3: one}, one, rng.standard_normal(1))])
-    sol = centralized_solve(m)
+    sol = dense_marginals(m)
     res = run_bp(m)
     assert res.status == "converged"
     assert max_mean_error(res.beliefs, sol) < 1e-12
     assert max_cov_error(res.beliefs, sol) < 1e-12
     mr = two_phase_mean_recursion(information_fixed_point(m))
     assert mr.status == "converged" and list(mr.means) == [1, 2, 3]
-    for vid, mean in sol.means.items():
+    for vid, (mean, _) in sol.items():
         np.testing.assert_allclose(mr.means[vid], mean, rtol=0, atol=1e-12)

@@ -6,8 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import (QUARTET_A, QUARTET_J, QUARTET_PRIOR, quartet_model, rand_spd, stack_global,
-                      variable_offsets)
+from conftest import (QUARTET_A, QUARTET_J, QUARTET_PRIOR, dense_solution, quartet_model, rand_spd,
+                      stack_global, variable_offsets)
 from corpus import cli_mixed_models, forest_corpus, grid_field, loopy_corpus, mixed_corpus
 from gabp.errors import DomainError
 from gabp.graph import build_factor_graph
@@ -375,14 +375,6 @@ def test_centralized_solve_matches_block_assembly():
         np.testing.assert_allclose(sol.means[v.id], expected[s:s + d], atol=1e-12)
         np.testing.assert_allclose(sol.covs[v.id],
                                    np.linalg.inv(prec)[s:s + d, s:s + d], atol=1e-12)
-
-
-def dense_solution(model):
-    """The oracle: the joint covariance (W^-1 + A^T R^-1 A)^-1 and mean cov A^T R^-1 y, stacked."""
-    a, r, w, y = stack_global(model)
-    rinv_a = np.linalg.solve(r, a)
-    cov = np.linalg.inv(np.linalg.inv(w) + a.T @ rinv_a)
-    return cov @ (rinv_a.T @ y), cov
 
 
 def assert_exact_means(model, label=""):

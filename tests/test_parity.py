@@ -11,7 +11,7 @@ import pytest
 
 from corpus import grid_field
 from gabp.analysis import compute_bounds, information_fixed_point
-from gabp.bp import BpOptions, run_bp
+from gabp.bp import BpOptions, edge_views, run_bp
 from gabp.graph import build_factor_graph
 from gabp.model import random_model
 from gabp.mrf import mrf_to_linear_gaussian
@@ -113,4 +113,4 @@ def test_fixed_point_matches_per_edge_reference(label, model):
     iters, fj, _, _ = reference_bp(model, zero, tol=1e-12, means=False)
     fp = information_fixed_point(model, g)
     assert fp.iterations == iters
-    _close(fp.stack.views(fp.f2v_j), fj)
+    _close(edge_views(fp.stack.graph, fp.f2v_j), fj)
