@@ -29,10 +29,8 @@ from gabp.analysis import (
 from gabp.mrf import (
     normalize_mrf,
     check_walk_summability,
-    is_h_matrix,
     factor_width_two,
     mrf_to_linear_gaussian,
-    mrf_marginals,
 )
 from gabp.numerics import is_pd, is_psd, part_metric, spectral_radius
 
@@ -61,10 +59,8 @@ __all__ = [
     "certify",
     "normalize_mrf",
     "check_walk_summability",
-    "is_h_matrix",
     "factor_width_two",
     "mrf_to_linear_gaussian",
-    "mrf_marginals",
     "is_pd",
     "is_psd",
     "part_metric",

@@ -17,17 +17,19 @@ analysis module reuses both.
 
 Both halves run on an EdgeStack, built once per information_fixed_point
 or run_bp call; a run_bp reuses its reference's stack if built from the
-same model and graph objects. Row e of every stack belongs to the
-factor-to-variable edge graph.f2v_edges[e] = (n, i) and to its twin, the
-variable-to-factor edge (i, n). Blocks are padded to the largest edge
-dim D and observation dim P: A_{n,i} sits top-left in a zero (P, D)
-block, while R_n, W_i^-1 and every information matrix carry an identity
-in their pad, so each solve stays block diagonal and the pad never mixes
-into the real block. Checks that read eigenvalues (pd, part metric) see
-only each row's real d x d block. Two gather arrays replace the neighbor
-loops: others_of_var[e] lists the rows (k, i), k != n, and
-others_of_factor[e] the rows (n, j), j != i, both padded with -1, which
-reads a zero row kept at the end of every gathered store.
+same model and graph objects. Its blocks are filled from the model's
+shape_stacks by index arrays, with no loop over edges. Row e of every
+stack belongs to the factor-to-variable edge graph.f2v_edges[e] = (n, i)
+and to its twin, the variable-to-factor edge (i, n). Blocks are padded
+to the largest edge dim D and observation dim P: A_{n,i} sits top-left
+in a zero (P, D) block, while R_n, W_i^-1 and every information matrix
+carry an identity in their pad, so each solve stays block diagonal and
+the pad never mixes into the real block. Checks that read eigenvalues
+(pd, part metric) see only each row's real d x d block. Two gather
+arrays replace the neighbor loops: others_of_var[e] lists the rows
+(k, i), k != n, and others_of_factor[e] the rows (n, j), j != i, both
+padded with -1, which reads a zero row kept at the end of every gathered
+store.
 
 The stack also holds the edge-wise envelopes of the information
 recursion (lower_bound is one information half from zero messages,
@@ -74,7 +76,7 @@ import numpy as np
 
 from gabp.errors import DomainError, ExistenceViolation
 from gabp.graph import build_factor_graph
-from gabp.model import prior_precisions
+from gabp.model import precision_stacks, shape_stacks
 from gabp.numerics import is_pd, is_psd, is_symmetric, part_metric_to
 
 log = logging.getLogger("gabp")
@@ -222,10 +224,23 @@ def edge_views(graph, jm, vm=None, v2f=False):
     return out
 
 
-def _gather(lists):
-    """Rows of stack indices, padded with -1 to a common width."""
-    width = max((len(x) for x in lists), default=0)
-    return np.array([x + [-1] * (width - len(x)) for x in lists], dtype=int).reshape(len(lists), width)
+def _others(group, order):
+    """Per row, the other rows of its group in the order `order` lists them, padded with -1 to a common width.
+
+    order lists every row once, the groups by ascending index, each group's rows together.
+    """
+    count = np.bincount(group)
+    start, width = (np.cumsum(count) - count)[group], int(count.max(initial=1))
+    k = start[:, None] + np.arange(width)
+    members = np.where(k < (start + count[group])[:, None], order[np.minimum(k, len(order) - 1)], -1)
+    return members[members != np.arange(len(group))[:, None]].reshape(len(group), width - 1)
+
+
+def _pad(groups, out):
+    """out with each stack of groups, [(rows, stack)], written into the top-left corner of its rows."""
+    for rows, x in groups:
+        out[(rows,) + tuple(slice(n) for n in x.shape[1:])] = x
+    return out
 
 
 class EdgeStack:
@@ -241,34 +256,25 @@ class EdgeStack:
         self.edges = list(graph.f2v_edges)
         n_edges = len(self.edges)
         self.all = slice(0, n_edges)
-        self.dims = np.array([graph.var_dims[i] for _, i in self.edges], dtype=int)
+        row_factor, row_var = np.array(self.edges, dtype=int).reshape(n_edges, 2).T
+        factor_of_row = np.searchsorted(graph.factor_ids, row_factor)
+        self.var_ids = [v.id for v in model.variables]
+        self.var_dims = np.array([v.dim for v in model.variables], dtype=int)
+        self.var_of_row = np.searchsorted(self.var_ids, row_var)
+        self.dims = self.var_dims[self.var_of_row]
+        stacks = shape_stacks((), model.factors)
         d_max = int(self.dims.max(initial=0))
-        p_max = max((model.factor(n).obs_dim for n, _ in self.edges), default=0)
-        index = {v.id: k for k, v in enumerate(model.variables)}
-        self.var_ids, self.var_dims = list(index), np.array([v.dim for v in model.variables], dtype=int)
-        self.var_of_row = np.array([index[i] for _, i in self.edges], dtype=int)
-        self.prior = np.zeros((len(index),) + (int(self.var_dims.max(initial=0)),) * 2)
-        for i, w in prior_precisions(model).items():
-            self.prior[index[i], :len(w), :len(w)] = w
+        p_max = max((x.shape[1] for _, x in stacks["obs"]), default=0)
+        self.prior = _pad(precision_stacks(shape_stacks(model.variables)["cov"]),
+                          np.zeros((len(self.var_ids),) + (int(self.var_dims.max(initial=0)),) * 2))
         self.pad = np.where(np.arange(d_max) < self.dims[:, None, None], 0.0, np.eye(d_max))
-        self.a = np.zeros((n_edges + 1, p_max, d_max))
-        self.r = np.tile(np.eye(p_max), (n_edges, 1, 1))
         self.w = self.prior[self.var_of_row, :d_max, :d_max] + self.pad
-        self.y = np.zeros((n_edges, p_max))
-        for e, (n, i) in enumerate(self.edges):
-            f = model.factor(n)
-            p, d = f.obs_dim, self.dims[e]
-            self.a[e, :p, :d] = f.coeff[i]
-            self.r[e, :p, :p] = f.noise_cov
-            self.y[e, :p] = f.obs
-        row = graph.f2v_index
-        self.others_of_var = _gather([[row[(k, i)] for k in graph.neighbors_of_var[i] if k != n]
-                                      for n, i in self.edges])
-        self.others_of_factor = _gather([[row[(n, j)] for j in graph.neighbors_of_factor[n]
-                                          if j != i] for n, i in self.edges])
-        self.v2f_rows = np.array([row[(n, j)] for j, n in graph.v2f_edges], dtype=int)
-        self.factor_rows = {n: [row[(n, i)] for i in graph.neighbors_of_factor[n]]
-                            for n in graph.factor_ids}
+        self.a = _pad(stacks["coeff"], np.zeros((n_edges + 1, p_max, d_max)))
+        self.r = _pad(stacks["cov"], np.tile(np.eye(p_max), (len(model.factors), 1, 1)))[factor_of_row]
+        self.y = _pad(stacks["obs"], np.zeros((len(model.factors), p_max)))[factor_of_row]
+        self.v2f_rows = np.argsort(self.var_of_row, kind="stable")
+        self.others_of_var = _others(self.var_of_row, self.v2f_rows)
+        self.others_of_factor = _others(factor_of_row, np.arange(n_edges))
         self.dim_values = np.unique(self.dims).tolist()
         self._lower = None
         self._spread = np.zeros((n_edges + 1, p_max, p_max))
@@ -287,7 +293,7 @@ class EdgeStack:
             if not out or seen.intersection(scope):
                 out.append([])
                 seen = set()
-            out[-1] += self.factor_rows[n]
+            out[-1] += [self.graph.f2v_index[n, i] for i in scope]
             seen.update(scope)
         return [np.array(rows, dtype=int) for rows in out]
 

@@ -40,8 +40,8 @@ def _setup_logging():
                         force=True)
 
 
-def _print_beliefs(beliefs):
-    for row in belief_rows(beliefs):
+def _print_beliefs(rows):
+    for row in rows:
         print("agent %s component %s: mean %s variance %s" % row)
 
 
@@ -89,10 +89,10 @@ def cmd_solve(args):
     model = load_model(args.model)
     require_valid(model)
     sol = centralized_solve(model)
-    beliefs = {vid: Belief(mean=sol.means[vid], cov=sol.covs[vid]) for vid in sol.means}
-    _print_beliefs(beliefs)
+    rows = list(belief_rows({vid: Belief(mean=sol.means[vid], cov=sol.covs[vid]) for vid in sol.means}))
+    _print_beliefs(rows)
     if args.out:
-        _write(write_beliefs_csv, beliefs, args.out)
+        _write(write_beliefs_csv, rows, args.out)
     return 0
 
 
@@ -115,12 +115,12 @@ def cmd_run(args):
 
     result = run_bp(model, graph, init=init, options=opts, reference=reference)
     print(f"status: {result.status} after {result.iterations} iteration(s)")
-    if result.beliefs is not None:
-        _print_beliefs(result.beliefs)
+    rows = [] if result.beliefs is None else list(belief_rows(result.beliefs))
+    _print_beliefs(rows)
     if args.trajectory:
         _write(write_trajectory_csv, result.trajectory.rows, args.trajectory)
     if args.out and result.beliefs is not None:
-        _write(write_beliefs_csv, result.beliefs, args.out)
+        _write(write_beliefs_csv, rows, args.out)
     if result.status == "converged":
         return 0
     if result.status == "diverged":

@@ -4,6 +4,10 @@ Matrices are stored as {"rows": r, "cols": c, "data": [...]} with data in
 row-major order. Structural problems in input files raise
 InputFormatError; semantic problems (a prior that is not pd, rank
 deficiency) are left to validate_model so they surface as DomainError.
+Every matrix and vector of a model, MRF or init file goes through one
+parser, _Numbers: each is checked in file order, so a file reports its
+first error, and the numbers become floats in one array per shape, of
+which the loaded specs hold views.
 """
 
 import csv
@@ -30,6 +34,8 @@ def matrix_to_json(a):
 
 def _integer(x, what):
     """An int, integral float or integer string as an int, never truncated; else InputFormatError."""
+    if type(x) is int:
+        return x
     try:
         if not isinstance(x, bool) and (not isinstance(x, float) or x.is_integer()):
             return int(x)
@@ -38,42 +44,67 @@ def _integer(x, what):
     raise InputFormatError(f"{what} must be an integer, got {x!r}")
 
 
-def _floats(values, what):
-    """A list of JSON numbers as a float array; InputFormatError unless every entry is an int or a float.
+class _Numbers:
+    """The number lists of one input file, each checked in file order, made floats once per shape.
 
-    Booleans and numeric strings are not numbers here. The types are checked in one pass.
+    matrix() and vector() check an entry, structure first, then content:
+    JSON numbers, that is ints within float range and floats, not booleans
+    or numeric strings. arrays() makes one float array per shape and
+    returns each entry's view of it, in the order they were queued.
     """
-    if not set(map(type, values)) <= {int, float}:
-        raise InputFormatError(f"{what} must be numeric")
-    try:
-        return np.array(values, dtype=float)
-    except OverflowError as exc:
-        raise InputFormatError(f"{what} must be numeric: {exc}") from exc
+
+    def __init__(self):
+        self.data, self.groups = [], {}  # each entry's list, and the entry indices by shape
+
+    def _queue(self, what, shape, data):
+        types = set(map(type, data))
+        if not types <= {int, float}:
+            raise InputFormatError(f"{what} must be numeric")
+        if int in types:
+            try:
+                list(map(float, data))
+            except OverflowError as exc:
+                raise InputFormatError(f"{what} must be numeric: {exc}") from exc
+        self.groups.setdefault(shape, []).append(len(self.data))
+        self.data.append(data)
+
+    def matrix(self, obj, what):
+        if not isinstance(obj, dict):
+            raise InputFormatError(f"{what}: expected an object with rows/cols/data")
+        if not {"rows", "cols", "data"} <= obj.keys():
+            raise InputFormatError(f"{what}: expected rows/cols/data, got {sorted(obj)}")
+        rows, cols = _integer(obj["rows"], f"{what} rows"), _integer(obj["cols"], f"{what} cols")
+        data = obj["data"]
+        if rows < 0 or cols < 0:
+            raise InputFormatError(f"{what}: rows and cols must be non-negative, got {rows}x{cols}")
+        if not isinstance(data, list) or len(data) != rows * cols:
+            raise InputFormatError(
+                f"{what}: data length {len(data) if isinstance(data, list) else '?'} "
+                f"does not match {rows}x{cols}"
+            )
+        self._queue(f"{what}: data", (rows, cols), data)
+        return rows, cols
+
+    def vector(self, obj, what):
+        if not isinstance(obj, list):
+            raise InputFormatError(f"{what}: expected a list of numbers")
+        if any(isinstance(x, list) for x in obj):
+            raise InputFormatError(f"{what}: expected a flat list of numbers")
+        self._queue(f"{what}: entries", (len(obj),), obj)
+
+    def arrays(self):
+        out = [None] * len(self.data)
+        for shape, idx in self.groups.items():
+            stack = np.array([self.data[k] for k in idx], dtype=float)
+            for k, x in zip(idx, stack.reshape((len(idx),) + shape)):
+                out[k] = x
+        return out
 
 
 def matrix_from_json(obj, what="matrix"):
-    if not isinstance(obj, dict):
-        raise InputFormatError(f"{what}: expected an object with rows/cols/data")
-    if not {"rows", "cols", "data"} <= obj.keys():
-        raise InputFormatError(f"{what}: expected rows/cols/data, got {sorted(obj)}")
-    rows, cols = _integer(obj["rows"], f"{what} rows"), _integer(obj["cols"], f"{what} cols")
-    data = obj["data"]
-    if rows < 0 or cols < 0:
-        raise InputFormatError(f"{what}: rows and cols must be non-negative, got {rows}x{cols}")
-    if not isinstance(data, list) or len(data) != rows * cols:
-        raise InputFormatError(
-            f"{what}: data length {len(data) if isinstance(data, list) else '?'} "
-            f"does not match {rows}x{cols}"
-        )
-    return _floats(data, f"{what}: data").reshape(rows, cols)
-
-
-def _vector_from_json(obj, what):
-    if not isinstance(obj, list):
-        raise InputFormatError(f"{what}: expected a list of numbers")
-    if any(isinstance(x, list) for x in obj):
-        raise InputFormatError(f"{what}: expected a flat list of numbers")
-    return _floats(obj, f"{what}: entries")
+    numbers = _Numbers()
+    numbers.matrix(obj, what)
+    return numbers.arrays()[0]
 
 
 def model_to_json(model):
@@ -104,16 +135,15 @@ def model_from_json(obj):
     for key in ("variables", "factors"):
         if key not in obj or not isinstance(obj[key], list):
             raise InputFormatError(f"model file: missing or malformed '{key}' list")
-    variables = []
+    numbers, variables, factors = _Numbers(), [], []
     for idx, entry in enumerate(obj["variables"]):
         if not isinstance(entry, dict):
             raise InputFormatError(f"variable #{idx}: expected an object")
         if not {"id", "dim"} <= entry.keys():
             raise InputFormatError(f"variable #{idx}: needs integer id and dim")
         vid, dim = (_integer(entry[k], f"variable #{idx} {k}") for k in ("id", "dim"))
-        prior = matrix_from_json(entry.get("prior_cov"), f"variable {vid} prior_cov")
-        variables.append(VariableSpec(id=vid, dim=dim, prior_cov=prior))
-    factors = []
+        numbers.matrix(entry.get("prior_cov"), f"variable {vid} prior_cov")
+        variables.append((vid, dim))
     for idx, entry in enumerate(obj["factors"]):
         if not isinstance(entry, dict):
             raise InputFormatError(f"factor #{idx}: expected an object")
@@ -124,16 +154,20 @@ def model_from_json(obj):
         coeff_obj = entry.get("coeff")
         if not isinstance(coeff_obj, dict):
             raise InputFormatError(f"factor {fid}: 'coeff' must map variable id to matrix")
-        coeff = {}
+        keys = []
         for key, mat in coeff_obj.items():
-            j = _integer(key, f"factor {fid} coeff key")
-            coeff[j] = matrix_from_json(mat, f"factor {fid} coeff[{j}]")
-        noise = matrix_from_json(entry.get("noise_cov"), f"factor {fid} noise_cov")
-        obs = _vector_from_json(entry.get("obs"), f"factor {fid} obs")
-        factors.append(FactorSpec(id=fid, scope=scope, coeff=coeff, noise_cov=noise, obs=obs))
+            keys.append(_integer(key, f"factor {fid} coeff key"))
+            numbers.matrix(mat, f"factor {fid} coeff[{keys[-1]}]")
+        numbers.matrix(entry.get("noise_cov"), f"factor {fid} noise_cov")
+        numbers.vector(entry.get("obs"), f"factor {fid} obs")
+        factors.append((fid, scope, keys))
     meta = obj.get("provenance", {})
     if not isinstance(meta, dict):
         raise InputFormatError("model file: 'provenance' must be an object")
+    arrays = iter(numbers.arrays())  # in the order the loops above queued them
+    variables = [VariableSpec(id=vid, dim=dim, prior_cov=next(arrays)) for vid, dim in variables]
+    factors = [FactorSpec(id=fid, scope=scope, coeff={j: next(arrays) for j in keys},
+                          noise_cov=next(arrays), obs=next(arrays)) for fid, scope, keys in factors]
     return LinearGaussianModel(variables=variables, factors=factors, meta=dict(meta))
 
 
@@ -172,22 +206,22 @@ def load_mrf(path):
     obj = _load_json(path, "mrf")
     if not isinstance(obj, dict) or "J" not in obj:
         raise InputFormatError("mrf file: expected an object with 'J' and 'h'")
-    j = matrix_from_json(obj["J"], "J")
-    if j.shape[0] != j.shape[1]:
-        raise InputFormatError(f"J must be square, got {j.shape[0]}x{j.shape[1]}")
-    if not j.size:
+    numbers = _Numbers()
+    rows, cols = numbers.matrix(obj["J"], "J")
+    if rows != cols:
+        raise InputFormatError(f"J must be square, got {rows}x{cols}")
+    if not rows:
         raise InputFormatError("J has no rows: a field needs at least one variable")
     h = obj.get("h")
-    if h is None:
-        h = np.zeros(j.shape[0])
-    else:
-        h = _vector_from_json(h, "h")
-        if h.shape != (j.shape[0],):
-            raise InputFormatError(f"h has length {h.shape[0]}, J is {j.shape[0]}x{j.shape[0]}")
+    if h is not None:
+        numbers.vector(h, "h")
+        if len(h) != rows:
+            raise InputFormatError(f"h has length {len(h)}, J is {rows}x{rows}")
     meta = obj.get("provenance", {})
     if not isinstance(meta, dict):
         raise InputFormatError("mrf file: 'provenance' must be an object")
-    return j, h, dict(meta)
+    j, *h = numbers.arrays()
+    return j, h[0] if h else np.zeros(rows), dict(meta)
 
 
 def load_custom_init(path):
@@ -199,19 +233,20 @@ def load_custom_init(path):
     obj = _load_json(path, "init")
     if not isinstance(obj, dict) or not isinstance(obj.get("f2v"), list):
         raise InputFormatError("init file: expected an object with an 'f2v' list")
-    out = {}
+    numbers, edges = _Numbers(), {}
     for idx, rec in enumerate(obj["f2v"]):
         if not isinstance(rec, dict):
             raise InputFormatError(f"init record #{idx}: expected an object")
         if not {"factor", "variable"} <= rec.keys():
             raise InputFormatError(f"init record #{idx}: needs factor and variable ids")
         n, i = (_integer(rec[k], f"init record #{idx} {k}") for k in ("factor", "variable"))
-        jmat = matrix_from_json(rec.get("J"), f"init ({n}->{i}) J")
-        v = _vector_from_json(rec.get("v"), f"init ({n}->{i}) v")
-        if (n, i) in out:
+        numbers.matrix(rec.get("J"), f"init ({n}->{i}) J")
+        numbers.vector(rec.get("v"), f"init ({n}->{i}) v")
+        if (n, i) in edges:
             raise InputFormatError(f"init file: duplicate record for factor {n} -> variable {i}")
-        out[(n, i)] = Message(J=jmat, v=v)
-    return out
+        edges[n, i] = None  # a dict, to keep the records' order
+    arrays = iter(numbers.arrays())  # each record's J, then its v
+    return {edge: Message(J=next(arrays), v=next(arrays)) for edge in edges}
 
 
 TRAJECTORY_HEADER = ["iter", "edge_kind", "from", "to", "dJ_fro", "dv_inf", "part_metric_to_ref"]
@@ -251,7 +286,8 @@ def write_dot(graph, path):
 
 
 def write_beliefs_csv(beliefs, path):
+    """Write beliefs, a dict by variable id or the belief_rows already made of one, as CSV."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(BELIEF_HEADER)
-        writer.writerows(belief_rows(beliefs))
+        writer.writerows(belief_rows(beliefs) if isinstance(beliefs, dict) else beliefs)

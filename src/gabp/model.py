@@ -11,6 +11,10 @@ namespaces; a factor's scope is any nonempty set of variable ids, so the
 same schema covers the symmetric one-factor-per-agent layout, tree
 structured models, and the pairwise models produced by the MRF bridge.
 
+shape_stacks groups the arrays of a model's specs by kind and shape, one
+stack per group, read afresh on every call. validate_model's numerical
+checks, the prior precisions and the engine's EdgeStack run on them.
+
 centralized_solve is the one exact reference: the joint MMSE means and
 each variable's covariance block, by Gaussian elimination along the
 factor graph's leaf peel with one dense inverse on its 2-core.
@@ -23,7 +27,7 @@ import numpy as np
 
 from gabp.errors import DomainError
 from gabp.graph import build_factor_graph, classify_topology
-from gabp.numerics import has_full_column_rank, is_pd, is_symmetric, shape_groups
+from gabp.numerics import has_full_column_rank, is_pd, is_symmetric
 
 
 @dataclass
@@ -93,16 +97,27 @@ class LinearGaussianModel:
         return sum(f.obs_dim for f in self.factors)
 
 
-def _failing(entries, test):
-    """The (report, label, array) entries whose array fails test, in order; test runs once per shape."""
-    ok = np.ones(len(entries), dtype=bool)
-    for idx in shape_groups([x for _, _, x in entries]):
-        ok[idx] = test(np.stack([entries[k][2] for k in idx]))
-    return [e for e, good in zip(entries, ok) if not good]
+def shape_stacks(variables, factors=()):
+    """The specs' arrays by kind as [(positions, stack)], one stack per shape in first-seen order.
+
+    Kinds: "cov", the priors then the noise covariances; "obs"; "coeff",
+    listed f.coeff[i] for f in factors for i in f.scope (graph.f2v_edges
+    order). Read from the specs on every call: their arrays may be reassigned.
+    """
+    listing = {"cov": [v.prior_cov for v in variables] + [f.noise_cov for f in factors],
+               "obs": [f.obs for f in factors], "coeff": [f.coeff[i] for f in factors for i in f.scope]}
+    out = {}
+    for kind, arrays in listing.items():
+        groups = {}
+        for k, x in enumerate(arrays):
+            groups.setdefault(x.shape, []).append(k)
+        out[kind] = [(np.array(idx), np.array([arrays[k] for k in idx])) for idx in groups.values()]
+    return out
 
 
-def _all_finite(stack):
-    return np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
+def precision_stacks(priors):
+    """[(positions, W^-1 stack)] for the prior groups of shape_stacks: the one place a prior is inverted."""
+    return [(idx, np.linalg.inv(w)) for idx, w in priors]
 
 
 def validate_model(model):
@@ -113,14 +128,16 @@ def validate_model(model):
     covariances, and full column rank for every coefficient block. The
     report strings are meant to be readable as-is in CLI output.
 
-    A Python pass checks ids, scopes and shapes; each numerical check then
-    runs once per group of equal-shape matrices. A variable or factor
-    that fails the structure pass gets no numerical check; a non-finite
-    array stops its variable or factor, and an asymmetric covariance its
-    pd check (and, for a noise covariance, its factor's rank checks).
+    A Python pass checks ids, scopes and shapes. shape_stacks then stacks
+    the arrays of the variables and factors that pass it, once, and each
+    numerical check runs once per kind and shape of array. A variable or
+    factor that fails the structure pass gets no numerical check; a
+    non-finite array stops its variable or factor, and an asymmetric
+    covariance its pd check (and, for a noise covariance, its factor's
+    rank checks).
     """
     reports = []                  # the problems of each variable and factor, in model order
-    priors, factors = [], []      # (report, prior label, prior_cov) and (report, factor) that pass
+    specs, owners = [], []        # the variables and factors that pass, and their reports
     seen = set()
     for v in model.variables:
         problems = []
@@ -132,13 +149,12 @@ def validate_model(model):
         if v.dim < 1:
             problems.append(f"variable {v.id}: dim must be >= 1, got {v.dim}")
         elif v.prior_cov.shape != (v.dim, v.dim):
-            problems.append(
-                f"variable {v.id}: prior_cov shape {v.prior_cov.shape} != ({v.dim}, {v.dim})"
-            )
+            problems.append(f"variable {v.id}: prior_cov shape {v.prior_cov.shape} != ({v.dim}, {v.dim})")
         else:
-            priors.append((problems, f"variable {v.id}: prior_cov", v.prior_cov))
+            specs.append(v)
+            owners.append(problems)
 
-    seen_f = set()
+    nv, seen_f = len(specs), set()
     for f in model.factors:
         problems = []
         reports.append(problems)
@@ -158,9 +174,8 @@ def validate_model(model):
             problems.append(f"factor {f.id}: scope repeats variables {repeated}")
             continue
         if set(f.coeff) != set(f.scope):
-            problems.append(
-                f"factor {f.id}: coefficient keys {sorted(f.coeff)} do not match scope {list(f.scope)}"
-            )
+            problems.append(f"factor {f.id}: coefficient keys {sorted(f.coeff)} "
+                            f"do not match scope {list(f.scope)}")
             continue
         if f.obs.ndim != 1:
             problems.append(f"factor {f.id}: obs must be a vector, got shape {f.obs.shape}")
@@ -169,34 +184,41 @@ def validate_model(model):
         for i in f.scope:
             ni = model.variable(i).dim
             if f.coeff[i].shape != (m, ni):
-                problems.append(
-                    f"factor {f.id}: coeff[{i}] shape {f.coeff[i].shape} != ({m}, {ni})"
-                )
+                problems.append(f"factor {f.id}: coeff[{i}] shape {f.coeff[i].shape} != ({m}, {ni})")
         if problems:
             continue
         if f.noise_cov.shape != (m, m):
-            problems.append(
-                f"factor {f.id}: noise_cov shape {f.noise_cov.shape} != ({m}, {m})"
-            )
+            problems.append(f"factor {f.id}: noise_cov shape {f.noise_cov.shape} != ({m}, {m})")
             continue
-        factors.append((problems, f))
+        specs.append(f)
+        owners.append(problems)
 
     # A report that is still empty after a check means its owner goes on to the next.
-    arrays = priors + [(r, f"factor {f.id}: {name}", x) for r, f in factors
-                       for name, x in [("obs", f.obs), ("noise_cov", f.noise_cov)]
-                       + [(f"coeff[{i}]", f.coeff[i]) for i in f.scope]]
-    for r, label, _ in _failing(arrays, _all_finite):
-        r.append(f"{label} is not finite")
-    covs = [e for e in priors if not e[0]]
-    covs += [(r, f"factor {f.id}: noise_cov", f.noise_cov) for r, f in factors if not r]
-    for r, label, _ in _failing(covs, is_symmetric):
-        r.append(f"{label} is not symmetric")
-    coeffs = [(r, f"factor {f.id}: coeff[{i}]", f.coeff[i]) for r, f in factors if not r
-              for i in f.scope]
-    for r, label, _ in _failing([c for c in covs if not c[0]], is_pd):
-        r.append(f"{label} is not positive definite")
-    for r, label, _ in _failing(coeffs, has_full_column_rank):
-        r.append(f"{label} does not have full column rank")
+    stacks, sizes = shape_stacks(specs[:nv], specs[nv:]), [len(f.scope) for f in specs[nv:]]
+    first = np.cumsum(sizes, dtype=int) - sizes  # each factor's first coeff position
+    owner = {"cov": np.arange(len(specs)), "obs": np.arange(nv, len(specs))}
+    owner["coeff"] = np.repeat(owner["obs"], sizes)
+
+    def check(tests):
+        """Report each live owner's entry that fails its kind's test, which runs once per kind and shape."""
+        live = np.array([not r for r in owners], dtype=bool)
+        for kind, (test, message) in tests.items():
+            bad = []
+            for idx, stack in stacks[kind]:
+                keep = live[owner[kind][idx]]
+                if keep.any():
+                    bad += idx[keep][~test(stack[keep])].tolist()
+            for k in sorted(bad):
+                p = owner[kind][k]
+                name = (f"coeff[{specs[p].scope[k - first[p - nv]]}]" if kind == "coeff" else
+                        "obs" if kind == "obs" else "prior_cov" if p < nv else "noise_cov")
+                owners[p].append(f"{'variable' if p < nv else 'factor'} {specs[p].id}: {name} {message}")
+
+    finite = (lambda x: np.isfinite(x).reshape(len(x), -1).all(axis=1), "is not finite")
+    check({"obs": finite, "cov": finite, "coeff": finite})
+    check({"cov": (is_symmetric, "is not symmetric")})
+    check({"cov": (is_pd, "is not positive definite"),
+           "coeff": (has_full_column_rank, "does not have full column rank")})
     return [p for r in reports for p in r]
 
 
@@ -217,13 +239,9 @@ class CentralizedSolution:
 
 
 def prior_precisions(model):
-    """W_i^-1 for every variable id, from one stacked inverse per prior shape."""
-    covs = [v.prior_cov for v in model.variables]
-    precisions = {}
-    for idx in shape_groups(covs):
-        inverses = np.linalg.inv(np.stack([covs[k] for k in idx]))
-        precisions.update((model.variables[k].id, w) for k, w in zip(idx, inverses))
-    return precisions
+    """W_i^-1 for every variable id, a dict view of precision_stacks."""
+    return {model.variables[k].id: w for idx, inv in precision_stacks(shape_stacks(model.variables)["cov"])
+            for k, w in zip(idx, inv)}
 
 
 def centralized_solve(model, graph=None):

@@ -23,7 +23,7 @@ import numpy as np
 
 from gabp.errors import DomainError
 from gabp.model import FactorSpec, LinearGaussianModel, VariableSpec
-from gabp.numerics import _verdict, is_pd, is_symmetric, symmetrize
+from gabp.numerics import _verdict, is_symmetric, symmetrize
 
 log = logging.getLogger("gabp")
 
@@ -94,23 +94,6 @@ def _walk_summability(j_norm):
     w = np.linalg.eigvalsh(test)
     # the verdict is_pd(test) would give, from the same eigenvalues
     return WalkSummability(walk_summable=bool(_verdict(w, strict=True)), min_eig=float(w[0]), eigenvalues=w)
-
-
-def comparison_matrix(x):
-    """Absolute diagonal, negated absolute off-diagonal."""
-    x = symmetrize(x)
-    c = -np.abs(x)
-    np.fill_diagonal(c, np.abs(np.diag(x)))
-    return c
-
-
-def is_h_matrix(x):
-    """True when the comparison matrix of x is positive definite.
-
-    For symmetric x this matches the eigenvalues-in-the-right-half-plane
-    definition, since the comparison matrix is symmetric too.
-    """
-    return is_pd(comparison_matrix(x))
 
 
 @dataclass
@@ -254,47 +237,16 @@ def mrf_to_linear_gaussian(j_norm, h=None, omega=None):
 
     prior_prec = np.full(n, omega / 2.0)
     prior_prec[fw.single_rows] += fw.single_values ** 2
-    variables = [
-        VariableSpec(id=i + 1, dim=1, prior_cov=np.array([[1.0 / p]]))
-        for i, p in enumerate(prior_prec.tolist())
-    ]
-    factors = []
-    fid = 0
-    for (i, k, a, b) in zip(fw.pair_rows.tolist(), fw.pair_cols.tolist(),
-                            fw.pair_row_values.tolist(), fw.pair_col_values.tolist()):
-        fid += 1
-        factors.append(
-            FactorSpec(
-                id=fid,
-                scope=(i + 1, k + 1),
-                coeff={i + 1: np.array([[a]]), k + 1: np.array([[b]])},
-                noise_cov=np.array([[1.0]]),
-                obs=np.array([0.0]),
-            )
-        )
-    for i in range(n):
-        fid += 1
-        factors.append(
-            FactorSpec(
-                id=fid,
-                scope=(i + 1,),
-                coeff={i + 1: np.array([[1.0]])},
-                noise_cov=np.array([[2.0 / omega]]),
-                obs=np.array([2.0 * h[i] / omega]),
-            )
-        )
-
+    variables = [VariableSpec(id=i + 1, dim=1, prior_cov=np.array([[1.0 / p]]))
+                 for i, p in enumerate(prior_prec.tolist())]
+    pairs = zip(*(x.tolist() for x in (fw.pair_rows, fw.pair_cols, fw.pair_row_values, fw.pair_col_values)))
+    factors = [FactorSpec(id=fid, scope=(i + 1, k + 1), coeff={i + 1: np.array([[a]]), k + 1: np.array([[b]])},
+                          noise_cov=np.array([[1.0]]), obs=np.array([0.0]))
+               for fid, (i, k, a, b) in enumerate(pairs, start=1)]
+    # one mean-carrying factor per variable, numbered after the pair factors
+    factors += [FactorSpec(id=len(factors) + i + 1, scope=(i + 1,), coeff={i + 1: np.array([[1.0]])},
+                           noise_cov=np.array([[2.0 / omega]]), obs=np.array([2.0 * h[i] / omega]))
+                for i in range(n)]
     meta = {"source": "mrf", "omega": omega, "columns": fw.columns}
-    model = LinearGaussianModel(variables=variables, factors=factors, meta=meta)
-    return model, fw
+    return LinearGaussianModel(variables=variables, factors=factors, meta=meta), fw
 
-
-def mrf_marginals(j, h):
-    """Exact marginal means and variances by one dense solve."""
-    j = _require_finite(j, "J")
-    if not is_pd(j):
-        raise DomainError("information matrix must be positive definite")
-    h = np.asarray(h, dtype=float)
-    means = np.linalg.solve(j, h)
-    variances = np.diag(np.linalg.inv(j)).copy()
-    return means, variances

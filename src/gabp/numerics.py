@@ -25,14 +25,6 @@ PSD_TOL = 1e-9
 RANK_TOL = 1e-10
 
 
-def shape_groups(arrays):
-    """Indices of the equal-shape arrays, one list per shape, in first-seen order."""
-    groups = {}
-    for k, x in enumerate(arrays):
-        groups.setdefault(x.shape, []).append(k)
-    return list(groups.values())
-
-
 def is_symmetric(x):
     """Asymmetry at most SYM_TOL * max(1, largest |entry|): a bool for a matrix, a bool array for a stack.
 

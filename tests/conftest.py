@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from gabp.bp import EdgeStack, edge_views
+from gabp.errors import DomainError
 from gabp.model import FactorSpec, LinearGaussianModel, VariableSpec
+from gabp.numerics import is_pd, is_symmetric, symmetrize
 
 
 def rand_spd(rng, n, scale=1.0):
@@ -116,6 +118,18 @@ def dense_marginals(model):
     """dense_solution by variable id: its (mean, covariance block); independent of gabp's solvers."""
     mean, cov = dense_solution(model)
     return {i: (mean[s:s + d], cov[s:s + d, s:s + d]) for i, (s, d) in variable_offsets(model).items()}
+
+
+def mrf_marginals(j, h):
+    """The field's exact marginal means and variances by one dense solve.
+
+    DomainError unless J is finite, symmetric and positive definite.
+    """
+    j = np.asarray(j, dtype=float)
+    if not np.isfinite(j).all() or not is_symmetric(j) or not is_pd(j):
+        raise DomainError("information matrix must be positive definite")
+    j = symmetrize(j)
+    return np.linalg.solve(j, np.asarray(h, dtype=float)), np.diag(np.linalg.inv(j)).copy()
 
 
 def information_iterates(model, graph, init, n):

@@ -13,7 +13,7 @@ import pytest
 
 import gabp
 from conftest import (QUARTET_A, QUARTET_ABS_SPECTRUM, QUARTET_J,
-                      QUARTET_PRIOR, dense_marginals, dense_q, information_iterates,
+                      QUARTET_PRIOR, dense_marginals, dense_q, information_iterates, mrf_marginals,
                       quartet_model, rand_spd)
 from corpus import (DIVERGENT_RECIPES, SHOWCASE_DIVERGENT, forest_corpus,
                     frustrated_model, loopy_corpus, mixed_corpus,
@@ -23,7 +23,7 @@ from gabp.analysis import (assemble_q, compute_bounds, fit_contraction_rate,
 from gabp.bp import BpOptions, edge_views
 from gabp.errors import DomainError
 from gabp.graph import build_factor_graph, classify_topology
-from gabp.mrf import factor_width_two, mrf_marginals, mrf_to_linear_gaussian
+from gabp.mrf import factor_width_two, mrf_to_linear_gaussian
 from gabp.numerics import part_metric, psd_compare
 
 PART_FLOOR = 1e-13

@@ -86,3 +86,16 @@ def test_the_rho_oracle_reads_the_radius_certify_reports(tmp_path, monkeypatch):
         assert rho > 0.0, label
         got = oracles.dense_radius(oracles.assembled_q(path))
         assert abs(got - rho) <= oracles.RHO_TOL * max(1.0, rho), label
+
+
+def test_run_and_certify_load_and_validate_the_model_once(tmp_path, capsys):
+    # io.load_model_s and model.validate_s read 0 if a command stops calling the wrapped functions
+    tracing = load_tracing()
+    path = str(tmp_path / "model.json")
+    save_model(cli_mixed_models()[0][1], path)
+    for argv in (["run", path, "--init", "lower"], ["analyze", "--certify", path]):
+        tracer = tracing.Tracer()
+        with tracer.installed(), tracer.operation(0):
+            assert main(argv) == 0
+        names = [name for name, *_ in tracer.spans]
+        assert names.count("io.load_model") == names.count("model.validate_model") == 1, argv

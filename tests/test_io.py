@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import quartet_model
-from corpus import SHOWCASE_DIVERGENT, frustrated_model, grid_field, mixed_corpus
+from corpus import SHOWCASE_DIVERGENT, cli_mixed_models, frustrated_model, grid_field, mixed_corpus
 from gabp.analysis import information_fixed_point
 from gabp.bp import Belief, BpOptions, run_bp
 from gabp.errors import InputFormatError, IterationBudgetError
@@ -55,20 +55,25 @@ def test_matrix_from_json_names_negative_sizes(obj):
 def test_model_file_round_trip(tmp_path):
     m = random_model(seed=9, n_agents=5, topology="multi_loop")
     m.meta["note"] = "round-trip"
+    models = [m, *(model for _, model in cli_mixed_models()),
+              random_model(seed=1, n_agents=480, topology="multi_loop"),
+              mrf_to_linear_gaussian(grid_field(10), np.linspace(-1.0, 1.0, 100))[0]]
     path = tmp_path / "model.json"
-    save_model(m, path)
-    back = load_model(path)
-    assert validate_model(back) == []
-    assert back.meta == {"note": "round-trip"}
-    assert [v.id for v in back.variables] == [v.id for v in m.variables]
-    for fa, fb in zip(m.factors, back.factors):
-        assert fa.scope == fb.scope
-        np.testing.assert_array_equal(fa.noise_cov, fb.noise_cov)
-        np.testing.assert_array_equal(fa.obs, fb.obs)
-        for i in fa.scope:
-            np.testing.assert_array_equal(fa.coeff[i], fb.coeff[i])
-    for va, vb in zip(m.variables, back.variables):
-        np.testing.assert_array_equal(va.prior_cov, vb.prior_cov)
+    for m in models:
+        save_model(m, path)
+        back = load_model(path)
+        assert validate_model(back) == []
+        assert back.meta == m.meta
+        assert [v.id for v in back.variables] == [v.id for v in m.variables]
+        for fa, fb in zip(m.factors, back.factors):
+            assert fa.scope == fb.scope
+            assert np.array_equal(fa.noise_cov, fb.noise_cov)
+            assert np.array_equal(fa.obs, fb.obs)
+            for i in fa.scope:
+                assert np.array_equal(fa.coeff[i], fb.coeff[i])
+        for va, vb in zip(m.variables, back.variables):
+            assert np.array_equal(va.prior_cov, vb.prior_cov)
+    assert models[0].meta == {"note": "round-trip"}
 
 
 def test_model_json_coeff_keys_are_strings(quartet):
@@ -227,11 +232,32 @@ def test_trajectory_csv_is_the_csv_modules_bytes_with_and_without_a_reference(tm
     assert {("diverged", True), ("diverged", False), ("converged", False)} <= kinds
 
 
-@pytest.mark.parametrize("where", ["prior", "coeff", "noise", "obs"])
+@pytest.mark.parametrize("where", ["prior", "coeff", "noise", "obs", "early", "late", "last"])
 @pytest.mark.parametrize("entry", [True, False, "2.5", None, [1.0]])
 def test_model_matrix_and_vector_entries_must_be_numbers(quartet, where, entry):
     obj = json.loads(json.dumps(model_to_json(quartet)))
     var, factor = obj["variables"][0], obj["factors"][0]
+    if where in ("early", "late", "last"):
+        # a file of several shapes, whose numbers are converted one shape at a time, reports the
+        # error it meets first: a bad entry, or a length mismatch in a matrix of another shape
+        obj = json.loads(json.dumps(model_to_json(random_model(seed=5, n_agents=6, dims=(1, 3)))))
+        prior, factor = obj["variables"][0]["prior_cov"], obj["factors"][-1]
+        noise, (key, coeff) = factor["noise_cov"], list(factor["coeff"].items())[-1]
+        assert (prior["rows"], prior["cols"]) != (noise["rows"], noise["cols"])
+        if where == "last":
+            coeff["data"][0] = entry
+            message = f"factor {factor['id']} coeff[{key}]: data must be numeric"
+        else:
+            bad, short = (prior, noise) if where == "early" else (noise, prior)
+            bad["data"][0] = entry
+            short["data"].pop()
+            message = "variable 1 prior_cov: " + ("data must be numeric" if where == "early" else
+                                                  f"data length {len(prior['data'])} does not match "
+                                                  f"{prior['rows']}x{prior['cols']}")
+        with pytest.raises(InputFormatError) as exc:
+            model_from_json(obj)
+        assert str(exc.value) == message
+        return
     target = {"prior": var["prior_cov"]["data"], "coeff": next(iter(factor["coeff"].values()))["data"],
               "noise": factor["noise_cov"]["data"], "obs": factor["obs"]}[where]
     target[0] = entry

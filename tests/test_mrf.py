@@ -7,16 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import QUARTET_ABS_SPECTRUM, QUARTET_J, stack_global
+from conftest import QUARTET_ABS_SPECTRUM, QUARTET_J, mrf_marginals, stack_global
 from corpus import grid_field, random_walk_summable
 from gabp.errors import DomainError
 from gabp.graph import build_factor_graph
 from gabp.io import model_to_json
 from gabp.model import (FactorSpec, LinearGaussianModel, VariableSpec, centralized_solve,
                         validate_model)
-from gabp.mrf import (check_walk_summability, comparison_matrix, default_omega,
-                      factor_width_two, is_h_matrix, mrf_marginals,
+from gabp.mrf import (check_walk_summability, default_omega, factor_width_two,
                       mrf_to_linear_gaussian, normalize_mrf)
+from gabp.numerics import is_pd
 
 
 def test_normalize_mrf():
@@ -99,14 +99,11 @@ def test_each_public_entry_rejects_a_bad_j_with_its_message(entry, kind, message
     assert str(exc.value) == message
 
 
-def test_comparison_matrix_and_h_matrix():
-    x = np.array([[2.0, -1.0], [-1.0, 2.0]])
-    np.testing.assert_array_equal(comparison_matrix(x),
-                                  np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    assert is_h_matrix(x)
-    # diagonally weak matrix is not an H-matrix
-    y = np.array([[1.0, 2.0], [2.0, 1.0]])
-    assert not is_h_matrix(y)
+def comparison_matrix(x):
+    """Absolute diagonal, negated absolute off-diagonal."""
+    c = -np.abs(x)
+    np.fill_diagonal(c, np.abs(np.diag(x)))
+    return c
 
 
 def test_default_omega_is_half_the_margin():
@@ -124,7 +121,7 @@ def test_factor_width_two_reconstructs():
             assert np.count_nonzero(fw.v[:, c]) <= 2
         assert np.all(fw.scaling > 0)
         m = j - fw.omega * np.eye(j.shape[0])
-        assert is_h_matrix(m)
+        assert is_pd(comparison_matrix(m))  # an H-matrix
         # the defining property of the scaling: comparison(J - omega I) u = 1
         np.testing.assert_allclose(comparison_matrix(m) @ fw.scaling, 1.0, rtol=1e-10)
 
