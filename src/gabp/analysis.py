@@ -323,8 +323,8 @@ def certify(model, cross_check=True):
     topo = classify_topology(graph)
     fp = information_fixed_point(model, graph)
     st = fp.stack
-    bounds_hold = bool(st.per_edge(psd_compare, fp.f2v_j, st.lower_bound(), dtype=bool).all()
-                       and st.per_edge(psd_compare, st.upper_bound(), fp.f2v_j, dtype=bool).all())
+    bounds_hold = bool(psd_compare(fp.f2v_j, st.lower_bound()).all()
+                       and psd_compare(st.upper_bound(), fp.f2v_j).all())
     rho = assemble_q(model, graph, fp).rho
     verdict = decide_mean_convergence(rho, topo.overall)
     mean_run = two_phase_mean_recursion(fp)

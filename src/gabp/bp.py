@@ -23,13 +23,15 @@ stack belongs to the factor-to-variable edge graph.f2v_edges[e] = (n, i)
 and to its twin, the variable-to-factor edge (i, n). Blocks are padded
 to the largest edge dim D and observation dim P: A_{n,i} sits top-left
 in a zero (P, D) block, while R_n, W_i^-1 and every information matrix
-carry an identity in their pad, so each solve stays block diagonal and
-the pad never mixes into the real block. Checks that read eigenvalues
-(pd, part metric) see only each row's real d x d block. Two gather
-arrays replace the neighbor loops: others_of_var[e] lists the rows
-(k, i), k != n, and others_of_factor[e] the rows (n, j), j != i, both
-padded with -1, which reads a zero row kept at the end of every gathered
-store.
+carry c I in their pad, c > 0 (c = 1 + k in a v2f J with k other
+factors), so each solve and inverse stays block diagonal and the pad
+never mixes into the real block. Each check and metric runs once on a
+whole stack and gives every row its real block's result: symmetry and
+psd checks read it as it is (psd_compare's pad is 0), pd checks and part
+metrics read inner_pad's copy. Two gather arrays replace the neighbor
+loops: others_of_var[e] lists the rows (k, i), k != n, and
+others_of_factor[e] the rows (n, j), j != i, both padded with -1, which
+reads a zero row kept at the end of every gathered store.
 
 The stack also holds the edge-wise envelopes of the information
 recursion (lower_bound is one information half from zero messages,
@@ -40,7 +42,7 @@ information matrices, the precondition of the paper's convergence results.
 Edge dicts enter only there, and leave only through edge_views.
 The analysis builds Q for rho(Q) on the rows with both ends in the
 factor graph's 2-core (graph.peel.core_edges). compute_beliefs adds
-the f2v stores by var_of_row to prior: every W_i^-1, padded to max dim_i >= D.
+the f2v stores by var_of_row to prior: every W_i^-1, identity-padded to max dim_i >= D.
 
 One outer iteration updates every edge of both kinds exactly once. A
 schedule is a choice of factor blocks (sets of rows) for one shared
@@ -76,7 +78,7 @@ import numpy as np
 
 from gabp.errors import DomainError, ExistenceViolation
 from gabp.graph import build_factor_graph
-from gabp.model import precision_stacks, shape_stacks
+from gabp.model import pad_stacks, precision_stacks, shape_stacks
 from gabp.numerics import is_pd, is_psd, is_symmetric, part_metric_to
 
 log = logging.getLogger("gabp")
@@ -236,13 +238,6 @@ def _others(group, order):
     return members[members != np.arange(len(group))[:, None]].reshape(len(group), width - 1)
 
 
-def _pad(groups, out):
-    """out with each stack of groups, [(rows, stack)], written into the top-left corner of its rows."""
-    for rows, x in groups:
-        out[(rows,) + tuple(slice(n) for n in x.shape[1:])] = x
-    return out
-
-
 class EdgeStack:
     """A model's edges as padded constant stacks, and the kernel's two halves.
 
@@ -265,17 +260,16 @@ class EdgeStack:
         stacks = shape_stacks((), model.factors)
         d_max = int(self.dims.max(initial=0))
         p_max = max((x.shape[1] for _, x in stacks["obs"]), default=0)
-        self.prior = _pad(precision_stacks(shape_stacks(model.variables)["cov"]),
-                          np.zeros((len(self.var_ids),) + (int(self.var_dims.max(initial=0)),) * 2))
+        self.prior = pad_stacks(precision_stacks(shape_stacks(model.variables)["cov"]),
+                                np.tile(np.eye(int(self.var_dims.max(initial=0))), (len(self.var_ids), 1, 1)))
         self.pad = np.where(np.arange(d_max) < self.dims[:, None, None], 0.0, np.eye(d_max))
-        self.w = self.prior[self.var_of_row, :d_max, :d_max] + self.pad
-        self.a = _pad(stacks["coeff"], np.zeros((n_edges + 1, p_max, d_max)))
-        self.r = _pad(stacks["cov"], np.tile(np.eye(p_max), (len(model.factors), 1, 1)))[factor_of_row]
-        self.y = _pad(stacks["obs"], np.zeros((len(model.factors), p_max)))[factor_of_row]
+        self.w = self.prior[self.var_of_row, :d_max, :d_max]
+        self.a = pad_stacks(stacks["coeff"], np.zeros((n_edges + 1, p_max, d_max)))
+        self.r = pad_stacks(stacks["cov"], np.tile(np.eye(p_max), (len(model.factors), 1, 1)))[factor_of_row]
+        self.y = pad_stacks(stacks["obs"], np.zeros((len(model.factors), p_max)))[factor_of_row]
         self.v2f_rows = np.argsort(self.var_of_row, kind="stable")
         self.others_of_var = _others(self.var_of_row, self.v2f_rows)
         self.others_of_factor = _others(factor_of_row, np.arange(n_edges))
-        self.dim_values = np.unique(self.dims).tolist()
         self._lower = None
         self._spread = np.zeros((n_edges + 1, p_max, p_max))
         self._pull = np.zeros((n_edges + 1, p_max))
@@ -341,10 +335,10 @@ class EdgeStack:
             bad = np.flatnonzero(~(np.isfinite(jm).all(axis=(1, 2)) & np.isfinite(vm).all(axis=1)))
             if bad.size:
                 raise DomainError(f"init edge {self.edges[bad[0]]} is not finite")
-            bad = np.flatnonzero(~self.per_edge(is_symmetric, jm, dtype=bool))
+            bad = np.flatnonzero(~is_symmetric(jm[:-1]))
             if bad.size:
                 raise DomainError(f"init edge {self.edges[bad[0]]} has an asymmetric information matrix")
-            bad = np.flatnonzero(~self.per_edge(is_psd, jm, dtype=bool))
+            bad = np.flatnonzero(~is_psd(jm[:-1]))
             if bad.size:
                 raise DomainError(f"custom init edge {self.edges[bad[0]]} has a non-psd information matrix")
             return jm, vm
@@ -359,15 +353,9 @@ class EdgeStack:
         jm = np.concatenate([jm, np.zeros((1,) + jm.shape[1:])])
         return jm, np.zeros(jm.shape[:2])
 
-    def per_edge(self, fn, *stacks, rows=slice(None), dtype=float):
-        """fn, or fn[d] of a dict by dim, once per dim d on the real d x d blocks of the rows (default all)."""
-        dims = self.dims[rows]
-        out = np.zeros(len(dims), dtype=dtype)
-        for d in self.dim_values:
-            sel = np.flatnonzero(dims == d)
-            if sel.size:
-                out[sel] = (fn[d] if isinstance(fn, dict) else fn)(*(s[sel, :d, :d] for s in stacks))
-        return out
+    def inner_pad(self, x, rows=slice(None)):
+        """x, a stack of the rows, with each pad diagonal entry set to the row's (0, 0) entry, inside its spectrum."""
+        return np.where(self.pad[rows] == 1.0, x[:, :1, :1], x)
 
     def v2f_information(self, fj, rows):
         """J_{i->n} for the rows' twin edges; fj is the whole f2v store."""
@@ -408,7 +396,7 @@ def _sweep(stack, state, rows, strict, it):
     fj, fh, vj, vv = state
     jv = stack.v2f_information(fj, rows)
     if strict:
-        bad = np.arange(len(stack.edges))[rows][~stack.per_edge(is_pd, jv, rows=rows, dtype=bool)]
+        bad = np.arange(len(stack.edges))[rows][~is_pd(stack.inner_pad(jv, rows))]
         if bad.size:
             j, n = stack.graph.v2f_edges[np.isin(stack.v2f_rows, bad).argmax()]
             raise ExistenceViolation(f"variable-to-factor message ({j} -> {n}) not pd at iteration {it}")
@@ -434,18 +422,16 @@ def compute_beliefs(stack, fj, fh):
     """Beliefs by variable id from the f2v stores fj (J_{n->i}) and fh (J_{n->i} v_{n->i}) by row.
 
     A variable's precision is its prior plus its messages' J in factor
-    (row) order; the covariances come from one stacked inverse per dim.
+    (row) order; the covariances come from one inverse of the padded
+    stack, whose pads are positive multiples of the identity.
     """
     prec, rhs, d_max = stack.prior.copy(), np.zeros(stack.prior.shape[:2]), fj.shape[-1]
     np.add.at(prec[:, :d_max, :d_max], stack.var_of_row, fj[stack.all])
     np.add.at(rhs[:, :d_max], stack.var_of_row, fh[stack.all])
-    beliefs = [None] * len(prec)
-    for d in np.unique(stack.var_dims).tolist():
-        sel = np.flatnonzero(stack.var_dims == d)
-        covs = np.linalg.inv((prec[sel, :d, :d] + prec[sel, :d, :d].swapaxes(1, 2)) / 2.0)
-        for k, cov, mean in zip(sel, covs, (covs @ rhs[sel, :d, None])[..., 0]):
-            beliefs[k] = Belief(mean=mean, cov=cov)
-    return dict(zip(stack.var_ids, beliefs))
+    covs = np.linalg.inv((prec + prec.swapaxes(1, 2)) / 2.0)
+    means = (covs @ rhs[..., None])[..., 0]
+    return {vid: Belief(mean=mean[:d], cov=cov[:d, :d])
+            for vid, d, mean, cov in zip(stack.var_ids, stack.var_dims.tolist(), means, covs)}
 
 
 def run_bp(model, graph=None, init="zero", options=None, reference=None):
@@ -505,9 +491,8 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
     if reference is not None:
         if reference.stack.edges != stack.edges or not np.array_equal(reference.stack.dims, stack.dims):
             raise DomainError("reference fixed point belongs to another graph")
-        # the reference is constant: factor it once per dim
-        metrics = {d: part_metric_to(reference.f2v_j[stack.dims == d, :d, :d]) for d in stack.dim_values}
-        traj.initial_part_metric = float(np.max(stack.per_edge(metrics, fj), initial=0.0))
+        metric = part_metric_to(stack.inner_pad(reference.f2v_j))  # the reference is constant: factor it once
+        traj.initial_part_metric = float(np.max(metric(stack.inner_pad(fj[:-1])), initial=0.0))
 
     rng = np.random.default_rng(opts.seed)
     blocks = [stack.all] if opts.schedule == "sync" else stack.blocks(graph.factor_ids)
@@ -526,7 +511,7 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
         fv[:-1] = np.linalg.solve(fj[:-1], fh[:-1, :, None])[..., 0]
 
         if opts.strict:
-            bad = np.flatnonzero(~stack.per_edge(is_pd, fj, dtype=bool))
+            bad = np.flatnonzero(~is_pd(stack.inner_pad(fj[:-1])))
             if bad.size:
                 n, i = graph.f2v_edges[bad[0]]
                 raise ExistenceViolation(f"factor-to-variable message ({n} -> {i}) not pd at iteration {it}")
@@ -541,7 +526,7 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
             max_dv = float(max(v_dv.max(initial=0.0), f_dv.max(initial=0.0)))
         pm = max_pm = math.nan
         if reference is not None:
-            pm = stack.per_edge(metrics, fj)
+            pm = metric(stack.inner_pad(fj[:-1]))
             max_pm = pm.max(initial=0.0)
         if opts.record_messages:
             block = np.full((2 * n_edges, 3), math.nan)

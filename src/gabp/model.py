@@ -13,7 +13,8 @@ structured models, and the pairwise models produced by the MRF bridge.
 
 shape_stacks groups the arrays of a model's specs by kind and shape, one
 stack per group, read afresh on every call. validate_model's numerical
-checks, the prior precisions and the engine's EdgeStack run on them.
+checks run on them, and pad_stacks writes them into the padded arrays of
+the engine's EdgeStack and of centralized_solve, with no loop over specs.
 
 centralized_solve is the one exact reference: the joint MMSE means and
 each variable's covariance block, by Gaussian elimination along the
@@ -118,6 +119,13 @@ def shape_stacks(variables, factors=()):
 def precision_stacks(priors):
     """[(positions, W^-1 stack)] for the prior groups of shape_stacks: the one place a prior is inverted."""
     return [(idx, np.linalg.inv(w)) for idx, w in priors]
+
+
+def pad_stacks(groups, out):
+    """out with each stack of groups, [(rows, stack)], written into the top-left corner of its rows."""
+    for rows, x in groups:
+        out[(rows,) + tuple(slice(n) for n in x.shape[1:])] = x
+    return out
 
 
 def validate_model(model):
@@ -238,12 +246,6 @@ class CentralizedSolution:
     covs: dict
 
 
-def prior_precisions(model):
-    """W_i^-1 for every variable id, a dict view of precision_stacks."""
-    return {model.variables[k].id: w for idx, inv in precision_stacks(shape_stacks(model.variables)["cov"])
-            for k, w in zip(idx, inv)}
-
-
 def centralized_solve(model, graph=None):
     """Joint MMSE estimate x_hat = (W^-1 + A^T R^-1 A)^-1 A^T R^-1 y, with each variable's covariance.
 
@@ -282,22 +284,18 @@ def centralized_solve(model, graph=None):
     graph = graph or build_factor_graph(model)
     peel = graph.peel
     n_f, n = len(model.factors), len(peel.core)
-    dims = [v.dim for v in model.variables]
-    d = max(dims, default=0)
-    q = max([d] + [len(f.obs) for f in model.factors])
+    dims = np.array([v.dim for v in model.variables], dtype=int)
+    stacks = shape_stacks((), model.factors)
+    d = int(dims.max(initial=0))
+    q = max([d] + [y.shape[1] for _, y in stacks["obs"]])
     eye = np.eye(q)
-    # node states, the last one a sentinel; A per f2v row, the last one zero for hung = -1
-    state, a = np.zeros((n + 1, q, q + 1)), np.zeros((len(peel.pairs) + 1, q, q))
+    # node states (factors, variables, a sentinel) and A per f2v row (a last zero one for hung = -1)
+    state = np.zeros((n + 1, q, q + 1))
     state[:, :, :q] = eye
-    for k, f in enumerate(model.factors):
-        m = len(f.obs)
-        state[k, :m, :m], state[k, :m, q] = f.noise_cov, f.obs
-    for e, (fid, i) in enumerate(graph.f2v_edges):
-        coeff = model.factor(fid).coeff[i]
-        a[e, :coeff.shape[0], :coeff.shape[1]] = coeff
-    precisions = prior_precisions(model)
-    for k, v in enumerate(model.variables, start=n_f):
-        state[k, :v.dim, :v.dim] = precisions[v.id]
+    priors = precision_stacks(shape_stacks(model.variables)["cov"])
+    pad_stacks(stacks["cov"] + [(n_f + idx, w) for idx, w in priors], state)
+    pad_stacks(stacks["obs"], state[..., q])
+    a = pad_stacks(stacks["coeff"], np.zeros((len(peel.pairs) + 1, q, q)))
 
     # each removed node's [B | b | sI], B = A from a factor and -A^T from a variable; parent -1
     # reaches the sentinels
@@ -322,7 +320,7 @@ def centralized_solve(model, graph=None):
         # from the core factors' G = R^-1 [A | y | -I] on each pair (s, t) of their core rows.
         f, v = peel.pairs[rows].T
         cv = np.flatnonzero(peel.core[n_f:]) + n_f
-        real = np.arange(d) < np.array(dims)[cv - n_f, None]
+        real = np.arange(d) < dims[cv - n_f, None]
         size = int(real.sum())
         slot = np.where(real, np.cumsum(real).reshape(real.shape) - 1, size)
         u = slot[np.searchsorted(cv, v)]  # each core row's variable slots
@@ -352,7 +350,7 @@ def centralized_solve(model, graph=None):
         val[k] = g[..., q] - (gb @ val[p, :, None])[..., 0]
         cov[k] = g[..., q + 1:] + gb @ cov[p] @ gb.swapaxes(1, 2)
     variables = list(enumerate(model.variables, start=n_f))
-    return CentralizedSolution(mean=val[n_f:n][np.arange(q) < np.array(dims, dtype=int)[:, None]],
+    return CentralizedSolution(mean=val[n_f:n][np.arange(q) < dims[:, None]],
                                means={v.id: val[k, :v.dim] for k, v in variables},
                                covs={v.id: cov[k, :v.dim, :v.dim] for k, v in variables})
 

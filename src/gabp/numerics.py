@@ -13,7 +13,9 @@ fixed; no function takes a per-call tolerance override:
 * full column rank means smallest singular value > 1e-10 * largest,
 * is_symmetric, symmetrize, is_psd, is_pd and part_metric take one
   matrix or an (E, d, d) stack, and has_full_column_rank one matrix or an
-  (E, m, d) stack; on a stack they decide each matrix on its own,
+  (E, m, d) stack; on a stack they decide each matrix on its own (the
+  engine's stacks are padded, see gabp.bp); an empty matrix is pd and
+  psd, and at part-metric distance 0 from another,
 * the spectral radius is plain dense numpy eigvals; the analysis hands
   it only Q's loop core (graph.peel.core_edges).
 """
@@ -148,6 +150,8 @@ def part_metric_to(ref):
 
     def metric(x):
         x = symmetrize(x)
+        if not x.shape[-1]:
+            return np.zeros(len(x))
         w = np.linalg.eigvalsh(np.concatenate([x, inv @ (x - ref) @ inv.swapaxes(1, 2)]))
         lo, hi = w[len(x):, 0], w[len(x):, -1]
         # lo <= -1 is possible only for near-singular inputs that slipped

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_marginals, information_iterates, quartet_model, rand_spd, vague_prior_model
-from corpus import (SHOWCASE_DIVERGENT, forest_corpus, frustrated_model,
+from corpus import (SHOWCASE_DIVERGENT, cli_mixed_models, forest_corpus, frustrated_model,
                     grid_field, loopy_corpus, mixed_corpus)
 from gabp.bp import (Belief, BpOptions, EdgeStack, Message, compute_beliefs,
                      edge_views, make_init, run_bp)
@@ -14,7 +14,7 @@ from gabp.errors import DomainError, ExistenceViolation
 from gabp.graph import build_factor_graph
 from gabp.model import FactorSpec, LinearGaussianModel, VariableSpec, random_model
 from gabp.mrf import mrf_to_linear_gaussian
-from gabp.numerics import part_metric, part_metric_to
+from gabp.numerics import is_pd, is_psd, is_symmetric, part_metric, part_metric_to, psd_compare
 
 
 def tree_model():
@@ -369,6 +369,54 @@ def test_strict_mode_stops_on_a_non_pd_incoming_message():
     with pytest.raises(ExistenceViolation, match=re.escape(
             "variable-to-factor message (1 -> 1) not pd at iteration 1")):
         run_bp(m, options=BpOptions(strict=True))
+
+
+def _per_dim(fn, dims, *stacks):
+    """fn once per dim d on the real d x d blocks of the rows of that dim."""
+    out = np.zeros(len(dims))
+    for d in np.unique(dims).tolist():
+        rows = np.flatnonzero(dims == d)
+        out[rows] = fn(*(x[rows, :d, :d] for x in stacks))
+    return out
+
+
+def test_padded_checks_and_metrics_equal_those_of_the_real_blocks_bit_for_bit():
+    # is_psd, is_symmetric and psd_compare read the padded stacks as they
+    # are; pd verdicts and part metrics read them after inner_pad. With the
+    # real blocks scaled by 1e10, lambda_max passes 1e9, where the pd bar
+    # PSD_TOL * lambda_max reaches an identity pad's eigenvalue 1.
+    from gabp.analysis import information_fixed_point
+    mixed = 0
+    for k, model in enumerate([m for _, m in cli_mixed_models()] + list(loopy_corpus())):
+        fp = information_fixed_point(model)
+        st = fp.stack
+        mixed += len(set(st.dims.tolist())) > 1
+        for scale in (1.0, 1e10):
+            f2v = [np.where(st.pad == 1.0, x, scale * x) for x in (st.lower_bound(), st.upper_bound(), fp.f2v_j)]
+            for x in f2v + [np.where(st.pad == 1.0, fp.v2f_j, scale * fp.v2f_j)]:
+                assert np.array_equal(is_pd(st.inner_pad(x)), _per_dim(is_pd, st.dims, x)), (k, scale)
+                assert np.array_equal(is_psd(x), _per_dim(is_psd, st.dims, x)), (k, scale)
+                assert np.array_equal(is_symmetric(x), _per_dim(is_symmetric, st.dims, x)), (k, scale)
+            for x in f2v:
+                for y in f2v:
+                    assert np.array_equal(psd_compare(x, y), _per_dim(psd_compare, st.dims, x, y)), (k, scale)
+                    got = part_metric_to(st.inner_pad(y))(st.inner_pad(x))
+                    want = _per_dim(lambda a, b: part_metric_to(b)(a), st.dims, x, y)
+                    assert np.array_equal(got, want), (k, scale)
+    assert mixed >= 50
+
+
+def test_strict_mode_converges_where_an_identity_pad_would_fail_the_pd_bar():
+    # tiny priors and large coefficients: lambda_max of the v2f and f2v
+    # information matrices is far above 1e9, so an identity pad would fail
+    # the pd check on the 1-dim variable's edges at iteration 1
+    rng = np.random.default_rng(0)
+    factors = [FactorSpec(n, (1, 2), {1: 1e5 * rng.standard_normal((3, 1)), 2: 1e5 * rng.standard_normal((3, 2))},
+                          np.eye(3), rng.standard_normal(3)) for n in (1, 2)]
+    m = LinearGaussianModel([VariableSpec(1, 1, 2e-9 * np.eye(1)), VariableSpec(2, 2, 2e-9 * np.eye(2))], factors)
+    for schedule, iterations in [("sync", 18), ("seq", 8)]:
+        res = run_bp(m, init="lower", options=BpOptions(schedule=schedule, strict=True))
+        assert (res.status, res.iterations) == ("converged", iterations), schedule
 
 
 def test_run_rejects_a_negative_seed(quartet):

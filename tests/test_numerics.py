@@ -152,6 +152,9 @@ def test_part_metric_to_matches_the_bisection_oracle_and_the_pd_verdict():
         for k in np.flatnonzero(pd):
             assert dist[k] == pytest.approx(part_metric_bisection(refs[k], xs[k]), abs=1e-9), (d, k)
         assert dist[3] > np.log(1e9)
+    # empty matrices, which is_pd accepts, are at distance 0
+    for shape in [(0, 0, 0), (3, 0, 0)]:
+        assert part_metric_to(np.zeros(shape))(np.zeros(shape)).tolist() == [0.0] * shape[0]
 
 
 def test_part_metric_symmetry_and_scaling():
