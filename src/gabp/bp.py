@@ -61,8 +61,11 @@ no sweep reads, are solved once per iteration after the last block.
 Strict mode requires pd incoming v2f information matrices before a
 block's f2v half (A^T R^-1 A is psd, so each update's existence core
 A^T R^-1 A + blockdiag(J) is then pd) and pd f2v ones after each
-iteration. Checks, deltas and part metrics run over stacks of rows;
-a result builds its message dicts only when they are read. A run keeps
+iteration. run_bp keeps two message stacks, jm (2, E+1, D, D) and vm
+(2, E+1, D): axis 0 is the edge kind, f2v then the v2f twin, each with
+the trailing zero row, so an iteration makes one copy, one delta pass
+and one divergence test over both kinds. BpResult keeps (graph, jm, vm)
+and builds its message dicts only when they are read. A run keeps
 its per-iteration maxima in one flat array("d") and, if recorded, its
 per-edge trajectory rows as one float block per iteration (TrajectoryRows).
 """
@@ -195,9 +198,9 @@ class Belief:
 
 @dataclass
 class BpResult:
-    """A run's outcome; messages is built from the run's final stores when first read.
+    """A run's outcome; messages is built from the run's final stacks when first read.
 
-    messages holds the "f2v" and "v2f" dicts of Messages by edge, views of those stores.
+    messages holds the "f2v" and "v2f" dicts of Messages by edge, views of jm[0], vm[0] and jm[1], vm[1].
     """
 
     status: str
@@ -208,8 +211,8 @@ class BpResult:
 
     @cached_property
     def messages(self):
-        graph, fj, fv, vj, vv = self._stores
-        return {"f2v": edge_views(graph, fj, fv), "v2f": edge_views(graph, vj, vv, v2f=True)}
+        graph, jm, vm = self._stores
+        return {"f2v": edge_views(graph, jm[0], vm[0]), "v2f": edge_views(graph, jm[1], vm[1], v2f=True)}
 
 
 def edge_views(graph, jm, vm=None, v2f=False):
@@ -391,30 +394,23 @@ def make_init(model, graph, strategy="zero"):
     return edge_views(graph, *stack.init(strategy))
 
 
-def _sweep(stack, state, rows, strict, it):
+def _sweep(stack, jm, vm, fh, rows, strict, it):
     """Refresh the v2f messages into a block of factors, then the block's f2v messages."""
-    fj, fh, vj, vv = state
-    jv = stack.v2f_information(fj, rows)
+    jv = stack.v2f_information(jm[0], rows)
     if strict:
         bad = np.arange(len(stack.edges))[rows][~is_pd(stack.inner_pad(jv, rows))]
         if bad.size:
             j, n = stack.graph.v2f_edges[np.isin(stack.v2f_rows, bad).argmax()]
             raise ExistenceViolation(f"variable-to-factor message ({j} -> {n}) not pd at iteration {it}")
     gain, jn = stack.f2v_information(jv, rows)
-    vv[rows] = stack.v2f_mean(fh, rows, jv)
-    fh[rows] = stack.f2v_potential(vv[rows], rows, gain)
-    vj[rows], fj[rows] = jv, jn
+    vm[1, rows] = stack.v2f_mean(fh, rows, jv)
+    fh[rows] = stack.f2v_potential(vm[1, rows], rows, gain)
+    jm[1, rows], jm[0, rows] = jv, jn
 
 
-def _deltas(new_j, old_j, new_v, old_v):
-    """Per-row Frobenius change of J and max-abs change of v."""
-    dj = new_j - old_j
-    return np.sqrt((dj * dj).sum(axis=(1, 2))), np.abs(new_v - old_v).max(axis=1, initial=0.0)
-
-
-def diverged(*stores):
-    """The divergence guard: an entry of the stores exceeds DIVERGENCE_GUARD in magnitude or is not finite."""
-    peak = np.maximum.reduce([np.abs(x).max(initial=0.0) for x in stores])
+def diverged(store):
+    """The divergence guard: an entry of the store exceeds DIVERGENCE_GUARD in magnitude or is not finite."""
+    peak = np.abs(store).max(initial=0.0)
     return not np.isfinite(peak) or peak > DIVERGENCE_GUARD
 
 
@@ -465,7 +461,9 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
     information matrix and the largest max-abs change of any mean vector
     fall below their tolerances over one full iteration. The divergence
     guard trips when any mean-vector entry exceeds DIVERGENCE_GUARD in
-    absolute value (or stops being finite).
+    absolute value (or stops being finite). Both edge kinds share the
+    stacks jm and vm, axis 0 (f2v, v2f), row e the edge (n, i) and its
+    twin (i, n); the result keeps them with the graph for its messages.
     """
     if graph is None:
         graph = build_factor_graph(model)
@@ -480,19 +478,19 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
         raise DomainError(f"max_iters must be non-negative, got {opts.max_iters}")
     own = reference is not None and reference.stack.model is model and reference.stack.graph is graph
     stack = reference.stack if own else EdgeStack(model, graph)
-    fj, fv = stack.init(init)
-    fh = (fj @ fv[..., None])[..., 0]
-    vj, vv = np.zeros_like(fj[:-1]), np.zeros_like(fv[:-1])
+    jm, vm = (np.stack([x, np.zeros_like(x)]) for x in stack.init(init))
+    fh = (jm[0] @ vm[0, ..., None])[..., 0]
     n_edges = len(stack.edges)
     traj = BpTrajectory(per_iteration=IterationStats(with_metric=reference is not None))
     if opts.record_messages:
         traj.rows = TrajectoryRows(graph.v2f_edges, graph.f2v_edges,
                                    n_edges if reference is not None else 2 * n_edges)
+        take = np.concatenate([n_edges + stack.v2f_rows, np.arange(n_edges)])  # block row -> index in dj.ravel()
     if reference is not None:
         if reference.stack.edges != stack.edges or not np.array_equal(reference.stack.dims, stack.dims):
             raise DomainError("reference fixed point belongs to another graph")
         metric = part_metric_to(stack.inner_pad(reference.f2v_j))  # the reference is constant: factor it once
-        traj.initial_part_metric = float(np.max(metric(stack.inner_pad(fj[:-1])), initial=0.0))
+        traj.initial_part_metric = float(np.max(metric(stack.inner_pad(jm[0, :-1])), initial=0.0))
 
     rng = np.random.default_rng(opts.seed)
     blocks = [stack.all] if opts.schedule == "sync" else stack.blocks(graph.factor_ids)
@@ -501,47 +499,46 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
 
     for it in range(1, opts.max_iters + 1):
         iterations = it
-        old = [x.copy() for x in (fj[:-1], fv[:-1], vj, vv)]
+        old_j, old_v = jm[:, :-1].copy(), vm[:, :-1].copy()
         if opts.schedule == "random":
             order = list(graph.factor_ids)
             rng.shuffle(order)
             blocks = stack.blocks(order)
         for rows in blocks:
-            _sweep(stack, (fj, fh, vj, vv), rows, opts.strict, it)
-        fv[:-1] = np.linalg.solve(fj[:-1], fh[:-1, :, None])[..., 0]
+            _sweep(stack, jm, vm, fh, rows, opts.strict, it)
+        vm[0, :-1] = np.linalg.solve(jm[0, :-1], fh[:-1, :, None])[..., 0]
 
         if opts.strict:
-            bad = np.flatnonzero(~is_pd(stack.inner_pad(fj[:-1])))
+            bad = np.flatnonzero(~is_pd(stack.inner_pad(jm[0, :-1])))
             if bad.size:
                 n, i = graph.f2v_edges[bad[0]]
                 raise ExistenceViolation(f"factor-to-variable message ({n} -> {i}) not pd at iteration {it}")
 
-        f_dj, f_dv = _deltas(fj[:-1], old[0], fv[:-1], old[1])
-        v_dj, v_dv = _deltas(vj, old[2], vv, old[3])
+        dj = np.linalg.norm(jm[:, :-1] - old_j, axis=(2, 3))
+        dv = np.abs(vm[:, :-1] - old_v).max(axis=2, initial=0.0)
         if it == 1:
-            v_dj = v_dv = np.full(len(v_dj), math.nan)
+            dj[1] = dv[1] = math.nan  # the v2f messages had no previous value
             max_dj = max_dv = math.inf
         else:
-            max_dj = float(max(v_dj.max(initial=0.0), f_dj.max(initial=0.0)))
-            max_dv = float(max(v_dv.max(initial=0.0), f_dv.max(initial=0.0)))
+            max_dj, max_dv = float(dj.max(initial=0.0)), float(dv.max(initial=0.0))
         pm = max_pm = math.nan
         if reference is not None:
-            pm = metric(stack.inner_pad(fj[:-1]))
+            pm = metric(stack.inner_pad(jm[0, :-1]))
             max_pm = pm.max(initial=0.0)
         if opts.record_messages:
             block = np.full((2 * n_edges, 3), math.nan)
-            block[:n_edges, 0], block[:n_edges, 1] = v_dj[stack.v2f_rows], v_dv[stack.v2f_rows]
-            block[n_edges:, 0], block[n_edges:, 1], block[n_edges:, 2] = f_dj, f_dv, pm
+            block[:, 0], block[:, 1] = dj.ravel()[take], dv.ravel()[take]
+            block[n_edges:, 2] = pm
             traj.rows.blocks.append(block)
         traj.per_iteration.append(max_dj, max_dv, max_pm)
         log.debug("bp iter %d: max_dj=%.3e max_dv=%.3e", it, max_dj, max_dv)
 
-        if diverged(fv, vv):
+        if diverged(vm):
             status = "diverged"
             break
         if max_dj < opts.tol_j and max_dv < opts.tol_v:
             status = "converged"
             break
 
-    return BpResult(status=status, iterations=iterations, trajectory=traj, _stores=(graph, fj, fv, vj, vv),
-                    beliefs=None if status == "diverged" else compute_beliefs(stack, fj, fh))
+    return BpResult(status=status, iterations=iterations, trajectory=traj, _stores=(graph, jm, vm),
+                    beliefs=None if status == "diverged" else compute_beliefs(stack, jm[0], fh))

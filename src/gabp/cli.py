@@ -21,7 +21,7 @@ from gabp.errors import (DomainError, ExistenceViolation, InputFormatError,
                          IterationBudgetError)
 from gabp.graph import build_factor_graph, classify_topology
 from gabp.io import (belief_rows, fmt, load_custom_init, load_model, load_mrf, save_model,
-                     write_beliefs_csv, write_dot, write_trajectory_csv)
+                     write_beliefs_csv, write_dot, write_json, write_trajectory_csv)
 from gabp.model import centralized_solve, random_model, require_valid, validate_model
 from gabp.mrf import check_walk_summability, is_normalized, mrf_to_linear_gaussian, normalize_mrf
 
@@ -152,11 +152,7 @@ def cmd_analyze(args):
     for note in report.notes:
         print(f"note: {note}")
     if args.out:
-        import json
-        with open(args.out, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.out}")
+        _write(write_json, report.to_dict(), args.out)
     if args.dot:
         _write(write_dot, build_factor_graph(model), args.dot)
     if report.verdict == "diverges_rho_ge_1":

@@ -171,10 +171,15 @@ def model_from_json(obj):
     return LinearGaussianModel(variables=variables, factors=factors, meta=dict(meta))
 
 
-def save_model(model, path):
+def write_json(obj, path):
+    """Write obj as JSON indented by 2, with a final newline: every JSON file gabp writes."""
     with open(path, "w") as fh:
-        json.dump(model_to_json(model), fh, indent=2)
+        json.dump(obj, fh, indent=2)
         fh.write("\n")
+
+
+def save_model(model, path):
+    write_json(model_to_json(model), path)
 
 
 def _load_json(path, what):
@@ -197,9 +202,7 @@ def save_mrf(j, h, path, provenance=None):
         obj["h"] = [float(x) for x in np.asarray(h).ravel()]
     if provenance:
         obj["provenance"] = dict(provenance)
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    write_json(obj, path)
 
 
 def load_mrf(path):

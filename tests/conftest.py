@@ -12,7 +12,7 @@ import pytest
 
 from gabp.bp import EdgeStack, edge_views
 from gabp.errors import DomainError
-from gabp.model import FactorSpec, LinearGaussianModel, VariableSpec
+from gabp.model import FactorSpec, LinearGaussianModel, VariableSpec, random_model
 from gabp.numerics import is_pd, is_symmetric, symmetrize
 
 
@@ -285,3 +285,19 @@ def vague_prior_model():
         factors=[FactorSpec(1, (1,), {1: one}, one, np.ones(1)),
                  FactorSpec(2, (1, 2), {1: one, 2: one}, one, np.ones(1))],
     )
+
+
+def ill_conditioned_noise_model():
+    """random_model(seed=6, 6 agents, multi_loop, dims 2-3) with noise covariances of condition number 1e7.
+
+    Its information recursion moves by about 1e-12 relative, 1.8e-5
+    absolute, per iteration after 10000 iterations, so it never meets the
+    absolute FIXED_POINT_TOL.
+    """
+    m = random_model(seed=6, n_agents=6, topology="multi_loop", dims=(2, 3))
+    rng = np.random.default_rng(6)
+    for f in m.factors:
+        q, _ = np.linalg.qr(rng.standard_normal((f.obs_dim, f.obs_dim)))
+        r = (q * np.logspace(0, -7, f.obs_dim)) @ q.T
+        f.noise_cov = (r + r.T) / 2.0
+    return m

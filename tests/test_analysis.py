@@ -299,6 +299,9 @@ def test_fit_contraction_rate_stops_at_floor_and_infs():
         fit_contraction_rate([0.5, 0.25])
     with pytest.raises(DomainError):
         fit_contraction_rate([np.inf, 0.5, 0.25, 0.125])
+    # four usable points whose minimum ends a rise: the decaying suffix is 3.0, 0.5
+    with pytest.raises(DomainError, match="decaying suffix has fewer than 3 points"):
+        fit_contraction_rate([1.0, 2.0, 3.0, 0.5])
 
 
 def test_fit_contraction_rate_uses_decaying_suffix():

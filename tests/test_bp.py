@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dense_marginals, information_iterates, quartet_model, rand_spd, vague_prior_model
+from conftest import (dense_marginals, ill_conditioned_noise_model, information_iterates, quartet_model, rand_spd,
+                      vague_prior_model)
 from corpus import (SHOWCASE_DIVERGENT, cli_mixed_models, forest_corpus, frustrated_model,
                     grid_field, loopy_corpus, mixed_corpus)
 from gabp.bp import (Belief, BpOptions, EdgeStack, Message, compute_beliefs,
@@ -352,12 +353,7 @@ def test_strict_mode_on_an_ill_conditioned_noise_model():
     # asymmetric by more than symmetrize accepts; strict mode decides on
     # the kernel's symmetric information matrices, so it ends like the
     # plain run.
-    m = random_model(seed=6, n_agents=6, topology="multi_loop", dims=(2, 3))
-    rng = np.random.default_rng(6)
-    for f in m.factors:
-        q, _ = np.linalg.qr(rng.standard_normal((f.obs_dim, f.obs_dim)))
-        r = (q * np.logspace(0, -7, f.obs_dim)) @ q.T
-        f.noise_cov = (r + r.T) / 2.0
+    m = ill_conditioned_noise_model()
     assert run_bp(m, options=BpOptions(max_iters=3)).status == "max_iters"
     assert run_bp(m, options=BpOptions(strict=True, max_iters=3)).status == "max_iters"
 
@@ -423,6 +419,11 @@ def test_run_rejects_a_negative_seed(quartet):
     for schedule in ("sync", "random"):
         with pytest.raises(DomainError, match="seed must be non-negative"):
             run_bp(quartet, options=BpOptions(schedule=schedule, seed=-1))
+
+
+def test_run_rejects_an_unknown_schedule(quartet):
+    with pytest.raises(DomainError, match="unknown schedule 'x'"):
+        run_bp(quartet, options=BpOptions(schedule="x"))
 
 
 def test_run_rejects_invalid_tolerances_and_budgets(quartet):

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import QUARTET_J, quartet_model, stack_global, vague_prior_model
+from conftest import QUARTET_J, ill_conditioned_noise_model, quartet_model, stack_global, vague_prior_model
 from corpus import SHOWCASE_DIVERGENT, cli_mixed_models, frustrated_model, grid_field, mixed_corpus
 from gabp.cli import main
 from gabp.errors import ExistenceViolation
@@ -47,6 +47,16 @@ def test_validate_reports_problems(tmp_path, capsys):
     assert main(["validate", str(p)]) == 1
     out = capsys.readouterr().out
     assert "not positive definite" in out
+
+
+def test_validate_reports_an_empty_scope(tmp_path, capsys):
+    unit = matrix_to_json(np.eye(1))
+    model = {"variables": [{"id": 1, "dim": 1, "prior_cov": unit}],
+             "factors": [{"id": 3, "scope": [], "coeff": {}, "noise_cov": unit, "obs": [0.0]}]}
+    p = tmp_path / "empty_scope.json"
+    p.write_text(json.dumps(model))
+    assert main(["validate", str(p)]) == 1
+    assert capsys.readouterr().out == "problem: factor 3: empty scope\ninvalid: 1 problem(s)\n"
 
 
 def _poison_obs(model):
@@ -184,6 +194,35 @@ def test_run_converges_and_writes_artifacts(quartet_file, tmp_path, capsys):
 
 def test_run_budget_exhaustion(quartet_file):
     assert main(["run", quartet_file, "--max-iters", "2"]) == 3
+
+
+@pytest.fixture
+def ill_conditioned_file(tmp_path):
+    path = tmp_path / "ill_conditioned.json"
+    save_model(ill_conditioned_noise_model(), path)
+    return str(path)
+
+
+def test_analyze_exits_3_when_the_information_recursion_runs_out_of_budget(ill_conditioned_file, capsys):
+    # FIXED_POINT_TOL is absolute, so this valid model never meets it (the
+    # FOUND line in CHANGES.md); ROADMAP item 5's relative stop changes
+    # this expectation.
+    assert main(["analyze", ill_conditioned_file]) == 3
+    assert capsys.readouterr().err.startswith(
+        "budget exhausted: information recursion did not reach tol=1e-12 within 10000 iterations")
+
+
+def test_run_trajectory_without_a_fixed_point_leaves_the_part_metric_empty(ill_conditioned_file, tmp_path,
+                                                                           caplog):
+    traj = tmp_path / "traj.csv"
+    with caplog.at_level("WARNING", logger="gabp"):
+        assert main(["run", ill_conditioned_file, "--trajectory", str(traj), "--max-iters", "3"]) == 3
+    assert "fixed point not found within budget" in caplog.text
+    with open(traj) as fh:
+        rows = list(csv.reader(fh))[1:]
+    n_edges = len(build_factor_graph(ill_conditioned_noise_model()).f2v_edges)
+    assert len(rows) == 3 * 2 * n_edges
+    assert {r[6] for r in rows} == {""}
 
 
 def test_run_divergence_exit_code(divergent_file, capsys):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import quartet_model
 from corpus import SHOWCASE_DIVERGENT, cli_mixed_models, frustrated_model, grid_field, mixed_corpus
 from gabp.analysis import information_fixed_point
 from gabp.bp import Belief, BpOptions, run_bp
+from gabp.cli import main
 from gabp.errors import InputFormatError, IterationBudgetError
 from gabp.graph import build_factor_graph
 from gabp.io import (fmt, load_custom_init, load_model, load_mrf,
@@ -84,16 +86,30 @@ def test_model_json_coeff_keys_are_strings(quartet):
     assert [f.scope for f in again.factors] == [f.scope for f in quartet.factors]
 
 
-@pytest.mark.parametrize("obj", [
-    [],
-    {"variables": []},
-    {"variables": [], "factors": {}},
-    {"variables": [{"id": 1}], "factors": []},
-    {"variables": [], "factors": [], "provenance": 7},
-])
-def test_model_from_json_rejects_malformed(obj):
-    with pytest.raises(InputFormatError):
+_UNIT = {"rows": 1, "cols": 1, "data": [1.0]}
+MALFORMED_MODELS = [
+    ([], "model file: top level must be an object"),
+    ({"variables": []}, "model file: missing or malformed 'factors' list"),
+    ({"variables": [], "factors": {}}, "model file: missing or malformed 'factors' list"),
+    ({"variables": [{"id": 1}], "factors": []}, "variable #0: needs integer id and dim"),
+    ({"variables": [], "factors": [], "provenance": 7}, "model file: 'provenance' must be an object"),
+    ({"variables": [7], "factors": []}, "variable #0: expected an object"),
+    ({"variables": [], "factors": ["f"]}, "factor #0: expected an object"),
+    ({"variables": [], "factors": [{"id": 4, "scope": [1], "coeff": [_UNIT]}]},
+     "factor 4: 'coeff' must map variable id to matrix"),
+    ({"variables": [], "factors": [{"id": 4, "scope": [1], "coeff": {"1": _UNIT}, "noise_cov": _UNIT, "obs": 1.0}]},
+     "factor 4 obs: expected a list of numbers"),
+]
+
+
+@pytest.mark.parametrize("obj, message", MALFORMED_MODELS, ids=[f"obj{k}" for k in range(len(MALFORMED_MODELS))])
+def test_model_from_json_rejects_malformed(obj, message, tmp_path, capsys):
+    with pytest.raises(InputFormatError, match=re.escape(message)):
         model_from_json(obj)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_model_from_json_rejects_a_nested_obs_list(quartet):
@@ -126,7 +142,7 @@ def test_mrf_file_round_trip(tmp_path):
     assert meta == {"origin": "test"}
 
 
-def test_mrf_defaults_and_malformed(tmp_path):
+def test_mrf_defaults_and_malformed(tmp_path, capsys):
     p = tmp_path / "nohat.json"
     p.write_text(json.dumps({"J": {"rows": 2, "cols": 2, "data": [1, 0, 0, 1]}}))
     j, h, meta = load_mrf(p)
@@ -151,8 +167,17 @@ def test_mrf_defaults_and_malformed(tmp_path):
     with pytest.raises(InputFormatError):
         load_mrf(p3)
 
+    for obj, message in [([_UNIT], "mrf file: expected an object with 'J' and 'h'"),
+                         ({"h": [1.0]}, "mrf file: expected an object with 'J' and 'h'"),
+                         ({"J": _UNIT, "provenance": ["x"]}, "mrf file: 'provenance' must be an object")]:
+        p3.write_text(json.dumps(obj))
+        with pytest.raises(InputFormatError, match=re.escape(message)):
+            load_mrf(p3)
+        assert main(["convert-mrf", str(p3)]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
-def test_custom_init_loader(tmp_path):
+
+def test_custom_init_loader(tmp_path, capsys):
     rec = {"factor": 1, "variable": 2,
            "J": {"rows": 1, "cols": 1, "data": [0.5]}, "v": [0.1]}
     p = tmp_path / "init.json"
@@ -173,6 +198,17 @@ def test_custom_init_loader(tmp_path):
     p.write_text(json.dumps({"messages": []}))
     with pytest.raises(InputFormatError):
         load_custom_init(p)
+
+    model = tmp_path / "quartet.json"
+    save_model(quartet_model(), model)
+    no_variable = {k: rec[k] for k in ("factor", "J", "v")}
+    for records, message in [([7], "init record #0: expected an object"),
+                             ([rec, no_variable], "init record #1: needs factor and variable ids")]:
+        p.write_text(json.dumps({"f2v": records}))
+        with pytest.raises(InputFormatError, match=re.escape(message)):
+            load_custom_init(p)
+        assert main(["run", str(model), "--init", f"custom:{p}"]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_trajectory_csv(tmp_path, quartet):
