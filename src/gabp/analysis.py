@@ -251,11 +251,12 @@ class RateFit:
 
 
 def fit_contraction_rate(part_metrics):
-    """Geometric rate from a sequence of part-metric distances to J*.
+    """Geometric rate from a sequence or array of part-metric distances to J*.
 
-    part_metrics is the per-iteration sequence d_1, d_2, ... from a
-    recorded trajectory. Entries at or below PART_METRIC_FLOOR (or not
-    finite) end the usable range, which is then cut at its first minimum
+    part_metrics is the per-iteration sequence d_1, d_2, ..., such as a
+    trajectory's per_iteration[:, 2]. None, a non-finite entry (NaN for a
+    run without a reference) or one at or below PART_METRIC_FLOOR ends
+    the usable range, which is then cut at its first minimum
     so that a flat tail at the reference's own noise floor does not count.
     The fit runs over the longest decaying suffix of what remains and
     needs at least three points. Returns c = exp(slope of log d against
@@ -349,9 +350,8 @@ def certify(model, cross_check=True):
             means = np.concatenate([np.zeros(0)] + [result.beliefs[v.id].mean for v in model.variables])
             exact = centralized_solve(model, graph).mean
             report.max_mean_error = float(np.max(np.abs(means - exact), initial=0.0))
-        metrics = [rec["part_metric"] for rec in result.trajectory.per_iteration]
         try:
-            report.fitted_rate = fit_contraction_rate(metrics).c
+            report.fitted_rate = fit_contraction_rate(result.trajectory.per_iteration[:, 2]).c
         except DomainError as exc:
             report.notes.append(f"rate fit skipped: {exc}")
     return report

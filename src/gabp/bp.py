@@ -65,15 +65,14 @@ iteration. run_bp keeps two message stacks, jm (2, E+1, D, D) and vm
 (2, E+1, D): axis 0 is the edge kind, f2v then the v2f twin, each with
 the trailing zero row, so an iteration makes one copy, one delta pass
 and one divergence test over both kinds. BpResult keeps (graph, jm, vm)
-and builds its message dicts only when they are read. A run keeps
-its per-iteration maxima in one flat array("d") and, if recorded, its
-per-edge trajectory rows as one float block per iteration (TrajectoryRows).
+and builds its message dicts only when they are read. A run appends
+its records to two array("d") buffers and returns them as read-only
+float64 (n, 3) views with no copy (BpTrajectory).
 """
 
 import logging
 import math
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -106,88 +105,35 @@ class BpOptions:
     record_messages: bool = False
 
 
-class _Records(Sequence):
-    """A read-only sequence whose items are built from arrays on access.
-
-    It equals a list of the same items; subclasses give _item(k) for k in range(len).
-    """
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self._item(j) for j in range(*k.indices(len(self)))]
-        return self._item(range(len(self))[k])
-
-    def __eq__(self, other):
-        return list(self) == other if isinstance(other, list) else NotImplemented
-
-
-class TrajectoryRows(_Records):
-    """A recorded run's per-edge rows: one float64 (2E, 3) block per iteration.
-
-    Block row r belongs to the v2f edge v2f_edges[r] for r < E, then to
-    the f2v edge f2v_edges[r - E], both the graph's own lists; label(r)
-    is its (kind, source id, target id). A block's columns are the
-    Frobenius change of J, the max-abs change of v and the part metric to
-    the reference. Rows from metric_from on carry a part metric: the f2v
-    rows of a run with a reference, none otherwise. Items are 7-tuples
-    (iteration, kind, source id, target id, dJ, dv, part metric or None)
-    of Python values.
-    """
-
-    def __init__(self, v2f_edges=(), f2v_edges=(), metric_from=0):
-        self.v2f_edges, self.f2v_edges, self.metric_from = v2f_edges, f2v_edges, metric_from
-        self.width, self.blocks = len(v2f_edges) + len(f2v_edges), []
-
-    def __len__(self):
-        return len(self.blocks) * self.width
-
-    def label(self, r):
-        n = len(self.v2f_edges)
-        return ("v2f", *self.v2f_edges[r]) if r < n else ("f2v", *self.f2v_edges[r - n])
-
-    def _item(self, k):
-        it, r = divmod(k, self.width)
-        dj, dv, pm = self.blocks[it][r].tolist()
-        return (it + 1, *self.label(r), dj, dv, pm if r >= self.metric_from else None)
-
-
-class IterationStats(_Records):
-    """Per-iteration maxima in one flat array("d"), three doubles an iteration.
-
-    They are max_dj, max_dv and the largest f2v part metric to the
-    reference. Items are dicts {"iter", "max_dj", "max_dv", "part_metric"},
-    with part_metric None when the run had no reference.
-    """
-
-    def __init__(self, with_metric=False):
-        self.with_metric, self.data = with_metric, array("d")
-
-    def __len__(self):
-        return len(self.data) // 3
-
-    def _item(self, k):
-        dj, dv, pm = self.data[3 * k:3 * k + 3]
-        return {"iter": k + 1, "max_dj": dj, "max_dv": dv, "part_metric": pm if self.with_metric else None}
-
-    def append(self, max_dj, max_dv, pm):
-        self.data.extend((max_dj, max_dv, pm))
-
-
 @dataclass
 class BpTrajectory:
-    """Per-edge and per-iteration convergence measurements.
+    """A run's convergence records as read-only float64 (n, 3) arrays, each a view of its buffer.
 
-    rows holds one record per edge per iteration when the run's
-    BpOptions.record_messages is set, and is empty otherwise.
-    per_iteration aggregates the maxima; part_metric there is the largest
-    factor-to-variable part metric to the reference fixed point, or None
-    when no reference was supplied. Both are read-only views over float
-    arrays (TrajectoryRows, IterationStats).
+    per_iteration has one row per iteration: the largest Frobenius change
+    of any J, the largest max-abs change of any v, and the largest f2v
+    part metric to the reference, NaN when the run had none. rows holds,
+    when BpOptions.record_messages is set, one block of 2E rows per
+    iteration with the same three columns per edge: block row r is the
+    v2f edge v2f_edges[r] for r < E, then the f2v edge f2v_edges[r - E],
+    both the graph's own lists; unrecorded, rows is empty. Rows from
+    metric_from on carry a part metric (the f2v rows of a run with a
+    reference, none otherwise); the others hold NaN there, as do
+    iteration one's v2f dJ and dv, which had no previous value.
     """
 
-    rows: TrajectoryRows = field(default_factory=TrajectoryRows)
-    per_iteration: IterationStats = field(default_factory=IterationStats)
+    per_iteration: np.ndarray
+    rows: np.ndarray
+    v2f_edges: list
+    f2v_edges: list
+    metric_from: int
     initial_part_metric: float = None
+
+
+def _frozen(buf):
+    """An array("d") of row triples as a read-only (n, 3) float64 view, with no copy."""
+    out = np.frombuffer(buf).reshape(-1, 3)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -453,7 +399,10 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
     Returns
     -------
     BpResult with status "converged", "max_iters" or "diverged". Beliefs
-    are computed for the final state unless the run diverged.
+    are computed for the final state unless the run diverged. Its
+    trajectory holds per_iteration, shape (iterations, 3), and rows,
+    shape (iterations * 2E, 3) if recorded and (0, 3) otherwise; the
+    BpTrajectory docstring gives their columns, row labels and NaNs.
 
     Notes
     -----
@@ -481,16 +430,13 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
     jm, vm = (np.stack([x, np.zeros_like(x)]) for x in stack.init(init))
     fh = (jm[0] @ vm[0, ..., None])[..., 0]
     n_edges = len(stack.edges)
-    traj = BpTrajectory(per_iteration=IterationStats(with_metric=reference is not None))
-    if opts.record_messages:
-        traj.rows = TrajectoryRows(graph.v2f_edges, graph.f2v_edges,
-                                   n_edges if reference is not None else 2 * n_edges)
-        take = np.concatenate([n_edges + stack.v2f_rows, np.arange(n_edges)])  # block row -> index in dj.ravel()
+    stats, records, initial = array("d"), array("d"), None
+    take = np.concatenate([n_edges + stack.v2f_rows, np.arange(n_edges)])  # block row -> index in dj.ravel()
     if reference is not None:
         if reference.stack.edges != stack.edges or not np.array_equal(reference.stack.dims, stack.dims):
             raise DomainError("reference fixed point belongs to another graph")
         metric = part_metric_to(stack.inner_pad(reference.f2v_j))  # the reference is constant: factor it once
-        traj.initial_part_metric = float(np.max(metric(stack.inner_pad(jm[0, :-1])), initial=0.0))
+        initial = float(np.max(metric(stack.inner_pad(jm[0, :-1])), initial=0.0))
 
     rng = np.random.default_rng(opts.seed)
     blocks = [stack.all] if opts.schedule == "sync" else stack.blocks(graph.factor_ids)
@@ -529,8 +475,8 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
             block = np.full((2 * n_edges, 3), math.nan)
             block[:, 0], block[:, 1] = dj.ravel()[take], dv.ravel()[take]
             block[n_edges:, 2] = pm
-            traj.rows.blocks.append(block)
-        traj.per_iteration.append(max_dj, max_dv, max_pm)
+            records.frombytes(block.tobytes())
+        stats.extend((max_dj, max_dv, max_pm))
         log.debug("bp iter %d: max_dj=%.3e max_dv=%.3e", it, max_dj, max_dv)
 
         if diverged(vm):
@@ -540,5 +486,7 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
             status = "converged"
             break
 
+    traj = BpTrajectory(_frozen(stats), _frozen(records), graph.v2f_edges, graph.f2v_edges,
+                        n_edges if reference is not None else 2 * n_edges, initial)
     return BpResult(status=status, iterations=iterations, trajectory=traj, _stores=(graph, jm, vm),
                     beliefs=None if status == "diverged" else compute_beliefs(stack, jm[0], fh))

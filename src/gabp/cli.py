@@ -118,7 +118,7 @@ def cmd_run(args):
     rows = [] if result.beliefs is None else list(belief_rows(result.beliefs))
     _print_beliefs(rows)
     if args.trajectory:
-        _write(write_trajectory_csv, result.trajectory.rows, args.trajectory)
+        _write(write_trajectory_csv, result.trajectory, args.trajectory)
     if args.out and result.beliefs is not None:
         _write(write_beliefs_csv, rows, args.out)
     if result.status == "converged":

@@ -256,20 +256,21 @@ TRAJECTORY_HEADER = ["iter", "edge_kind", "from", "to", "dJ_fro", "dv_inf", "par
 BELIEF_HEADER = ["agent", "component", "mean", "variance"]
 
 
-def write_trajectory_csv(rows, path):
-    """Write a run's TrajectoryRows as CSV, one row's text at a time.
+def write_trajectory_csv(trajectory, path):
+    """Write a recorded run's per-edge rows (BpTrajectory.rows) as CSV, one row's text at a time.
 
     The fields are those csv.writer gives: %.17g floats, an empty part
     metric where a row has none, CRLF line ends. Each block row gets one
-    format string, built once; its %.0s consumes an absent part metric
-    and prints nothing. Only one row's floats and text exist at a time.
+    format string, built once from the trajectory's edge labels; its %.0s
+    consumes an absent part metric and prints nothing. Only one row's
+    floats and text exist at a time.
     """
-    line = "%%d,%s,%s,%s,%%.17g,%%.17g,%s\r\n"
-    lines = [line % (*rows.label(r), "%.0s" if r < rows.metric_from else "%.17g")
-             for r in range(rows.width)]
+    labels = [("v2f", *e) for e in trajectory.v2f_edges] + [("f2v", *e) for e in trajectory.f2v_edges]
+    lines = ["%%d,%s,%s,%s,%%.17g,%%.17g,%s\r\n" % (*label, "%.0s" if r < trajectory.metric_from else "%.17g")
+             for r, label in enumerate(labels)]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRAJECTORY_HEADER) + "\r\n")
-        for it, block in enumerate(rows.blocks, 1):
+        for it, block in enumerate(trajectory.rows.reshape(-1, len(lines), 3) if lines else (), 1):
             for template, row in zip(lines, block):
                 fh.write(template % (it, *row.tolist()))
 

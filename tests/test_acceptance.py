@@ -186,10 +186,10 @@ def test_criterion_09_geometric_contraction():
         res = gabp.run_bp(model, graph, init="lower", reference=fp)
         assert res.status == "converged", label
         d0 = res.trajectory.initial_part_metric
-        seq = [rec["part_metric"] for rec in res.trajectory.per_iteration]
+        seq = res.trajectory.per_iteration[:, 2]
         usable = []
         for d in seq:
-            if d is None or not np.isfinite(d) or d <= PART_FLOOR:
+            if not np.isfinite(d) or d <= PART_FLOOR:
                 break
             usable.append(d)
         if d0 is not None and np.isfinite(d0) and d0 > PART_FLOOR and len(usable) >= 2:

@@ -295,6 +295,11 @@ def test_fit_contraction_rate_stops_at_floor_and_infs():
     seq = [0.5, 0.25, 0.125, 1e-15, 0.5]
     fit = fit_contraction_rate(seq)
     assert fit.n_points == 3
+    # a float64 array that ends in NaN, as the metric column of a run without a reference does
+    on_array = fit_contraction_rate(np.array([0.5, 0.25, 0.125, np.nan, 0.5]))
+    assert (on_array.c, on_array.n_points) == (fit.c, 3)
+    with pytest.raises(DomainError, match="got 0"):
+        fit_contraction_rate(np.full(5, np.nan))
     with pytest.raises(DomainError):
         fit_contraction_rate([0.5, 0.25])
     with pytest.raises(DomainError):

@@ -51,8 +51,8 @@ def test_the_probes_read_rows_trajectory_bytes_and_columns(tmp_path):
     params = list(inspect.signature(write_trajectory_csv).parameters.values())
     assert params[1].kind == inspect.Parameter.POSITIONAL_OR_KEYWORD
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(res.trajectory.rows, str(path))
-    tracing.PROBES["io.write_trajectory_csv"](counts, (res.trajectory.rows, str(path)), {}, None)
+    write_trajectory_csv(res.trajectory, str(path))
+    tracing.PROBES["io.write_trajectory_csv"](counts, (res.trajectory, str(path)), {}, None)
     assert counts["io.trajectory_bytes"] == path.stat().st_size > 0
 
     result = mrf_to_linear_gaussian(grid_field(4), np.ones(16))

@@ -69,13 +69,8 @@ def test_sync_runs_are_bitwise_deterministic(quartet):
     assert a.iterations == b.iterations
     for res in (a, b):
         assert len(res.trajectory.rows) == res.iterations * (len(g.f2v_edges) + len(g.v2f_edges))
-    for ra, rb in zip(a.trajectory.rows, b.trajectory.rows):
-        assert ra[:4] == rb[:4]
-        for xa, xb in zip(ra[4:], rb[4:]):
-            if xa is None or (isinstance(xa, float) and math.isnan(xa)):
-                assert xb is None or math.isnan(xb)
-            else:
-                assert xa == xb
+    assert (a.trajectory.v2f_edges, a.trajectory.f2v_edges) == (b.trajectory.v2f_edges, b.trajectory.f2v_edges)
+    np.testing.assert_array_equal(a.trajectory.rows, b.trajectory.rows)  # nan where nan, else equal
     for v in a.beliefs:
         np.testing.assert_array_equal(a.beliefs[v].mean, b.beliefs[v].mean)
 
@@ -217,10 +212,10 @@ def test_divergent_instance_passes_the_guard():
     res = run_bp(m)
     assert res.status == "diverged"
     assert res.beliefs is None
-    last = res.trajectory.per_iteration[-1]
-    assert last["max_dv"] > 1e12 or not math.isfinite(last["max_dv"])
+    max_dj, max_dv, _ = res.trajectory.per_iteration[-1]
+    assert max_dv > 1e12 or not math.isfinite(max_dv)
     # the information part still settled: J deltas were tiny at the end
-    assert last["max_dj"] < 1e-10
+    assert max_dj < 1e-10
 
 
 def test_a_default_run_retains_no_per_edge_rows():
@@ -234,7 +229,7 @@ def test_a_default_run_retains_no_per_edge_rows():
     finally:
         tracemalloc.stop()
     assert res.status == "max_iters"
-    assert res.trajectory.rows == []
+    assert res.trajectory.rows.shape == (0, 3)
     assert len(res.trajectory.per_iteration) == res.iterations == 1_000
     assert retained < 3e6, retained
 
@@ -257,7 +252,7 @@ def test_the_per_iteration_record_costs_at_most_32_bytes_an_iteration():
     long, long_bytes = traced_run(model, options=BpOptions(max_iters=10_000))
     assert short.status == long.status == "max_iters"
     assert len(long.trajectory.per_iteration) == 10_000
-    assert long.trajectory.per_iteration[:1_000] == list(short.trajectory.per_iteration)
+    np.testing.assert_array_equal(long.trajectory.per_iteration[:1_000], short.trajectory.per_iteration)
     assert long_bytes < 1.6e6, long_bytes
     assert (long_bytes - short_bytes) / 9_000 <= 32, (short_bytes, long_bytes)
 
@@ -291,31 +286,29 @@ def test_a_result_builds_its_messages_when_first_read():
     assert list(messages["f2v"]) == g.f2v_edges and list(messages["v2f"]) == g.v2f_edges
 
 
-def test_trajectory_views_read_like_lists(quartet):
+def test_trajectory_records_are_read_only_float_views(quartet):
     from gabp.analysis import information_fixed_point
     g = build_factor_graph(quartet)
+    n = len(g.f2v_edges)
     for ref in (None, information_fixed_point(quartet, g)):
-        traj = run_bp(quartet, g, reference=ref, options=BpOptions(record_messages=True)).trajectory
-        for view in (traj.rows, traj.per_iteration):
-            items = list(view)  # iteration-one v2f rows hold nan, so compare reprs
-            assert len(items) == len(view) > 0
-            assert repr([view[k] for k in range(len(view))]) == repr(items)
-            assert repr([view[-1], view[1:3], view[::-2]]) == repr([items[-1], items[1:3], items[::-2]])
-            with pytest.raises(IndexError):
-                view[len(view)]
-            assert view != items[:-1] and view != tuple(items)
-        assert traj.per_iteration == list(traj.per_iteration)
-        width = len(g.f2v_edges) + len(g.v2f_edges)
-        assert [r[1:4] for r in traj.rows[:width]] == \
-            [("v2f", j, n) for j, n in g.v2f_edges] + [("f2v", n, i) for n, i in g.f2v_edges]
-        for r in traj.rows:
-            assert all(type(x) is float for x in r[4:6])
-            assert (r[6] is None) == (ref is None or r[1] == "v2f")
-        for k, rec in enumerate(traj.per_iteration, 1):
-            assert rec["iter"] == k and type(rec["max_dj"]) is float and type(rec["max_dv"]) is float
-            assert (rec["part_metric"] is None) == (ref is None)
-            if ref is not None:
-                assert rec["part_metric"] == max(r[6] for r in traj.rows if r[0] == k and r[1] == "f2v")
+        res = run_bp(quartet, g, reference=ref, options=BpOptions(record_messages=True))
+        traj = res.trajectory
+        assert traj.per_iteration.shape == (res.iterations, 3) and traj.rows.shape == (res.iterations * 2 * n, 3)
+        for records in (traj.per_iteration, traj.rows):
+            assert records.dtype == np.float64
+            assert not records.flags.writeable and not records.flags.owndata  # the run's buffer, not a copy
+            with pytest.raises(ValueError):
+                records[0, 0] = 0.0
+        assert traj.v2f_edges == g.v2f_edges and traj.f2v_edges == g.f2v_edges
+        assert traj.metric_from == (2 * n if ref is None else n)
+        blocks = traj.rows.reshape(res.iterations, 2 * n, 3)
+        assert np.isnan(blocks[0, :n, :2]).all() and not np.isnan(blocks[1:, :, :2]).any()
+        assert np.isnan(blocks[:, :n, 2]).all()  # v2f rows never carry a metric
+        if ref is None:
+            assert np.isnan(traj.per_iteration[:, 2]).all() and np.isnan(blocks[:, :, 2]).all()
+        else:
+            assert np.array_equal(traj.per_iteration[:, 2], blocks[:, n:, 2].max(axis=1))
+            assert np.isfinite(blocks[:, n:, 2]).all()
 
 
 def test_trajectory_rows_are_each_edges_change_between_iterations():
@@ -325,13 +318,15 @@ def test_trajectory_rows_are_each_edges_change_between_iterations():
     res = run_bp(model, g, init="lower", options=BpOptions(max_iters=5, record_messages=True))
     assert res.iterations == 5
     states = [run_bp(model, g, init="lower", options=BpOptions(max_iters=k)).messages for k in range(1, 6)]
+    labels = [("v2f", e) for e in g.v2f_edges] + [("f2v", e) for e in g.f2v_edges]
     checked = 0
-    for it, kind, src, dst, dj, dv, _ in res.trajectory.rows:
-        if it > 1:
-            new, old = states[it - 1][kind][(src, dst)], states[it - 2][kind][(src, dst)]
-            assert dj == pytest.approx(np.linalg.norm(new.J - old.J), rel=1e-12, abs=1e-300)
-            assert dv == pytest.approx(np.max(np.abs(new.v - old.v)), rel=1e-12, abs=1e-300)
-            checked += 1
+    for it, block in enumerate(res.trajectory.rows.reshape(5, len(labels), 3), 1):
+        for (kind, edge), (dj, dv, _) in zip(labels, block):
+            if it > 1:
+                new, old = states[it - 1][kind][edge], states[it - 2][kind][edge]
+                assert dj == pytest.approx(np.linalg.norm(new.J - old.J), rel=1e-12, abs=1e-300)
+                assert dv == pytest.approx(np.max(np.abs(new.v - old.v)), rel=1e-12, abs=1e-300)
+                checked += 1
     assert checked == 4 * (len(g.f2v_edges) + len(g.v2f_edges))
 
 
@@ -468,22 +463,16 @@ def test_trajectory_schema(quartet):
     assert res.trajectory.initial_part_metric > 0.0
 
     rows = res.trajectory.rows
-    n_edges = len(g.v2f_edges) + len(g.f2v_edges)
-    assert len(rows) == res.iterations * n_edges
-    first = [r for r in rows if r[0] == 1]
-    for r in first:
-        assert r[1] in ("v2f", "f2v")
-        if r[1] == "v2f":
-            assert math.isnan(r[4]) and math.isnan(r[5])
-            assert r[6] is None
-        else:
-            assert math.isfinite(r[4]) and math.isfinite(r[5])
-            assert r[6] is not None and r[6] >= 0.0
+    n = len(g.v2f_edges)
+    assert len(rows) == res.iterations * (n + len(g.f2v_edges))
+    v2f, f2v = rows[:n], rows[n:n + len(g.f2v_edges)]  # iteration one
+    assert np.isnan(v2f).all()
+    assert np.isfinite(f2v).all() and (f2v[:, 2] >= 0.0).all()
     # per-iteration aggregates decay to below tolerance at the end
-    tail = res.trajectory.per_iteration[-1]
-    assert tail["max_dj"] < 1e-10 and tail["max_dv"] < 1e-10
+    max_dj, max_dv, _ = res.trajectory.per_iteration[-1]
+    assert max_dj < 1e-10 and max_dv < 1e-10
     # part metric against the fixed point shrinks over the run
-    pms = [rec["part_metric"] for rec in res.trajectory.per_iteration]
+    pms = res.trajectory.per_iteration[:, 2]
     assert pms[-1] < pms[0]
 
 
@@ -501,7 +490,7 @@ def test_trajectory_part_metrics_match_part_metric_on_every_corpus_model():
         assert res.trajectory.initial_part_metric == pytest.approx(
             max(part_metric(lower[e].J, ref[e]) for e in g.f2v_edges), rel=1e-9), k
         assert len(res.trajectory.rows) == res.iterations * (len(g.f2v_edges) + len(g.v2f_edges))
-        got = {(it, n, i): pm for it, kind, n, i, _, _, pm in res.trajectory.rows if kind == "f2v"}
+        got = res.trajectory.rows.reshape(res.iterations, -1, 3)[:, len(g.v2f_edges):, 2]  # f2v part metrics
         # a sync run's f2v J are the information recursion's iterates
         iterates = information_iterates(model, g, "lower", res.iterations)
         for it in range(1, res.iterations + 1):
@@ -509,7 +498,7 @@ def test_trajectory_part_metrics_match_part_metric_on_every_corpus_model():
                 edges = [e for e in g.f2v_edges if ref[e].shape[0] == d]
                 want = part_metric(np.stack([iterates[it][e] for e in edges]),
                                    np.stack([ref[e] for e in edges]))
-                np.testing.assert_allclose([got[(it,) + e] for e in edges], want,
+                np.testing.assert_allclose([got[it - 1, g.f2v_index[e]] for e in edges], want,
                                            rtol=1e-9, atol=0.0, err_msg=f"model {k} iter {it}")
 
 
@@ -532,8 +521,8 @@ def test_reference_part_metrics_equal_a_per_dim_part_metric_to_loop_bit_for_bit(
         if it == 0:
             assert res.trajectory.initial_part_metric == want.max()
             continue
-        assert np.array_equal(res.trajectory.rows.blocks[it - 1][n:, 2], want), it
-        assert res.trajectory.per_iteration[it - 1]["part_metric"] == want.max(), it
+        assert np.array_equal(res.trajectory.rows[(2 * it - 1) * n:2 * it * n, 2], want), it
+        assert res.trajectory.per_iteration[it - 1, 2] == want.max(), it
 
 
 def test_trajectory_part_metric_is_inf_for_a_reference_that_is_not_pd(quartet):
@@ -546,9 +535,9 @@ def test_trajectory_part_metric_is_inf_for_a_reference_that_is_not_pd(quartet):
                  options=BpOptions(max_iters=3, record_messages=True))
     assert res.trajectory.initial_part_metric == math.inf
     assert len(res.trajectory.rows) == res.iterations * (len(g.f2v_edges) + len(g.v2f_edges))
-    for it, kind, n, i, _, _, pm in res.trajectory.rows:
-        if kind == "f2v":
-            assert (pm == math.inf) == ((n, i) == bad)
+    f2v = res.trajectory.rows.reshape(res.iterations, -1, 3)[:, len(g.v2f_edges):, 2]
+    is_bad = np.arange(len(g.f2v_edges)) == g.f2v_index[bad]
+    assert np.array_equal(f2v == math.inf, np.tile(is_bad, (res.iterations, 1)))
 
 
 def test_belief_container_shapes(quartet):

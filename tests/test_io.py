@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,7 +217,7 @@ def test_trajectory_csv(tmp_path, quartet):
     res = run_bp(quartet, g, options=BpOptions(record_messages=True))
     assert len(res.trajectory.rows) == res.iterations * (len(g.f2v_edges) + len(g.v2f_edges))
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(res.trajectory.rows, path)
+    write_trajectory_csv(res.trajectory, path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["iter", "edge_kind", "from", "to",
@@ -231,14 +232,20 @@ def test_trajectory_csv(tmp_path, quartet):
         float(r[4]), float(r[5])
 
 
-def csv_module_trajectory(rows, path):
-    """The csv-module writer over the rows' 7-tuples, an independent transcription."""
+def csv_module_trajectory(rows, graph, with_reference, path):
+    """The csv-module writer over the rows, labelled from the graph, an independent transcription.
+
+    Block row r is the v2f edge graph.v2f_edges[r], then the f2v edges;
+    only f2v rows of a run with a reference carry a part metric.
+    """
+    labels = [("v2f", *e) for e in graph.v2f_edges] + [("f2v", *e) for e in graph.f2v_edges]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iter", "edge_kind", "from", "to", "dJ_fro", "dv_inf", "part_metric_to_ref"])
-        for (it, kind, src, dst, dj, dv, pm) in rows:
+        for k, (dj, dv, pm) in enumerate(rows.tolist()):
+            it, (kind, src, dst) = k // len(labels) + 1, labels[k % len(labels)]
             writer.writerow([it, kind, src, dst, "%.17g" % dj, "%.17g" % dv,
-                             "" if pm is None else "%.17g" % pm])
+                             "%.17g" % pm if with_reference and kind == "f2v" else ""])
 
 
 def trajectory_cases():
@@ -260,12 +267,31 @@ def test_trajectory_csv_is_the_csv_modules_bytes_with_and_without_a_reference(tm
         for ref in references:
             res = run_bp(model, g, init="lower", reference=ref,
                          options=BpOptions(max_iters=max_iters, record_messages=True))
-            write_trajectory_csv(res.trajectory.rows, ours)
-            csv_module_trajectory(res.trajectory.rows, theirs)
+            write_trajectory_csv(res.trajectory, ours)
+            csv_module_trajectory(res.trajectory.rows, g, ref is not None, theirs)
             assert ours.read_bytes() == theirs.read_bytes(), (name, ref is None)
             kinds.add((res.status, ref is None))
     # nan and inf fields of a diverged run are among the rows compared
     assert {("diverged", True), ("diverged", False), ("converged", False)} <= kinds
+
+
+def test_writing_a_grid_trajectory_adds_under_200_kb_of_traced_peak(tmp_path):
+    # the writer holds one row's floats and text at a time; converting all
+    # 17,480 rows to Python floats at once peaked about 3 MB higher
+    model = mrf_to_linear_gaussian(grid_field(10), np.linspace(-1.0, 1.0, 100))[0]
+    g = build_factor_graph(model)
+    res = run_bp(model, g, init="lower", reference=information_fixed_point(model, g),
+                 options=BpOptions(record_messages=True))
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(res.trajectory, path)  # lazy imports are not the writer's
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(res.trajectory, path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.trajectory.rows) > 10_000
+    assert peak - retained < 200e3, (retained, peak)
 
 
 @pytest.mark.parametrize("where", ["prior", "coeff", "noise", "obs", "early", "late", "last"])
