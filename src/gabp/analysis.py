@@ -28,7 +28,7 @@ the whole Q is never formed. The mean recursion is the engine's mean
 half at J*, and compute_beliefs turns its final f2v potentials into the
 belief means. certify reads the edge bounds off fp.stack (the lower one
 computed once per stack) and gives run_bp the FixedPoint as its
-reference; compute_bounds is a dict view of the stack's two envelopes.
+reference; compute_bounds gives the stack's two envelopes as dict views.
 Its cross-check compares the engine's means with those of
 model.centralized_solve, which eliminates the same peel's hanging trees
 and inverts only the core, and takes nothing from the engine.
@@ -56,28 +56,10 @@ MEAN_RECURSION_MAX_ITERS = 20_000
 PART_METRIC_FLOOR = 1e-13
 
 
-@dataclass
-class EdgeBounds:
-    """Edge-wise envelopes of the information recursion.
-
-    For the edge from factor n to variable i:
-
-        upper = A_ni^T R_n^-1 A_ni
-        lower = A_ni^T (R_n + sum_{j in scope, j != i} A_nj W_j A_nj^T)^-1 A_ni
-
-    After one iteration from any psd start, every information matrix sits
-    between its lower and upper bound in the Loewner order.
-    """
-
-    lower: dict
-    upper: dict
-
-
 def compute_bounds(model, graph):
-    """EdgeBounds as dicts of views of the stacks EdgeStack.lower_bound and upper_bound."""
+    """The edge-wise envelopes (lower, upper), dicts by f2v edge of views of EdgeStack.lower_bound and upper_bound."""
     stack = EdgeStack(model, graph)
-    return EdgeBounds(lower=edge_views(graph, stack.lower_bound()),
-                      upper=edge_views(graph, stack.upper_bound()))
+    return edge_views(graph, stack.lower_bound()), edge_views(graph, stack.upper_bound())
 
 
 @dataclass
@@ -152,7 +134,7 @@ def _v2f_coords(stack, keep):
     of the whole stacked v2f vector, Q's coordinates.
     """
     rows = stack.v2f_rows[keep[stack.v2f_rows]]
-    start = np.zeros(len(stack.edges), dtype=int)
+    start = np.zeros(len(stack.dims), dtype=int)
     start[rows] = np.cumsum(stack.dims[rows]) - stack.dims[rows]
     width = np.arange(stack.w.shape[-1])
     return start[:, None] + width, (width < stack.dims[:, None]) & keep[:, None]
@@ -216,7 +198,7 @@ def two_phase_mean_recursion(fixed_point):
         if dv < MEAN_RECURSION_TOL:
             status = "converged"
             break
-    coords, real = _v2f_coords(st, np.ones(len(st.edges), dtype=bool))
+    coords, real = _v2f_coords(st, np.ones(len(st.dims), dtype=bool))
     v = np.zeros(int(real.sum()))
     v[coords[real]] = vv[real]
     means = None
@@ -245,7 +227,6 @@ def decide_mean_convergence(rho, kind):
 @dataclass
 class RateFit:
     c: float
-    slope: float
     window: tuple
     n_points: int
 
@@ -254,9 +235,9 @@ def fit_contraction_rate(part_metrics):
     """Geometric rate from a sequence or array of part-metric distances to J*.
 
     part_metrics is the per-iteration sequence d_1, d_2, ..., such as a
-    trajectory's per_iteration[:, 2]. None, a non-finite entry (NaN for a
-    run without a reference) or one at or below PART_METRIC_FLOOR ends
-    the usable range, which is then cut at its first minimum
+    trajectory's per_iteration[:, 2]. A non-finite entry (NaN for a run
+    without a reference) or one at or below PART_METRIC_FLOOR ends the
+    usable range, which is then cut at its first minimum
     so that a flat tail at the reference's own noise floor does not count.
     The fit runs over the longest decaying suffix of what remains and
     needs at least three points. Returns c = exp(slope of log d against
@@ -264,7 +245,7 @@ def fit_contraction_rate(part_metrics):
     """
     usable = []
     for idx, d in enumerate(part_metrics, start=1):
-        if d is None or not math.isfinite(d) or d <= PART_METRIC_FLOOR:
+        if not math.isfinite(d) or d <= PART_METRIC_FLOOR:
             break
         usable.append((idx, d))
     if len(usable) < 3:
@@ -281,8 +262,7 @@ def fit_contraction_rate(part_metrics):
     xs = np.array([p[0] for p in window], dtype=float)
     ys = np.log(np.array([p[1] for p in window], dtype=float))
     slope, _ = np.polyfit(xs, ys, 1)
-    return RateFit(c=float(np.exp(slope)), slope=float(slope),
-                   window=(window[0][0], window[-1][0]), n_points=len(window))
+    return RateFit(c=float(np.exp(slope)), window=(window[0][0], window[-1][0]), n_points=len(window))
 
 
 @dataclass

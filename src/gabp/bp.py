@@ -20,18 +20,19 @@ or run_bp call; a run_bp reuses its reference's stack if built from the
 same model and graph objects. Its blocks are filled from the model's
 shape_stacks by index arrays, with no loop over edges. Row e of every
 stack belongs to the factor-to-variable edge graph.f2v_edges[e] = (n, i)
-and to its twin, the variable-to-factor edge (i, n). Blocks are padded
-to the largest edge dim D and observation dim P: A_{n,i} sits top-left
-in a zero (P, D) block, while R_n, W_i^-1 and every information matrix
-carry c I in their pad, c > 0 (c = 1 + k in a v2f J with k other
-factors), so each solve and inverse stays block diagonal and the pad
-never mixes into the real block. Each check and metric runs once on a
-whole stack and gives every row its real block's result: symmetry and
-psd checks read it as it is (psd_compare's pad is 0), pd checks and part
-metrics read inner_pad's copy. Two gather arrays replace the neighbor
-loops: others_of_var[e] lists the rows (k, i), k != n, and
-others_of_factor[e] the rows (n, j), j != i, both padded with -1, which
-reads a zero row kept at the end of every gathered store.
+and to its twin, the variable-to-factor edge (i, n); it reads its factor
+and variable at their graph positions, graph.pairs[e], never by id.
+Blocks are padded to the largest edge dim D and observation dim P:
+A_{n,i} sits top-left in a zero (P, D) block, while R_n, W_i^-1 and
+every information matrix carry c I in their pad, c > 0 (c = 1 + k in a
+v2f J with k other factors), so each solve and inverse stays block
+diagonal and the pad never mixes into the real block. Each check and
+metric runs once on a whole stack and gives every row its real block's
+result: symmetry and psd checks read it as it is (psd_compare's pad is
+0), pd checks and part metrics read inner_pad's copy. Two gather arrays
+replace the neighbor loops: others_of_var[e] lists the rows (k, i),
+k != n, and others_of_factor[e] the rows (n, j), j != i, both padded
+with -1, which reads a zero row kept at the end of every gathered store.
 
 The stack also holds the edge-wise envelopes of the information
 recursion (lower_bound is one information half from zero messages,
@@ -197,20 +198,17 @@ class EdgeStack:
 
     def __init__(self, model, graph):
         self.model, self.graph = model, graph
-        self.edges = list(graph.f2v_edges)
-        n_edges = len(self.edges)
+        n_edges = len(graph.f2v_edges)
         self.all = slice(0, n_edges)
-        row_factor, row_var = np.array(self.edges, dtype=int).reshape(n_edges, 2).T
-        factor_of_row = np.searchsorted(graph.factor_ids, row_factor)
-        self.var_ids = [v.id for v in model.variables]
+        factor_of_row, var_node = graph.pairs.T
+        self.var_of_row = var_node - len(graph.factor_ids)
         self.var_dims = np.array([v.dim for v in model.variables], dtype=int)
-        self.var_of_row = np.searchsorted(self.var_ids, row_var)
         self.dims = self.var_dims[self.var_of_row]
         stacks = shape_stacks((), model.factors)
         d_max = int(self.dims.max(initial=0))
         p_max = max((x.shape[1] for _, x in stacks["obs"]), default=0)
         self.prior = pad_stacks(precision_stacks(shape_stacks(model.variables)["cov"]),
-                                np.tile(np.eye(int(self.var_dims.max(initial=0))), (len(self.var_ids), 1, 1)))
+                                np.tile(np.eye(int(self.var_dims.max(initial=0))), (len(self.var_dims), 1, 1)))
         self.pad = np.where(np.arange(d_max) < self.dims[:, None, None], 0.0, np.eye(d_max))
         self.w = self.prior[self.var_of_row, :d_max, :d_max]
         self.a = pad_stacks(stacks["coeff"], np.zeros((n_edges + 1, p_max, d_max)))
@@ -267,7 +265,7 @@ class EdgeStack:
                 if edge not in self.graph.f2v_index:
                     raise DomainError(f"init edge {edge} is not in the factor graph")
             jm, vm = self.init("zero")
-            for e, edge in enumerate(self.edges):
+            for e, edge in enumerate(self.graph.f2v_edges):
                 d = self.dims[e]
                 if edge not in init:
                     raise DomainError(f"init is missing edge {edge}")
@@ -283,13 +281,13 @@ class EdgeStack:
                 vm[e, :d] = vec
             bad = np.flatnonzero(~(np.isfinite(jm).all(axis=(1, 2)) & np.isfinite(vm).all(axis=1)))
             if bad.size:
-                raise DomainError(f"init edge {self.edges[bad[0]]} is not finite")
+                raise DomainError(f"init edge {self.graph.f2v_edges[bad[0]]} is not finite")
             bad = np.flatnonzero(~is_symmetric(jm[:-1]))
             if bad.size:
-                raise DomainError(f"init edge {self.edges[bad[0]]} has an asymmetric information matrix")
+                raise DomainError(f"init edge {self.graph.f2v_edges[bad[0]]} has an asymmetric information matrix")
             bad = np.flatnonzero(~is_psd(jm[:-1]))
             if bad.size:
-                raise DomainError(f"custom init edge {self.edges[bad[0]]} has a non-psd information matrix")
+                raise DomainError(f"custom init edge {self.graph.f2v_edges[bad[0]]} has a non-psd information matrix")
             return jm, vm
         if init == "zero":
             jm = self.pad
@@ -344,7 +342,7 @@ def _sweep(stack, jm, vm, fh, rows, strict, it):
     """Refresh the v2f messages into a block of factors, then the block's f2v messages."""
     jv = stack.v2f_information(jm[0], rows)
     if strict:
-        bad = np.arange(len(stack.edges))[rows][~is_pd(stack.inner_pad(jv, rows))]
+        bad = np.arange(len(stack.dims))[rows][~is_pd(stack.inner_pad(jv, rows))]
         if bad.size:
             j, n = stack.graph.v2f_edges[np.isin(stack.v2f_rows, bad).argmax()]
             raise ExistenceViolation(f"variable-to-factor message ({j} -> {n}) not pd at iteration {it}")
@@ -373,7 +371,7 @@ def compute_beliefs(stack, fj, fh):
     covs = np.linalg.inv((prec + prec.swapaxes(1, 2)) / 2.0)
     means = (covs @ rhs[..., None])[..., 0]
     return {vid: Belief(mean=mean[:d], cov=cov[:d, :d])
-            for vid, d, mean, cov in zip(stack.var_ids, stack.var_dims.tolist(), means, covs)}
+            for vid, d, mean, cov in zip(stack.graph.var_ids, stack.var_dims.tolist(), means, covs)}
 
 
 def run_bp(model, graph=None, init="zero", options=None, reference=None):
@@ -429,11 +427,11 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
     stack = reference.stack if own else EdgeStack(model, graph)
     jm, vm = (np.stack([x, np.zeros_like(x)]) for x in stack.init(init))
     fh = (jm[0] @ vm[0, ..., None])[..., 0]
-    n_edges = len(stack.edges)
+    n_edges = len(graph.f2v_edges)
     stats, records, initial = array("d"), array("d"), None
     take = np.concatenate([n_edges + stack.v2f_rows, np.arange(n_edges)])  # block row -> index in dj.ravel()
     if reference is not None:
-        if reference.stack.edges != stack.edges or not np.array_equal(reference.stack.dims, stack.dims):
+        if reference.stack.graph.f2v_edges != graph.f2v_edges or not np.array_equal(reference.stack.dims, stack.dims):
             raise DomainError("reference fixed point belongs to another graph")
         metric = part_metric_to(stack.inner_pad(reference.f2v_j))  # the reference is constant: factor it once
         initial = float(np.max(metric(stack.inner_pad(jm[0, :-1])), initial=0.0))

@@ -7,13 +7,17 @@ the factor then on the variable, variable-to-factor edges as
 Every stacked vector or matrix in the analysis module follows these
 orders, so they are fixed here once.
 
+FactorGraph.pairs numbers the nodes once: factors 0..F-1 in factor_ids
+order, then variable k of var_ids as F + k. Every array over nodes or
+edges reads that numbering, so an id, which may be any integer, never
+enters a numpy array.
+
 One leaf peel gives the trees that hang off the loops, in an order that
-eliminates them leaf by leaf, and the 2-core left over; it numbers the
-nodes factors first (factor_ids order), then variables (var_ids order).
-It is the only pass over every node: one walk over its trees and one
-breadth-first search over uint64 bitsets of the core's nodes alone give
-the connected components, their cycle counts (hence the topology
-classes, decided only in classify_topology) and their exact diameters.
+eliminates them leaf by leaf, and the 2-core left over. It is the only
+pass over every node: one walk over its trees and one breadth-first
+search over uint64 bitsets of the core's nodes alone give the connected
+components, their cycle counts (hence the topology classes, decided
+only in classify_topology) and their exact diameters.
 """
 
 import itertools
@@ -37,6 +41,13 @@ class FactorGraph:
 
     def __post_init__(self):
         self.f2v_index = {e: k for k, e in enumerate(self.f2v_edges)}
+
+    @cached_property
+    def pairs(self):
+        """Each f2v edge as (factor node, variable node), an (E, 2) array in the module's node numbering."""
+        factor = {n: k for k, n in enumerate(self.factor_ids)}
+        var = {i: len(factor) + k for k, i in enumerate(self.var_ids)}
+        return np.array([(factor[n], var[i]) for n, i in self.f2v_edges], dtype=np.intp).reshape(-1, 2)
 
     @cached_property
     def peel(self):
@@ -90,10 +101,6 @@ class TopologyReport:
     components: list
     diameter: int
 
-    @property
-    def n_components(self):
-        return len(self.components)
-
 
 # kind by independent cycle count 0, 1 or more; also the ranking of kinds
 _KINDS = ("forest", "single_loop_plus_forest", "multi_loop")
@@ -103,38 +110,33 @@ _KINDS = ("forest", "single_loop_plus_forest", "multi_loop")
 class LeafPeel:
     """The factor graph's hanging trees, removed leaf by leaf, and the 2-core left over.
 
-    pairs holds each f2v edge as (factor node, variable node). Each round
-    removes every live node with at most one live edge, except that a
-    variable whose one live neighbour is a factor of the same round
-    waits for the next; so no two nodes of a round are adjacent. order
-    lists the removed nodes round by round, round r being
-    order[bounds[r]:bounds[r + 1]]; order[k] hung from the node parent[k]
-    by the edge of f2v row hung[k], both -1 if it had no live edge left
-    (the last node of a tree). core marks the nodes no round removes,
-    the 2-core: each keeps at least two edges inside it, and it is empty
-    exactly on a forest.
+    Nodes are numbered as in FactorGraph.pairs. Each round removes every
+    live node with at most one live edge, except that a variable whose
+    one live neighbour is a factor of the same round waits for the next;
+    so no two nodes of a round are adjacent. order lists the removed
+    nodes round by round, round r being order[bounds[r]:bounds[r + 1]];
+    order[k] hung from the node parent[k] by the edge of f2v row hung[k],
+    both -1 if it had no live edge left (the last node of a tree). core
+    marks the nodes no round removes, the 2-core: each keeps at least two
+    edges inside it, and it is empty exactly on a forest.
+
+    core_edges marks the f2v edges with both ends in the core, whose twin
+    v2f edges carry Q's spectrum. Q's block row for the twin of stack row
+    e reads the twins of the rows others_of_factor[others_of_var[e]]; its
+    diagonal blocks are zero. In a tree hanging off the core, the
+    messages toward the core read only messages below them, and no core
+    message reads those running away from it: in the order (toward,
+    core, away) Q is block triangular with nilpotent tree blocks, so the
+    trees add only zero eigenvalues. Exact, with no tolerance; no edge on
+    a forest.
     """
 
-    pairs: np.ndarray
     order: np.ndarray
     parent: np.ndarray
     hung: np.ndarray
     bounds: list
     core: np.ndarray
-
-    @property
-    def core_edges(self):
-        """Bool mask of the f2v edges with both ends in the core, whose twin v2f edges carry Q's spectrum.
-
-        Q's block row for the twin of stack row e reads the twins of the
-        rows others_of_factor[others_of_var[e]]; its diagonal blocks are
-        zero. In a tree hanging off the core, the messages toward the core
-        read only messages below them, and no core message reads those
-        running away from it: in the order (toward, core, away) Q is block
-        triangular with nilpotent tree blocks, so the trees add only zero
-        eigenvalues. Exact, with no tolerance; no edge on a forest.
-        """
-        return self.core[self.pairs[:, 0]] & self.core[self.pairs[:, 1]]
+    core_edges: np.ndarray
 
 
 def leaf_peel(graph):
@@ -145,10 +147,8 @@ def leaf_peel(graph):
     the trees hang.
     """
     n_f = len(graph.factor_ids)
-    factor = {m: k for k, m in enumerate(graph.factor_ids)}
-    var = {i: n_f + k for k, i in enumerate(graph.var_ids)}
-    ends = [[factor[m], var[i]] for (m, i) in graph.f2v_edges]
-    n = n_f + len(var)
+    ends = graph.pairs.tolist()
+    n = n_f + len(graph.var_ids)
     rows_at = [[] for _ in range(n)]
     for e, (f, v) in enumerate(ends):
         rows_at[f].append(e)
@@ -175,8 +175,9 @@ def leaf_peel(graph):
                     later.append(p)
         bounds.append(len(order))
         leaves = later
-    pairs, order, parent, hung = (np.array(x, dtype=np.intp) for x in (ends, order, parent, hung))
-    return LeafPeel(pairs.reshape(-1, 2), order, parent, hung, bounds, core=np.array(live, dtype=bool))
+    order, parent, hung = (np.array(x, dtype=np.intp) for x in (order, parent, hung))
+    core = np.array(live, dtype=bool)
+    return LeafPeel(order, parent, hung, bounds, core, core_edges=core[graph.pairs].all(axis=1))
 
 
 def _lowest_bit(rows):
@@ -243,7 +244,7 @@ def classify_topology(graph):
         core = core[np.argsort(-height[core])]
         number = np.zeros(n, dtype=np.intp)
         number[core] = np.arange(len(core))
-        far, low = _reach(number[peel.pairs[peel.core_edges]], height[core])
+        far, low = _reach(number[graph.pairs[peel.core_edges]], height[core])
         longest[core] = np.maximum(longest[core], height[core] + far)
         rep[core] = core[low]
     rep = rep.tolist()
@@ -254,7 +255,7 @@ def classify_topology(graph):
     _, first, inverse = np.unique(rep, return_index=True, return_inverse=True)
     comp = np.argsort(np.argsort(first))[inverse]
     n_nodes = np.bincount(comp)
-    n_edges = np.bincount(comp[peel.pairs[:, 0]], minlength=len(n_nodes))
+    n_edges = np.bincount(comp[graph.pairs[:, 0]], minlength=len(n_nodes))
     diameters = np.zeros_like(n_nodes)
     np.maximum.at(diameters, comp, longest)
     components = [ComponentInfo(nodes=n, edges=e, independent_cycles=e - n + 1,

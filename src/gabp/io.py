@@ -154,10 +154,13 @@ def model_from_json(obj):
         coeff_obj = entry.get("coeff")
         if not isinstance(coeff_obj, dict):
             raise InputFormatError(f"factor {fid}: 'coeff' must map variable id to matrix")
-        keys = []
+        keys = {}  # a dict, to keep the keys' order
         for key, mat in coeff_obj.items():
-            keys.append(_integer(key, f"factor {fid} coeff key"))
-            numbers.matrix(mat, f"factor {fid} coeff[{keys[-1]}]")
+            j = _integer(key, f"factor {fid} coeff key")
+            if j in keys:
+                raise InputFormatError(f"factor {fid}: coeff names variable {j} twice")
+            keys[j] = None
+            numbers.matrix(mat, f"factor {fid} coeff[{j}]")
         numbers.matrix(entry.get("noise_cov"), f"factor {fid} noise_cov")
         numbers.vector(entry.get("obs"), f"factor {fid} obs")
         factors.append((fid, scope, keys))
@@ -289,9 +292,9 @@ def write_dot(graph, path):
         fh.write(to_dot(graph))
 
 
-def write_beliefs_csv(beliefs, path):
-    """Write beliefs, a dict by variable id or the belief_rows already made of one, as CSV."""
+def write_beliefs_csv(rows, path):
+    """Write belief_rows as CSV under BELIEF_HEADER."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(BELIEF_HEADER)
-        writer.writerows(belief_rows(beliefs) if isinstance(beliefs, dict) else beliefs)
+        writer.writerows(rows)

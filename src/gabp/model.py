@@ -80,22 +80,6 @@ class LinearGaussianModel:
     def __post_init__(self):
         self.variables = sorted(self.variables, key=lambda v: v.id)
         self.factors = sorted(self.factors, key=lambda f: f.id)
-        self._var_by_id = {v.id: v for v in self.variables}
-        self._factor_by_id = {f.id: f for f in self.factors}
-
-    def variable(self, vid):
-        return self._var_by_id[vid]
-
-    def factor(self, fid):
-        return self._factor_by_id[fid]
-
-    @property
-    def total_dim(self):
-        return sum(v.dim for v in self.variables)
-
-    @property
-    def total_obs_dim(self):
-        return sum(f.obs_dim for f in self.factors)
 
 
 def shape_stacks(variables, factors=()):
@@ -146,7 +130,7 @@ def validate_model(model):
     """
     reports = []                  # the problems of each variable and factor, in model order
     specs, owners = [], []        # the variables and factors that pass, and their reports
-    seen = set()
+    seen, dims = set(), {v.id: v.dim for v in model.variables}  # a duplicate id: the last one's dim
     for v in model.variables:
         problems = []
         reports.append(problems)
@@ -173,7 +157,7 @@ def validate_model(model):
         if not f.scope:
             problems.append(f"factor {f.id}: empty scope")
             continue
-        missing = [i for i in f.scope if i not in model._var_by_id]
+        missing = [i for i in f.scope if i not in dims]
         if missing:
             problems.append(f"factor {f.id}: scope references unknown variables {missing}")
             continue
@@ -190,9 +174,8 @@ def validate_model(model):
             continue
         m = f.obs_dim
         for i in f.scope:
-            ni = model.variable(i).dim
-            if f.coeff[i].shape != (m, ni):
-                problems.append(f"factor {f.id}: coeff[{i}] shape {f.coeff[i].shape} != ({m}, {ni})")
+            if f.coeff[i].shape != (m, dims[i]):
+                problems.append(f"factor {f.id}: coeff[{i}] shape {f.coeff[i].shape} != ({m}, {dims[i]})")
         if problems:
             continue
         if f.noise_cov.shape != (m, m):
@@ -295,7 +278,7 @@ def centralized_solve(model, graph=None):
     priors = precision_stacks(shape_stacks(model.variables)["cov"])
     pad_stacks(stacks["cov"] + [(n_f + idx, w) for idx, w in priors], state)
     pad_stacks(stacks["obs"], state[..., q])
-    a = pad_stacks(stacks["coeff"], np.zeros((len(peel.pairs) + 1, q, q)))
+    a = pad_stacks(stacks["coeff"], np.zeros((len(graph.pairs) + 1, q, q)))
 
     # each removed node's [B | b | sI], B = A from a factor and -A^T from a variable; parent -1
     # reaches the sentinels
@@ -318,7 +301,7 @@ def centralized_solve(model, graph=None):
     if len(rows):
         # The core system on its variables' real slots, each pad slot sent to the spare last one,
         # from the core factors' G = R^-1 [A | y | -I] on each pair (s, t) of their core rows.
-        f, v = peel.pairs[rows].T
+        f, v = graph.pairs[rows].T
         cv = np.flatnonzero(peel.core[n_f:]) + n_f
         real = np.arange(d) < dims[cv - n_f, None]
         size = int(real.sum())

@@ -77,7 +77,6 @@ def _require_normalized(j):
 class WalkSummability:
     walk_summable: bool
     min_eig: float
-    eigenvalues: np.ndarray
 
 
 def check_walk_summability(j_norm):
@@ -93,7 +92,7 @@ def _walk_summability(j_norm):
     np.fill_diagonal(test, 1.0 - np.abs(1.0 - np.diag(j_norm)))
     w = np.linalg.eigvalsh(test)
     # the verdict is_pd(test) would give, from the same eigenvalues
-    return WalkSummability(walk_summable=bool(_verdict(w, strict=True)), min_eig=float(w[0]), eigenvalues=w)
+    return WalkSummability(walk_summable=bool(_verdict(w, strict=True)), min_eig=float(w[0]))
 
 
 @dataclass

@@ -89,10 +89,11 @@ def stack_global(model):
     """
     voff = variable_offsets(model)
     foff = factor_offsets(model)
-    a = np.zeros((model.total_obs_dim, model.total_dim))
-    r = np.zeros((model.total_obs_dim, model.total_obs_dim))
-    w = np.zeros((model.total_dim, model.total_dim))
-    y = np.zeros(model.total_obs_dim)
+    nx, ny = sum(v.dim for v in model.variables), sum(f.obs_dim for f in model.factors)
+    a = np.zeros((ny, nx))
+    r = np.zeros((ny, ny))
+    w = np.zeros((nx, nx))
+    y = np.zeros(ny)
     for v in model.variables:
         s, d = voff[v.id]
         w[s:s + d, s:s + d] = v.prior_cov
@@ -174,12 +175,13 @@ def dense_q(model, graph, fp):
     """
     offsets, dim = v2f_layout(graph)
     v2f = edge_views(fp.stack.graph, fp.v2f_j, v2f=True)
+    factors = {f.id: f for f in model.factors}
     q = np.zeros((dim, dim))
     for (j, n), (rs, rd) in offsets.items():
         for k in graph.neighbors_of_var[j]:
             if k == n:
                 continue
-            f = model.factor(k)
+            f = factors[k]
             others = [z for z in f.scope if z != j]
             core = f.noise_cov + sum(f.coeff[z] @ np.linalg.solve(v2f[(z, k)], f.coeff[z].T)
                                      for z in others)

@@ -109,6 +109,15 @@ def cli_mixed_models():
             for k in range(18)]
 
 
+def relabelled(model, shift):
+    """The model with every variable and factor id moved up by shift, which keeps their order."""
+    return LinearGaussianModel(
+        variables=[VariableSpec(v.id + shift, v.dim, v.prior_cov) for v in model.variables],
+        factors=[FactorSpec(f.id + shift, [i + shift for i in f.scope],
+                            {i + shift: a for i, a in f.coeff.items()}, f.noise_cov, f.obs)
+                 for f in model.factors])
+
+
 def random_walk_summable(seed, n=6, target_radius=0.7):
     """Normalized J = I - R with the absolute spectral radius pinned."""
     rng = np.random.default_rng(seed)

@@ -120,13 +120,13 @@ def recorded_runs():
 
 
 def test_criterion_06_bound_sandwich(recorded_runs):
-    for label, graph, bounds, *histories, _, _ in recorded_runs:
+    for label, graph, (lower, upper), *histories, _, _ in recorded_runs:
         for history in histories:
             for ell in range(1, len(history)):
                 for edge in graph.f2v_edges:
-                    assert psd_compare(history[ell][edge], bounds.lower[edge]), \
+                    assert psd_compare(history[ell][edge], lower[edge]), \
                         (label, ell, edge)
-                    assert psd_compare(bounds.upper[edge], history[ell][edge]), \
+                    assert psd_compare(upper[edge], history[ell][edge]), \
                         (label, ell, edge)
 
 

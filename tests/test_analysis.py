@@ -25,13 +25,14 @@ def affine_offset(model, g, fp):
     """
     offsets, total = v2f_layout(g)
     v2f = edge_views(fp.stack.graph, fp.v2f_j, v2f=True)
+    factors = {f.id: f for f in model.factors}
     b = np.zeros(total)
     for (j, n), (start, dim) in offsets.items():
         sent = np.zeros(dim)
         for k in g.neighbors_of_var[j]:
             if k == n:
                 continue
-            f = model.factor(k)
+            f = factors[k]
             core = f.noise_cov + sum(f.coeff[z] @ np.linalg.solve(v2f[(z, k)], f.coeff[z].T)
                                      for z in f.scope if z != j)
             sent += f.coeff[j].T @ np.linalg.solve(core, f.obs)
@@ -41,22 +42,21 @@ def affine_offset(model, g, fp):
 
 def test_upper_bound_is_sensor_information(quartet):
     g = build_factor_graph(quartet)
-    bounds = compute_bounds(quartet, g)
-    for (n, i) in g.f2v_edges:
-        f = quartet.factor(n)
-        a = f.coeff[i]
-        expected = a.T @ np.linalg.solve(f.noise_cov, a)
-        np.testing.assert_allclose(bounds.upper[(n, i)], expected, atol=1e-14)
+    _, upper = compute_bounds(quartet, g)
+    for f in quartet.factors:
+        for i in f.scope:
+            expected = f.coeff[i].T @ np.linalg.solve(f.noise_cov, f.coeff[i])
+            np.testing.assert_allclose(upper[(f.id, i)], expected, atol=1e-14)
 
 
 def test_lower_bound_equals_first_zero_init_iterate(quartet):
     # dual route: compute_bounds builds L in closed form; the recursion
     # reaches the same matrices after exactly one step from zero
     g = build_factor_graph(quartet)
-    bounds = compute_bounds(quartet, g)
+    lower, _ = compute_bounds(quartet, g)
     first = information_iterates(quartet, g, "zero", 1)[1]
     for e in g.f2v_edges:
-        np.testing.assert_allclose(bounds.lower[e], first[e], atol=1e-12)
+        np.testing.assert_allclose(lower[e], first[e], atol=1e-12)
 
 
 def test_lower_bound_is_the_first_zero_init_iterate_bit_for_bit():
@@ -64,7 +64,7 @@ def test_lower_bound_is_the_first_zero_init_iterate_bit_for_bit():
     # first step from zero messages reproduces L exactly, padding included
     model = random_model(seed=5, n_agents=30, dims=(1, 3), topology="multi_loop")
     g = build_factor_graph(model)
-    lower = compute_bounds(model, g).lower
+    lower, _ = compute_bounds(model, g)
     first = information_iterates(model, g, "zero", 1)[1]
     for e in g.f2v_edges:
         np.testing.assert_array_equal(lower[e], first[e])
@@ -106,13 +106,13 @@ def test_fixed_point_is_init_invariant(quartet):
 
 def test_zero_init_iterates_are_monotone_and_sandwiched(quartet):
     g = build_factor_graph(quartet)
-    bounds = compute_bounds(quartet, g)
+    lower, upper = compute_bounds(quartet, g)
     hist = information_iterates(quartet, g, "zero",
                                 information_fixed_point(quartet, g, init="zero").iterations)
     for ell in range(1, len(hist)):
         for e in g.f2v_edges:
-            assert psd_compare(hist[ell][e], bounds.lower[e])
-            assert psd_compare(bounds.upper[e], hist[ell][e])
+            assert psd_compare(hist[ell][e], lower[e])
+            assert psd_compare(upper[e], hist[ell][e])
             if ell >= 2:
                 assert psd_compare(hist[ell][e], hist[ell - 1][e])
 
@@ -176,8 +176,9 @@ def test_engine_one_step_equals_affine_map(quartet, monkeypatch):
 
     # f2v means consistent with v2f means x at the frozen fixed point
     f2v_means = {}
+    factors = {f.id: f for f in quartet.factors}
     for (n, i) in g.f2v_edges:
-        f = quartet.factor(n)
+        f = factors[n]
         core = f.noise_cov.copy()
         resid = f.obs.copy()
         for z in f.scope:
@@ -483,4 +484,5 @@ def test_certify_with_the_cross_check_allocates_no_array_as_large_as_the_joint_p
     finally:
         tracemalloc.stop()
     assert report.bp_status == "converged" and report.max_mean_error < 1e-8
-    assert peak < model.total_dim ** 2 * 8, (peak, model.total_dim)
+    dim = sum(v.dim for v in model.variables)
+    assert peak < dim ** 2 * 8, (peak, dim)

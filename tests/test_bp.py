@@ -172,7 +172,7 @@ def test_every_entry_point_rejects_an_unknown_edge_or_an_asymmetric_dict_init(ca
     from gabp.analysis import information_fixed_point
     m = tree_model()
     g = build_factor_graph(m)
-    init = {(n, i): np.eye(m.variable(i).dim) for n, i in g.f2v_edges}
+    init = {(n, i): np.eye(g.var_dims[i]) for n, i in g.f2v_edges}
     if case == "unknown edge":
         edge = (99, 1)
         init[edge] = np.array([[-5.0]])

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import QUARTET_J, ill_conditioned_noise_model, quartet_model, stack_global, vague_prior_model
-from corpus import SHOWCASE_DIVERGENT, cli_mixed_models, frustrated_model, grid_field, mixed_corpus
+from corpus import SHOWCASE_DIVERGENT, cli_mixed_models, frustrated_model, grid_field, mixed_corpus, relabelled
+from gabp.analysis import certify
+from gabp.bp import BpOptions, run_bp
 from gabp.cli import main
 from gabp.errors import ExistenceViolation
 from gabp.graph import build_factor_graph
@@ -286,6 +288,32 @@ def test_model_without_factors_runs_and_certifies(tmp_path):
                                   np.loadtxt(solved, delimiter=",", skiprows=1))
     with open(report) as fh:
         assert json.load(fh)["max_mean_error"] == 0.0
+
+
+BIG = 2 ** 70
+
+
+@pytest.mark.parametrize("label,model", cli_mixed_models())
+def test_ids_past_64_bits_change_no_result(label, model):
+    # ids are Python ints throughout: moving every one past 2^64, in order, changes no number
+    big = relabelled(model, BIG)
+    for schedule in ("sync", "seq", "random"):
+        opts = BpOptions(schedule=schedule, seed=5)
+        want, got = run_bp(model, options=opts), run_bp(big, options=opts)
+        assert (got.status, got.iterations) == (want.status, want.iterations), (label, schedule)
+        assert list(got.beliefs) == [i + BIG for i in want.beliefs]
+        for i, b in want.beliefs.items():
+            np.testing.assert_array_equal(got.beliefs[i + BIG].mean, b.mean)
+            np.testing.assert_array_equal(got.beliefs[i + BIG].cov, b.cov)
+    assert json.dumps(certify(big).to_dict()) == json.dumps(certify(model).to_dict())
+
+
+def test_run_and_certify_accept_ids_past_64_bits(tmp_path, capsys):
+    path = str(tmp_path / "big_ids.json")
+    save_model(relabelled(cli_mixed_models()[1][1], BIG), path)
+    assert main(["run", path]) == 0
+    assert f"agent {BIG + 1} component 1: mean" in capsys.readouterr().out
+    assert main(["analyze", "--certify", path]) == 0
 
 
 def test_malformed_inputs_end_in_a_named_error(quartet_file, tmp_path, capsys):

@@ -38,7 +38,7 @@ def test_v2f_offsets_partition_the_stacked_vector(quartet):
         assert total == cursor
         # with every row kept, the analysis packs each twin v2f edge into the same slice
         st = EdgeStack(model, g)
-        coords, real = _v2f_coords(st, np.ones(len(st.edges), dtype=bool))
+        coords, real = _v2f_coords(st, np.ones(len(g.f2v_edges), dtype=bool))
         assert int(real.sum()) == total
         for (j, n), (start, dim) in offsets.items():
             e = g.f2v_index[(n, j)]
@@ -48,7 +48,7 @@ def test_v2f_offsets_partition_the_stacked_vector(quartet):
 def test_quartet_topology(quartet):
     t = classify_topology(build_factor_graph(quartet))
     assert t.overall == "single_loop_plus_forest"
-    assert t.n_components == 1
+    assert len(t.components) == 1
     assert t.diameter == 4
     (comp,) = t.components
     assert comp.nodes == 7
@@ -90,7 +90,7 @@ def test_disconnected_components():
         ],
     )
     t = classify_topology(build_factor_graph(m))
-    assert t.n_components == 2
+    assert len(t.components) == 2
     assert t.overall == "forest"
 
 
@@ -234,7 +234,7 @@ def test_diameter_matches_per_node_bfs_at_word_boundaries(seed, n_agents, topolo
     m = random_model(seed=seed, n_agents=n_agents, topology=topology)
     assert len(m.variables) + len(m.factors) == n_nodes
     t = _checked_against_oracle(m)
-    assert t.n_components == 1
+    assert len(t.components) == 1
 
 
 @pytest.mark.parametrize("n_agents", [32, 33, 64, 65])
@@ -252,7 +252,7 @@ def test_diameter_matches_per_node_bfs_on_disconnected_model():
                        random_model(seed=2, n_agents=29, topology="multi_loop"),
                        lonely)
     t = _checked_against_oracle(m)
-    assert t.n_components == 3
+    assert len(t.components) == 3
     assert t.overall == "multi_loop"
     # the variable no factor touches is a one-node component
     assert (1, 0, 0) in [(c.nodes, c.edges, c.diameter) for c in t.components]
@@ -266,7 +266,7 @@ def test_model_without_factors_has_zero_diameter():
                             factors=[])
     t = _checked_against_oracle(m)
     assert t.overall == "forest"
-    assert t.n_components == 3
+    assert len(t.components) == 3
     assert t.diameter == 0
 
 
@@ -345,7 +345,7 @@ def test_leaf_peel_leaves_the_two_core_and_removes_every_leaf_round_by_round():
         peel = g.peel
         names = [("f", n) for n in g.factor_ids] + [("v", i) for i in g.var_ids]
         pairs = [(names.index(("f", n)), names.index(("v", i))) for n, i in g.f2v_edges]
-        np.testing.assert_array_equal(peel.pairs.reshape(-1, 2), np.array(pairs).reshape(-1, 2))
+        np.testing.assert_array_equal(g.pairs, np.array(pairs, dtype=np.intp).reshape(-1, 2))
         assert {names[k] for k in np.flatnonzero(peel.core)} == oracle_core(model), label
         assert sorted(peel.order.tolist() + np.flatnonzero(peel.core).tolist()) == list(range(len(names)))
         # replay the rounds on the live edges
@@ -364,7 +364,7 @@ def test_leaf_peel_leaves_the_two_core_and_removes_every_leaf_round_by_round():
                 assert p == (sum(pairs[e]) - k if e >= 0 else -1), label
                 live -= edges_at[k]
         assert live == set(np.flatnonzero(peel.core_edges).tolist()), label
-        assert (peel.core_edges == (peel.core[peel.pairs[:, 0]] & peel.core[peel.pairs[:, 1]])).all()
+        assert (peel.core_edges == (peel.core[g.pairs[:, 0]] & peel.core[g.pairs[:, 1]])).all()
 
 
 def test_classify_topology_matches_the_per_node_bfs_on_every_peel_model():

@@ -14,7 +14,7 @@ from gabp.bp import Belief, BpOptions, run_bp
 from gabp.cli import main
 from gabp.errors import InputFormatError, IterationBudgetError
 from gabp.graph import build_factor_graph
-from gabp.io import (fmt, load_custom_init, load_model, load_mrf,
+from gabp.io import (belief_rows, fmt, load_custom_init, load_model, load_mrf,
                      matrix_from_json, matrix_to_json, model_from_json,
                      model_to_json, save_model, save_mrf, write_beliefs_csv,
                      write_trajectory_csv)
@@ -100,6 +100,9 @@ MALFORMED_MODELS = [
      "factor 4: 'coeff' must map variable id to matrix"),
     ({"variables": [], "factors": [{"id": 4, "scope": [1], "coeff": {"1": _UNIT}, "noise_cov": _UNIT, "obs": 1.0}]},
      "factor 4 obs: expected a list of numbers"),
+    # "1" and "01" name one variable; the second block used to replace the first with no error
+    ({"variables": [], "factors": [{"id": 4, "scope": [1], "coeff": {"1": _UNIT, "01": _UNIT}}]},
+     "factor 4: coeff names variable 1 twice"),
 ]
 
 
@@ -370,7 +373,7 @@ def test_beliefs_csv(tmp_path):
         1: Belief(mean=np.array([0.5, -0.5]), cov=np.diag([1.0, 2.0])),
     }
     path = tmp_path / "beliefs.csv"
-    write_beliefs_csv(beliefs, path)
+    write_beliefs_csv(belief_rows(beliefs), path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["agent", "component", "mean", "variance"]
