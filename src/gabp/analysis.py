@@ -19,12 +19,13 @@ Three separate questions are answered here:
    trajectory.
 
 The analysis runs on the engine's EdgeStack (gabp.bp, whose docstring
-gives the stack layout). The fixed point iterates its information half
-over the whole stack, and FixedPoint keeps J* only as the stacks: J of
-both edge kinds and the gains K, with no per-edge copy (bp.edge_views
-gives one on demand). assemble_q builds the blocks of Q's loop core from
-them, with one stacked solve per pair of gather slots, for rho(Q) only;
-the whole Q is never formed. The mean recursion is the engine's mean
+gives the stack layout). The fixed point and the mean recursion iterate
+their half on the 2-core's rows alone (_settle gives the trees), and
+FixedPoint keeps J* only as the stacks: J of both edge kinds and the
+gains K, with no per-edge copy (bp.edge_views gives one on demand).
+assemble_q builds the blocks of Q's loop core from them, with one
+stacked solve per pair of gather slots, for rho(Q) only; the whole Q is
+never formed. The mean recursion is the engine's mean
 half at J*, and compute_beliefs turns its final f2v potentials into the
 belief means. certify reads the edge bounds off fp.stack (the lower one
 computed once per stack) and gives run_bp the FixedPoint as its
@@ -79,34 +80,51 @@ class FixedPoint:
     v2f_j: np.ndarray
 
 
+def _settle(peel, v2f, f2v, away=False):
+    """Step the hanging trees' messages toward the 2-core, or away from it, in one pass (see graph.LeafPeel)."""
+    for _, var_rows, factor_rows in reversed(peel.rounds) if away else peel.rounds:
+        (f2v if away else v2f)(var_rows)
+        (v2f if away else f2v)(factor_rows)
+
+
 def information_fixed_point(model, graph=None, init="zero"):
     """Iterate the information half of the engine alone until it stops moving.
 
     The mean vectors play no role here, so this is the cheapest way to
     obtain the fixed point J* that the full engine converges to. Each
-    iteration is one synchronous J half over the whole edge stack. init
-    accepts the engine's strategies and dicts of psd matrices (or
-    messages) per edge (see EdgeStack.init). Raises IterationBudgetError
-    if FIXED_POINT_TOL is not reached within FIXED_POINT_MAX_ITERS.
+    iteration is one synchronous J half over the core rows, between the
+    passes of _settle, so init (see EdgeStack.init) seeds only those and
+    iterations is 0 on a forest. Raises IterationBudgetError if
+    FIXED_POINT_TOL is not reached within FIXED_POINT_MAX_ITERS.
     """
     if graph is None:
         graph = build_factor_graph(model)
     stack = EdgeStack(model, graph)
     fj, _ = stack.init(init)
-    delta = math.inf
-    for it in range(1, FIXED_POINT_MAX_ITERS + 1):
-        _, new = stack.f2v_information(stack.v2f_information(fj, stack.all), stack.all)
-        delta = float(np.max(np.linalg.norm(new - fj[:-1], axis=(1, 2)), initial=0.0))
-        fj[:-1] = new
-        if delta < FIXED_POINT_TOL:
-            jv = stack.v2f_information(fj, stack.all)
-            gain, _ = stack.f2v_information(jv, stack.all)
-            log.debug("information fixed point reached after %d iterations", it)
-            return FixedPoint(gain=gain, iterations=it, stack=stack, f2v_j=new, v2f_j=jv)
-    raise IterationBudgetError(
-        f"information recursion did not reach tol={FIXED_POINT_TOL:g} within "
-        f"{FIXED_POINT_MAX_ITERS} iterations (last delta {delta:.3e})"
-    )
+
+    def v2f(rows):
+        stack.spread(stack.v2f_information(fj, rows), rows)
+
+    def f2v(rows):
+        fj[rows] = stack.f2v_information(rows)[1]
+
+    _settle(graph.peel, v2f, f2v)
+    core, delta, it = np.flatnonzero(graph.peel.core_edges), math.inf, 0
+    while len(core) and delta >= FIXED_POINT_TOL:
+        if it == FIXED_POINT_MAX_ITERS:
+            raise IterationBudgetError(
+                f"information recursion did not reach tol={FIXED_POINT_TOL:g} within "
+                f"{FIXED_POINT_MAX_ITERS} iterations (last delta {delta:.3e})")
+        it += 1
+        v2f(core)
+        new = stack.f2v_information(core)[1]
+        delta = float(np.max(np.linalg.norm(new - fj[core], axis=(1, 2)), initial=0.0))
+        fj[core] = new
+    _settle(graph.peel, v2f, f2v, away=True)
+    jv = stack.v2f_information(fj, stack.all)
+    stack.spread(jv, stack.all)
+    log.debug("information fixed point reached after %d core iterations", it)
+    return FixedPoint(gain=stack.f2v_information(stack.all)[0], iterations=it, stack=stack, f2v_j=fj[:-1], v2f_j=jv)
 
 
 @dataclass
@@ -174,30 +192,46 @@ class MeanRecursionResult:
 def two_phase_mean_recursion(fixed_point):
     """Iterate the engine's mean half from zero v2f means, its J frozen at J*.
 
-    Step 0 primes the f2v store from zero v2f means; each iteration then
-    steps like the engine's sweep: v2f means, bp.diverged, f2v step
-    K (y - sum A v), exactly v <- b - Q v, as Q's block is
-    J_{j->n}^-1 K_{k->j} A_{k,z}. Returns status "converged" (step below
-    MEAN_RECURSION_TOL), "diverged" or "max_iters" after
+    The core rows iterate between the passes of _settle. Step 0 primes
+    their f2v store from zero v2f means; each iteration then steps like
+    the engine's sweep: v2f means, bp.diverged, f2v step K (y - sum A v),
+    exactly v <- b - Q v, as Q's block is J_{j->n}^-1 K_{k->j} A_{k,z}.
+    Returns status "converged" (step below MEAN_RECURSION_TOL, at 0
+    iterations on a forest), "diverged" (any mean) or "max_iters" after
     MEAN_RECURSION_MAX_ITERS, v in the whole Q's canonical v2f order, and
     the belief means by variable id from the last f2v store (None if
     diverged).
     """
-    st = fixed_point.stack
+    st, gain, jv = fixed_point.stack, fixed_point.gain, fixed_point.v2f_j
     vv = np.zeros(st.w.shape[:2])
     fh = np.zeros((len(vv) + 1, vv.shape[1]))
-    status, dv = "max_iters", math.inf
+
+    def v2f(rows):
+        vv[rows] = st.v2f_mean(fh, rows, jv[rows])
+        st.pull(vv[rows], rows)
+
+    def f2v(rows):
+        fh[rows] = st.f2v_potential(rows, gain[rows])
+
+    _settle(st.graph.peel, v2f, f2v)
+    core = np.flatnonzero(st.graph.peel.core_edges)
+    status, dv = "max_iters", math.inf if len(core) else 0.0
+    st.pull(vv[core], core)  # zero: step 0 must not read the pulls another run kept
     for iterations in range(MEAN_RECURSION_MAX_ITERS + 1):
         if iterations:
-            new = st.v2f_mean(fh, st.all, fixed_point.v2f_j)
-            dv, vv = np.max(np.abs(new - vv), initial=0.0), new
-            if diverged(vv):
+            old = vv[core]
+            v2f(core)
+            dv = np.max(np.abs(vv[core] - old), initial=0.0)
+            if diverged(vv[core]):
                 status = "diverged"
                 break
-        fh[:-1] = st.f2v_potential(vv, st.all, fixed_point.gain)
+        f2v(core)
         if dv < MEAN_RECURSION_TOL:
             status = "converged"
             break
+    _settle(st.graph.peel, v2f, f2v, away=True)
+    if diverged(vv):
+        status = "diverged"
     coords, real = _v2f_coords(st, np.ones(len(st.dims), dtype=bool))
     v = np.zeros(int(real.sum()))
     v[coords[real]] = vv[real]

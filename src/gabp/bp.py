@@ -246,7 +246,8 @@ class EdgeStack:
         once per stack; callers only read it (init copies it).
         """
         if self._lower is None:
-            self._lower = self.f2v_information(self.w, self.all)[1]
+            self.spread(self.w, self.all)
+            self._lower = self.f2v_information(self.all)[1]
         return self._lower
 
     def upper_bound(self):
@@ -308,10 +309,14 @@ class EdgeStack:
         """J_{i->n} for the rows' twin edges; fj is the whole f2v store."""
         return self.w[rows] + fj[self.others_of_var[rows]].sum(axis=1)
 
-    def f2v_information(self, jv, rows):
-        """(K_{n->i}, J_{n->i}) for the rows, from their twins' J_{i->n} in jv."""
+    def spread(self, jv, rows):
+        """Keep A_i J_{i->n}^-1 A_i^T for the rows from their twins' J_{i->n} in jv; f2v_information reads it later."""
         a = self.a[rows]
         self._spread[rows] = a @ np.linalg.solve(jv, a.swapaxes(1, 2))
+
+    def f2v_information(self, rows):
+        """(K_{n->i}, J_{n->i}) for the rows, from the spreads kept for their factors' other rows."""
+        a = self.a[rows]
         core = self.r[rows] + self._spread[self.others_of_factor[rows]].sum(axis=1)
         gain = np.linalg.solve(core, a).swapaxes(1, 2)
         jmat = gain @ a
@@ -321,9 +326,12 @@ class EdgeStack:
         """v_{i->n} for the rows' twins; fh is the whole store of J_{n->i} v_{n->i}."""
         return np.linalg.solve(jv, fh[self.others_of_var[rows]].sum(axis=1)[..., None])[..., 0]
 
-    def f2v_potential(self, vv, rows, gain):
-        """K_{n->i} (y_n - sum_{j != i} A_j v_{j->n}) for the rows, from their twins' v_{i->n} in vv."""
+    def pull(self, vv, rows):
+        """Keep A_i v_{i->n} for the rows from their twins' v_{i->n} in vv; f2v_potential reads it later."""
         self._pull[rows] = (self.a[rows] @ vv[..., None])[..., 0]
+
+    def f2v_potential(self, rows, gain):
+        """K_{n->i} (y_n - sum_{j != i} A_j v_{j->n}) for the rows, from the pulls kept for their factors' other rows."""
         resid = self.y[rows] - self._pull[self.others_of_factor[rows]].sum(axis=1)
         return (gain @ resid[..., None])[..., 0]
 
@@ -346,9 +354,11 @@ def _sweep(stack, jm, vm, fh, rows, strict, it):
         if bad.size:
             j, n = stack.graph.v2f_edges[np.isin(stack.v2f_rows, bad).argmax()]
             raise ExistenceViolation(f"variable-to-factor message ({j} -> {n}) not pd at iteration {it}")
-    gain, jn = stack.f2v_information(jv, rows)
+    stack.spread(jv, rows)
+    gain, jn = stack.f2v_information(rows)
     vm[1, rows] = stack.v2f_mean(fh, rows, jv)
-    fh[rows] = stack.f2v_potential(vm[1, rows], rows, gain)
+    stack.pull(vm[1, rows], rows)
+    fh[rows] = stack.f2v_potential(rows, gain)
     jm[1, rows], jm[0, rows] = jv, jn
 
 
@@ -430,11 +440,13 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
     n_edges = len(graph.f2v_edges)
     stats, records, initial = array("d"), array("d"), None
     take = np.concatenate([n_edges + stack.v2f_rows, np.arange(n_edges)])  # block row -> index in dj.ravel()
+    pm = max_pm = math.nan
     if reference is not None:
         if reference.stack.graph.f2v_edges != graph.f2v_edges or not np.array_equal(reference.stack.dims, stack.dims):
             raise DomainError("reference fixed point belongs to another graph")
         metric = part_metric_to(stack.inner_pad(reference.f2v_j))  # the reference is constant: factor it once
-        initial = float(np.max(metric(stack.inner_pad(jm[0, :-1])), initial=0.0))
+        pm = metric(stack.inner_pad(jm[0, :-1]))  # per row, re-measured only where J moves
+        initial = float(np.max(pm, initial=0.0))
 
     rng = np.random.default_rng(opts.seed)
     blocks = [stack.all] if opts.schedule == "sync" else stack.blocks(graph.factor_ids)
@@ -465,9 +477,11 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
             max_dj = max_dv = math.inf
         else:
             max_dj, max_dv = float(dj.max(initial=0.0)), float(dv.max(initial=0.0))
-        pm = max_pm = math.nan
         if reference is not None:
-            pm = metric(stack.inner_pad(jm[0, :-1]))
+            moved = np.flatnonzero((jm[0, :-1] != old_j[0]).any(axis=(1, 2)))  # not dj > 0: it can underflow
+            rows = stack.all if len(moved) == n_edges else moved
+            if len(moved):
+                pm[rows] = metric(stack.inner_pad(jm[0, rows], rows), rows)
             max_pm = pm.max(initial=0.0)
         if opts.record_messages:
             block = np.full((2 * n_edges, 3), math.nan)

@@ -35,7 +35,6 @@ class FactorGraph:
     factor_ids: list
     var_dims: dict
     neighbors_of_factor: dict
-    neighbors_of_var: dict
     f2v_edges: list
     v2f_edges: list
 
@@ -57,25 +56,20 @@ class FactorGraph:
 
 def build_factor_graph(model):
     """Adjacency structure of the model's bipartite factor graph."""
-    nf = {}
-    nv = {i: [] for i in (v.id for v in model.variables)}
+    dims = {v.id: v.dim for v in model.variables}
     for f in model.factors:
-        nf[f.id] = tuple(f.scope)
         for i in f.scope:
-            if i not in nv:
+            if i not in dims:
                 raise DomainError(f"factor {f.id} references unknown variable {i}")
-            nv[i].append(f.id)
-    nv = {i: tuple(sorted(ids)) for i, ids in nv.items()}
+    nf = {f.id: tuple(f.scope) for f in model.factors}
     f2v = [(n, i) for n in sorted(nf) for i in nf[n]]
-    v2f = [(j, n) for j in sorted(nv) for n in nv[j]]
     return FactorGraph(
-        var_ids=sorted(nv),
+        var_ids=sorted(dims),
         factor_ids=sorted(nf),
-        var_dims={v.id: v.dim for v in model.variables},
+        var_dims=dims,
         neighbors_of_factor=nf,
-        neighbors_of_var=nv,
         f2v_edges=f2v,
-        v2f_edges=v2f,
+        v2f_edges=sorted((i, n) for n, i in f2v),
     )
 
 
@@ -114,11 +108,13 @@ class LeafPeel:
     live node with at most one live edge, except that a variable whose
     one live neighbour is a factor of the same round waits for the next;
     so no two nodes of a round are adjacent. order lists the removed
-    nodes round by round, round r being order[bounds[r]:bounds[r + 1]];
-    order[k] hung from the node parent[k] by the edge of f2v row hung[k],
-    both -1 if it had no live edge left (the last node of a tree). core
-    marks the nodes no round removes, the 2-core: each keeps at least two
-    edges inside it, and it is empty exactly on a forest.
+    nodes round by round; order[k] hung from the node parent[k] by the
+    edge of f2v row hung[k], both -1 if it had no live edge left (the
+    last node of a tree). rounds is the plan its readers follow: per
+    round (nodes, var_rows, factor_rows), the slice of order it removes
+    and the hung rows of its variables and of its factors. core marks the
+    nodes no round removes, the 2-core: each keeps at least two edges
+    inside it, and it is empty exactly on a forest.
 
     core_edges marks the f2v edges with both ends in the core, whose twin
     v2f edges carry Q's spectrum. Q's block row for the twin of stack row
@@ -128,13 +124,14 @@ class LeafPeel:
     message reads those running away from it: in the order (toward,
     core, away) Q is block triangular with nilpotent tree blocks, so the
     trees add only zero eigenvalues. Exact, with no tolerance; no edge on
-    a forest.
+    a forest. For the same reason one pass over rounds toward the core,
+    and one back, settles every message of the trees.
     """
 
     order: np.ndarray
     parent: np.ndarray
     hung: np.ndarray
-    bounds: list
+    rounds: list
     core: np.ndarray
     core_edges: np.ndarray
 
@@ -155,9 +152,9 @@ def leaf_peel(graph):
         rows_at[v].append(e)
     degree = [len(rows) for rows in rows_at]
     edge_live, live = [True] * len(ends), [True] * n
-    leaves, order, parent, hung, bounds = [k for k in range(n) if degree[k] <= 1], [], [], [], [0]
+    leaves, order, parent, hung, rounds = [k for k in range(n) if degree[k] <= 1], [], [], [], []
     while leaves:
-        later = []
+        later, start, rows = [], len(order), ([], [])
         for k in sorted(leaves):
             e = next((e for e in rows_at[k] if edge_live[e]), -1)
             if k >= n_f and e >= 0 and degree[ends[e][0]] == 1:
@@ -166,18 +163,20 @@ def leaf_peel(graph):
                 order.append(k)
                 parent.append(sum(ends[e]) - k if e >= 0 else -1)
                 hung.append(e)
-        for k, p, e in zip(order[bounds[-1]:], parent[bounds[-1]:], hung[bounds[-1]:]):
+                if e >= 0:
+                    rows[k < n_f].append(e)
+        rounds.append((slice(start, len(order)), *(np.array(r, dtype=np.intp) for r in rows)))
+        for k, p, e in zip(order[start:], parent[start:], hung[start:]):
             live[k] = False
             if e >= 0:
                 edge_live[e] = False
                 degree[p] -= 1
                 if degree[p] == 1:
                     later.append(p)
-        bounds.append(len(order))
         leaves = later
     order, parent, hung = (np.array(x, dtype=np.intp) for x in (order, parent, hung))
     core = np.array(live, dtype=bool)
-    return LeafPeel(order, parent, hung, bounds, core, core_edges=core[graph.pairs].all(axis=1))
+    return LeafPeel(order, parent, hung, rounds, core, core_edges=core[graph.pairs].all(axis=1))
 
 
 def _lowest_bit(rows):

@@ -11,6 +11,7 @@ which the loaded specs hold views.
 """
 
 import csv
+import gc
 import json
 
 import numpy as np
@@ -185,18 +186,24 @@ def save_model(model, path):
     write_json(model_to_json(model), path)
 
 
-def _load_json(path, what):
+def _load_json(path, what, parse):
+    """parse(the JSON in path) with the cyclic garbage collector paused: a parse makes many containers, no cycles."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return parse(json.load(fh))
     except OSError as exc:
         raise InputFormatError(f"cannot read {what} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def load_model(path):
-    return model_from_json(_load_json(path, "model"))
+    return _load_json(path, "model", model_from_json)
 
 
 def save_mrf(j, h, path, provenance=None):
@@ -209,7 +216,10 @@ def save_mrf(j, h, path, provenance=None):
 
 
 def load_mrf(path):
-    obj = _load_json(path, "mrf")
+    return _load_json(path, "mrf", _mrf_from_json)
+
+
+def _mrf_from_json(obj):
     if not isinstance(obj, dict) or "J" not in obj:
         raise InputFormatError("mrf file: expected an object with 'J' and 'h'")
     numbers = _Numbers()
@@ -236,7 +246,10 @@ def load_custom_init(path):
     Each record holds factor, variable, J (matrix) and v (vector).
     Coverage and psd-ness are checked later against the actual graph.
     """
-    obj = _load_json(path, "init")
+    return _load_json(path, "init", _init_from_json)
+
+
+def _init_from_json(obj):
     if not isinstance(obj, dict) or not isinstance(obj.get("f2v"), list):
         raise InputFormatError("init file: expected an object with an 'f2v' list")
     numbers, edges = _Numbers(), {}

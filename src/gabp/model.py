@@ -287,12 +287,12 @@ def centralized_solve(model, graph=None):
     rhs = np.zeros((len(b), q, 2 * q + 1))
     rhs[:, :, :q] = np.where(variable, -b.swapaxes(1, 2), b)
     rhs[:, :, q + 1:] = np.where(variable, eye, -eye)
-    rounds, steps = list(zip(peel.bounds, peel.bounds[1:])), []
-    for lo, hi in rounds:
-        nodes = state[peel.order[lo:hi]]
-        rhs[lo:hi, :, q] = nodes[..., q]
-        g = np.linalg.solve(nodes[..., :q], rhs[lo:hi])
-        np.add.at(state, peel.parent[lo:hi], g[..., :q].swapaxes(1, 2) @ rhs[lo:hi, :, :q + 1])
+    steps = []
+    for removed, _, _ in peel.rounds:
+        nodes = state[peel.order[removed]]
+        rhs[removed, :, q] = nodes[..., q]
+        g = np.linalg.solve(nodes[..., :q], rhs[removed])
+        np.add.at(state, peel.parent[removed], g[..., :q].swapaxes(1, 2) @ rhs[removed, :, :q + 1])
         steps.append(g)
 
     # each node's value and block of K^-1
@@ -328,8 +328,8 @@ def centralized_solve(model, graph=None):
         np.subtract.at(val, f, (g[..., :q] @ val[v, :, None])[..., 0])
         cov[f] = g[..., q + 1:]
         np.add.at(cov, f[s], ga[s] @ core[u[s, :, None], u[t, None, :]] @ ga[t].swapaxes(1, 2))
-    for (lo, hi), g in zip(reversed(rounds), reversed(steps)):
-        k, p, gb = peel.order[lo:hi], peel.parent[lo:hi], g[..., :q]
+    for (removed, _, _), g in zip(reversed(peel.rounds), reversed(steps)):
+        k, p, gb = peel.order[removed], peel.parent[removed], g[..., :q]
         val[k] = g[..., q] - (gb @ val[p, :, None])[..., 0]
         cov[k] = g[..., q + 1:] + gb @ cov[p] @ gb.swapaxes(1, 2)
     variables = list(enumerate(model.variables, start=n_f))

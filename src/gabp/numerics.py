@@ -142,23 +142,25 @@ def part_metric_to(ref):
     change while the metric is in use. Each call then makes one eigvalsh
     over x stacked on its reduction L^-1 (x - ref) L^-T, for the pd
     verdict on x and the mu of part_metric. The distance is symmetric in
-    its arguments. A pair that fails the pd check gets inf.
+    its arguments. A pair that fails the pd check gets inf. A call may
+    pass rows, a selection of ref's rows that x holds; each row's
+    distance is the one a call over every row gives it, bit for bit.
     """
     ref = symmetrize(ref)
     ref_ok = np.asarray(is_pd(ref))
     inv = np.linalg.inv(np.linalg.cholesky(np.where(ref_ok[:, None, None], ref, np.eye(ref.shape[-1]))))
 
-    def metric(x):
+    def metric(x, rows=slice(None)):
         x = symmetrize(x)
         if not x.shape[-1]:
             return np.zeros(len(x))
-        w = np.linalg.eigvalsh(np.concatenate([x, inv @ (x - ref) @ inv.swapaxes(1, 2)]))
+        w = np.linalg.eigvalsh(np.concatenate([x, inv[rows] @ (x - ref[rows]) @ inv[rows].swapaxes(1, 2)]))
         lo, hi = w[len(x):, 0], w[len(x):, -1]
         # lo <= -1 is possible only for near-singular inputs that slipped
         # through the pd check; it is a domain error, not a distance.
         with np.errstate(invalid="ignore", divide="ignore"):
             dist = np.maximum(np.maximum(np.log1p(hi), -np.log1p(lo)), 0.0)
-        return np.where(ref_ok & _verdict(w[:len(x)], strict=True) & (lo > -1.0), dist, np.inf)
+        return np.where(ref_ok[rows] & _verdict(w[:len(x)], strict=True) & (lo > -1.0), dist, np.inf)
 
     return metric
 

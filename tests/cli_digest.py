@@ -1,15 +1,21 @@
-"""One sha256 per gabp CLI command over a fixed set of model files.
+"""sha256 digests of gabp CLI commands over a fixed set of model files.
 
 Run from the repository root:
 
-    python tests/cli_digest.py digests.json [--src DIR]
+    python tests/cli_digest.py digests.json [--src DIR] [--compare OLD.json]
 
-Each digest covers the command's exit code, stdout, stderr and every file
-it writes, so two source trees that give the same digests for a command
-answer it byte for byte alike. --src picks the gabp sources (default: the
-src directory next to tests/); the corpora come from tests/corpus.py. The
-commands run in this process, in a temporary directory, on relative paths,
-with one BLAS thread. A command that raises is digested by the
+Each command gets one digest of its console part (exit code, stdout and
+stderr) and one of each file it writes; a CSV file also gets one per
+column and a JSON object file one per top-level key, so two source trees
+whose digests agree answer a command byte for byte alike, and where they
+differ the keys say which output, column or field moved. Keys read
+"<model file> <command> console", "<model file> <command> <file>" and
+"<model file> <command> <file>:<column or key>". --src picks the gabp
+sources (default: the src directory next to tests/); the corpora come
+from tests/corpus.py. --compare prints every key whose digest differs
+from OLD.json's, or that only one of the two has, and a count. The
+commands run in this process, in a temporary directory, on relative
+paths, with one BLAS thread. A command that raises is digested by the
 exception's type and message in place of an exit code.
 
 Commands per model: validate; solve --out; run with --trajectory and
@@ -28,6 +34,7 @@ os.environ.pop("GABP_LOG", None)
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import csv  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
@@ -66,8 +73,28 @@ def model_files(where):
     return names
 
 
+def _sha(*parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update((part if isinstance(part, bytes) else part.encode()) + b"\0")
+    return h.hexdigest()
+
+
+def _file_parts(name, data):
+    """(suffix, bytes) of the parts a written file is digested by: the whole file, then its columns or keys."""
+    yield "", data
+    if name.endswith(".csv"):
+        rows = list(csv.reader(data.decode().splitlines()))
+        for k, column in enumerate(rows[0] if rows else []):
+            yield f":{column}", "\n".join(row[k] if k < len(row) else "" for row in rows[1:]).encode()
+    elif name.endswith(".json"):
+        obj = json.loads(data)
+        for key, value in obj.items() if isinstance(obj, dict) else ():
+            yield f":{key}", json.dumps(value, sort_keys=True).encode()
+
+
 def digest(argv):
-    """sha256 over main(argv)'s exit code (or exception), stdout, stderr and the files it wrote."""
+    """sha256 by part of main(argv): its exit code (or exception), stdout and stderr, then each file it wrote."""
     from gabp.cli import main
 
     before = set(os.listdir("."))
@@ -77,22 +104,31 @@ def digest(argv):
             code = repr(main(argv))
         except Exception as exc:  # a crash is a result to compare, not a reason to stop
             code = f"{type(exc).__name__}: {exc}"
-    h = hashlib.sha256()
-    for part in (code, out.getvalue(), err.getvalue()):
-        h.update(part.encode() + b"\0")
+    digests = {"console": _sha(code, out.getvalue(), err.getvalue())}
     for name in sorted(set(os.listdir(".")) - before):
         with open(name, "rb") as fh:
-            h.update(name.encode() + b"\0" + fh.read() + b"\0")
+            data = fh.read()
+        digests.update({name + suffix: _sha(part) for suffix, part in _file_parts(name, data)})
         os.remove(name)
-    return h.hexdigest()
+    return digests
+
+
+def compare(old, new):
+    """The keys whose digests differ between two digest dicts, or that only one has, in sorted order."""
+    return sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="JSON file of digests by command")
     parser.add_argument("--src", default=os.path.join(os.path.dirname(TESTS), "src"))
+    parser.add_argument("--compare", metavar="OLD.json", help="print the keys whose digests differ from OLD.json's")
     args = parser.parse_args(argv)
     out = os.path.abspath(args.out)
+    old = None
+    if args.compare:
+        with open(args.compare) as fh:
+            old = json.load(fh)
     sys.path[:0] = [os.path.abspath(args.src), TESTS]
 
     digests = {}
@@ -106,11 +142,16 @@ def main(argv=None):
             commands.update({label: ["run", name, *flags, "--trajectory", "trajectory.csv", "--out", "beliefs.csv"]
                              for label, flags in RUNS.items()})
             for label, command in commands.items():
-                digests[f"{name} {label}"] = digest(command)
+                digests.update({f"{name} {label} {part}": h for part, h in digest(command).items()})
             os.remove(name)
     with open(out, "w") as fh:
         json.dump(digests, fh, indent=1)
         fh.write("\n")
+    if old is not None:
+        moved = compare(old, digests)
+        for key in moved:
+            print(key)
+        print(f"{len(moved)} of {len(old.keys() | digests.keys())} digests differ")
     return 0
 
 

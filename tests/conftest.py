@@ -10,6 +10,7 @@ zero pattern.
 import numpy as np
 import pytest
 
+from gabp.analysis import FIXED_POINT_MAX_ITERS, FIXED_POINT_TOL
 from gabp.bp import EdgeStack, edge_views
 from gabp.errors import DomainError
 from gabp.model import FactorSpec, LinearGaussianModel, VariableSpec, random_model
@@ -133,21 +134,53 @@ def mrf_marginals(j, h):
     return np.linalg.solve(j, np.asarray(h, dtype=float)), np.diag(np.linalg.inv(j)).copy()
 
 
-def information_iterates(model, graph, init, n):
+def factors_of_var(graph):
+    """Each variable's factors in ascending id order, read off graph.f2v_edges: the oracles' neighbour lists."""
+    out = {i: [] for i in graph.var_ids}
+    for n, i in graph.f2v_edges:
+        out[i].append(n)
+    return out
+
+
+def oracle_core(model):
+    """The 2-core as ("f", id)/("v", id) nodes: drop a node of degree <= 1, one at a time."""
+    adj = {("v", v.id): set() for v in model.variables}
+    adj.update({("f", f.id): set() for f in model.factors})
+    for f in model.factors:
+        for i in f.scope:
+            adj[("f", f.id)].add(("v", i))
+            adj[("v", i)].add(("f", f.id))
+    while True:
+        leaf = next((k for k, nbrs in adj.items() if len(nbrs) <= 1), None)
+        if leaf is None:
+            return set(adj)
+        for k in adj.pop(leaf):
+            adj[k].discard(leaf)
+
+
+def information_iterates(model, graph, init, n=None):
     """J iterates 0..n of the information recursion from init, each a dict by f2v edge.
 
     A step is one synchronous information half over the whole stack,
-    EdgeStack.v2f_information then f2v_information: the loop that
-    information_fixed_point runs, and the f2v J of a sync run_bp. It
-    replays the engine rather than checking it, so it is no oracle.
+    EdgeStack.v2f_information, spread, then f2v_information: the f2v J of
+    a sync run_bp, and the recursion whose fixed point
+    information_fixed_point reaches by another schedule (it settles the
+    hanging trees in two passes and iterates only the 2-core). With n
+    None the iterates run up to the first whose step, the largest
+    Frobenius change of any J, is below FIXED_POINT_TOL: the limit. It
+    replays the engine's halves rather than checking their arithmetic.
     """
     stack = EdgeStack(model, graph)
     fj, _ = stack.init(init)
     out = [edge_views(stack.graph, fj[:-1].copy())]
-    for _ in range(n):
-        _, new = stack.f2v_information(stack.v2f_information(fj, stack.all), stack.all)
+    for _ in range(FIXED_POINT_MAX_ITERS if n is None else n):
+        stack.spread(stack.v2f_information(fj, stack.all), stack.all)
+        new = stack.f2v_information(stack.all)[1]
+        step = np.max(np.linalg.norm(new - fj[:-1], axis=(1, 2)), initial=0.0)
         fj[:-1] = new
         out.append(edge_views(stack.graph, new))
+        if n is None and step < FIXED_POINT_TOL:
+            break
     return out
 
 
@@ -176,9 +209,9 @@ def dense_q(model, graph, fp):
     offsets, dim = v2f_layout(graph)
     v2f = edge_views(fp.stack.graph, fp.v2f_j, v2f=True)
     factors = {f.id: f for f in model.factors}
-    q = np.zeros((dim, dim))
+    q, factors_of = np.zeros((dim, dim)), factors_of_var(graph)
     for (j, n), (rs, rd) in offsets.items():
-        for k in graph.neighbors_of_var[j]:
+        for k in factors_of[j]:
             if k == n:
                 continue
             f = factors[k]

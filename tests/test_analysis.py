@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (GOLDEN_EDGE_PRECISION, charpoly_radius, dense_marginals, dense_q, entry_core,
-                      information_iterates, quartet_model, rand_spd, v2f_layout)
+                      factors_of_var, information_iterates, quartet_model, rand_spd, v2f_layout)
 from corpus import (SHOWCASE_DIVERGENT, cli_mixed_models, forest_corpus, frustrated_model,
                     loopy_corpus, mixed_corpus)
 from gabp.analysis import (MEAN_RECURSION_TOL, assemble_q, certify, compute_bounds,
@@ -26,10 +26,10 @@ def affine_offset(model, g, fp):
     offsets, total = v2f_layout(g)
     v2f = edge_views(fp.stack.graph, fp.v2f_j, v2f=True)
     factors = {f.id: f for f in model.factors}
-    b = np.zeros(total)
+    b, factors_of = np.zeros(total), factors_of_var(g)
     for (j, n), (start, dim) in offsets.items():
         sent = np.zeros(dim)
-        for k in g.neighbors_of_var[j]:
+        for k in factors_of[j]:
             if k == n:
                 continue
             f = factors[k]
@@ -72,7 +72,7 @@ def test_lower_bound_is_the_first_zero_init_iterate_bit_for_bit():
 
 def test_information_iterates_are_the_engine_f2v_j_bit_for_bit(quartet):
     g = build_factor_graph(quartet)
-    iterates = information_iterates(quartet, g, "zero", information_fixed_point(quartet, g).iterations)
+    iterates = information_iterates(quartet, g, "zero")
     for k in range(len(iterates)):
         res = run_bp(quartet, g, options=BpOptions(max_iters=k))
         assert res.iterations == k
@@ -107,8 +107,7 @@ def test_fixed_point_is_init_invariant(quartet):
 def test_zero_init_iterates_are_monotone_and_sandwiched(quartet):
     g = build_factor_graph(quartet)
     lower, upper = compute_bounds(quartet, g)
-    hist = information_iterates(quartet, g, "zero",
-                                information_fixed_point(quartet, g, init="zero").iterations)
+    hist = information_iterates(quartet, g, "zero")
     for ell in range(1, len(hist)):
         for e in g.f2v_edges:
             assert psd_compare(hist[ell][e], lower[e])
@@ -119,8 +118,7 @@ def test_zero_init_iterates_are_monotone_and_sandwiched(quartet):
 
 def test_upper_init_iterates_are_nonincreasing(quartet):
     g = build_factor_graph(quartet)
-    hist = information_iterates(quartet, g, "upper",
-                                information_fixed_point(quartet, g, init="upper").iterations)
+    hist = information_iterates(quartet, g, "upper")
     for ell in range(1, len(hist)):
         for e in g.f2v_edges:
             assert psd_compare(hist[ell - 1][e], hist[ell][e])
@@ -128,6 +126,9 @@ def test_upper_init_iterates_are_nonincreasing(quartet):
 
 def test_lower_init_saves_exactly_one_iteration(quartet):
     g = build_factor_graph(quartet)
+    # the sync recursion: L is its first iterate from zero, so from L it stops one step earlier
+    assert len(information_iterates(quartet, g, "lower")) == len(information_iterates(quartet, g, "zero")) - 1
+    # the core iterations: lower init starts the core between the zero start and its first iterate
     from_zero = information_fixed_point(quartet, g, init="zero")
     from_lower = information_fixed_point(quartet, g, init="lower")
     assert from_lower.iterations <= from_zero.iterations
@@ -147,7 +148,7 @@ def test_q_block_sparsity_pattern(quartet):
     qs = assemble_q(quartet, g, fp)
     q, (offsets, dim) = dense_q(quartet, g, fp), v2f_layout(g)
     assert q.shape == (dim, dim)
-    neighbors_of_var = {j: set(g.neighbors_of_var[j]) for j in g.var_ids}
+    neighbors_of_var = {j: set(ks) for j, ks in factors_of_var(g).items()}
     scope = {n: set(g.neighbors_of_factor[n]) for n in g.factor_ids}
     for (j, n) in g.v2f_edges:
         rs, rd = offsets[(j, n)]
@@ -235,13 +236,17 @@ def test_two_phase_converges_to_linear_solve(quartet):
         direct = np.linalg.solve(np.eye(q.shape[0]) + q, b)
         np.testing.assert_allclose(mr.v, direct, atol=1e-8)
 
-        # the engine's mean half takes exactly the steps of the dense loop
-        x = np.zeros_like(b)
+        # the engine's mean half takes exactly the steps of the dense loop on Q's core C, from zero,
+        # with the coordinates off C held at their solution: those C reads run toward C and are
+        # settled before the loop (Q is block triangular in the order toward, C, away)
+        c = entry_core(q)
+        b_c = b[c] - q[c] @ direct + q[np.ix_(c, c)] @ direct[c]
+        x = np.zeros(len(c))
         for dense_iterations in range(1, 20_001):
-            x, prev = b - q @ x, x
+            x, prev = b_c - q[np.ix_(c, c)] @ x, x
             if np.max(np.abs(x - prev)) < MEAN_RECURSION_TOL:
                 break
-        assert mr.iterations == dense_iterations
+        assert 0 < len(c) < len(b) and mr.iterations == dense_iterations
 
         for v, (mean, _) in dense_marginals(model).items():
             np.testing.assert_allclose(mr.means[v], mean, atol=1e-8)
@@ -260,16 +265,18 @@ def test_two_phase_diverges_above_radius_one():
 
 def test_the_mean_recursion_takes_one_f2v_step_per_iteration_after_priming(monkeypatch):
     # one step primes the store; a diverged iteration stops before its own
+    # on the core rows: the hanging trees' rows take their f2v steps in the passes around the loop
     calls, step = [], EdgeStack.f2v_potential
-    monkeypatch.setattr(EdgeStack, "f2v_potential", lambda st, *args: calls.append(1) or step(st, *args))
+    monkeypatch.setattr(EdgeStack, "f2v_potential", lambda st, rows, gain: calls.append(rows) or step(st, rows, gain))
     n, n_extra, gain, seed = SHOWCASE_DIVERGENT
     divergent = frustrated_model(seed, n=n, gain=gain, n_extra=n_extra)
     for model, status, extra in ((quartet_model(), "converged", 1), (divergent, "diverged", 0)):
         fp = information_fixed_point(model)
+        core = np.flatnonzero(fp.stack.graph.peel.core_edges)
         calls.clear()
         mr = two_phase_mean_recursion(fp)
         assert mr.status == status
-        assert len(calls) == mr.iterations + extra > 1
+        assert sum(np.array_equal(rows, core) for rows in calls) == mr.iterations + extra > 1
 
 
 def test_decide_mean_convergence_branches():
@@ -331,17 +338,17 @@ def test_certify_builds_one_stack_with_or_without_the_cross_check(quartet, monke
     from gabp.bp import EdgeStack
 
     calls = []
-    real_init, real_f2v = EdgeStack.__init__, EdgeStack.f2v_information
+    real_init, real_spread = EdgeStack.__init__, EdgeStack.spread
     monkeypatch.setattr(EdgeStack, "__init__",
                         lambda self, *args: calls.append("__init__") or real_init(self, *args))
 
-    def f2v_information(self, jv, rows):
+    def spread(self, jv, rows):
         # the lower bound is the one information half that reads the stack's own priors w
         if jv is self.w:
             calls.append("lower_bound")
-        return real_f2v(self, jv, rows)
+        return real_spread(self, jv, rows)
 
-    monkeypatch.setattr(EdgeStack, "f2v_information", f2v_information)
+    monkeypatch.setattr(EdgeStack, "spread", spread)
     certify(quartet)
     # the cross-check's run_bp runs on the fixed point's stack, and its "lower" init reuses the bound
     assert calls == ["__init__", "lower_bound"]
@@ -486,3 +493,36 @@ def test_certify_with_the_cross_check_allocates_no_array_as_large_as_the_joint_p
     assert report.bp_status == "converged" and report.max_mean_error < 1e-8
     dim = sum(v.dim for v in model.variables)
     assert peak < dim ** 2 * 8, (peak, dim)
+
+
+def test_forests_run_no_core_iterations():
+    for k, model in enumerate(forest_corpus()):
+        fp = information_fixed_point(model)
+        mr = two_phase_mean_recursion(fp)
+        assert fp.iterations == 0 and (mr.status, mr.iterations) == ("converged", 0), k
+        # the two passes alone settle every message exactly
+        for v, (mean, _) in dense_marginals(model).items():
+            np.testing.assert_allclose(mr.means[v], mean, rtol=0.0, atol=1e-10, err_msg=str(k))
+
+
+def test_fixed_point_is_the_limit_of_the_sync_recursion_on_every_corpus_model():
+    models = list(mixed_corpus()) + [(f"forest-{k}", m) for k, m in enumerate(forest_corpus())]
+    models += [(f"loopy-{k}", m) for k, m in enumerate(loopy_corpus())] + cli_mixed_models()
+    for label, model in models:
+        g = build_factor_graph(model)
+        fp = information_fixed_point(model, g)
+        got, limit = edge_views(fp.stack.graph, fp.f2v_j), information_iterates(model, g, "zero")[-1]
+        scale = max((np.linalg.norm(j) for j in limit.values()), default=0.0)
+        assert max((np.linalg.norm(got[e] - limit[e]) for e in g.f2v_edges), default=0.0) <= 1e-12 * scale, label
+
+
+def test_the_mean_recursion_reads_only_the_fixed_point():
+    # the stack's kept pulls and spreads are work space: a run on the same stack in between,
+    # or the recursion's own last run, must not seed the core, whose step 0 starts from zero means
+    model = random_model(seed=1, n_agents=40, dims=(1, 3), topology="multi_loop")
+    fp = information_fixed_point(model)
+    first = two_phase_mean_recursion(fp)
+    run_bp(model, fp.stack.graph, init="lower", reference=fp)
+    for again in (two_phase_mean_recursion(fp), two_phase_mean_recursion(fp)):
+        assert (again.status, again.iterations) == (first.status, first.iterations)
+        assert np.array_equal(again.v, first.v)

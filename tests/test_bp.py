@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (dense_marginals, ill_conditioned_noise_model, information_iterates, quartet_model, rand_spd,
-                      vague_prior_model)
+from conftest import (dense_marginals, factors_of_var, ill_conditioned_noise_model, information_iterates,
+                      quartet_model, rand_spd, vague_prior_model)
 from corpus import (SHOWCASE_DIVERGENT, cli_mixed_models, forest_corpus, frustrated_model,
                     grid_field, loopy_corpus, mixed_corpus)
 from gabp.bp import (Belief, BpOptions, EdgeStack, Message, compute_beliefs,
@@ -555,11 +555,11 @@ def _beliefs_per_variable(model, graph, fj, fh):
     The precision is W^-1 plus the messages' Js in factor order, the
     information the sum of their potentials J v.
     """
-    out = {}
+    out, factors_of = {}, factors_of_var(graph)
     for v in model.variables:
         prec = np.linalg.inv(v.prior_cov)
         rhs = np.zeros(v.dim)
-        for n in graph.neighbors_of_var[v.id]:
+        for n in factors_of[v.id]:
             e = graph.f2v_index[(n, v.id)]
             prec = prec + fj[e, :v.dim, :v.dim]
             rhs = rhs + fh[e, :v.dim]
@@ -604,3 +604,63 @@ def test_a_largest_variable_without_factors_gets_exact_beliefs():
     assert mr.status == "converged" and list(mr.means) == [1, 2, 3]
     for vid, (mean, _) in sol.items():
         np.testing.assert_allclose(mr.means[vid], mean, rtol=0, atol=1e-12)
+
+
+def _padded(stack, iterate):
+    """An information_iterates dict as the engine's padded f2v stack: each block top-left, the identity pad."""
+    fj = stack.pad.copy()
+    for e, edge in enumerate(stack.graph.f2v_edges):
+        d = stack.dims[e]
+        fj[e, :d, :d] = iterate[edge]
+    return fj
+
+
+def test_moved_rows_part_metric_is_a_full_recompute_bit_for_bit_on_a_model_with_hanging_trees():
+    from gabp.analysis import information_fixed_point
+    model = random_model(seed=1, n_agents=40, dims=(1, 3), topology="multi_loop")
+    g = build_factor_graph(model)
+    fp = information_fixed_point(model, g)
+    assert not g.peel.core_edges.all()
+    res = run_bp(model, g, init="lower", reference=fp, options=BpOptions(record_messages=True))
+    stack, n = fp.stack, len(g.f2v_edges)
+    metric = part_metric_to(stack.inner_pad(fp.f2v_j))
+    states = [_padded(stack, it) for it in information_iterates(model, g, "lower", res.iterations)]
+    want = [metric(stack.inner_pad(fj)) for fj in states]
+    assert res.trajectory.initial_part_metric == want[0].max()
+    for it in range(1, res.iterations + 1):
+        assert np.array_equal(res.trajectory.rows[(2 * it - 1) * n:2 * it * n, 2], want[it]), it
+        assert res.trajectory.per_iteration[it - 1, 2] == want[it].max(), it
+    # the hanging trees settle first: iterations that moved some rows but not all took the selection
+    moved = [(a != b).any(axis=(1, 2)).sum() for a, b in zip(states[1:], states)]
+    assert any(0 < k < n for k in moved) and moved[-1] < n
+
+
+def test_a_row_whose_move_underflows_its_frobenius_norm_is_still_re_measured(monkeypatch):
+    import gabp.bp
+    from gabp.analysis import information_fixed_point
+
+    # every J of this model is 2^-532 times the seed model's, so each J step squares to below the
+    # smallest double and the run records dJ_fro 0 for rows whose J still moves
+    c = 2.0 ** 266
+    base = random_model(seed=1, n_agents=12, dims=(1, 3), topology="multi_loop")
+    model = LinearGaussianModel(
+        variables=[VariableSpec(v.id, v.dim, v.prior_cov * c * c) for v in base.variables],
+        factors=[FactorSpec(f.id, f.scope, {i: a / c for i, a in f.coeff.items()}, f.noise_cov, f.obs / c)
+                 for f in base.factors])
+    g = build_factor_graph(model)
+    n = len(g.f2v_edges)
+    calls, real = [], part_metric_to
+
+    def spying(ref):
+        metric = real(ref)
+        return lambda x, rows=slice(None): calls.append(np.arange(n)[rows]) or metric(x, rows)
+
+    monkeypatch.setattr(gabp.bp, "part_metric_to", spying)
+    res = run_bp(model, g, init="lower", reference=information_fixed_point(model, g),
+                 options=BpOptions(record_messages=True))
+    states = [_padded(EdgeStack(model, g), it) for it in information_iterates(model, g, "lower", res.iterations)]
+    moved = [np.flatnonzero((a != b).any(axis=(1, 2))) for a, b in zip(states[1:], states)]
+    # one call over every row at the start, then one per iteration that moved a row, over those rows
+    assert [rows.tolist() for rows in calls] == [list(range(n))] + [rows.tolist() for rows in moved if len(rows)]
+    dj = res.trajectory.rows.reshape(res.iterations, 2 * n, 3)[:, n:, 0]
+    assert any((dj[it, rows] == 0.0).any() for it, rows in enumerate(moved))

@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import quartet_model, rand_spd, v2f_layout
+from conftest import factors_of_var, oracle_core, quartet_model, rand_spd, v2f_layout
 from gabp.analysis import _v2f_coords
 from gabp.bp import EdgeStack
 from gabp.errors import DomainError
@@ -20,7 +20,7 @@ def test_quartet_adjacency_and_edge_order(quartet):
     assert g.var_ids == [1, 2, 3, 4]
     assert g.factor_ids == [1, 2, 3]
     assert g.neighbors_of_factor == {1: (1, 3, 4), 2: (1, 2), 3: (2, 4)}
-    assert g.neighbors_of_var == {1: (1, 2), 2: (2, 3), 3: (1,), 4: (1, 3)}
+    assert factors_of_var(g) == {1: [1, 2], 2: [2, 3], 3: [1], 4: [1, 3]}
     assert g.f2v_edges == [(1, 1), (1, 3), (1, 4), (2, 1), (2, 2), (3, 2), (3, 4)]
     assert g.v2f_edges == [(1, 1), (1, 2), (2, 2), (2, 3), (3, 1), (4, 1), (4, 3)]
 
@@ -310,22 +310,6 @@ def test_classify_topology_is_pinned():
     assert digest == "4dc754a73df42d4a8fd827153f2f7e5df004c260"
 
 
-def oracle_core(model):
-    """The 2-core as ("f", id)/("v", id) nodes: drop a node of degree <= 1, one at a time."""
-    adj = {("v", v.id): set() for v in model.variables}
-    adj.update({("f", f.id): set() for f in model.factors})
-    for f in model.factors:
-        for i in f.scope:
-            adj[("f", f.id)].add(("v", i))
-            adj[("v", i)].add(("f", f.id))
-    while True:
-        leaf = next((k for k, nbrs in adj.items() if len(nbrs) <= 1), None)
-        if leaf is None:
-            return set(adj)
-        for k in adj.pop(leaf):
-            adj[k].discard(leaf)
-
-
 def peel_models():
     from corpus import cli_mixed_models, forest_corpus, grid_field, loopy_corpus, mixed_corpus
     from gabp.mrf import mrf_to_linear_gaussian
@@ -350,7 +334,10 @@ def test_leaf_peel_leaves_the_two_core_and_removes_every_leaf_round_by_round():
         assert sorted(peel.order.tolist() + np.flatnonzero(peel.core).tolist()) == list(range(len(names)))
         # replay the rounds on the live edges
         live = set(range(len(pairs)))
-        for lo, hi in zip(peel.bounds, peel.bounds[1:]):
+        bounds = [0] + [removed.stop for removed, _, _ in peel.rounds]
+        assert [removed.start for removed, _, _ in peel.rounds] == bounds[:-1] and bounds[-1] == len(peel.order)
+        for removed, var_rows, factor_rows in peel.rounds:
+            lo, hi = removed.start, removed.stop
             edges_at = {k: {e for e in live if k in pairs[e]} for k in range(len(names))}
             leaves = {k for k in range(len(names)) if len(edges_at[k]) <= 1
                       and k not in peel.order[:lo].tolist()}
@@ -359,6 +346,10 @@ def test_leaf_peel_leaves_the_two_core_and_removes_every_leaf_round_by_round():
                      and pairs[min(edges_at[k])][0] in leaves}
             nodes = peel.order[lo:hi].tolist()
             assert nodes == sorted(leaves - waits), label
+            # the plan: the rows the round's variables hang by, then those its factors hang by
+            for rows, kind in ((var_rows, "v"), (factor_rows, "f")):
+                assert rows.tolist() == [e for k, e in zip(nodes, peel.hung[removed].tolist())
+                                         if names[k][0] == kind and e >= 0], label
             for k, p, e in zip(nodes, peel.parent[lo:hi].tolist(), peel.hung[lo:hi].tolist()):
                 assert edges_at[k] == ({e} if e >= 0 else set()), label
                 assert p == (sum(pairs[e]) - k if e >= 0 else -1), label
@@ -396,4 +387,4 @@ def test_the_peel_is_computed_once_per_graph(monkeypatch):
     g = build_factor_graph(chain_model(2000))
     assert g.peel is g.peel and calls == [1]
     # the chain's 3999 nodes go two per round, one from each end, and no core is left
-    assert np.diff(g.peel.bounds).tolist() == [2] * 1999 + [1] and not g.peel.core.any()
+    assert [r.stop - r.start for r, _, _ in g.peel.rounds] == [2] * 1999 + [1] and not g.peel.core.any()

@@ -135,6 +135,38 @@ def test_load_model_bad_json(tmp_path):
         load_model(p)
 
 
+def test_loaders_pause_the_collector_and_restore_its_state(tmp_path, quartet, monkeypatch):
+    import gc
+
+    import gabp.io
+
+    good, bad = tmp_path / "m.json", tmp_path / "bad.json"
+    save_model(quartet, good)
+    save_mrf(np.eye(2), None, tmp_path / "f.json")
+    bad.write_text('{"f2v": 1}')
+    seen = []
+
+    def spy(real):
+        return lambda *args: seen.append(gc.isenabled()) or real(*args)
+
+    monkeypatch.setattr(gabp.io.json, "load", spy(json.load))
+    for name in ("model_from_json", "_mrf_from_json", "_init_from_json"):
+        monkeypatch.setattr(gabp.io, name, spy(getattr(gabp.io, name)))
+    enabled = gc.isenabled()
+    try:
+        for state in (True, False):
+            (gc.enable if state else gc.disable)()
+            load_model(good)
+            load_mrf(tmp_path / "f.json")
+            with pytest.raises(InputFormatError):
+                load_custom_init(bad)
+            assert gc.isenabled() is state
+    finally:
+        (gc.enable if enabled else gc.disable)()
+    # json.load and the parse of each of the three files, twice
+    assert seen == [False] * 12
+
+
 def test_mrf_file_round_trip(tmp_path):
     j = np.array([[1.0, -0.4], [-0.4, 1.0]])
     h = np.array([0.5, -0.25])

@@ -433,7 +433,7 @@ def test_a_variable_without_factors_keeps_its_prior_mean():
                             factors=m.factors)
     peel = build_factor_graph(m).peel
     # factors 1-2 are nodes 0-1 and variables 1-3 nodes 2-4: variable 3 leaves in round one, alone
-    assert dict(zip(peel.order[:peel.bounds[1]].tolist(), peel.hung.tolist())) == {1: 2, 2: 0, 4: -1}
+    assert dict(zip(peel.order[peel.rounds[0][0]].tolist(), peel.hung.tolist())) == {1: 2, 2: 0, 4: -1}
     np.testing.assert_array_equal(centralized_solve(m).mean[3:], np.zeros(2))
     assert_exact_means(m)
 
@@ -470,7 +470,7 @@ def test_an_arity_3_factor_is_eliminated_down_to_one_variable():
     g = build_factor_graph(m)
     peel = g.peel
     # nodes: factors 1-4 are 0-3, variables 1-5 are 4-8
-    rounds = [peel.order[lo:hi].tolist() for lo, hi in zip(peel.bounds, peel.bounds[1:])]
+    rounds = [peel.order[removed].tolist() for removed, _, _ in peel.rounds]
     assert rounds == [[4, 5], [0]]
     assert peel.hung.tolist() == [g.f2v_index[(1, 1)], g.f2v_index[(1, 2)], g.f2v_index[(1, 3)]]
     assert peel.core.tolist() == [False, True, True, True, False, False, True, True, True]
