@@ -19,8 +19,9 @@ Three separate questions are answered here:
    trajectory.
 
 The analysis runs on the engine's EdgeStack (gabp.bp, whose docstring
-gives the stack layout). The fixed point and the mean recursion iterate
-their half on the 2-core's rows alone (_settle gives the trees), and
+gives the stack layout), one half call per pair of row sets: the fixed
+point and the mean recursion iterate theirs on (core, core) between
+_settle's passes over the trees (one call a round), and
 FixedPoint keeps J* only as the stacks: J of both edge kinds and the
 gains K, with no per-edge copy (bp.edge_views gives one on demand).
 assemble_q builds the blocks of Q's loop core from them, with one
@@ -80,11 +81,14 @@ class FixedPoint:
     v2f_j: np.ndarray
 
 
-def _settle(peel, v2f, f2v, away=False):
-    """Step the hanging trees' messages toward the 2-core, or away from it, in one pass (see graph.LeafPeel)."""
+def _settle(peel, step, away=False):
+    """Step the hanging trees' messages toward the 2-core, or away from it, in one pass (see graph.LeafPeel).
+
+    step(v2f_rows, f2v_rows) is one half. No two nodes of a round are adjacent, so each round is one
+    call: (var_rows, factor_rows) toward the core, (factor_rows, var_rows) away from it.
+    """
     for _, var_rows, factor_rows in reversed(peel.rounds) if away else peel.rounds:
-        (f2v if away else v2f)(var_rows)
-        (v2f if away else f2v)(factor_rows)
+        step(*((factor_rows, var_rows) if away else (var_rows, factor_rows)))
 
 
 def information_fixed_point(model, graph=None, init="zero"):
@@ -100,15 +104,12 @@ def information_fixed_point(model, graph=None, init="zero"):
     if graph is None:
         graph = build_factor_graph(model)
     stack = EdgeStack(model, graph)
-    fj, _ = stack.init(init)
+    (fj, _), (spreads, _) = stack.init(init), stack.stores()
 
-    def v2f(rows):
-        stack.spread(stack.v2f_information(fj, rows), rows)
+    def step(v2f_rows, f2v_rows):
+        fj[f2v_rows] = stack.information_half(fj, spreads, v2f_rows, f2v_rows)[2]
 
-    def f2v(rows):
-        fj[rows] = stack.f2v_information(rows)[1]
-
-    _settle(graph.peel, v2f, f2v)
+    _settle(graph.peel, step)
     core, delta, it = np.flatnonzero(graph.peel.core_edges), math.inf, 0
     while len(core) and delta >= FIXED_POINT_TOL:
         if it == FIXED_POINT_MAX_ITERS:
@@ -116,15 +117,13 @@ def information_fixed_point(model, graph=None, init="zero"):
                 f"information recursion did not reach tol={FIXED_POINT_TOL:g} within "
                 f"{FIXED_POINT_MAX_ITERS} iterations (last delta {delta:.3e})")
         it += 1
-        v2f(core)
-        new = stack.f2v_information(core)[1]
+        new = stack.information_half(fj, spreads, core, core)[2]
         delta = float(np.max(np.linalg.norm(new - fj[core], axis=(1, 2)), initial=0.0))
         fj[core] = new
-    _settle(graph.peel, v2f, f2v, away=True)
-    jv = stack.v2f_information(fj, stack.all)
-    stack.spread(jv, stack.all)
+    _settle(graph.peel, step, away=True)
+    jv, gain, _ = stack.information_half(fj, spreads, stack.all, stack.all)
     log.debug("information fixed point reached after %d core iterations", it)
-    return FixedPoint(gain=stack.f2v_information(stack.all)[0], iterations=it, stack=stack, f2v_j=fj[:-1], v2f_j=jv)
+    return FixedPoint(gain=gain, iterations=it, stack=stack, f2v_j=fj[:-1], v2f_j=jv)
 
 
 @dataclass
@@ -192,9 +191,9 @@ class MeanRecursionResult:
 def two_phase_mean_recursion(fixed_point):
     """Iterate the engine's mean half from zero v2f means, its J frozen at J*.
 
-    The core rows iterate between the passes of _settle. Step 0 primes
-    their f2v store from zero v2f means; each iteration then steps like
-    the engine's sweep: v2f means, bp.diverged, f2v step K (y - sum A v),
+    The core rows iterate between the passes of _settle. Step 0 is the
+    f2v step alone from zero v2f means, (none, core) on this call's own
+    store of pulls; each iteration is one mean half (core, core), then bp.diverged:
     exactly v <- b - Q v, as Q's block is J_{j->n}^-1 K_{k->j} A_{k,z}.
     Returns status "converged" (step below MEAN_RECURSION_TOL, at 0
     iterations on a forest), "diverged" (any mean) or "max_iters" after
@@ -204,32 +203,27 @@ def two_phase_mean_recursion(fixed_point):
     """
     st, gain, jv = fixed_point.stack, fixed_point.gain, fixed_point.v2f_j
     vv = np.zeros(st.w.shape[:2])
-    fh = np.zeros((len(vv) + 1, vv.shape[1]))
+    fh, (_, pulls) = np.zeros((len(vv) + 1, vv.shape[1])), st.stores()
 
-    def v2f(rows):
-        vv[rows] = st.v2f_mean(fh, rows, jv[rows])
-        st.pull(vv[rows], rows)
+    def step(v2f_rows, f2v_rows):
+        vv[v2f_rows], fh[f2v_rows] = st.mean_half(fh, pulls, jv[v2f_rows], gain[f2v_rows], v2f_rows, f2v_rows)
 
-    def f2v(rows):
-        fh[rows] = st.f2v_potential(rows, gain[rows])
-
-    _settle(st.graph.peel, v2f, f2v)
+    _settle(st.graph.peel, step)
     core = np.flatnonzero(st.graph.peel.core_edges)
-    status, dv = "max_iters", math.inf if len(core) else 0.0
-    st.pull(vv[core], core)  # zero: step 0 must not read the pulls another run kept
-    for iterations in range(MEAN_RECURSION_MAX_ITERS + 1):
-        if iterations:
-            old = vv[core]
-            v2f(core)
-            dv = np.max(np.abs(vv[core] - old), initial=0.0)
-            if diverged(vv[core]):
-                status = "diverged"
-                break
-        f2v(core)
-        if dv < MEAN_RECURSION_TOL:
-            status = "converged"
+    status, iterations, dv = "converged", 0, math.inf if len(core) else 0.0
+    step(st.none, core)
+    while dv >= MEAN_RECURSION_TOL:
+        if iterations == MEAN_RECURSION_MAX_ITERS:
+            status = "max_iters"
             break
-    _settle(st.graph.peel, v2f, f2v, away=True)
+        iterations += 1
+        old = vv[core]
+        step(core, core)
+        dv = np.max(np.abs(vv[core] - old), initial=0.0)
+        if diverged(vv[core]):
+            status = "diverged"
+            break
+    _settle(st.graph.peel, step, away=True)
     if diverged(vv):
         status = "diverged"
     coords, real = _v2f_coords(st, np.ones(len(st.dims), dtype=bool))

@@ -12,12 +12,17 @@ analysis module reuses both.
 * The mean half reuses K:
   v_{j->n} = J_{j->n}^-1 sum_{k != n} J_{k->j} v_{k->j}, and
   v_{n->i} = J_{n->i}^-1 K (y_n - sum_{j != i} A_j v_{j->n}), whose
-  information form K (y_n - ...) = J_{n->i} v_{n->i} is f2v_potential,
-  the mean half's state; v_{n->i} is one solve from it.
+  information form K (y_n - ...) = J_{n->i} v_{n->i} is the mean half's
+  f2v state; v_{n->i} is one solve from it.
 
-Both halves run on an EdgeStack, built once per information_fixed_point
-or run_bp call; a run_bp reuses its reference's stack if built from the
-same model and graph objects. Its blocks are filled from the model's
+Each half is one EdgeStack call on a pair of row sets (v2f_rows,
+f2v_rows): it steps the v2f messages of v2f_rows, keeps A J^-1 A^T or
+A v for them in a store its caller owns (EdgeStack.stores), then steps
+the f2v messages of f2v_rows from that store. The stack keeps no run
+state, so runs may share one: a run_bp reuses its reference's stack if
+built from the same model and graph objects.
+
+The stack's constant blocks are filled from the model's
 shape_stacks by index arrays, with no loop over edges. Row e of every
 stack belongs to the factor-to-variable edge graph.f2v_edges[e] = (n, i)
 and to its twin, the variable-to-factor edge (i, n); it reads its factor
@@ -46,11 +51,10 @@ factor graph's 2-core (graph.peel.core_edges). compute_beliefs adds
 the f2v stores by var_of_row to prior: every W_i^-1, identity-padded to max dim_i >= D.
 
 One outer iteration updates every edge of both kinds exactly once. A
-schedule is a choice of factor blocks (sets of rows) for one shared
-sweep: the sweep over a block first refreshes every variable-to-factor
-message into the block from the current factor-to-variable state, then
-every factor-to-variable message out of the block. The f2v means, which
-no sweep reads, are solved once per iteration after the last block.
+schedule is a list of row blocks, each the rows of a set of factors;
+the sweep over a block is one information half and one mean half on
+the pair (block, block). The f2v means, which no sweep reads, are
+solved once per iteration after the last block.
 
 * "sync": one block of all factors, so every update reads the previous
   iteration's state. Deterministic bit for bit.
@@ -59,9 +63,10 @@ no sweep reads, are solved once per iteration after the last block.
 * "random": one factor at a time in a freshly permuted order each
   iteration, driven by the run's seed.
 
-Strict mode requires pd incoming v2f information matrices before a
-block's f2v half (A^T R^-1 A is psd, so each update's existence core
-A^T R^-1 A + blockdiag(J) is then pd) and pd f2v ones after each
+Strict mode requires pd v2f information matrices from each block's
+information half before anything is stored or its mean half runs
+(A^T R^-1 A is psd, so each update's existence core A^T R^-1 A +
+blockdiag(J) is then pd) and pd f2v ones after each
 iteration. run_bp keeps two message stacks, jm (2, E+1, D, D) and vm
 (2, E+1, D): axis 0 is the edge kind, f2v then the v2f twin, each with
 the trailing zero row, so an iteration makes one copy, one delta pass
@@ -192,14 +197,14 @@ class EdgeStack:
     """A model's edges as padded constant stacks, and the kernel's two halves.
 
     The layout is in the module docstring. Stores that the halves gather
-    from have len(edges) + 1 rows, the last one zero. The halves keep two
-    work stacks, so an EdgeStack serves one run at a time.
+    from have len(edges) + 1 rows, the last one zero. Nothing a run
+    writes is kept here but the cached lower bound.
     """
 
     def __init__(self, model, graph):
         self.model, self.graph = model, graph
         n_edges = len(graph.f2v_edges)
-        self.all = slice(0, n_edges)
+        self.all, self.none = slice(0, n_edges), slice(0, 0)
         factor_of_row, var_node = graph.pairs.T
         self.var_of_row = var_node - len(graph.factor_ids)
         self.var_dims = np.array([v.dim for v in model.variables], dtype=int)
@@ -217,43 +222,42 @@ class EdgeStack:
         self.v2f_rows = np.argsort(self.var_of_row, kind="stable")
         self.others_of_var = _others(self.var_of_row, self.v2f_rows)
         self.others_of_factor = _others(factor_of_row, np.arange(n_edges))
+        self.first_row = np.searchsorted(factor_of_row, np.arange(len(model.factors) + 1)).tolist()
         self._lower = None
-        self._spread = np.zeros((n_edges + 1, p_max, p_max))
-        self._pull = np.zeros((n_edges + 1, p_max))
 
     def blocks(self, order):
-        """Row blocks of a sweep that visits the factors one at a time in order.
+        """Row blocks of a sweep that visits the factors, by position in graph.factor_ids, one at a time in order.
 
+        A factor's rows are contiguous, first_row[n] to first_row[n + 1].
         Consecutive factors that share no variable read none of each
         other's messages, so each run of them is one block and the sweep
         over it equals the one-factor-at-a-time sweep.
         """
-        out, seen = [], set()
+        out, seen, var_of_row = [], set(), self.var_of_row.tolist()
         for n in order:
-            scope = self.graph.neighbors_of_factor[n]
-            if not out or seen.intersection(scope):
+            start, stop = self.first_row[n], self.first_row[n + 1]
+            if not out or seen.intersection(var_of_row[start:stop]):
                 out.append([])
                 seen = set()
-            out[-1] += [self.graph.f2v_index[n, i] for i in scope]
-            seen.update(scope)
+            out[-1] += range(start, stop)
+            seen.update(var_of_row[start:stop])
         return [np.array(rows, dtype=int) for rows in out]
 
     def lower_bound(self):
         """L_{n->i} = A_i^T (R_n + sum_{j != i} A_j W_j A_j^T)^-1 A_i for every row.
 
-        This is one information half from zero messages, so it equals the
-        first iterate of the recursion from a zero start. It is computed
-        once per stack; callers only read it (init copies it).
+        This is one information half over every row from a zero f2v store,
+        so it equals the first iterate of the recursion from a zero start.
+        It is computed once per stack; callers only read it (init copies it).
         """
         if self._lower is None:
-            self.spread(self.w, self.all)
-            self._lower = self.f2v_information(self.all)[1]
+            zero = np.zeros((len(self.a),) + self.pad.shape[1:])
+            self._lower = self.information_half(zero, self.stores()[0], self.all, self.all)[2]
         return self._lower
 
     def upper_bound(self):
-        """U_{n->i} = A_i^T R_n^-1 A_i for every row, with the identity pad."""
-        upper = self.a[:-1].swapaxes(1, 2) @ np.linalg.solve(self.r, self.a[:-1])
-        return (upper + upper.swapaxes(1, 2)) / 2.0 + self.pad
+        """U_{n->i} = A_i^T R_n^-1 A_i for every row, with the identity pad: the f2v step alone, from zero spreads."""
+        return self.information_half(self.pad, self.stores()[0], self.none, self.all)[2]
 
     def init(self, init="zero"):
         """(J, v) stacks with a trailing zero row for an init strategy or a dict.
@@ -305,35 +309,27 @@ class EdgeStack:
         """x, a stack of the rows, with each pad diagonal entry set to the row's (0, 0) entry, inside its spectrum."""
         return np.where(self.pad[rows] == 1.0, x[:, :1, :1], x)
 
-    def v2f_information(self, fj, rows):
-        """J_{i->n} for the rows' twin edges; fj is the whole f2v store."""
-        return self.w[rows] + fj[self.others_of_var[rows]].sum(axis=1)
+    def stores(self):
+        """Zero stores, owned by the caller, for the spreads A_i J_{i->n}^-1 A_i^T and pulls A_i v_{i->n}."""
+        return np.zeros(self.a.shape[:2] + (self.a.shape[1],)), np.zeros(self.a.shape[:2])
 
-    def spread(self, jv, rows):
-        """Keep A_i J_{i->n}^-1 A_i^T for the rows from their twins' J_{i->n} in jv; f2v_information reads it later."""
-        a = self.a[rows]
-        self._spread[rows] = a @ np.linalg.solve(jv, a.swapaxes(1, 2))
-
-    def f2v_information(self, rows):
-        """(K_{n->i}, J_{n->i}) for the rows, from the spreads kept for their factors' other rows."""
-        a = self.a[rows]
-        core = self.r[rows] + self._spread[self.others_of_factor[rows]].sum(axis=1)
+    def information_half(self, fj, spreads, v2f_rows, f2v_rows):
+        """(J_{i->n} of v2f_rows' twins, K_{n->i} and J_{n->i} of f2v_rows); fj is the whole f2v store."""
+        jv = self.w[v2f_rows] + fj[self.others_of_var[v2f_rows]].sum(axis=1)
+        a = self.a[v2f_rows]
+        spreads[v2f_rows] = a @ np.linalg.solve(jv, a.swapaxes(1, 2))
+        a = self.a[f2v_rows]
+        core = self.r[f2v_rows] + spreads[self.others_of_factor[f2v_rows]].sum(axis=1)
         gain = np.linalg.solve(core, a).swapaxes(1, 2)
         jmat = gain @ a
-        return gain, (jmat + jmat.swapaxes(1, 2)) / 2.0 + self.pad[rows]
+        return jv, gain, (jmat + jmat.swapaxes(1, 2)) / 2.0 + self.pad[f2v_rows]
 
-    def v2f_mean(self, fh, rows, jv):
-        """v_{i->n} for the rows' twins; fh is the whole store of J_{n->i} v_{n->i}."""
-        return np.linalg.solve(jv, fh[self.others_of_var[rows]].sum(axis=1)[..., None])[..., 0]
-
-    def pull(self, vv, rows):
-        """Keep A_i v_{i->n} for the rows from their twins' v_{i->n} in vv; f2v_potential reads it later."""
-        self._pull[rows] = (self.a[rows] @ vv[..., None])[..., 0]
-
-    def f2v_potential(self, rows, gain):
-        """K_{n->i} (y_n - sum_{j != i} A_j v_{j->n}) for the rows, from the pulls kept for their factors' other rows."""
-        resid = self.y[rows] - self._pull[self.others_of_factor[rows]].sum(axis=1)
-        return (gain @ resid[..., None])[..., 0]
+    def mean_half(self, fh, pulls, jv, gain, v2f_rows, f2v_rows):
+        """(v_{i->n} of v2f_rows' twins at J jv, J_{n->i} v_{n->i} of f2v_rows at K gain); fh is the whole f2v store."""
+        vv = np.linalg.solve(jv, fh[self.others_of_var[v2f_rows]].sum(axis=1)[..., None])[..., 0]
+        pulls[v2f_rows] = (self.a[v2f_rows] @ vv[..., None])[..., 0]
+        resid = self.y[f2v_rows] - pulls[self.others_of_factor[f2v_rows]].sum(axis=1)
+        return vv, (gain @ resid[..., None])[..., 0]
 
 
 def make_init(model, graph, strategy="zero"):
@@ -346,19 +342,15 @@ def make_init(model, graph, strategy="zero"):
     return edge_views(graph, *stack.init(strategy))
 
 
-def _sweep(stack, jm, vm, fh, rows, strict, it):
-    """Refresh the v2f messages into a block of factors, then the block's f2v messages."""
-    jv = stack.v2f_information(jm[0], rows)
+def _sweep(stack, jm, vm, fh, stores, rows, strict, it):
+    """One information half, then one mean half, over a block of factors' rows: (rows, rows) each."""
+    jv, gain, jn = stack.information_half(jm[0], stores[0], rows, rows)
     if strict:
         bad = np.arange(len(stack.dims))[rows][~is_pd(stack.inner_pad(jv, rows))]
         if bad.size:
             j, n = stack.graph.v2f_edges[np.isin(stack.v2f_rows, bad).argmax()]
             raise ExistenceViolation(f"variable-to-factor message ({j} -> {n}) not pd at iteration {it}")
-    stack.spread(jv, rows)
-    gain, jn = stack.f2v_information(rows)
-    vm[1, rows] = stack.v2f_mean(fh, rows, jv)
-    stack.pull(vm[1, rows], rows)
-    fh[rows] = stack.f2v_potential(rows, gain)
+    vm[1, rows], fh[rows] = stack.mean_half(fh, stores[1], jv, gain, rows, rows)
     jm[1, rows], jm[0, rows] = jv, jn
 
 
@@ -436,7 +428,7 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
     own = reference is not None and reference.stack.model is model and reference.stack.graph is graph
     stack = reference.stack if own else EdgeStack(model, graph)
     jm, vm = (np.stack([x, np.zeros_like(x)]) for x in stack.init(init))
-    fh = (jm[0] @ vm[0, ..., None])[..., 0]
+    fh, stores = (jm[0] @ vm[0, ..., None])[..., 0], stack.stores()
     n_edges = len(graph.f2v_edges)
     stats, records, initial = array("d"), array("d"), None
     take = np.concatenate([n_edges + stack.v2f_rows, np.arange(n_edges)])  # block row -> index in dj.ravel()
@@ -449,7 +441,7 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
         initial = float(np.max(pm, initial=0.0))
 
     rng = np.random.default_rng(opts.seed)
-    blocks = [stack.all] if opts.schedule == "sync" else stack.blocks(graph.factor_ids)
+    blocks = [stack.all] if opts.schedule == "sync" else stack.blocks(range(len(graph.factor_ids)))
     status = "max_iters"
     iterations = 0
 
@@ -457,11 +449,11 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
         iterations = it
         old_j, old_v = jm[:, :-1].copy(), vm[:, :-1].copy()
         if opts.schedule == "random":
-            order = list(graph.factor_ids)
+            order = list(range(len(graph.factor_ids)))
             rng.shuffle(order)
             blocks = stack.blocks(order)
         for rows in blocks:
-            _sweep(stack, jm, vm, fh, rows, opts.strict, it)
+            _sweep(stack, jm, vm, fh, stores, rows, opts.strict, it)
         vm[0, :-1] = np.linalg.solve(jm[0, :-1], fh[:-1, :, None])[..., 0]
 
         if opts.strict:

@@ -221,11 +221,12 @@ def _parser():
     p.add_argument("model")
     p.add_argument("--init", default="zero",
                    help="zero, lower, upper or custom:<path> (default zero)")
-    p.add_argument("--schedule", default="sync", choices=["sync", "seq", "random"])
-    p.add_argument("--tol-j", type=float, default=1e-10)
-    p.add_argument("--tol-v", type=float, default=1e-10)
-    p.add_argument("--max-iters", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0,
+    defaults = BpOptions()
+    p.add_argument("--schedule", default=defaults.schedule, choices=["sync", "seq", "random"])
+    p.add_argument("--tol-j", type=float, default=defaults.tol_j)
+    p.add_argument("--tol-v", type=float, default=defaults.tol_v)
+    p.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    p.add_argument("--seed", type=int, default=defaults.seed,
                    help="permutation seed for the random schedule")
     p.add_argument("--strict", action="store_true",
                    help="stop on any existence violation or non-pd message")

@@ -34,7 +34,6 @@ class FactorGraph:
     var_ids: list
     factor_ids: list
     var_dims: dict
-    neighbors_of_factor: dict
     f2v_edges: list
     v2f_edges: list
 
@@ -67,7 +66,6 @@ def build_factor_graph(model):
         var_ids=sorted(dims),
         factor_ids=sorted(nf),
         var_dims=dims,
-        neighbors_of_factor=nf,
         f2v_edges=f2v,
         v2f_edges=sorted((i, n) for n, i in f2v),
     )

@@ -13,17 +13,20 @@ differ the keys say which output, column or field moved. Keys read
 "<model file> <command> <file>:<column or key>". --src picks the gabp
 sources (default: the src directory next to tests/); the corpora come
 from tests/corpus.py. --compare prints every key whose digest differs
-from OLD.json's, or that only one of the two has, and a count. The
-commands run in this process, in a temporary directory, on relative
-paths, with one BLAS thread. A command that raises is digested by the
-exception's type and message in place of an exit code.
+from OLD.json's, or that only one of the two has, and a count, and
+exits 1 if any differs. The commands run in this process, in a
+temporary directory, on relative paths, with one BLAS thread. A
+command that raises is digested by the exception's type and message in
+place of an exit code.
 
 Commands per model: validate; solve --out; run with --trajectory and
---out under --init lower, --schedule seq, --schedule random --seed 5 and
---strict; analyze --certify --out. Models: the 18 cli-mixed models, the
-480-agent model, the mixed corpus, the converted 10x10 grid, the
-cli-mixed models with every id moved up by 2^70, and one file whose
-coefficient keys name a variable twice.
+--out under --init lower, --schedule seq, --schedule random --seed 5,
+--strict and --strict --schedule seq; analyze --certify --out. Models:
+the 18 cli-mixed models, the 480-agent model, the mixed corpus, the
+converted 10x10 grid, the cli-mixed models with every id moved up by
+2^70, conftest's vague-prior model (strict runs exit 5 at iteration 1)
+and ill-conditioned-noise model (its fixed point runs out of budget),
+and one file whose coefficient keys name a variable twice.
 """
 
 import os
@@ -43,13 +46,15 @@ import tempfile  # noqa: E402
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 RUNS = {"run-lower": ["--init", "lower"], "run-seq": ["--schedule", "seq"],
-        "run-random": ["--schedule", "random", "--seed", "5"], "run-strict": ["--strict"]}
+        "run-random": ["--schedule", "random", "--seed", "5"], "run-strict": ["--strict"],
+        "run-strict-seq": ["--strict", "--schedule", "seq"]}
 
 
 def model_files(where):
     """Write the models into where; returns their file names in a fixed order."""
     import numpy as np
 
+    from conftest import ill_conditioned_noise_model, vague_prior_model
     from corpus import cli_mixed_models, grid_field, mixed_corpus, relabelled
     from gabp.io import model_to_json, save_model
     from gabp.model import random_model
@@ -59,6 +64,7 @@ def model_files(where):
     models += list(mixed_corpus())
     models.append(("grid-10", mrf_to_linear_gaussian(grid_field(10), np.linspace(-1.0, 1.0, 100))[0]))
     models += [(f"{label}-ids-2^70", relabelled(m, 2 ** 70)) for label, m in cli_mixed_models()]
+    models += [("vague-prior", vague_prior_model()), ("ill-conditioned-noise", ill_conditioned_noise_model())]
     names = []
     for label, model in models:
         names.append(f"{label}.json")
@@ -147,12 +153,13 @@ def main(argv=None):
     with open(out, "w") as fh:
         json.dump(digests, fh, indent=1)
         fh.write("\n")
-    if old is not None:
-        moved = compare(old, digests)
-        for key in moved:
-            print(key)
-        print(f"{len(moved)} of {len(old.keys() | digests.keys())} digests differ")
-    return 0
+    if old is None:
+        return 0
+    moved = compare(old, digests)
+    for key in moved:
+        print(key)
+    print(f"{len(moved)} of {len(old.keys() | digests.keys())} digests differ")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

@@ -142,6 +142,14 @@ def factors_of_var(graph):
     return out
 
 
+def vars_of_factor(graph):
+    """Each factor's variables in scope order, as a tuple read off graph.f2v_edges: the oracles' scopes."""
+    out = {n: () for n in graph.factor_ids}
+    for n, i in graph.f2v_edges:
+        out[n] += (i,)
+    return out
+
+
 def oracle_core(model):
     """The 2-core as ("f", id)/("v", id) nodes: drop a node of degree <= 1, one at a time."""
     adj = {("v", v.id): set() for v in model.variables}
@@ -162,8 +170,8 @@ def information_iterates(model, graph, init, n=None):
     """J iterates 0..n of the information recursion from init, each a dict by f2v edge.
 
     A step is one synchronous information half over the whole stack,
-    EdgeStack.v2f_information, spread, then f2v_information: the f2v J of
-    a sync run_bp, and the recursion whose fixed point
+    EdgeStack.information_half(fj, spreads, all, all): the f2v J of a
+    sync run_bp, and the recursion whose fixed point
     information_fixed_point reaches by another schedule (it settles the
     hanging trees in two passes and iterates only the 2-core). With n
     None the iterates run up to the first whose step, the largest
@@ -171,11 +179,10 @@ def information_iterates(model, graph, init, n=None):
     replays the engine's halves rather than checking their arithmetic.
     """
     stack = EdgeStack(model, graph)
-    fj, _ = stack.init(init)
+    (fj, _), (spreads, _) = stack.init(init), stack.stores()
     out = [edge_views(stack.graph, fj[:-1].copy())]
     for _ in range(FIXED_POINT_MAX_ITERS if n is None else n):
-        stack.spread(stack.v2f_information(fj, stack.all), stack.all)
-        new = stack.f2v_information(stack.all)[1]
+        new = stack.information_half(fj, spreads, stack.all, stack.all)[2]
         step = np.max(np.linalg.norm(new - fj[:-1], axis=(1, 2)), initial=0.0)
         fj[:-1] = new
         out.append(edge_views(stack.graph, new))

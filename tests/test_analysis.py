@@ -149,7 +149,7 @@ def test_q_block_sparsity_pattern(quartet):
     q, (offsets, dim) = dense_q(quartet, g, fp), v2f_layout(g)
     assert q.shape == (dim, dim)
     neighbors_of_var = {j: set(ks) for j, ks in factors_of_var(g).items()}
-    scope = {n: set(g.neighbors_of_factor[n]) for n in g.factor_ids}
+    scope = {f.id: set(f.scope) for f in quartet.factors}
     for (j, n) in g.v2f_edges:
         rs, rd = offsets[(j, n)]
         for (z, k) in g.v2f_edges:
@@ -264,13 +264,13 @@ def test_two_phase_diverges_above_radius_one():
 
 
 def test_the_mean_recursion_takes_one_f2v_step_per_iteration_after_priming(monkeypatch):
-    # one step primes the store; a diverged iteration stops before its own
+    # one step primes the store; a diverged iteration, one mean half, still takes its own
     # on the core rows: the hanging trees' rows take their f2v steps in the passes around the loop
-    calls, step = [], EdgeStack.f2v_potential
-    monkeypatch.setattr(EdgeStack, "f2v_potential", lambda st, rows, gain: calls.append(rows) or step(st, rows, gain))
+    calls, half = [], EdgeStack.mean_half  # calls: each call's f2v rows, its last argument
+    monkeypatch.setattr(EdgeStack, "mean_half", lambda st, *args: calls.append(args[-1]) or half(st, *args))
     n, n_extra, gain, seed = SHOWCASE_DIVERGENT
     divergent = frustrated_model(seed, n=n, gain=gain, n_extra=n_extra)
-    for model, status, extra in ((quartet_model(), "converged", 1), (divergent, "diverged", 0)):
+    for model, status, extra in ((quartet_model(), "converged", 1), (divergent, "diverged", 1)):
         fp = information_fixed_point(model)
         core = np.flatnonzero(fp.stack.graph.peel.core_edges)
         calls.clear()
@@ -338,17 +338,17 @@ def test_certify_builds_one_stack_with_or_without_the_cross_check(quartet, monke
     from gabp.bp import EdgeStack
 
     calls = []
-    real_init, real_spread = EdgeStack.__init__, EdgeStack.spread
+    real_init, real_lower = EdgeStack.__init__, EdgeStack.lower_bound
     monkeypatch.setattr(EdgeStack, "__init__",
                         lambda self, *args: calls.append("__init__") or real_init(self, *args))
 
-    def spread(self, jv, rows):
-        # the lower bound is the one information half that reads the stack's own priors w
-        if jv is self.w:
+    def lower_bound(self):
+        # count computations of the bound, not reads of the stack's cached copy
+        if self._lower is None:
             calls.append("lower_bound")
-        return real_spread(self, jv, rows)
+        return real_lower(self)
 
-    monkeypatch.setattr(EdgeStack, "spread", spread)
+    monkeypatch.setattr(EdgeStack, "lower_bound", lower_bound)
     certify(quartet)
     # the cross-check's run_bp runs on the fixed point's stack, and its "lower" init reuses the bound
     assert calls == ["__init__", "lower_bound"]
@@ -516,9 +516,27 @@ def test_fixed_point_is_the_limit_of_the_sync_recursion_on_every_corpus_model():
         assert max((np.linalg.norm(got[e] - limit[e]) for e in g.f2v_edges), default=0.0) <= 1e-12 * scale, label
 
 
+def test_a_stack_keeps_no_run_state():
+    # the halves keep their spreads and pulls in stores their callers own, so runs may share one stack
+    model = random_model(seed=1, n_agents=40, dims=(1, 3), topology="multi_loop")
+    fp = information_fixed_point(model)
+    st, kept = fp.stack, (fp.f2v_j.copy(), fp.v2f_j.copy(), fp.gain.copy())
+    st.lower_bound()
+    before = {name: x.copy() for name, x in vars(st).items() if isinstance(x, np.ndarray)}
+    for schedule in ("sync", "seq"):
+        run_bp(model, st.graph, init="lower", options=BpOptions(schedule=schedule), reference=fp)
+    two_phase_mean_recursion(fp)
+    two_phase_mean_recursion(fp)
+    assemble_q(model, st.graph, fp)
+    after = {name: x for name, x in vars(st).items() if isinstance(x, np.ndarray)}
+    assert after.keys() == before.keys()
+    assert all(np.array_equal(after[name], x) for name, x in before.items())
+    assert all(np.array_equal(x, y) for x, y in zip((fp.f2v_j, fp.v2f_j, fp.gain), kept))
+
+
 def test_the_mean_recursion_reads_only_the_fixed_point():
-    # the stack's kept pulls and spreads are work space: a run on the same stack in between,
-    # or the recursion's own last run, must not seed the core, whose step 0 starts from zero means
+    # a run on the same stack in between, or the recursion's own last run, must not seed
+    # the core, whose step 0 starts from zero means
     model = random_model(seed=1, n_agents=40, dims=(1, 3), topology="multi_loop")
     fp = information_fixed_point(model)
     first = two_phase_mean_recursion(fp)

@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import factors_of_var, oracle_core, quartet_model, rand_spd, v2f_layout
+from conftest import factors_of_var, oracle_core, quartet_model, rand_spd, v2f_layout, vars_of_factor
 from gabp.analysis import _v2f_coords
 from gabp.bp import EdgeStack
 from gabp.errors import DomainError
@@ -19,7 +19,7 @@ def test_quartet_adjacency_and_edge_order(quartet):
     g = build_factor_graph(quartet)
     assert g.var_ids == [1, 2, 3, 4]
     assert g.factor_ids == [1, 2, 3]
-    assert g.neighbors_of_factor == {1: (1, 3, 4), 2: (1, 2), 3: (2, 4)}
+    assert vars_of_factor(g) == {1: (1, 3, 4), 2: (1, 2), 3: (2, 4)}
     assert factors_of_var(g) == {1: [1, 2], 2: [2, 3], 3: [1], 4: [1, 3]}
     assert g.f2v_edges == [(1, 1), (1, 3), (1, 4), (2, 1), (2, 2), (3, 2), (3, 4)]
     assert g.v2f_edges == [(1, 1), (1, 2), (2, 2), (2, 3), (3, 1), (4, 1), (4, 3)]

@@ -9,7 +9,7 @@ gabp.
 import numpy as np
 import pytest
 
-from conftest import factors_of_var, oracle_core
+from conftest import factors_of_var, oracle_core, vars_of_factor
 from corpus import grid_field
 from gabp.analysis import compute_bounds, information_fixed_point
 from gabp.bp import BpOptions, edge_views, run_bp
@@ -24,9 +24,9 @@ def _v2f(factors_of, prec, fj, fv, j, n):
     return jm, np.linalg.solve(jm, sum((fj[k, j] @ fv[k, j] for k in others), np.zeros(len(jm))))
 
 
-def _f2v(factors, g, vj, vv, n, i):
+def _f2v(factors, vj, vv, n, i):
     f = factors[n]
-    others = [j for j in g.neighbors_of_factor[n] if j != i]
+    others = [j for j in f.scope if j != i]
     core = f.noise_cov + sum(f.coeff[j] @ np.linalg.solve(vj[j, n], f.coeff[j].T) for j in others)
     gain = np.linalg.solve(core, f.coeff[i]).T
     jm = (gain @ f.coeff[i] + (gain @ f.coeff[i]).T) / 2.0
@@ -51,11 +51,11 @@ def reference_bp(model, init_j, schedule="sync", seed=0, tol=1e-10, means=True, 
             rng.shuffle(order)
         for block in [order] if schedule == "sync" else [[n] for n in order]:
             for n in block:
-                for j in g.neighbors_of_factor[n]:
+                for j in factors[n].scope:
                     vj[j, n], vv[j, n] = _v2f(factors_of, prec, fj, fv, j, n)
             for n in block:
-                for i in g.neighbors_of_factor[n]:
-                    fj[n, i], fv[n, i] = _f2v(factors, g, vj, vv, n, i)
+                for i in factors[n].scope:
+                    fj[n, i], fv[n, i] = _f2v(factors, vj, vv, n, i)
         deltas = [np.linalg.norm(fj[e] - old[0][e]) for e in fj]
         if means:
             deltas += [np.max(np.abs(fv[e] - old[1][e])) for e in fv]
@@ -91,7 +91,7 @@ def reference_core_iterations(model, limit, tol=1e-12):
     while delta >= tol:
         it += 1
         vj.update({(i, n): _v2f(factors_of, prec, fj, fv, i, n)[0] for n, i in edges})
-        new = {e: _f2v(factors, g, vj, vv, *e)[0] for e in edges}
+        new = {e: _f2v(factors, vj, vv, *e)[0] for e in edges}
         delta = max(np.linalg.norm(new[e] - fj[e]) for e in edges)
         fj.update(new)
     return it
@@ -108,7 +108,7 @@ def _models():
 
 def test_models_cover_the_edge_cases():
     graphs = [build_factor_graph(m) for _, m in _models()]
-    assert any(len(s) == 1 for g in graphs for s in g.neighbors_of_factor.values())
+    assert any(len(s) == 1 for g in graphs for s in vars_of_factor(g).values())
     assert any(len(f) == 1 for g in graphs for f in factors_of_var(g).values())
     assert any(len(set(g.var_dims.values())) == 3 for g in graphs)
 
