@@ -50,11 +50,18 @@ The analysis builds Q for rho(Q) on the rows with both ends in the
 factor graph's 2-core (graph.peel.core_edges). compute_beliefs adds
 the f2v stores by var_of_row to prior: every W_i^-1, identity-padded to max dim_i >= D.
 
-One outer iteration updates every edge of both kinds exactly once. A
+One outer iteration steps every edge of both kinds at most once. A
 schedule is a list of row blocks, each the rows of a set of factors;
 the sweep over a block is one information half and one mean half on
-the pair (block, block). The f2v means, which no sweep reads, are
-solved once per iteration after the last block.
+its live rows, and the f2v means, which no sweep reads, are solved for
+the live f2v rows after the last block. A row's message is live until
+its settle iteration has passed (graph.LeafPeel.settle): from then on
+it reads only settled messages, so a step would rewrite its bytes. Once
+an iteration leaves every J byte-identical, the next would read the
+same J and give the same J, K and strict verdicts: the information half
+stops, and the mean half reads J_{i->n} from jm[1] and K from a store.
+Either way a skipped row keeps the bytes a step gives it, so every
+record still covers every row, a skipped row's change being 0.
 
 * "sync": one block of all factors, so every update reads the previous
   iteration's state. Deterministic bit for bit.
@@ -66,9 +73,10 @@ solved once per iteration after the last block.
 Strict mode requires pd v2f information matrices from each block's
 information half before anything is stored or its mean half runs
 (A^T R^-1 A is psd, so each update's existence core A^T R^-1 A +
-blockdiag(J) is then pd) and pd f2v ones after each
-iteration. run_bp keeps two message stacks, jm (2, E+1, D, D) and vm
-(2, E+1, D): axis 0 is the edge kind, f2v then the v2f twin, each with
+blockdiag(J) is then pd) and pd f2v ones after each iteration, on the
+rows stepped: a skipped row keeps bytes that passed. run_bp keeps two
+message stacks, jm (2, E+1, D, D) and vm (2, E+1, D): axis 0 is the
+edge kind, f2v then the v2f twin, each with
 the trailing zero row, so an iteration makes one copy, one delta pass
 and one divergence test over both kinds. BpResult keeps (graph, jm, vm)
 and builds its message dicts only when they are read. A run appends
@@ -179,6 +187,11 @@ def edge_views(graph, jm, vm=None, v2f=False):
         e, d = graph.f2v_index[(n, i)], graph.var_dims[i]
         out[edge] = jm[e, :d, :d] if vm is None else Message(J=jm[e, :d, :d], v=vm[e, :d])
     return out
+
+
+def _at(x, rows):
+    """x[rows] for rows a slice (a view) or an index array (a copy by take, at a third of indexing's overhead)."""
+    return x[rows] if isinstance(rows, slice) else x.take(rows, axis=0)
 
 
 def _others(group, order):
@@ -315,20 +328,20 @@ class EdgeStack:
 
     def information_half(self, fj, spreads, v2f_rows, f2v_rows):
         """(J_{i->n} of v2f_rows' twins, K_{n->i} and J_{n->i} of f2v_rows); fj is the whole f2v store."""
-        jv = self.w[v2f_rows] + fj[self.others_of_var[v2f_rows]].sum(axis=1)
-        a = self.a[v2f_rows]
+        jv = _at(self.w, v2f_rows) + fj.take(_at(self.others_of_var, v2f_rows), axis=0).sum(axis=1)
+        a = _at(self.a, v2f_rows)
         spreads[v2f_rows] = a @ np.linalg.solve(jv, a.swapaxes(1, 2))
-        a = self.a[f2v_rows]
-        core = self.r[f2v_rows] + spreads[self.others_of_factor[f2v_rows]].sum(axis=1)
+        a = _at(self.a, f2v_rows)
+        core = _at(self.r, f2v_rows) + spreads.take(_at(self.others_of_factor, f2v_rows), axis=0).sum(axis=1)
         gain = np.linalg.solve(core, a).swapaxes(1, 2)
         jmat = gain @ a
-        return jv, gain, (jmat + jmat.swapaxes(1, 2)) / 2.0 + self.pad[f2v_rows]
+        return jv, gain, (jmat + jmat.swapaxes(1, 2)) / 2.0 + _at(self.pad, f2v_rows)
 
     def mean_half(self, fh, pulls, jv, gain, v2f_rows, f2v_rows):
         """(v_{i->n} of v2f_rows' twins at J jv, J_{n->i} v_{n->i} of f2v_rows at K gain); fh is the whole f2v store."""
-        vv = np.linalg.solve(jv, fh[self.others_of_var[v2f_rows]].sum(axis=1)[..., None])[..., 0]
-        pulls[v2f_rows] = (self.a[v2f_rows] @ vv[..., None])[..., 0]
-        resid = self.y[f2v_rows] - pulls[self.others_of_factor[f2v_rows]].sum(axis=1)
+        vv = np.linalg.solve(jv, fh.take(_at(self.others_of_var, v2f_rows), axis=0).sum(axis=1)[..., None])[..., 0]
+        pulls[v2f_rows] = (_at(self.a, v2f_rows) @ vv[..., None])[..., 0]
+        resid = _at(self.y, f2v_rows) - pulls.take(_at(self.others_of_factor, f2v_rows), axis=0).sum(axis=1)
         return vv, (gain @ resid[..., None])[..., 0]
 
 
@@ -342,16 +355,26 @@ def make_init(model, graph, strategy="zero"):
     return edge_views(graph, *stack.init(strategy))
 
 
-def _sweep(stack, jm, vm, fh, stores, rows, strict, it):
-    """One information half, then one mean half, over a block of factors' rows: (rows, rows) each."""
-    jv, gain, jn = stack.information_half(jm[0], stores[0], rows, rows)
-    if strict:
-        bad = np.arange(len(stack.dims))[rows][~is_pd(stack.inner_pad(jv, rows))]
-        if bad.size:
-            j, n = stack.graph.v2f_edges[np.isin(stack.v2f_rows, bad).argmax()]
-            raise ExistenceViolation(f"variable-to-factor message ({j} -> {n}) not pd at iteration {it}")
-    vm[1, rows], fh[rows] = stack.mean_half(fh, stores[1], jv, gain, rows, rows)
-    jm[1, rows], jm[0, rows] = jv, jn
+def _live(rows, settle, it):
+    """(v2f_rows, f2v_rows) of a block's rows whose settle iteration is >= it; the block itself where all are."""
+    every = np.arange(settle.shape[1])[rows]
+    return tuple(rows if keep.all() else every[keep] for keep in (settle[1, rows] >= it, settle[0, rows] >= it))
+
+
+def _sweep(stack, jm, vm, fh, stores, v2f, f2v, gains, strict, it):
+    """One information half (none once J is frozen: gains holds K), then one mean half, on a block's live rows; K."""
+    if gains is not None:
+        jv, gain = _at(jm[1], v2f), _at(gains, f2v).swapaxes(1, 2)
+    else:
+        jv, gain, jn = stack.information_half(jm[0], stores[0], v2f, f2v)
+        if strict:
+            bad = np.arange(len(stack.dims))[v2f][~is_pd(stack.inner_pad(jv, v2f))]
+            if bad.size:
+                j, n = stack.graph.v2f_edges[np.isin(stack.v2f_rows, bad).argmax()]
+                raise ExistenceViolation(f"variable-to-factor message ({j} -> {n}) not pd at iteration {it}")
+        jm[1, v2f], jm[0, f2v] = jv, jn
+    vm[1, v2f], fh[f2v] = stack.mean_half(fh, stores[1], jv, gain, v2f, f2v)
+    return gain
 
 
 def diverged(store):
@@ -442,8 +465,9 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
 
     rng = np.random.default_rng(opts.seed)
     blocks = [stack.all] if opts.schedule == "sync" else stack.blocks(range(len(graph.factor_ids)))
-    status = "max_iters"
-    iterations = 0
+    settle = graph.peel.settle
+    leave = {s + 1 for s in settle[np.isfinite(settle)].tolist()}  # iterations that step fewer rows than the last
+    status, iterations, gains = "max_iters", 0, None
 
     for it in range(1, opts.max_iters + 1):
         iterations = it
@@ -452,15 +476,20 @@ def run_bp(model, graph=None, init="zero", options=None, reference=None):
             order = list(range(len(graph.factor_ids)))
             rng.shuffle(order)
             blocks = stack.blocks(order)
-        for rows in blocks:
-            _sweep(stack, jm, vm, fh, stores, rows, opts.strict, it)
-        vm[0, :-1] = np.linalg.solve(jm[0, :-1], fh[:-1, :, None])[..., 0]
+        if it == 1 or it in leave or opts.schedule == "random":
+            pairs, f2v = [_live(rows, settle, it) for rows in blocks], _live(stack.all, settle, it)[1]
+        halves = [_sweep(stack, jm, vm, fh, stores, *pair, gains, opts.strict, it) for pair in pairs]
+        vm[0, f2v] = np.linalg.solve(_at(jm[0], f2v), _at(fh, f2v)[..., None])[..., 0]
 
-        if opts.strict:
-            bad = np.flatnonzero(~is_pd(stack.inner_pad(jm[0, :-1])))
+        if opts.strict and gains is None:
+            bad = np.arange(n_edges)[f2v][~is_pd(stack.inner_pad(jm[0, f2v], f2v))]
             if bad.size:
                 n, i = graph.f2v_edges[bad[0]]
                 raise ExistenceViolation(f"factor-to-variable message ({n} -> {i}) not pd at iteration {it}")
+        if gains is None and jm[:, :-1].tobytes() == old_j.tobytes():
+            gains = np.empty_like(stack.a)  # J is frozen: keep K as np.linalg.solve gave it, for the same strides
+            for (_, rows), gain in zip(pairs, halves):
+                gains[rows] = gain.swapaxes(1, 2)
 
         dj = np.linalg.norm(jm[:, :-1] - old_j, axis=(2, 3))
         dv = np.abs(vm[:, :-1] - old_v).max(axis=2, initial=0.0)

@@ -124,6 +124,14 @@ class LeafPeel:
     trees add only zero eigenvalues. Exact, with no tolerance; no edge on
     a forest. For the same reason one pass over rounds toward the core,
     and one back, settles every message of the trees.
+
+    settle, (2, E) by kind (f2v, then the twin v2f) and f2v row, holds the
+    settle iteration of each message hung toward the core, from which on
+    a sync run gives it the same bytes: a variable's v2f message settles
+    one iteration after the last f2v message it sums (at 1 for a leaf), a
+    factor's f2v message with the last v2f message it reads (at least 1).
+    A leaf reads no stored message, so this holds from any init, and seq
+    or random sweeps settle no later. Every other message holds inf.
     """
 
     order: np.ndarray
@@ -132,6 +140,7 @@ class LeafPeel:
     rounds: list
     core: np.ndarray
     core_edges: np.ndarray
+    settle: np.ndarray
 
 
 def leaf_peel(graph):
@@ -139,22 +148,20 @@ def leaf_peel(graph):
 
     One walk over the edges: a node joins the next round when its live
     degree drops to 1, so the peel costs O(nodes + edges) however deep
-    the trees hang.
+    the trees hang. The walk settles each hung message after those below it.
     """
-    n_f = len(graph.factor_ids)
+    n_f, n_e = len(graph.factor_ids), len(graph.f2v_edges)
     ends = graph.pairs.tolist()
     n = n_f + len(graph.var_ids)
-    rows_at = [[] for _ in range(n)]
+    degree, xor = [0] * n, [0] * n  # live edges, and the XOR of their rows: at degree 1, the row a node hangs by
     for e, (f, v) in enumerate(ends):
-        rows_at[f].append(e)
-        rows_at[v].append(e)
-    degree = [len(rows) for rows in rows_at]
-    edge_live, live = [True] * len(ends), [True] * n
+        degree[f], degree[v], xor[f], xor[v] = degree[f] + 1, degree[v] + 1, xor[f] ^ e, xor[v] ^ e
+    live, below, settle = [True] * n, [0] * n, [np.inf] * (2 * n_e)
     leaves, order, parent, hung, rounds = [k for k in range(n) if degree[k] <= 1], [], [], [], []
     while leaves:
         later, start, rows = [], len(order), ([], [])
         for k in sorted(leaves):
-            e = next((e for e in rows_at[k] if edge_live[e]), -1)
+            e = xor[k] if degree[k] else -1
             if k >= n_f and e >= 0 and degree[ends[e][0]] == 1:
                 later.append(k)
             else:
@@ -167,14 +174,15 @@ def leaf_peel(graph):
         for k, p, e in zip(order[start:], parent[start:], hung[start:]):
             live[k] = False
             if e >= 0:
-                edge_live[e] = False
-                degree[p] -= 1
+                degree[p], xor[p] = degree[p] - 1, xor[p] ^ e
                 if degree[p] == 1:
                     later.append(p)
+                s = below[k] + 1 if k >= n_f else max(below[k], 1)
+                settle[e + n_e * (k >= n_f)], below[p] = s, max(below[p], s)
         leaves = later
     order, parent, hung = (np.array(x, dtype=np.intp) for x in (order, parent, hung))
     core = np.array(live, dtype=bool)
-    return LeafPeel(order, parent, hung, rounds, core, core_edges=core[graph.pairs].all(axis=1))
+    return LeafPeel(order, parent, hung, rounds, core, core[graph.pairs].all(axis=1), np.reshape(settle, (2, n_e)))
 
 
 def _lowest_bit(rows):

@@ -20,8 +20,12 @@ command that raises is digested by the exception's type and message in
 place of an exit code.
 
 Commands per model: validate; solve --out; run with --trajectory and
---out under --init lower, --schedule seq, --schedule random --seed 5,
---strict and --strict --schedule seq; analyze --certify --out. Models:
+--out under --init lower, --init upper, --init custom:<file>, --schedule
+seq, --schedule random --seed 5, --strict and --strict --schedule seq;
+analyze --certify --out. The custom init file is written here, one per
+model, by conftest.message_init with seed 0: a random pd J and a nonzero
+v on every edge, so the digests also cover messages that must not
+depend on the init. Models:
 the 18 cli-mixed models, the 480-agent model, the mixed corpus, the
 converted 10x10 grid, the cli-mixed models with every id moved up by
 2^70, conftest's vague-prior model (strict runs exit 5 at iteration 1)
@@ -45,13 +49,26 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
-RUNS = {"run-lower": ["--init", "lower"], "run-seq": ["--schedule", "seq"],
+RUNS = {"run-lower": ["--init", "lower"], "run-upper": ["--init", "upper"],
+        "run-custom": ["--init", "custom:init.json"], "run-seq": ["--schedule", "seq"],
         "run-random": ["--schedule", "random", "--seed", "5"], "run-strict": ["--strict"],
         "run-strict-seq": ["--strict", "--schedule", "seq"]}
 
 
+def _write_init(model, path):
+    """Write conftest.message_init(graph, 0) of the model as a custom init file."""
+    from conftest import message_init
+    from gabp.graph import build_factor_graph
+    from gabp.io import matrix_to_json
+
+    records = [{"factor": n, "variable": i, "J": matrix_to_json(m.J), "v": m.v.tolist()}
+               for (n, i), m in message_init(build_factor_graph(model), 0).items()]
+    with open(path, "w") as fh:
+        json.dump({"f2v": records}, fh)
+
+
 def model_files(where):
-    """Write the models into where; returns their file names in a fixed order."""
+    """Write the models into where, each with its init file <name>.init.json; returns the model file names in order."""
     import numpy as np
 
     from conftest import ill_conditioned_noise_model, vague_prior_model
@@ -69,6 +86,7 @@ def model_files(where):
     for label, model in models:
         names.append(f"{label}.json")
         save_model(model, os.path.join(where, names[-1]))
+        _write_init(model, os.path.join(where, names[-1] + ".init.json"))
     dup = model_to_json(models[0][1])
     coeff = dup["factors"][0]["coeff"]
     key = next(iter(coeff))
@@ -76,6 +94,7 @@ def model_files(where):
     names.append("duplicate-coeff-key.json")
     with open(os.path.join(where, names[-1]), "w") as fh:
         json.dump(dup, fh)
+    _write_init(models[0][1], os.path.join(where, names[-1] + ".init.json"))
     return names
 
 
@@ -143,6 +162,7 @@ def main(argv=None):
         os.chdir(work)
         for name in names:
             os.symlink(os.path.join(models, name), name)
+            os.symlink(os.path.join(models, name + ".init.json"), "init.json")
             commands = {"validate": ["validate", name], "solve": ["solve", name, "--out", "beliefs.csv"],
                         "analyze": ["analyze", name, "--certify", "--out", "report.json"]}
             commands.update({label: ["run", name, *flags, "--trajectory", "trajectory.csv", "--out", "beliefs.csv"]
@@ -150,6 +170,7 @@ def main(argv=None):
             for label, command in commands.items():
                 digests.update({f"{name} {label} {part}": h for part, h in digest(command).items()})
             os.remove(name)
+            os.remove("init.json")
     with open(out, "w") as fh:
         json.dump(digests, fh, indent=1)
         fh.write("\n")

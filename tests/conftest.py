@@ -7,14 +7,18 @@ by edge from the message equations, and its loop core from Q's exact
 zero pattern.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from gabp.analysis import FIXED_POINT_MAX_ITERS, FIXED_POINT_TOL
-from gabp.bp import EdgeStack, edge_views
-from gabp.errors import DomainError
+from gabp.bp import (BpOptions, BpResult, BpTrajectory, EdgeStack, Message, compute_beliefs, diverged,
+                     edge_views)
+from gabp.errors import DomainError, ExistenceViolation
+from gabp.graph import build_factor_graph
 from gabp.model import FactorSpec, LinearGaussianModel, VariableSpec, random_model
-from gabp.numerics import is_pd, is_symmetric, symmetrize
+from gabp.numerics import is_pd, is_symmetric, part_metric_to, symmetrize
 
 
 def rand_spd(rng, n, scale=1.0):
@@ -188,6 +192,88 @@ def information_iterates(model, graph, init, n=None):
         out.append(edge_views(stack.graph, new))
         if n is None and step < FIXED_POINT_TOL:
             break
+    return out
+
+
+def full_sweep_run(model, graph=None, init="zero", options=None, reference=None, states=None):
+    """run_bp with every row stepped in every iteration: the oracle of its settled rows and frozen J.
+
+    Each block's rows go through information_half and mean_half on
+    (block, block), then the f2v means are solved over every row, and the
+    part metric is measured on every row; strict checks cover every row
+    they can. Options are not validated. If states is a list, it gets a
+    copy of the message stacks (jm, vm) after each iteration.
+    """
+    graph = graph or build_factor_graph(model)
+    opts, stack = options or BpOptions(), EdgeStack(model, graph)
+    jm, vm = (np.stack([x, np.zeros_like(x)]) for x in stack.init(init))
+    fh, (spreads, pulls) = (jm[0] @ vm[0, ..., None])[..., 0], stack.stores()
+    n, every = len(graph.f2v_edges), np.arange(len(graph.f2v_edges))
+    take = np.concatenate([n + stack.v2f_rows, every])
+    stats, records, initial, pm, max_pm = [], [], None, math.nan, math.nan
+    if reference is not None:
+        metric = part_metric_to(stack.inner_pad(reference.f2v_j))
+        pm = metric(stack.inner_pad(jm[0, :-1]))
+        initial = float(np.max(pm, initial=0.0))
+    rng = np.random.default_rng(opts.seed)
+    blocks = [stack.all] if opts.schedule == "sync" else stack.blocks(range(len(graph.factor_ids)))
+    status, iterations = "max_iters", 0
+    for it in range(1, opts.max_iters + 1):
+        iterations = it
+        old_j, old_v = jm[:, :-1].copy(), vm[:, :-1].copy()
+        if opts.schedule == "random":
+            order = list(range(len(graph.factor_ids)))
+            rng.shuffle(order)
+            blocks = stack.blocks(order)
+        for rows in blocks:
+            jv, gain, jn = stack.information_half(jm[0], spreads, rows, rows)
+            bad = every[rows][~is_pd(stack.inner_pad(jv, rows))] if opts.strict else []
+            if len(bad):
+                j, k = graph.v2f_edges[np.isin(stack.v2f_rows, bad).argmax()]
+                raise ExistenceViolation(f"variable-to-factor message ({j} -> {k}) not pd at iteration {it}")
+            vm[1, rows], fh[rows] = stack.mean_half(fh, pulls, jv, gain, rows, rows)
+            jm[1, rows], jm[0, rows] = jv, jn
+        vm[0, :-1] = np.linalg.solve(jm[0, :-1], fh[:-1, :, None])[..., 0]
+        bad = np.flatnonzero(~is_pd(stack.inner_pad(jm[0, :-1]))) if opts.strict else []
+        if len(bad):
+            k, i = graph.f2v_edges[bad[0]]
+            raise ExistenceViolation(f"factor-to-variable message ({k} -> {i}) not pd at iteration {it}")
+        dj = np.linalg.norm(jm[:, :-1] - old_j, axis=(2, 3))
+        dv = np.abs(vm[:, :-1] - old_v).max(axis=2, initial=0.0)
+        if it == 1:
+            dj[1] = dv[1] = math.nan
+            max_dj = max_dv = math.inf
+        else:
+            max_dj, max_dv = float(dj.max(initial=0.0)), float(dv.max(initial=0.0))
+        if reference is not None:
+            pm = metric(stack.inner_pad(jm[0, :-1]))
+            max_pm = pm.max(initial=0.0)
+        if opts.record_messages:
+            block = np.full((2 * n, 3), math.nan)
+            block[:, 0], block[:, 1] = dj.ravel()[take], dv.ravel()[take]
+            block[n:, 2] = pm
+            records.append(block)
+        stats.append((max_dj, max_dv, max_pm))
+        if states is not None:
+            states.append((jm[:, :-1].copy(), vm[:, :-1].copy()))
+        if diverged(vm):
+            status = "diverged"
+            break
+        if max_dj < opts.tol_j and max_dv < opts.tol_v:
+            status = "converged"
+            break
+    traj = BpTrajectory(np.array(stats, dtype=float).reshape(-1, 3), np.concatenate(records or [np.zeros((0, 3))]),
+                        graph.v2f_edges, graph.f2v_edges, n if reference is not None else 2 * n, initial)
+    return BpResult(status=status, iterations=iterations, trajectory=traj, _stores=(graph, jm, vm),
+                    beliefs=None if status == "diverged" else compute_beliefs(stack, jm[0], fh))
+
+
+def message_init(graph, seed):
+    """A dict init over every edge of the graph: a random pd J and a nonzero v per edge, from a fixed seed."""
+    rng, out = np.random.default_rng(seed), {}
+    for n, i in graph.f2v_edges:
+        d = graph.var_dims[i]
+        out[(n, i)] = Message(J=symmetrize(rand_spd(rng, d)), v=rng.standard_normal(d))
     return out
 
 

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (dense_marginals, factors_of_var, ill_conditioned_noise_model, information_iterates,
-                      quartet_model, rand_spd, vague_prior_model)
+from conftest import (dense_marginals, factors_of_var, full_sweep_run, ill_conditioned_noise_model,
+                      information_iterates, message_init, quartet_model, rand_spd, vague_prior_model)
 from corpus import (SHOWCASE_DIVERGENT, cli_mixed_models, forest_corpus, frustrated_model,
                     grid_field, loopy_corpus, mixed_corpus)
 from gabp.bp import (Belief, BpOptions, EdgeStack, Message, compute_beliefs,
@@ -664,3 +664,127 @@ def test_a_row_whose_move_underflows_its_frobenius_norm_is_still_re_measured(mon
     assert [rows.tolist() for rows in calls] == [list(range(n))] + [rows.tolist() for rows in moved if len(rows)]
     dj = res.trajectory.rows.reshape(res.iterations, 2 * n, 3)[:, n:, 0]
     assert any((dj[it, rows] == 0.0).any() for it, rows in enumerate(moved))
+
+
+def _outcome(run, *args, **kwargs):
+    """run(*args, **kwargs), or the message of the ExistenceViolation it raised."""
+    try:
+        return run(*args, **kwargs)
+    except ExistenceViolation as exc:
+        return str(exc)
+
+
+def _assert_same_run(res, want, label):
+    """Two BpResults (or two strict-mode failures) agree bit for bit: records, beliefs and both message dicts."""
+    if isinstance(res, str) or isinstance(want, str):
+        assert res == want, label
+        return
+    assert (res.status, res.iterations) == (want.status, want.iterations), label
+    for name in ("per_iteration", "rows"):
+        assert getattr(res.trajectory, name).tobytes() == getattr(want.trajectory, name).tobytes(), (label, name)
+    assert res.trajectory.initial_part_metric == want.trajectory.initial_part_metric, label
+    assert (res.beliefs is None) == (want.beliefs is None), label
+    for vid, b in (res.beliefs or {}).items():
+        assert (b.mean.tobytes(), b.cov.tobytes()) == (want.beliefs[vid].mean.tobytes(),
+                                                       want.beliefs[vid].cov.tobytes()), (label, vid)
+    for kind in ("f2v", "v2f"):
+        for edge, msg in res.messages[kind].items():
+            other = want.messages[kind][edge]
+            assert (msg.J.tobytes(), msg.v.tobytes()) == (other.J.tobytes(), other.v.tobytes()), (label, kind, edge)
+
+
+def parity_models():
+    """The mixed corpus, the cli-mixed models, the forests and the 10 x 10 grid, by label."""
+    models = list(mixed_corpus()) + cli_mixed_models() + [(f"forest-{k}", m) for k, m in enumerate(forest_corpus())]
+    return models + [("grid-10", mrf_to_linear_gaussian(grid_field(10), np.linspace(-1.0, 1.0, 100))[0])]
+
+
+@pytest.mark.parametrize("schedule", ["sync", "seq", "random"])
+def test_run_bp_is_the_full_sweep_bit_for_bit(monkeypatch, schedule):
+    # settled tree rows and a frozen information half leave every output as stepping every row gives it;
+    # each model takes one of the eight (init, strict) pairs in turn, recorded with a reference
+    from gabp.analysis import information_fixed_point
+
+    rows, real = [], EdgeStack.information_half
+
+    def counting(self, fj, spreads, v2f_rows, f2v_rows):
+        every = np.arange(len(self.dims))
+        rows.append(len(every[v2f_rows]) + len(every[f2v_rows]))
+        return real(self, fj, spreads, v2f_rows, f2v_rows)
+
+    monkeypatch.setattr(EdgeStack, "information_half", counting)
+    fewer_calls = fewer_rows = 0
+    for k, (label, model) in enumerate(parity_models()):
+        g = build_factor_graph(model)
+        ref = information_fixed_point(model, g)
+        init = ("zero", "lower", "upper", message_init(g, k))[k % 4]
+        opts = BpOptions(schedule=schedule, seed=5, strict=k // 4 % 2 == 1, record_messages=True, max_iters=100)
+        rows.clear()
+        want = _outcome(full_sweep_run, model, g, init=init, options=opts, reference=ref)
+        oracle_rows = rows.copy()
+        rows.clear()
+        _assert_same_run(_outcome(run_bp, model, g, init=init, options=opts, reference=ref), want, label)
+        fewer_calls += len(rows) < len(oracle_rows)
+        fewer_rows += sum(rows) < sum(oracle_rows)
+    # the corpus exercises both: runs whose J froze, and runs that left settled rows out
+    assert fewer_calls >= 10 and fewer_rows >= 100
+
+
+def _first_stationary_iteration(model, init, max_iters=200):
+    """The first iteration after which every J holds the bytes it held before it, from the full sweep."""
+    states = []
+    full_sweep_run(model, init=init, options=BpOptions(max_iters=max_iters), states=states)
+    before = [EdgeStack(model, build_factor_graph(model)).init(init)[0][:-1]]
+    js = [np.stack([before[0], np.zeros_like(before[0])])] + [jm for jm, _ in states]
+    return next(t for t in range(1, len(js)) if js[t].tobytes() == js[t - 1].tobytes())
+
+
+def test_the_information_half_and_strict_checks_stop_once_j_is_byte_stationary(monkeypatch):
+    import gabp.bp
+
+    model = dict(mixed_corpus())["frustrated-low-8"]
+    first = _first_stationary_iteration(model, "lower")
+    calls, pd_calls, real, real_pd = [], [], EdgeStack.information_half, gabp.bp.is_pd
+    monkeypatch.setattr(EdgeStack, "information_half", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(gabp.bp, "is_pd", lambda x: pd_calls.append(1) or real_pd(x))
+    opts = BpOptions(max_iters=10_000)
+    res = run_bp(model, init="lower", options=opts)
+    assert (res.status, res.iterations) == ("max_iters", 10_000) and first < 100
+    # the lower bound is one information half, then a sync run makes one an iteration, none after the
+    # first stationary one
+    assert len(calls) == 1 + first and pd_calls == []
+    calls.clear()
+    strict = run_bp(model, init="lower", options=BpOptions(max_iters=10_000, strict=True))
+    # strict mode adds one v2f and one f2v is_pd an iteration, up to the same iteration
+    assert len(calls) == 1 + first and len(pd_calls) == 2 * first
+    _assert_same_run(strict, res, "strict")
+
+
+@pytest.mark.parametrize("nudge", [-0.0, 2.0 ** -600])
+def test_a_j_that_moves_only_in_a_zeros_sign_or_below_the_norms_underflow_is_not_stationary(monkeypatch, nudge):
+    # -0.0 == 0.0, and a move of 2^-600 squares to 0 in dJ_fro: only a byte compare sees either
+    from corpus import loopy_corpus
+
+    model = loopy_corpus()[41]
+    g = build_factor_graph(model)
+    stack = EdgeStack(model, g)
+    first = _first_stationary_iteration(model, "lower")
+    row = np.flatnonzero(g.peel.core_edges & (stack.dims == 1))[0]
+    assert stack.pad.shape[1] == 3  # so row's pad has a zero at (1, 2), off its real block
+    calls, real = [], EdgeStack.information_half
+
+    def nudged(self, fj, spreads, v2f_rows, f2v_rows):
+        jv, gain, jn = real(self, fj, spreads, v2f_rows, f2v_rows)
+        calls.append(1)
+        if len(calls) == 1 + first:  # a sync run's iteration `first`, after the lower bound
+            at = np.flatnonzero(np.arange(len(self.dims))[f2v_rows] == row)[0]
+            assert jn[at, 1, 2] == 0.0
+            jn[at, 1, 2] = jn[at, 2, 1] = nudge
+        return jv, gain, jn
+
+    monkeypatch.setattr(EdgeStack, "information_half", nudged)
+    res = run_bp(model, g, init="lower", options=BpOptions(record_messages=True))
+    if nudge:
+        assert res.trajectory.rows.reshape(res.iterations, -1, 3)[first - 1, len(g.f2v_edges) + row, 0] == 0.0
+    # iteration `first` moved a J, so the next one steps J again; the run still freezes before it ends
+    assert 1 + first < len(calls) < 1 + res.iterations

@@ -388,3 +388,43 @@ def test_the_peel_is_computed_once_per_graph(monkeypatch):
     assert g.peel is g.peel and calls == [1]
     # the chain's 3999 nodes go two per round, one from each end, and no core is left
     assert [r.stop - r.start for r, _, _ in g.peel.rounds] == [2] * 1999 + [1] and not g.peel.core.any()
+
+
+def test_every_hung_message_keeps_its_bytes_from_its_settle_iteration_on_under_any_init():
+    from conftest import full_sweep_run, message_init
+    from corpus import forest_corpus, mixed_corpus
+    from gabp.bp import BpOptions
+
+    models = [(f"forest-{k}", m) for k, m in enumerate(forest_corpus())] + list(mixed_corpus())
+    hung = 0
+    for k, (label, model) in enumerate(models):
+        g = build_factor_graph(model)
+        kind, row = np.nonzero(np.isfinite(g.peel.settle))
+        settle = g.peel.settle[kind, row].astype(int)
+        if not len(settle):
+            continue
+        hung += 1
+        assert settle.max() < 20, label
+        runs = {}
+        for schedule, init in (("sync", "zero"), ("sync", message_init(g, k)), ("seq", "upper"), ("random", "lower")):
+            states = []
+            opts = BpOptions(schedule=schedule, seed=5, max_iters=40)
+            full_sweep_run(model, g, init=init, options=opts, states=states)
+            # each message's (J, v) after every iteration, from its settle iteration on
+            trails = [[(jm[c, e].tobytes(), vm[c, e].tobytes()) for jm, vm in states[s - 1:]]
+                      for c, e, s in zip(kind, row, settle)]
+            runs[schedule, type(init)] = trails
+            for trail in trails:
+                assert trail[1:] == trail[:-1], (label, schedule)
+        # a settled message reads no init: the two inits' sync runs settle it on the same bytes
+        assert [t[0] for t in runs["sync", str]] == [t[0] for t in runs["sync", dict]], label
+    assert hung >= 90
+
+
+def test_the_480_agent_model_settles_801_tree_messages_within_16_iterations():
+    g = build_factor_graph(random_model(seed=1, n_agents=480, topology="multi_loop"))
+    settle = g.peel.settle[np.isfinite(g.peel.settle)]
+    assert (len(settle), (settle == 1).sum(), (settle <= 2).sum(), settle.max()) == (801, 371, 557, 16)
+    # the core's messages, and those running away from it, never settle
+    assert np.isinf(g.peel.settle[:, g.peel.core_edges]).all()
+    assert (np.isfinite(g.peel.settle).sum(axis=0) == ~g.peel.core_edges).all()
